@@ -116,8 +116,8 @@ std::optional<MsgKind> msg_kind_from_name(std::string_view name) noexcept;
 /// The complete set of `ev` line kinds a radiomc.trace/v2 stream may
 /// contain. This table is the schema's source of truth: the writer
 /// (telemetry/jsonl_sink.cpp) must emit only these kinds and all of these
-/// kinds, which radiomc_lint's trace-kind-table rule checks statically, so
-/// the v2 wire format cannot drift without both sides changing together.
+/// kinds, which tests/lint_test.cpp's round trip checks on a live stream,
+/// so the v2 wire format cannot drift without both sides changing together.
 inline constexpr std::string_view kTraceLineKinds[] = {
     "schema",     ///< header: version, protocol, slot algebra, BFS levels
     "tx",         ///< a station transmitted

@@ -1,17 +1,13 @@
 #include "lint/facts.h"
 
-#include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <map>
-#include <ostream>
-#include <set>
 #include <sstream>
 
 namespace radiomc::lint {
 
 // ---------------------------------------------------------------------------
-// Path helpers (moved here from rules.cpp so every pass shares one copy).
+// Shared helpers.
 // ---------------------------------------------------------------------------
 
 bool in_dir(std::string_view path, std::string_view dir) {
@@ -26,35 +22,38 @@ std::string_view basename_of(std::string_view path) {
   return pos == std::string_view::npos ? path : path.substr(pos + 1);
 }
 
-bool is_header(std::string_view path) {
-  return path.size() >= 2 && (path.substr(path.size() - 2) == ".h" ||
-                              (path.size() >= 4 &&
-                               path.substr(path.size() - 4) == ".hpp"));
+bool is_rng_support(std::string_view path) {
+  const std::string_view base = basename_of(path);
+  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+bool is_ident(const Token& t) { return t.kind == Token::Kind::kIdent; }
+
+bool is_ident(const Token& t, std::string_view text) {
+  return t.kind == Token::Kind::kIdent && t.text == text;
 }
 
+bool is_punct(const Token& t, std::string_view text) {
+  return t.kind == Token::Kind::kPunct && t.text == text;
+}
+
+std::string hex64(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
+
+void report(std::vector<Finding>* out, std::string rule, std::string file,
+            int line, std::string message) {
+  out->push_back(
+      {std::move(rule), std::move(file), line, std::move(message), false, {}});
+}
+
+namespace {
+
+/// Parses a C++ integer literal token (decimal/hex/octal/binary, u/l
+/// suffixes; digit separators were already stripped by the lexer). Returns
+/// false on floats and malformed text.
 bool parse_int_literal(std::string_view text, std::uint64_t* out) {
   std::size_t end = text.size();
   while (end > 0) {
@@ -95,18 +94,6 @@ bool parse_int_literal(std::string_view text, std::uint64_t* out) {
   return true;
 }
 
-namespace {
-
-bool is_punct(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kPunct && t.text == text;
-}
-
-bool is_ident(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kIdent && t.text == text;
-}
-
-bool is_ident(const Token& t) { return t.kind == Token::Kind::kIdent; }
-
 /// Keywords that may sit between a declarator's closing `)` and its body
 /// `{` — skipped when scanning back for the function name.
 bool is_declarator_suffix(const Token& t) {
@@ -138,14 +125,14 @@ std::size_t match_back_paren(const std::vector<Token>& toks,
   return static_cast<std::size_t>(-1);
 }
 
-/// Walks forward from an opening `(`/`[`/`{` at `open` to its matching
-/// closer. Returns the closing index, or toks.size() on imbalance.
-std::size_t match_forward(const std::vector<Token>& toks, std::size_t open,
-                          std::string_view opener, std::string_view closer) {
+/// Walks forward from an opening `(` at `open` to its matching `)`.
+/// Returns the closing index, or toks.size() on imbalance.
+std::size_t match_forward_paren(const std::vector<Token>& toks,
+                                std::size_t open) {
   int depth = 0;
   for (std::size_t j = open; j < toks.size(); ++j) {
-    if (is_punct(toks[j], opener)) ++depth;
-    if (is_punct(toks[j], closer)) {
+    if (is_punct(toks[j], "(")) ++depth;
+    if (is_punct(toks[j], ")")) {
       if (--depth == 0) return j;
     }
   }
@@ -221,20 +208,6 @@ std::string receiver_chain(const std::vector<Token>& toks, std::size_t sep) {
   return out;
 }
 
-/// Mutating container/engine methods: a call through a member chain whose
-/// final method is in this set counts as a *write* to the head member.
-bool is_mutating_method(std::string_view m) {
-  return m == "begin_slot" || m == "end_slot" || m == "wake" ||
-         m == "set_autosleep" || m == "clear" || m == "push_back" ||
-         m == "emplace_back" || m == "pop_back" || m == "assign" ||
-         m == "resize" || m == "reset" || m == "insert" || m == "erase" ||
-         m == "next" || m == "next_below" || m == "bernoulli" ||
-         m == "coin" || m == "split" || m == "swap" || m == "record" ||
-         m == "advance" || m == "step";
-}
-
-}  // namespace
-
 FileFacts extract_facts(const LexedFile& f) {
   FileFacts out;
   out.path = f.path;
@@ -242,8 +215,14 @@ FileFacts extract_facts(const LexedFile& f) {
   const auto& toks = f.tokens;
 
   // -- Pass 1: function definition spans ------------------------------------
+  struct FunctionSpan {
+    std::string name;
+    std::size_t body_begin = 0;
+    std::size_t body_end = 0;
+  };
+  std::vector<FunctionSpan> functions;
   struct OpenScope {
-    std::size_t func_index;  // index into out.functions, or SIZE_MAX
+    std::size_t func_index;  // index into functions
     int depth;
   };
   std::vector<OpenScope> open;
@@ -253,17 +232,12 @@ FileFacts extract_facts(const LexedFile& f) {
       ++depth;
       std::string name = function_name_before(toks, i);
       if (!name.empty()) {
-        FunctionFact fn;
-        fn.name = std::move(name);
-        fn.line = toks[i].line;
-        fn.body_begin = i + 1;
-        fn.body_end = toks.size();
-        out.functions.push_back(std::move(fn));
-        open.push_back({out.functions.size() - 1, depth});
+        functions.push_back({std::move(name), i + 1, toks.size()});
+        open.push_back({functions.size() - 1, depth});
       }
     } else if (is_punct(toks[i], "}")) {
       if (!open.empty() && open.back().depth == depth) {
-        out.functions[open.back().func_index].body_end = i;
+        functions[open.back().func_index].body_end = i;
         open.pop_back();
       }
       --depth;
@@ -272,21 +246,16 @@ FileFacts extract_facts(const LexedFile& f) {
 
   // Innermost enclosing function for a token index (functions are sorted
   // by body_begin; the last span containing idx wins).
-  auto function_at = [&](std::size_t idx) -> const FunctionFact* {
-    const FunctionFact* best = nullptr;
-    for (const auto& fn : out.functions) {
+  auto function_name_at = [&](std::size_t idx) -> std::string {
+    const FunctionSpan* best = nullptr;
+    for (const auto& fn : functions) {
       if (fn.body_begin > idx) break;
       if (idx < fn.body_end) best = &fn;
     }
-    return best;
-  };
-  auto function_name_at = [&](std::size_t idx) -> std::string {
-    const FunctionFact* fn = function_at(idx);
-    return fn ? fn->name : std::string{};
+    return best ? best->name : std::string{};
   };
 
   // -- Pass 2: everything else ----------------------------------------------
-  const bool radio_members = in_dir(f.path, "src/radio");
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
 
@@ -295,14 +264,12 @@ FileFacts extract_facts(const LexedFile& f) {
     if (is_ident(t, "split") && i + 1 < toks.size() &&
         is_punct(toks[i + 1], "(") && i > 0 &&
         (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
-      std::size_t close = match_forward(toks, i + 1, "(", ")");
-      if (close < toks.size()) {
+      std::size_t close = match_forward_paren(toks, i + 1);
+      if (close < toks.size() && close > i + 2) {
         SplitFact s;
         s.receiver = receiver_chain(toks, i - 1);
         s.line = t.line;
         s.function = function_name_at(i);
-        bool has_args = close > i + 2;
-        std::size_t nargs = close - (i + 2);
         for (std::size_t j = i + 2; j < close; ++j) {
           if (!s.tag_expr.empty()) s.tag_expr += ' ';
           s.tag_expr += toks[j].text;
@@ -311,69 +278,36 @@ FileFacts extract_facts(const LexedFile& f) {
             s.tag_has_call = true;
           }
         }
-        if (has_args) {
-          if (nargs == 1 && toks[i + 2].kind == Token::Kind::kNumber) {
-            s.tag_is_literal = true;
-            s.resolved = parse_int_literal(toks[i + 2].text, &s.value);
-          } else {
-            // A pure `A::B::kName` chain?
-            bool chain = true;
-            for (std::size_t j = i + 2; j < close; ++j) {
-              bool even = ((j - (i + 2)) % 2) == 0;
-              if (even ? !is_ident(toks[j]) : !is_punct(toks[j], "::")) {
-                chain = false;
-                break;
-              }
-            }
-            if (chain && is_ident(toks[close - 1])) s.tag_is_name = true;
-          }
-          out.splits.push_back(std::move(s));
-        }
-      }
-    }
-
-    // Rng constructions: `Rng(args)` or `Rng name(args)`.
-    if (is_ident(t, "Rng") && !(i > 0 && is_punct(toks[i - 1], "::")) &&
-        !(i + 1 < toks.size() && is_punct(toks[i + 1], "::"))) {
-      std::size_t paren = static_cast<std::size_t>(-1);
-      if (i + 1 < toks.size() && is_punct(toks[i + 1], "(")) {
-        paren = i + 1;  // temporary: Rng(0xCA97)
-      } else if (i + 2 < toks.size() && is_ident(toks[i + 1]) &&
-                 is_punct(toks[i + 2], "(")) {
-        paren = i + 2;  // declaration: Rng master(seed)
-      }
-      // Skip the class definition itself and declarations like
-      // `Rng split(std::uint64_t tag)` — i.e. parameter lists that
-      // declare types. Heuristic: an argument list containing a type
-      // keyword chain ending in an identifier-identifier pair is a
-      // declaration; simpler and sufficient here: skip when the list
-      // contains the token `uint64_t` or `Rng`.
-      if (paren != static_cast<std::size_t>(-1)) {
-        std::size_t close = match_forward(toks, paren, "(", ")");
-        if (close < toks.size() && close > paren + 1) {
-          bool is_decl_params = false;
-          for (std::size_t j = paren + 1; j < close; ++j) {
-            if (is_ident(toks[j], "uint64_t") || is_ident(toks[j], "Rng") ||
-                is_ident(toks[j], "uint32_t") || is_ident(toks[j], "size_t")) {
-              is_decl_params = true;
+        if (close == i + 3 && toks[i + 2].kind == Token::Kind::kNumber) {
+          s.tag_is_literal = true;
+          s.resolved = parse_int_literal(toks[i + 2].text, &s.value);
+        } else {
+          // A pure `A::B::kName` chain?
+          bool chain = true;
+          for (std::size_t j = i + 2; j < close; ++j) {
+            bool even = ((j - (i + 2)) % 2) == 0;
+            if (even ? !is_ident(toks[j]) : !is_punct(toks[j], "::")) {
+              chain = false;
               break;
             }
           }
-          if (!is_decl_params) {
-            RngCtorFact c;
-            c.line = t.line;
-            c.function = function_name_at(i);
-            for (std::size_t j = paren + 1; j < close; ++j) {
-              if (!c.arg_expr.empty()) c.arg_expr += ' ';
-              c.arg_expr += toks[j].text;
-            }
-            if (close == paren + 2 &&
-                toks[paren + 1].kind == Token::Kind::kNumber) {
-              c.literal_seed = parse_int_literal(toks[paren + 1].text, &c.value);
-            }
-            out.rng_ctors.push_back(std::move(c));
-          }
+          if (chain && is_ident(toks[close - 1])) s.tag_is_name = true;
         }
+        out.splits.push_back(std::move(s));
+      }
+    }
+
+    // Literal-seeded Rng constructions: `Rng(<n>)` or `Rng name(<n>)`.
+    if (is_ident(t, "Rng") && !(i > 0 && is_punct(toks[i - 1], "::"))) {
+      std::size_t paren = i + 1;  // temporary: Rng(0xCA97)
+      if (paren < toks.size() && is_ident(toks[paren])) ++paren;  // Rng r(42)
+      RngCtorFact c;
+      c.line = t.line;
+      if (paren + 2 < toks.size() && is_punct(toks[paren], "(") &&
+          toks[paren + 1].kind == Token::Kind::kNumber &&
+          is_punct(toks[paren + 2], ")") &&
+          parse_int_literal(toks[paren + 1].text, &c.value)) {
+        out.literal_rng_ctors.push_back(c);
       }
     }
 
@@ -399,114 +333,29 @@ FileFacts extract_facts(const LexedFile& f) {
       }
     }
 
-    // Pointer field declarations: IDENT * IDENT [= nullptr] (; , ) })
-    if (is_ident(t) && i + 2 < toks.size() && is_punct(toks[i + 1], "*") &&
-        is_ident(toks[i + 2])) {
-      std::size_t after = i + 3;
-      PointerFieldFact p;
-      p.type = t.text;
-      p.name = toks[i + 2].text;
-      p.line = toks[i + 2].line;
-      if (after + 1 < toks.size() && is_punct(toks[after], "=") &&
-          is_ident(toks[after + 1], "nullptr")) {
-        p.null_default = true;
-        out.pointer_fields.push_back(std::move(p));
-      } else if (after < toks.size() &&
-                 (is_punct(toks[after], ";") || is_punct(toks[after], ",") ||
-                  is_punct(toks[after], ")") || is_punct(toks[after], "="))) {
-        out.pointer_fields.push_back(std::move(p));
-      }
-    }
-
-    // Member accesses (src/radio only): trailing-underscore identifiers
-    // at the head of an access chain, inside a function body.
-    if (radio_members && is_ident(t) && t.text.size() > 1 &&
-        t.text.back() == '_' ) {
-      const FunctionFact* fn = function_at(i);
-      if (fn == nullptr) continue;
-      // Chain head only: not preceded by `.`/`->`/`::`, and not a
-      // declaration (preceded by an identifier or `>`/`*`/`&` type tail
-      // is still ambiguous; declarations inside bodies are rare and
-      // harmless for the report).
-      if (i > 0 && (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->") ||
-                    is_punct(toks[i - 1], "::"))) {
-        continue;
-      }
-      MemberAccessFact m;
-      m.member = t.text;
-      m.line = t.line;
-      m.function = fn->name;
-
-      // Pre-increment / pre-decrement: ++x_ / --x_ (lexed as two puncts).
-      bool pre_mutate = i >= 2 &&
-                        ((is_punct(toks[i - 1], "+") && is_punct(toks[i - 2], "+")) ||
-                         (is_punct(toks[i - 1], "-") && is_punct(toks[i - 2], "-")));
-
-      // Walk the access chain forward: [idx]* ( . | -> ident )* tail.
-      std::size_t j = i + 1;
-      std::string last_method;
-      bool chain_call = false;
-      while (j < toks.size()) {
-        if (is_punct(toks[j], "[")) {
-          std::size_t close = match_forward(toks, j, "[", "]");
-          if (close >= toks.size()) break;
-          j = close + 1;
-          continue;
-        }
-        if ((is_punct(toks[j], ".") || is_punct(toks[j], "->")) &&
-            j + 1 < toks.size() && is_ident(toks[j + 1])) {
-          last_method = toks[j + 1].text;
-          j += 2;
-          if (j < toks.size() && is_punct(toks[j], "(")) {
-            chain_call = true;
-            std::size_t close = match_forward(toks, j, "(", ")");
-            if (close >= toks.size()) break;
-            j = close + 1;
-            // the chain may continue: a.b().c = ...
-            continue;
-          }
-          continue;
-        }
-        break;
-      }
-      std::string tail = j < toks.size() ? toks[j].text : std::string{};
-      bool assign =
-          j < toks.size() &&
-          toks[j].kind == Token::Kind::kPunct &&
-          (tail == "=" || tail == "+=" || tail == "-=" ||
-           ((tail == "|" || tail == "&" || tail == "^" || tail == "*" ||
-             tail == "/" || tail == "%") &&
-            j + 1 < toks.size() && is_punct(toks[j + 1], "=")));
-      // Post-increment: x_++ (two puncts).
-      bool post_mutate = j + 1 < toks.size() &&
-                         ((is_punct(toks[j], "+") && is_punct(toks[j + 1], "+")) ||
-                          (is_punct(toks[j], "-") && is_punct(toks[j + 1], "-")));
-      if (tail == "==") assign = false;
-
-      if (pre_mutate || post_mutate || assign) {
-        m.access = "write";
-      } else if (chain_call) {
-        m.access = is_mutating_method(last_method) ? "write" : "call";
-      } else {
-        m.access = "read";
-      }
-      out.member_accesses.push_back(std::move(m));
+    // Optional-hook fields: IDENT * IDENT = nullptr
+    if (is_ident(t) && i + 4 < toks.size() && is_punct(toks[i + 1], "*") &&
+        is_ident(toks[i + 2]) && is_punct(toks[i + 3], "=") &&
+        is_ident(toks[i + 4], "nullptr")) {
+      out.null_pointer_fields.push_back({t.text, toks[i + 2].text});
     }
   }
   return out;
 }
 
-FactsDb build_facts(const std::vector<LexedFile>& lexed) {
-  FactsDb db;
-  db.files.reserve(lexed.size());
-  for (const auto& f : lexed) db.files.push_back(extract_facts(f));
+}  // namespace
+
+std::vector<FileFacts> build_facts(const std::vector<LexedFile>& lexed) {
+  std::vector<FileFacts> db;
+  db.reserve(lexed.size());
+  for (const auto& f : lexed) db.push_back(extract_facts(f));
 
   // Cross-TU tag resolution: map every named constant to its value, then
   // resolve `split(kName)` / `split(ns::kName)` sites. Ambiguous names
   // (same identifier, different values in different TUs) stay unresolved
   // rather than guessing.
   std::map<std::string, std::pair<std::uint64_t, int>> consts;  // name -> (value, defs)
-  for (const auto& f : db.files) {
+  for (const auto& f : db) {
     for (const auto& k : f.tag_consts) {
       auto it = consts.find(k.name);
       if (it == consts.end()) {
@@ -516,7 +365,7 @@ FactsDb build_facts(const std::vector<LexedFile>& lexed) {
       }
     }
   }
-  for (auto& f : db.files) {
+  for (auto& f : db) {
     for (auto& s : f.splits) {
       if (!s.tag_is_name) continue;
       auto pos = s.tag_expr.rfind(' ');
@@ -530,84 +379,6 @@ FactsDb build_facts(const std::vector<LexedFile>& lexed) {
     }
   }
   return db;
-}
-
-namespace {
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
-
-}  // namespace
-
-void write_facts_json(std::ostream& os, const FactsDb& db) {
-  os << "{\n  \"schema\": \"radiomc.facts/v1\",\n  \"files\": [";
-  bool first_file = true;
-  for (const auto& f : db.files) {
-    if (!first_file) os << ",";
-    first_file = false;
-    os << "\n    {\"path\": \"" << json_escape(f.path) << "\"";
-    auto list = [&](const char* key, auto const& items, auto&& emit) {
-      if (items.empty()) return;
-      os << ",\n     \"" << key << "\": [";
-      bool first = true;
-      for (const auto& item : items) {
-        if (!first) os << ", ";
-        first = false;
-        emit(item);
-      }
-      os << "]";
-    };
-    list("includes", f.includes, [&](const IncludeDirective& inc) {
-      os << "{\"path\": \"" << json_escape(inc.path)
-         << "\", \"line\": " << inc.line
-         << ", \"angled\": " << (inc.angled ? "true" : "false") << "}";
-    });
-    list("functions", f.functions, [&](const FunctionFact& fn) {
-      os << "{\"name\": \"" << json_escape(fn.name)
-         << "\", \"line\": " << fn.line << "}";
-    });
-    list("splits", f.splits, [&](const SplitFact& s) {
-      os << "{\"receiver\": \"" << json_escape(s.receiver)
-         << "\", \"tag\": \"" << json_escape(s.tag_expr) << "\", \"kind\": \""
-         << (s.tag_is_literal ? "literal"
-                              : (s.tag_is_name ? "name"
-                                               : (s.tag_has_call ? "call"
-                                                                 : "expr")))
-         << "\"";
-      if (s.resolved) os << ", \"value\": \"" << hex64(s.value) << "\"";
-      os << ", \"line\": " << s.line;
-      if (!s.function.empty()) {
-        os << ", \"function\": \"" << json_escape(s.function) << "\"";
-      }
-      os << "}";
-    });
-    list("rng_ctors", f.rng_ctors, [&](const RngCtorFact& c) {
-      os << "{\"arg\": \"" << json_escape(c.arg_expr) << "\", \"literal\": "
-         << (c.literal_seed ? "true" : "false");
-      if (c.literal_seed) os << ", \"value\": \"" << hex64(c.value) << "\"";
-      os << ", \"line\": " << c.line << "}";
-    });
-    list("tag_constants", f.tag_consts, [&](const TagConstFact& k) {
-      os << "{\"name\": \"" << json_escape(k.name) << "\", \"value\": \""
-         << hex64(k.value) << "\", \"line\": " << k.line << "}";
-    });
-    list("pointer_fields", f.pointer_fields, [&](const PointerFieldFact& p) {
-      os << "{\"type\": \"" << json_escape(p.type) << "\", \"name\": \""
-         << json_escape(p.name)
-         << "\", \"null_default\": " << (p.null_default ? "true" : "false")
-         << "}";
-    });
-    list("member_accesses", f.member_accesses, [&](const MemberAccessFact& m) {
-      os << "{\"member\": \"" << json_escape(m.member) << "\", \"access\": \""
-         << m.access << "\", \"line\": " << m.line << ", \"function\": \""
-         << json_escape(m.function) << "\"}";
-    });
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
 }
 
 }  // namespace radiomc::lint

@@ -35,8 +35,8 @@ LayerManifest parse_layer_manifest(const std::string& text) {
     if (words[0] == "layer") {
       if (words.size() < 3) {
         m.errors.push_back(
-            {lineno, "'layer' needs a name and at least one directory "
-                     "(layer <name> <dir> [<dir>...])"});
+            {lineno, "'layer' needs a name and at least one entry "
+                     "(layer <name> <entry> [<entry>...])"});
         continue;
       }
       auto it = declared_at.find(words[1]);
@@ -50,7 +50,19 @@ LayerManifest parse_layer_manifest(const std::string& text) {
       LayerDecl d;
       d.name = words[1];
       d.line = lineno;
-      d.dirs.assign(words.begin() + 2, words.end());
+      for (auto e = words.begin() + 2; e != words.end(); ++e) {
+        const std::size_t star = e->find('*');
+        if (star == std::string::npos ||
+            (star > 0 && (*e)[star - 1] == '/' && star + 1 < e->size() &&
+             e->find_first_of("*/", star + 1) == std::string::npos)) {
+          d.entries.push_back(*e);
+        } else {
+          m.errors.push_back(
+              {lineno, "entry '" + *e +
+                           "' is malformed: a header set is written "
+                           "<dir>/*<suffix> (e.g. src/protocols/*.h)"});
+        }
+      }
       m.layers.push_back(std::move(d));
     } else if (words[0] == "allow") {
       if (words.size() != 4 || words[2] != "->") {
@@ -89,36 +101,46 @@ LayerManifest parse_layer_manifest(const std::string& text) {
   return m;
 }
 
-std::string layer_of(const LayerManifest& manifest, std::string_view path) {
+namespace {
+
+/// True iff `entry` — a directory, a single file, or `<dir>/*<suffix>` —
+/// covers `path` (matched as a path suffix, like in_dir).
+bool covers(std::string_view entry, std::string_view path) {
+  const std::size_t star = entry.find('*');
+  if (star != std::string_view::npos)
+    return in_dir(path, entry.substr(0, star - 1)) &&
+           path.ends_with(entry.substr(star + 1));
+  return in_dir(path, entry) || path == entry ||
+         path.ends_with("/" + std::string(entry));
+}
+
+/// The entry as a quoted #include names it: rooted at its directory's last
+/// component (src/radio -> radio, src/radio/network.h -> radio/network.h,
+/// src/protocols/*.h -> protocols/*.h).
+std::string_view include_form(std::string_view entry) {
+  const bool dir =
+      basename_of(entry).find_first_of(".*") == std::string_view::npos;
+  const std::size_t own = dir ? entry.size() : entry.rfind('/');
+  const std::size_t cut =
+      own == std::string_view::npos ? own : entry.rfind('/', own - 1);
+  return cut == std::string_view::npos ? entry : entry.substr(cut + 1);
+}
+
+/// The layer of a linted file (or, with `include`, of a quoted include
+/// path): the layer of the longest entry covering it; empty if none does.
+std::string layer_of(const LayerManifest& manifest, std::string_view path,
+                     bool include) {
   std::string best;
   std::size_t best_len = 0;
   for (const auto& l : manifest.layers) {
-    for (const auto& d : l.dirs) {
-      if (d.size() >= best_len && in_dir(path, d)) {
+    for (const auto& e : l.entries) {
+      if (e.size() >= best_len && covers(include ? include_form(e) : e, path)) {
         best = l.name;
-        best_len = d.size();
+        best_len = e.size();
       }
     }
   }
   return best;
-}
-
-namespace {
-
-/// The layer owning an include path's first component, resolved by
-/// directory basename (`support/rng.h` → the layer whose dir ends in
-/// /support). Empty when no layer claims it (external header).
-std::string layer_of_include(const LayerManifest& manifest,
-                             std::string_view inc_path) {
-  auto slash = inc_path.find('/');
-  if (slash == std::string_view::npos) return {};
-  std::string_view comp = inc_path.substr(0, slash);
-  for (const auto& l : manifest.layers) {
-    for (const auto& d : l.dirs) {
-      if (basename_of(d) == comp) return l.name;
-    }
-  }
-  return {};
 }
 
 struct CycleFinder {
@@ -151,21 +173,13 @@ struct CycleFinder {
 
 }  // namespace
 
-std::vector<Finding> check_layers(const LayerManifest& manifest,
-                                  const std::string& manifest_name,
-                                  const FactsDb& facts) {
-  std::vector<Finding> out;
-  auto report = [&](const std::string& file, int line, std::string msg) {
-    Finding f;
-    f.rule = "layer-dag";
-    f.file = file;
-    f.line = line;
-    f.message = std::move(msg);
-    out.push_back(std::move(f));
-  };
-
+void check_layers(const LayerManifest& manifest,
+                  const std::string& manifest_name,
+                  const std::vector<FileFacts>& facts,
+                  std::vector<Finding>* out) {
   for (const auto& e : manifest.errors) {
-    report(manifest_name, e.line, "manifest parse error: " + e.message);
+    report(out, "layer-dag", manifest_name, e.line,
+           "manifest parse error: " + e.message);
   }
 
   // Declared-graph acyclicity. Edges point from includer to includee, so
@@ -195,7 +209,7 @@ std::vector<Finding> check_layers(const LayerManifest& manifest,
       auto it = edge_line.find({cf.cycle[cf.cycle.size() - 2], cf.cycle.back()});
       if (it != edge_line.end()) line = it->second;
     }
-    report(manifest_name, line,
+    report(out, "layer-dag", manifest_name, line,
            "declared layer graph has a cycle: " + path +
                " — the manifest is a DAG contract; break one edge");
   }
@@ -203,30 +217,28 @@ std::vector<Finding> check_layers(const LayerManifest& manifest,
   // Actual include edges vs the declaration.
   std::set<std::pair<std::string, std::string>> allowed;
   for (const auto& e : manifest.edges) allowed.emplace(e.from, e.to);
-  for (const auto& f : facts.files) {
-    std::string from = layer_of(manifest, f.path);
+  for (const auto& f : facts) {
+    std::string from = layer_of(manifest, f.path, false);
     for (const auto& inc : f.includes) {
       if (inc.angled) continue;  // system/third-party headers
-      std::string to = layer_of_include(manifest, inc.path);
+      std::string to = layer_of(manifest, inc.path, true);
       if (to.empty()) continue;  // not a layered header
       if (from.empty()) {
-        report(f.path, inc.line,
+        report(out, "layer-dag", f.path, inc.line,
                "file is not covered by any layer in " + manifest_name +
                    " but includes layered header \"" + inc.path +
-                   "\" — add its directory to a layer");
+                   "\" — add it to a layer");
         break;  // one finding per unmapped file is enough
       }
       if (to == from) continue;
       if (allowed.count({from, to}) == 0) {
-        report(f.path, inc.line,
+        report(out, "layer-dag", f.path, inc.line,
                "include edge " + from + " -> " + to + " (\"" + inc.path +
                    "\") is not declared in " + manifest_name +
                    " — either the include or the manifest is wrong");
       }
     }
   }
-
-  return out;
 }
 
 }  // namespace radiomc::lint

@@ -1,9 +1,10 @@
 #pragma once
 
-// Layer-DAG analysis for radiomc_lint.
+// Layer-DAG analysis for radiomc_lint — the one mechanism for include
+// policy.
 //
 // A checked-in manifest (`.lint-layers` at the repo root) declares the
-// architecture as data: named layers mapped to directories, and the
+// architecture as data: named layers mapped to parts of the tree, and the
 // include edges the design permits between them. The analysis then holds
 // the *actual* include graph (stage-one facts) against the declaration:
 //
@@ -11,16 +12,21 @@
 //     means the architecture itself is circular, reported with the path;
 //   * every cross-layer quoted #include must ride a declared edge;
 //   * every linted file must belong to a declared layer once it includes
-//     across directories.
-//
-// This generalizes the three ad-hoc include rules of PR 5/6
-// (`engine-include`, `analysis-offline`, `perf-purity-include`), which
-// remain as sharper, message-specific checks for their zones.
+//     a layered header.
 //
 // Manifest grammar (line oriented, `#` comments):
 //
-//   layer <name> <dir> [<dir>...]
+//   layer <name> <entry> [<entry>...]
 //   allow <from> -> <to>
+//
+// An entry is a directory (`src/radio`), a single file
+// (`src/radio/network.h`) or a header set (`src/protocols/*.h`: every file
+// under the directory whose name ends in the suffix). Both a linted file
+// and a quoted include (`radio/network.h`, rooted at the entry's directory
+// name) belong to the layer of the longest entry that covers them, so a
+// file entry carves a file out of its directory's layer and a header set
+// carves the headers out. That is how the model boundary is declared:
+// protocol headers and the engine are separate layers with no edge.
 //
 // Parse errors are reported as unwaivable findings against the manifest
 // file itself, with line numbers.
@@ -29,13 +35,12 @@
 #include <vector>
 
 #include "lint/facts.h"
-#include "lint/rules.h"
 
 namespace radiomc::lint {
 
 struct LayerDecl {
   std::string name;
-  std::vector<std::string> dirs;
+  std::vector<std::string> entries;
   int line = 0;
 };
 
@@ -58,18 +63,16 @@ struct LayerManifest {
 
 /// Parses manifest text. Never throws; syntax problems land in `errors`
 /// with specific messages (unknown directive, redeclared layer, malformed
-/// allow, undeclared layer reference, duplicate edge).
+/// entry or allow, undeclared layer reference, duplicate edge).
 LayerManifest parse_layer_manifest(const std::string& text);
 
-/// Runs the layer-dag analysis: manifest errors (unwaivable, reported
-/// against `manifest_name`), declared-graph cycles, undeclared cross-layer
-/// include edges (reported at the include line), and unmapped files.
-std::vector<Finding> check_layers(const LayerManifest& manifest,
-                                  const std::string& manifest_name,
-                                  const FactsDb& facts);
-
-/// The layer a path belongs to, by longest matching declared directory;
-/// empty if none match.
-std::string layer_of(const LayerManifest& manifest, std::string_view path);
+/// Runs the layer-dag analysis, appending to `out`: manifest errors
+/// (unwaivable, reported against `manifest_name`), declared-graph cycles,
+/// undeclared cross-layer include edges (reported at the include line),
+/// and unmapped files.
+void check_layers(const LayerManifest& manifest,
+                  const std::string& manifest_name,
+                  const std::vector<FileFacts>& facts,
+                  std::vector<Finding>* out);
 
 }  // namespace radiomc::lint

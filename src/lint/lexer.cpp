@@ -92,7 +92,6 @@ class Lexer {
 
   void line_comment() {
     const int start = line_;
-    const bool own = !line_has_code_;
     advance();
     advance();  // //
     std::string text;
@@ -100,12 +99,11 @@ class Lexer {
       text += cur();
       advance();
     }
-    out_.comments.push_back({start, std::move(text), own});
+    out_.comments.push_back({start, std::move(text)});
   }
 
   void block_comment() {
     const int start = line_;
-    const bool own = !line_has_code_;
     advance();
     advance();  // /*
     std::string text;
@@ -118,7 +116,7 @@ class Lexer {
       text += cur();
       advance();
     }
-    out_.comments.push_back({start, std::move(text), own});
+    out_.comments.push_back({start, std::move(text)});
   }
 
   /// Preprocessor line: records #include targets, swallows the rest of the

@@ -7,7 +7,7 @@
 // This is not a real C++ front end — no preprocessing, no templates, no
 // name lookup — just a faithful token stream with line numbers, plus the
 // two side channels rules need: comments (for waiver directives) and
-// #include directives (for the model-purity include graph).
+// #include directives (for the layer-dag include graph).
 //
 // The lexer is dependency-free and total: any byte sequence produces a
 // token stream, never an error. Unterminated literals are closed at end
@@ -36,9 +36,8 @@ struct Token {
 /// directives from these: a `radiomc-lint:` marker, then an
 /// allow(rule) clause and an optional reason.
 struct Comment {
-  int line = 0;           ///< line the comment starts on
-  std::string text;       ///< body without the // or /* */ fences
-  bool own_line = false;  ///< no code token precedes it on its line
+  int line = 0;      ///< line the comment starts on
+  std::string text;  ///< body without the // or /* */ fences
 };
 
 /// An #include directive. `angled` distinguishes <...> from "...".

@@ -1,7 +1,6 @@
 #include "lint/rules.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "lint/facts.h"
@@ -12,14 +11,6 @@
 namespace radiomc::lint {
 
 namespace {
-
-// Path helpers (in_dir / basename_of / is_header) live in lint/facts.h
-// since PR 10 so every pass shares one copy.
-
-bool is_rng_support(std::string_view path) {
-  const std::string_view base = basename_of(path);
-  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
-}
 
 // ---------------------------------------------------------------------------
 // Waivers.
@@ -57,24 +48,6 @@ std::vector<Waiver> parse_waivers(const LexedFile& f) {
     out.push_back(std::move(w));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Shared token-walk helpers.
-// ---------------------------------------------------------------------------
-
-bool is_ident(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kIdent && t.text == text;
-}
-bool is_punct(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kPunct && t.text == text;
-}
-
-/// Emits one finding.
-void report(std::vector<Finding>* out, std::string rule, const LexedFile& f,
-            int line, std::string message) {
-  out->push_back(
-      {std::move(rule), f.path, line, std::move(message), false, {}});
 }
 
 // ---------------------------------------------------------------------------
@@ -133,7 +106,7 @@ void rule_banned_idents(const LexedFile& f, std::vector<Finding>* out) {
     if (t.kind != Token::Kind::kIdent) continue;
     if (!rng_impl) {
       if (kBannedRandomTypes.count(t.text)) {
-        report(out, "no-raw-random", f, t.line,
+        report(out, "no-raw-random", f.path, t.line,
                "'" + t.text +
                    "' in src/: all randomness must flow from the run seed "
                    "through support/rng.h (Rng::split), or trials stop being "
@@ -141,7 +114,7 @@ void rule_banned_idents(const LexedFile& f, std::vector<Finding>* out) {
         continue;
       }
       if (kBannedRandomCalls.count(t.text) && is_free_or_std_call(f, i)) {
-        report(out, "no-raw-random", f, t.line,
+        report(out, "no-raw-random", f.path, t.line,
                "'" + t.text +
                    "()' in src/: use the seeded Rng from support/rng.h");
         continue;
@@ -149,7 +122,7 @@ void rule_banned_idents(const LexedFile& f, std::vector<Finding>* out) {
     }
     if (clock_ok) continue;
     if (kBannedClockTypes.count(t.text)) {
-      report(out, "no-wall-clock", f, t.line,
+      report(out, "no-wall-clock", f.path, t.line,
              "'" + t.text +
                  "' in src/: wall-clock time is nondeterministic; simulated "
                  "time is SlotTime, and every real-time read must funnel "
@@ -157,7 +130,7 @@ void rule_banned_idents(const LexedFile& f, std::vector<Finding>* out) {
       continue;
     }
     if (kBannedClockCalls.count(t.text) && is_free_or_std_call(f, i)) {
-      report(out, "no-wall-clock", f, t.line,
+      report(out, "no-wall-clock", f.path, t.line,
              "'" + t.text +
                  "()' in src/: wall-clock reads make runs irreproducible; "
                  "use support/stopwatch.h");
@@ -177,7 +150,7 @@ void rule_unordered_container(const LexedFile& f, std::vector<Finding>* out) {
   if (!in_deterministic_zone(f.path)) return;
   for (const Token& t : f.tokens) {
     if (t.kind == Token::Kind::kIdent && kUnorderedTypes.count(t.text)) {
-      report(out, "unordered-container", f, t.line,
+      report(out, "unordered-container", f.path, t.line,
              "std::" + t.text +
                  " on a deterministic path: iteration order is unspecified "
                  "and one range-for away from breaking byte-identical "
@@ -188,103 +161,16 @@ void rule_unordered_container(const LexedFile& f, std::vector<Finding>* out) {
 }
 
 // ---------------------------------------------------------------------------
-// model-purity / engine-include + analysis-offline
-//
-// These remain as sharper, message-specific checks for their zones; the
-// layer-dag analysis (lint/layers.h) covers the whole tree against the
-// declared `.lint-layers` manifest. All three consume the shared include
-// facts — no re-lex per rule.
-// ---------------------------------------------------------------------------
-
-/// The radio/ surface a protocol *header* may see. Stations are the model:
-/// they observe the channel only through messages, slot structure and the
-/// Station interfaces. Driver .cpp files may include radio/network.h to
-/// host stations on the engine — the engine is the experimental apparatus,
-/// not part of the per-node model.
-const std::set<std::string_view> kProtocolRadioAllowlist = {
-    "radio/message.h", "radio/station.h", "radio/schedule.h",
-    "radio/trace.h",
-    // The Waker handle is the station-visible half of the active-set
-    // scheduler (a station may put *itself* to sleep and wake *itself*);
-    // the engine-side container (radio/active_set.h) stays forbidden.
-    "radio/waker.h"};
-
-void rule_engine_include(const FileFacts& f, std::vector<Finding>* out) {
-  if (!in_dir(f.path, "src/protocols") || !is_header(f.path)) return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.angled || !inc.path.starts_with("radio/")) continue;
-    if (kProtocolRadioAllowlist.count(std::string_view(inc.path))) continue;
-    out->push_back({"engine-include", f.path, inc.line,
-                    "protocol header includes \"" + inc.path +
-                        "\": station declarations may touch the channel only "
-                        "via radio/station.h / radio/schedule.h; engine "
-                        "access (RadioNetwork) belongs in the driver .cpp",
-                    false,
-                    {}});
-  }
-}
-
-void rule_analysis_offline(const FileFacts& f, std::vector<Finding>* out) {
-  if (!(in_dir(f.path, "src/protocols") || in_dir(f.path, "src/radio") ||
-        in_dir(f.path, "src/faults") || in_dir(f.path, "src/baselines") ||
-        in_dir(f.path, "src/telemetry") || in_dir(f.path, "src/service") ||
-        in_dir(f.path, "src/health")))
-    return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (!inc.angled && inc.path.starts_with("analysis/")) {
-      out->push_back({"analysis-offline", f.path, inc.line,
-                      "includes \"" + inc.path +
-                          "\": the trace auditor is offline-only — protocols "
-                          "and the engine must never see src/analysis/, or a "
-                          "protocol could base decisions on its own flight "
-                          "recorder",
-                      false,
-                      {}});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// perf-purity / perf-purity-include + perf-purity-flow
+// perf-purity / perf-purity-flow
 //
 // The measurement layer (src/perf/ on top of support/stopwatch.h) reads
-// real clocks; simulation state must stay a pure function of the seed. Two
-// directions are enforced statically: model *declarations* never see the
-// measurement headers (drivers hold only a forward-declared
-// perf::Profiler*), and timing *values* never appear in model code at all
-// — the Profiler/PerfSpan surface a driver touches is write-only, so a
-// measured nanosecond cannot flow into an Rng or a transmit decision.
+// real clocks; simulation state must stay a pure function of the seed.
+// Model code may open spans and bump counters (the Profiler/PerfSpan
+// surface is write-only), but timing *values* never appear in it, so a
+// measured nanosecond cannot flow into an Rng or a transmit decision. The
+// include direction (model headers and the engine never see perf/ or the
+// stopwatch) is data in `.lint-layers`, checked by layer-dag.
 // ---------------------------------------------------------------------------
-
-void rule_perf_purity_include(const FileFacts& f, std::vector<Finding>* out) {
-  // Protocol/baseline *headers* describe the model; src/radio and
-  // src/faults are the deterministic apparatus under measurement. Driver
-  // .cpp files in src/protocols may include perf/profiler.h to place
-  // spans — that is the whole point of the forward-declaration idiom.
-  const bool model_header =
-      (in_dir(f.path, "src/protocols") || in_dir(f.path, "src/baselines") ||
-       in_dir(f.path, "src/service") || in_dir(f.path, "src/health")) &&
-      is_header(f.path);
-  const bool engine_zone =
-      in_dir(f.path, "src/radio") || in_dir(f.path, "src/faults");
-  if (!model_header && !engine_zone) return;
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.angled) continue;
-    if (inc.path.starts_with("perf/") || inc.path == "support/stopwatch.h") {
-      out->push_back(
-          {"perf-purity-include", f.path, inc.line,
-           "includes \"" + inc.path +
-               "\": the measurement layer must stay invisible to " +
-               (model_header ? "protocol headers (forward-declare "
-                               "perf::Profiler instead; only driver .cpp "
-                               "files may include it)"
-                             : "the engine (src/radio and src/faults "
-                               "never time themselves)"),
-           false,
-           {}});
-    }
-  }
-}
 
 /// Identifiers that carry measured-time values. Their mention in model
 /// code means a wall-clock quantity is in scope where it could steer the
@@ -300,148 +186,12 @@ void rule_perf_purity_flow(const LexedFile& f, std::vector<Finding>* out) {
     return;
   for (const Token& t : f.tokens) {
     if (t.kind == Token::Kind::kIdent && kTimingValueIdents.count(t.text)) {
-      report(out, "perf-purity-flow", f, t.line,
+      report(out, "perf-purity-flow", f.path, t.line,
              "'" + t.text +
                  "' in model code: measured time must never be readable "
                  "where simulation decisions are made — keep timing values "
                  "in src/perf/ and the drivers' write-only Profiler calls");
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// telemetry / trace-kind-table (cross-file)
-// ---------------------------------------------------------------------------
-
-void rule_trace_kind_table(const std::vector<LexedFile>& files,
-                           std::vector<Finding>* out) {
-  const LexedFile* sink = nullptr;
-  const LexedFile* table_file = nullptr;
-  for (const LexedFile& f : files) {
-    const std::string_view base = basename_of(f.path);
-    if (base == "jsonl_sink.cpp") sink = &f;
-    if (base == "trace_event.h") table_file = &f;
-  }
-  if (sink == nullptr) return;
-
-  // Every `ev` kind the writer emits: member("ev", "<kind>") for structural
-  // lines, event_line("<kind>", ...) for physical events.
-  std::vector<std::pair<std::string, int>> emitted;
-  const auto& tok = sink->tokens;
-  for (std::size_t i = 0; i + 1 < tok.size(); ++i) {
-    if (is_ident(tok[i], "member") && i + 4 < tok.size() &&
-        is_punct(tok[i + 1], "(") &&
-        tok[i + 2].kind == Token::Kind::kString && tok[i + 2].text == "ev" &&
-        is_punct(tok[i + 3], ",") &&
-        tok[i + 4].kind == Token::Kind::kString) {
-      emitted.emplace_back(tok[i + 4].text, tok[i + 4].line);
-    }
-    if (is_ident(tok[i], "event_line") && i + 2 < tok.size() &&
-        is_punct(tok[i + 1], "(") &&
-        tok[i + 2].kind == Token::Kind::kString) {
-      emitted.emplace_back(tok[i + 2].text, tok[i + 2].line);
-    }
-  }
-  if (emitted.empty()) return;
-
-  // The canonical kind table: kTraceLineKinds in analysis/trace_event.h.
-  std::map<std::string, int> table;
-  if (table_file != nullptr) {
-    const auto& tt = table_file->tokens;
-    for (std::size_t i = 0; i < tt.size(); ++i) {
-      if (!is_ident(tt[i], "kTraceLineKinds")) continue;
-      std::size_t j = i;
-      while (j < tt.size() && !is_punct(tt[j], "{")) ++j;
-      for (++j; j < tt.size() && !is_punct(tt[j], "}"); ++j) {
-        if (tt[j].kind == Token::Kind::kString)
-          table.emplace(tt[j].text, tt[j].line);
-      }
-      break;
-    }
-  }
-  if (table.empty()) {
-    report(out, "trace-kind-table", *sink, emitted.front().second,
-           "jsonl_sink.cpp emits trace `ev` kinds but no kTraceLineKinds "
-           "table was found in analysis/trace_event.h — the v2 schema has "
-           "no source of truth to drift-check against");
-    return;
-  }
-
-  std::set<std::string> used;
-  for (const auto& [kind, line] : emitted) {
-    used.insert(kind);
-    if (!table.count(kind)) {
-      report(out, "trace-kind-table", *sink, line,
-             "trace line kind \"" + kind +
-                 "\" is not in kTraceLineKinds (analysis/trace_event.h): "
-                 "the writer and the v2 schema have drifted");
-    }
-  }
-  for (const auto& [kind, line] : table) {
-    if (!used.count(kind)) {
-      report(out, "trace-kind-table", *table_file, line,
-             "kTraceLineKinds entry \"" + kind +
-                 "\" is never emitted by telemetry/jsonl_sink.cpp: stale "
-                 "schema entry (or the writer lost a line kind)");
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// exhaustiveness / switch-default
-// ---------------------------------------------------------------------------
-
-const std::set<std::string_view> kClosedEnums = {"RunStatus", "MsgKind",
-                                                 "EvKind"};
-
-/// Parses the switch whose `switch` keyword is at token i; returns the
-/// index one past its closing `}` (or tokens.size()). Recurses into nested
-/// switches so their labels are not attributed to the outer one.
-std::size_t scan_switch(const LexedFile& f, std::size_t i,
-                        std::vector<Finding>* out) {
-  const auto& tok = f.tokens;
-  std::size_t j = i + 1;
-  while (j < tok.size() && !is_punct(tok[j], "{")) ++j;  // past (cond)
-  if (j >= tok.size()) return tok.size();
-  int depth = 1;
-  bool watched = false;
-  std::vector<int> default_lines;
-  for (++j; j < tok.size() && depth > 0; ++j) {
-    const Token& t = tok[j];
-    if (is_punct(t, "{")) {
-      ++depth;
-    } else if (is_punct(t, "}")) {
-      --depth;
-    } else if (is_ident(t, "switch")) {
-      j = scan_switch(f, j, out) - 1;  // nested switch: skip its body
-    } else if (is_ident(t, "case")) {
-      // Collect the scope qualifiers of the label (Foo::Bar::kBaz).
-      std::size_t k = j + 1;
-      while (k + 1 < tok.size() && tok[k].kind == Token::Kind::kIdent &&
-             is_punct(tok[k + 1], "::")) {
-        if (kClosedEnums.count(tok[k].text)) watched = true;
-        k += 2;
-      }
-      j = k;
-    } else if (is_ident(t, "default") && j + 1 < tok.size() &&
-               is_punct(tok[j + 1], ":")) {
-      default_lines.push_back(t.line);
-    }
-  }
-  if (watched) {
-    for (int line : default_lines) {
-      report(out, "switch-default", f, line,
-             "default: on a switch over a closed model enum (RunStatus / "
-             "MsgKind / EvKind) silences -Wswitch — enumerate every value "
-             "so adding one forces every switch to be revisited");
-    }
-  }
-  return j;
-}
-
-void rule_switch_default(const LexedFile& f, std::vector<Finding>* out) {
-  for (std::size_t i = 0; i < f.tokens.size(); ++i) {
-    if (is_ident(f.tokens[i], "switch")) i = scan_switch(f, i, out) - 1;
   }
 }
 
@@ -460,27 +210,15 @@ const std::vector<RuleInfo> kCatalog = {
     {"rng-stream-audit", "determinism",
      "global Rng::split tag inventory: same-parent duplicate tags, bare "
      "literal tags, call-computed tags, fixed-literal-seed Rng"},
-    {"engine-include", "model-purity",
-     "protocol headers reaching past radio/station.h + schedule.h"},
-    {"analysis-offline", "model-purity",
-     "src/analysis/ included from protocols, radio, faults or telemetry"},
     {"layer-dag", "model-purity",
      "full include graph vs the declared .lint-layers DAG: undeclared "
-     "cross-layer edges, manifest errors, declared-graph cycles"},
-    {"perf-purity-include", "perf-purity",
-     "perf/ or support/stopwatch.h seen from model headers or the engine"},
+     "cross-layer edges (model headers vs the engine, the engine vs the "
+     "clock, anything vs src/analysis), manifest errors, cycles"},
     {"perf-purity-flow", "perf-purity",
      "timing-value identifiers (Stopwatch, elapsed_ns, ...) in model code"},
     {"hub-null-check", "telemetry",
      "unguarded dereference of optional TelemetryHub*/TraceSink*/Profiler* "
      "(flow-aware: per-branch guards, early-return promotion)"},
-    {"trace-kind-table", "telemetry",
-     "jsonl_sink.cpp `ev` kinds vs the trace_event.h kind table"},
-    {"switch-default", "exhaustiveness",
-     "default: on switches over RunStatus / MsgKind / EvKind"},
-    {"shard-safety", "sharding",
-     "every RadioNetwork/ActiveSet member touched in the slot loop is "
-     "classified shard-local / barrier-mergeable / order-sensitive"},
     {"unused-waiver", "hygiene",
      "radiomc-lint: allow(...) comment that suppresses nothing"},
 };
@@ -510,7 +248,7 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
   lexed.reserve(files.size());
   for (const SourceFile& f : files)
     lexed.push_back(lex_source(f.path, f.content));
-  FactsDb facts = build_facts(lexed);
+  const std::vector<FileFacts> facts = build_facts(lexed);
 
   AnalysisResult result;
   result.files_scanned = files.size();
@@ -518,16 +256,13 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
 
   // Cross-TU optional-hook field set, from facts.
   std::set<std::string> hub_fields;
-  for (const FileFacts& f : facts.files) {
-    for (const PointerFieldFact& p : f.pointer_fields) {
-      if (p.null_default && is_hub_pointer_type(p.type))
-        hub_fields.insert(p.name);
+  for (const FileFacts& f : facts) {
+    for (const PointerFieldFact& p : f.null_pointer_fields) {
+      if (is_hub_pointer_type(p.type)) hub_fields.insert(p.name);
     }
   }
 
-  for (std::size_t i = 0; i < lexed.size(); ++i) {
-    const LexedFile& f = lexed[i];
-    const FileFacts& ff = facts.files[i];
+  for (const LexedFile& f : lexed) {
     if (enabled("no-raw-random") || enabled("no-wall-clock")) {
       std::vector<Finding> both;
       rule_banned_idents(f, &both);
@@ -535,36 +270,20 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
         if (enabled(fi.rule)) findings.push_back(std::move(fi));
     }
     if (enabled("unordered-container")) rule_unordered_container(f, &findings);
-    if (enabled("engine-include")) rule_engine_include(ff, &findings);
-    if (enabled("analysis-offline")) rule_analysis_offline(ff, &findings);
-    if (enabled("perf-purity-include"))
-      rule_perf_purity_include(ff, &findings);
     if (enabled("perf-purity-flow")) rule_perf_purity_flow(f, &findings);
     if (enabled("hub-null-check"))
       analyze_hub_null_check(f, hub_fields, &findings);
-    if (enabled("switch-default")) rule_switch_default(f, &findings);
   }
-  if (enabled("trace-kind-table")) rule_trace_kind_table(lexed, &findings);
 
   // Stage two: the cross-TU semantic analyses.
-  if (enabled("rng-stream-audit")) {
-    analyze_rng_streams(facts, &findings, &result.rng_tags);
-    result.split_sites = count_split_sites(facts);
-  }
-  if (enabled("shard-safety")) {
-    analyze_shard_safety(facts, &findings, &result.shard_safety);
-  }
+  if (enabled("rng-stream-audit"))
+    analyze_rng_streams(facts, &findings, &result.rng_tags, &result.split_sites);
   if (enabled("layer-dag") && !opt.layers_manifest.empty()) {
-    LayerManifest manifest = parse_layer_manifest(opt.layers_manifest);
+    const LayerManifest manifest = parse_layer_manifest(opt.layers_manifest);
     result.layers_declared = manifest.layers.size();
     result.layer_edges_declared = manifest.edges.size();
-    auto layer_findings =
-        check_layers(manifest, opt.layers_manifest_name, facts);
-    findings.insert(findings.end(),
-                    std::make_move_iterator(layer_findings.begin()),
-                    std::make_move_iterator(layer_findings.end()));
+    check_layers(manifest, opt.layers_manifest_name, facts, &findings);
   }
-  result.facts = std::move(facts);
 
   // Waiver application: a waiver on line L covers findings of its rule on
   // lines L and L+1 of the same file. (Manifest findings never match a
@@ -589,14 +308,11 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
       for (const Waiver& w : waivers) {
         if (w.used) continue;
         const bool unknown = known_rules.count(w.rule) == 0;
-        findings.push_back(
-            {"unused-waiver", f.path, w.line,
-             unknown ? "waiver names unknown rule '" + w.rule + "'"
-                     : "waiver for '" + w.rule +
-                           "' suppresses nothing here — delete it (stale "
-                           "waivers hide future regressions)",
-             false,
-             {}});
+        report(&findings, "unused-waiver", f.path, w.line,
+               unknown ? "waiver names unknown rule '" + w.rule + "'"
+                       : "waiver for '" + w.rule +
+                             "' suppresses nothing here — delete it (stale "
+                             "waivers hide future regressions)");
       }
     }
   }
@@ -608,11 +324,6 @@ AnalysisResult run_analyses(const std::vector<SourceFile>& files,
               return a.rule < b.rule;
             });
   return result;
-}
-
-std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
-                               const LintOptions& opt) {
-  return run_analyses(files, opt).findings;
 }
 
 }  // namespace radiomc::lint

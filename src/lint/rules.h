@@ -5,12 +5,12 @@
 // Each rule enforces one project invariant as a named, individually
 // waivable check (see docs/STATIC_ANALYSIS.md for the catalog). Rules run
 // over the lexed token streams of src/lint/lexer.h, so comments and
-// string literals cannot produce false positives. Since PR 10 the engine
-// is two-stage: every file is tokenized exactly once, a facts pass
+// string literals cannot produce false positives. The engine is
+// two-stage: every file is tokenized exactly once, a facts pass
 // (src/lint/facts.h) extracts per-file facts into a cross-TU database,
 // and both the token-level rules and the semantic analyses (layer-dag,
-// rng-stream-audit, shard-safety, the flow-aware hub-null-check) consume
-// that single pass.
+// rng-stream-audit, the flow-aware hub-null-check) consume that single
+// pass.
 //
 // Waivers: a finding on line L is suppressed by a comment on line L or
 // L-1 carrying the `radiomc-lint:` marker followed by an
@@ -36,19 +36,10 @@ struct SourceFile {
   std::string content;  ///< full file text
 };
 
-struct Finding {
-  std::string rule;     ///< rule id, e.g. "no-raw-random"
-  std::string file;
-  int line = 0;
-  std::string message;
-  bool waived = false;
-  std::string waiver_reason;  ///< nonempty iff waived and a reason was given
-};
-
 struct RuleInfo {
   std::string_view id;
   std::string_view family;  ///< determinism | model-purity | perf-purity |
-                            ///< telemetry | exhaustiveness | sharding | hygiene
+                            ///< telemetry | hygiene
   std::string_view summary;
 };
 
@@ -66,20 +57,6 @@ struct LintOptions {
   std::string layers_manifest_name = ".lint-layers";
 };
 
-/// One row of the shard_safety section of the radiomc.lint/v2 report
-/// (produced by the shard-safety analysis in src/lint/semantic.h).
-struct ShardSafetyRow {
-  std::string owner;           ///< "RadioNetwork" | "ActiveSet"
-  std::string member;
-  std::string access;          ///< "read" | "write" | "call" | "read+write" ...
-  std::string classification;  ///< shard-local | barrier-mergeable |
-                               ///< order-sensitive | read-only | unclassified
-  std::string rationale;
-  std::string file;
-  int line = 0;   ///< first access site
-  int sites = 0;  ///< total access sites in the slot loop
-};
-
 /// One entry of the rng_streams section: a named split tag.
 struct TagInventoryEntry {
   std::string name;
@@ -92,15 +69,11 @@ struct TagInventoryEntry {
 /// sections of the radiomc.lint/v2 report.
 struct AnalysisResult {
   std::vector<Finding> findings;
-  std::vector<ShardSafetyRow> shard_safety;
   std::vector<TagInventoryEntry> rng_tags;
   std::size_t split_sites = 0;
   std::size_t files_scanned = 0;
   std::size_t layers_declared = 0;
   std::size_t layer_edges_declared = 0;
-  /// The stage-one database (each file tokenized exactly once), kept so
-  /// callers (`--facts-out`) can serialize it without re-lexing.
-  FactsDb facts;
 };
 
 /// Runs every (selected) rule and semantic analysis over `files`. Each
@@ -108,10 +81,6 @@ struct AnalysisResult {
 /// back sorted by (file, line, rule).
 AnalysisResult run_analyses(const std::vector<SourceFile>& files,
                             const LintOptions& opt = {});
-
-/// Compatibility wrapper: findings only.
-std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
-                               const LintOptions& opt = {});
 
 /// Unwaived findings only (what the CLI exits nonzero on).
 std::size_t count_unwaived(const std::vector<Finding>& findings);

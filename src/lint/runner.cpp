@@ -7,7 +7,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "lint/facts.h"  // json_escape
+#include "lint/facts.h"  // hex64
 
 namespace radiomc::lint {
 
@@ -20,27 +20,54 @@ bool lintable(const fs::path& p) {
   return ext == ".h" || ext == ".hpp" || ext == ".cpp" || ext == ".cc";
 }
 
+/// Minimal JSON string escaping for the report writer.
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 bool skip_dir(const fs::path& p) {
   const std::string name = p.filename().string();
   return name.starts_with("build") || name.starts_with(".") ||
          name == "third_party";
 }
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
+}  // namespace
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
   std::ostringstream ss;
   ss << in.rdbuf();
-  return std::move(ss).str();
+  *out = std::move(ss).str();
+  return true;
 }
-
-}  // namespace
 
 std::vector<SourceFile> load_tree(const std::vector<std::string>& roots) {
   std::vector<SourceFile> out;
   for (const std::string& root : roots) {
     const fs::path rp(root);
     if (fs::is_regular_file(rp)) {
-      out.push_back({rp.generic_string(), read_file(rp)});
+      out.push_back({rp.generic_string(), {}});
+      read_file(root, &out.back().content);
       continue;
     }
     if (!fs::is_directory(rp)) continue;
@@ -51,8 +78,10 @@ std::vector<SourceFile> load_tree(const std::vector<std::string>& roots) {
         it.disable_recursion_pending();
         continue;
       }
-      if (entry.is_regular_file() && lintable(entry.path()))
-        out.push_back({entry.path().generic_string(), read_file(entry.path())});
+      if (entry.is_regular_file() && lintable(entry.path())) {
+        out.push_back({entry.path().generic_string(), {}});
+        read_file(out.back().path, &out.back().content);
+      }
     }
   }
   std::sort(out.begin(), out.end(),
@@ -92,30 +121,15 @@ void write_json_report(std::ostream& os, const AnalysisResult& result,
       os << ",\"reason\":\"" << json_escape(f.waiver_reason) << "\"";
     os << '}';
   }
-  os << "],\"shard_safety\":[";
-  first = true;
-  for (const ShardSafetyRow& r : result.shard_safety) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"owner\":\"" << json_escape(r.owner) << "\",\"member\":\""
-       << json_escape(r.member) << "\",\"access\":\"" << json_escape(r.access)
-       << "\",\"class\":\"" << json_escape(r.classification)
-       << "\",\"rationale\":\"" << json_escape(r.rationale) << "\",\"file\":\""
-       << json_escape(r.file) << "\",\"line\":" << r.line
-       << ",\"sites\":" << r.sites << '}';
-  }
   os << "],\"rng_streams\":{\"split_sites\":" << result.split_sites
      << ",\"tags\":[";
   first = true;
   for (const TagInventoryEntry& t : result.rng_tags) {
     if (!first) os << ',';
     first = false;
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "0x%llx",
-                  static_cast<unsigned long long>(t.value));
-    os << "{\"name\":\"" << json_escape(t.name) << "\",\"value\":\"" << hex
-       << "\",\"file\":\"" << json_escape(t.file) << "\",\"line\":" << t.line
-       << '}';
+    os << "{\"name\":\"" << json_escape(t.name) << "\",\"value\":\""
+       << hex64(t.value) << "\",\"file\":\"" << json_escape(t.file)
+       << "\",\"line\":" << t.line << '}';
   }
   os << "]},\"layers\":{\"declared\":" << result.layers_declared
      << ",\"edges\":" << result.layer_edges_declared << '}';

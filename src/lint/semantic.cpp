@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 namespace radiomc::lint {
 
@@ -20,25 +19,8 @@ bool is_hub_pointer_type(std::string_view type) {
 
 namespace {
 
-bool is_rng_support(std::string_view path) {
-  const std::string_view base = basename_of(path);
-  return in_dir(path, "src/support") && (base == "rng.h" || base == "rng.cpp");
-}
-
 bool is_tag_registry(std::string_view path) {
   return in_dir(path, "src/support") && basename_of(path) == "rng_tags.h";
-}
-
-std::string hex64(std::uint64_t v) {
-  std::ostringstream os;
-  os << "0x" << std::hex << v;
-  return os.str();
-}
-
-void report(std::vector<Finding>* out, std::string rule, std::string file,
-            int line, std::string message) {
-  out->push_back(
-      {std::move(rule), std::move(file), line, std::move(message), false, {}});
 }
 
 std::string leaf_name(const std::string& qualified) {
@@ -52,32 +34,26 @@ std::string leaf_name(const std::string& qualified) {
 // rng-stream-audit
 // ---------------------------------------------------------------------------
 
-std::size_t count_split_sites(const FactsDb& facts) {
-  std::size_t n = 0;
-  for (const auto& f : facts.files) {
-    if (in_dir(f.path, "src")) n += f.splits.size();
-  }
-  return n;
-}
-
-void analyze_rng_streams(const FactsDb& facts, std::vector<Finding>* out,
-                         std::vector<TagInventoryEntry>* inventory) {
+void analyze_rng_streams(const std::vector<FileFacts>& facts,
+                         std::vector<Finding>* out,
+                         std::vector<TagInventoryEntry>* inventory,
+                         std::size_t* split_sites) {
   // Which constant names are actually used as split tags anywhere.
   std::set<std::string> used_as_tag;
-  for (const auto& f : facts.files) {
+  for (const auto& f : facts) {
     for (const auto& s : f.splits) {
       if (s.tag_is_name) used_as_tag.insert(leaf_name(s.tag_expr));
     }
   }
 
   // Per-file per-rule scans.
-  for (const auto& f : facts.files) {
+  for (const auto& f : facts) {
     if (!in_dir(f.path, "src")) continue;
     const bool deterministic = in_deterministic_zone(f.path);
+    *split_sites += f.splits.size();
 
     if (!is_rng_support(f.path)) {
-      for (const auto& c : f.rng_ctors) {
-        if (!c.literal_seed) continue;
+      for (const auto& c : f.literal_rng_ctors) {
         report(out, "rng-stream-audit", f.path, c.line,
                "Rng constructed from fixed literal seed " + hex64(c.value) +
                    " — streams must derive from the run seed via "
@@ -135,14 +111,11 @@ void analyze_rng_streams(const FactsDb& facts, std::vector<Finding>* out,
     int line;
   };
   std::map<std::uint64_t, std::vector<NamedTag>> registry_by_value;
-  for (const auto& f : facts.files) {
+  for (const auto& f : facts) {
     for (const auto& k : f.tag_consts) {
       const bool in_registry = is_tag_registry(f.path);
-      if (in_registry || (used_as_tag.count(k.name) && in_dir(f.path, "src"))) {
-        if (inventory != nullptr) {
-          inventory->push_back({k.name, k.value, f.path, k.line});
-        }
-      }
+      if (in_registry || (used_as_tag.count(k.name) && in_dir(f.path, "src")))
+        inventory->push_back({k.name, k.value, f.path, k.line});
       if (in_registry) {
         registry_by_value[k.value].push_back({k.name, f.path, k.line});
       }
@@ -160,260 +133,18 @@ void analyze_rng_streams(const FactsDb& facts, std::vector<Finding>* out,
     }
   }
 
-  if (inventory != nullptr) {
-    std::sort(inventory->begin(), inventory->end(),
-              [](const TagInventoryEntry& a, const TagInventoryEntry& b) {
-                if (a.value != b.value) return a.value < b.value;
-                return a.name < b.name;
-              });
-    inventory->erase(
-        std::unique(inventory->begin(), inventory->end(),
-                    [](const TagInventoryEntry& a, const TagInventoryEntry& b) {
-                      return a.value == b.value && a.name == b.name &&
-                             a.file == b.file;
-                    }),
-        inventory->end());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// shard-safety
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// The engine functions that run inside the per-slot hot loop — the code a
-/// sharded Phase 1 would execute concurrently.
-bool is_slot_loop_function(const std::string& fn) {
-  return fn == "RadioNetwork::step" || fn == "ActiveSet::begin_slot" ||
-         fn == "ActiveSet::end_slot" || fn == "ActiveSet::wake" ||
-         fn == "ActiveSet::set_autosleep";
-}
-
-struct MemberClass {
-  std::string_view classification;
-  std::string_view rationale;
-};
-
-/// The reviewed classification table. Every mutable engine member touched
-/// in the slot loop must appear here; the analysis fails on drift in
-/// either direction (touched-but-unclassified, classified-but-untouched).
-const std::map<std::string_view, MemberClass>& radio_network_table() {
-  static const std::map<std::string_view, MemberClass> t = {
-      {"now_",
-       {"barrier-mergeable",
-        "per-slot scalar advanced exactly once; all shards agree at the "
-        "slot barrier"}},
-      {"epoch_",
-       {"barrier-mergeable",
-        "slot epoch stamp advanced once per slot at the barrier"}},
-      {"metrics_",
-       {"barrier-mergeable",
-        "monotone counters; per-shard deltas sum at the barrier"}},
-      {"stats_",
-       {"barrier-mergeable",
-        "scheduling counters: sum polls/wakes, max peak-active"}},
-      {"act_epoch_",
-       {"shard-local",
-        "indexed by transmitting node; a node is polled only by its owning "
-        "shard"}},
-      {"act_msg_",
-       {"shard-local",
-        "per-transmitter channel cells; written only while polling the "
-        "owning shard's nodes"}},
-      {"keep_",
-       {"shard-local", "retention mark indexed by the polled node"}},
-      {"row_",
-       {"shard-local",
-        "per-poll scratch row; a sharded engine gives each worker its own "
-        "row (aliased writes via range-for)"}},
-      {"tx_list_",
-       {"barrier-mergeable",
-        "append-only transmit-intent list; shard lists concatenate in "
-        "ascending node order at the barrier"}},
-      {"touched_",
-       {"barrier-mergeable",
-        "touched-cell set; union then sort restores the canonical "
-        "(node, channel) scan order"}},
-      {"rx_epoch_",
-       {"barrier-mergeable",
-        "receiver cell stamps; boundary cells written by several shards "
-        "merge by count-sum with canonical survivor order"}},
-      {"rx_count_",
-       {"barrier-mergeable",
-        "per-cell arrival counts; sum per boundary cell at the barrier"}},
-      {"rx_msg_",
-       {"barrier-mergeable",
-        "surviving message per cell; deterministic winner under the "
-        "canonical ascending-transmitter merge"}},
-      {"capture_rng_",
-       {"order-sensitive",
-        "one global capture-draw stream consumed in touched-cell order; "
-        "must stay serialized or be re-derived per cell via Rng::split"}},
-      {"active_set_",
-       {"order-sensitive",
-        "shared sorted membership; admission/retention and cross-shard "
-        "wakes mutate it, so membership ops serialize at the barrier"}},
-      {"trace_",
-       {"order-sensitive",
-        "trace emission order is the byte-identity contract of the JSONL "
-        "stream"}},
-      {"slot_hook_",
-       {"order-sensitive",
-        "observer fires once per slot after the world is consistent"}},
-      {"faults_",
-       {"order-sensitive",
-        "fault schedule advances per-slot churn state exactly once"}},
-      {"stations_",
-       {"order-sensitive",
-        "station callbacks run in canonical delivery order; boundary "
-        "receivers belong to other shards"}},
-      {"cfg_", {"read-only", "immutable run configuration; freely shared"}},
-      {"adj_",
-       {"read-only", "immutable CSR adjacency; freely shared"}},
-  };
-  return t;
-}
-
-const std::map<std::string_view, MemberClass>& active_set_table() {
-  static const std::map<std::string_view, MemberClass> t = {
-      {"active_",
-       {"barrier-mergeable",
-        "sorted membership vector; set semantics restored by the ascending "
-        "sort at admission"}},
-      {"in_active_",
-       {"barrier-mergeable", "membership flag; idempotent set-insert, "
-                             "union at the barrier"}},
-      {"pending_",
-       {"barrier-mergeable",
-        "pending-wake list; idempotent marks dedup by pending_flag_, union "
-        "then ascending sort at admission"}},
-      {"pending_flag_",
-       {"barrier-mergeable", "pending-wake dedup flag; monotone OR within "
-                             "a slot"}},
-      {"slot_woken_",
-       {"barrier-mergeable", "woken-this-slot mark; monotone OR within a "
-                             "slot"}},
-      {"woke_flag_",
-       {"barrier-mergeable",
-        "first-raise dedup flag; monotone OR, merged before wake_events_ "
-        "sums"}},
-      {"wake_events_",
-       {"barrier-mergeable",
-        "counts first-raise wake events; sum per-shard deltas after "
-        "woke_flag_ dedup"}},
-      {"autosleep_",
-       {"barrier-mergeable",
-        "per-node opt-in flag; only the owning node's station writes it"}},
-      {"any_autosleep_",
-       {"barrier-mergeable", "monotone OR over autosleep_"}},
-  };
-  return t;
-}
-
-}  // namespace
-
-void analyze_shard_safety(const FactsDb& facts, std::vector<Finding>* out,
-                          std::vector<ShardSafetyRow>* rows) {
-  struct Agg {
-    std::set<std::string> accesses;
-    std::string file;
-    int line = 0;
-    int sites = 0;
-  };
-  // owner -> member -> aggregate
-  std::map<std::string, std::map<std::string, Agg>> touched;
-  std::map<std::string, std::pair<std::string, int>> owner_anchor;
-
-  for (const auto& f : facts.files) {
-    for (const auto& m : f.member_accesses) {
-      if (!is_slot_loop_function(m.function)) continue;
-      auto colon = m.function.find("::");
-      std::string owner = m.function.substr(0, colon);
-      auto& agg = touched[owner][m.member];
-      agg.accesses.insert(m.access);
-      if (agg.sites == 0) {
-        agg.file = f.path;
-        agg.line = m.line;
-      }
-      ++agg.sites;
-      if (owner_anchor.find(owner) == owner_anchor.end()) {
-        for (const auto& fn : f.functions) {
-          if (fn.name == m.function) {
-            owner_anchor[owner] = {f.path, fn.line};
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  for (const auto& [owner, members] : touched) {
-    const auto& table =
-        owner == "ActiveSet" ? active_set_table() : radio_network_table();
-    for (const auto& [member, agg] : members) {
-      std::string access;
-      for (const auto& a : {std::string("read"), std::string("write"),
-                            std::string("call")}) {
-        if (agg.accesses.count(a)) {
-          if (!access.empty()) access += '+';
-          access += a;
-        }
-      }
-      auto it = table.find(member);
-      if (it == table.end()) {
-        report(out, "shard-safety", agg.file, agg.line,
-               "engine member '" + owner + "::" + member +
-                   "' is touched in the slot loop (" + access +
-                   ") but has no entry in the shard-safety classification "
-                   "table (src/lint/semantic.cpp) — classify it shard-local "
-                   "/ barrier-mergeable / order-sensitive before the sharded "
-                   "engine can rely on this report");
-        if (rows != nullptr) {
-          rows->push_back({owner, member, access, "unclassified",
-                           "no classification table entry", agg.file, agg.line,
-                           agg.sites});
-        }
-        continue;
-      }
-      if (it->second.classification == "read-only" &&
-          agg.accesses.count("write")) {
-        report(out, "shard-safety", agg.file, agg.line,
-               "engine member '" + owner + "::" + member +
-                   "' is classified read-only but the slot loop writes it — "
-                   "the classification table has drifted from the engine");
-      }
-      if (rows != nullptr) {
-        rows->push_back({owner, member, access,
-                         std::string(it->second.classification),
-                         std::string(it->second.rationale), agg.file, agg.line,
-                         agg.sites});
-      }
-    }
-
-    // Stale table entries. Only checked once most of an owner's table is
-    // observed, so reduced fixtures (one function, one member) don't trip
-    // a wall of stale findings.
-    if (members.size() >= 8) {
-      for (const auto& [member, cls] : table) {
-        if (members.count(std::string(member))) continue;
-        const auto anchor = owner_anchor[owner];
-        report(out, "shard-safety", anchor.first, anchor.second,
-               "shard-safety table entry '" + owner + "::" +
-                   std::string(member) +
-                   "' is never touched in the slot loop — stale entry (or "
-                   "the engine lost an access the table still documents)");
-      }
-    }
-  }
-
-  if (rows != nullptr) {
-    std::sort(rows->begin(), rows->end(),
-              [](const ShardSafetyRow& a, const ShardSafetyRow& b) {
-                if (a.owner != b.owner) return a.owner < b.owner;
-                return a.member < b.member;
-              });
-  }
+  std::sort(inventory->begin(), inventory->end(),
+            [](const TagInventoryEntry& a, const TagInventoryEntry& b) {
+              if (a.value != b.value) return a.value < b.value;
+              return a.name < b.name;
+            });
+  inventory->erase(
+      std::unique(inventory->begin(), inventory->end(),
+                  [](const TagInventoryEntry& a, const TagInventoryEntry& b) {
+                    return a.value == b.value && a.name == b.name &&
+                           a.file == b.file;
+                  }),
+      inventory->end());
 }
 
 // ---------------------------------------------------------------------------
@@ -421,13 +152,6 @@ void analyze_shard_safety(const FactsDb& facts, std::vector<Finding>* out,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-bool is_ident_t(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kIdent && t.text == text;
-}
-bool is_punct_t(const Token& t, std::string_view text) {
-  return t.kind == Token::Kind::kPunct && t.text == text;
-}
 
 bool is_terminator_keyword(const Token& t) {
   return t.kind == Token::Kind::kIdent &&
@@ -475,15 +199,15 @@ CondGuards parse_condition(const std::vector<Token>& tok, std::size_t begin,
     Atom atom;
     // Optional leading '!'
     bool negated = false;
-    if (a < b && is_punct_t(tok[a], "!")) {
+    if (a < b && is_punct(tok[a], "!")) {
       negated = true;
       ++a;
     }
     // nullptr == chain / nullptr != chain
     bool lhs_nullptr = false;
     std::string cmp;
-    if (a + 1 < b && is_ident_t(tok[a], "nullptr") &&
-        (is_punct_t(tok[a + 1], "==") || is_punct_t(tok[a + 1], "!="))) {
+    if (a + 1 < b && is_ident(tok[a], "nullptr") &&
+        (is_punct(tok[a + 1], "==") || is_punct(tok[a + 1], "!="))) {
       lhs_nullptr = true;
       cmp = tok[a + 1].text;
       a += 2;
@@ -494,7 +218,7 @@ CondGuards parse_condition(const std::vector<Token>& tok, std::size_t begin,
     if (j < b && tok[j].kind == Token::Kind::kIdent) {
       path = tok[j].text;
       while (j + 2 < b &&
-             (is_punct_t(tok[j + 1], ".") || is_punct_t(tok[j + 1], "->")) &&
+             (is_punct(tok[j + 1], ".") || is_punct(tok[j + 1], "->")) &&
              tok[j + 2].kind == Token::Kind::kIdent) {
         path += tok[j + 1].text;
         path += tok[j + 2].text;
@@ -505,8 +229,8 @@ CondGuards parse_condition(const std::vector<Token>& tok, std::size_t begin,
     ++j;
     // Trailing comparison.
     if (!lhs_nullptr && j + 1 < b &&
-        (is_punct_t(tok[j], "==") || is_punct_t(tok[j], "!=")) &&
-        is_ident_t(tok[j + 1], "nullptr")) {
+        (is_punct(tok[j], "==") || is_punct(tok[j], "!=")) &&
+        is_ident(tok[j + 1], "nullptr")) {
       cmp = tok[j].text;
       j += 2;
     }
@@ -524,10 +248,10 @@ CondGuards parse_condition(const std::vector<Token>& tok, std::size_t begin,
   for (std::size_t i = begin; i <= end; ++i) {
     bool boundary = i == end;
     if (!boundary) {
-      if (is_punct_t(tok[i], "(") || is_punct_t(tok[i], "[")) ++depth;
-      if (is_punct_t(tok[i], ")") || is_punct_t(tok[i], "]")) --depth;
+      if (is_punct(tok[i], "(") || is_punct(tok[i], "[")) ++depth;
+      if (is_punct(tok[i], ")") || is_punct(tok[i], "]")) --depth;
       if (depth == 0 &&
-          (is_punct_t(tok[i], "&&") || is_punct_t(tok[i], "||"))) {
+          (is_punct(tok[i], "&&") || is_punct(tok[i], "||"))) {
         boundary = true;
         if (tok[i].text == "&&") all_or = false;
         if (tok[i].text == "||") all_and = false;
@@ -568,7 +292,7 @@ void analyze_hub_null_check(const LexedFile& f,
   std::set<std::string> hub_names = global_fields;
   const auto& tok = f.tokens;
   for (std::size_t i = 0; i + 2 < tok.size(); ++i) {
-    if (tok[i].kind != Token::Kind::kIdent || !is_punct_t(tok[i + 1], "*") ||
+    if (tok[i].kind != Token::Kind::kIdent || !is_punct(tok[i + 1], "*") ||
         tok[i + 2].kind != Token::Kind::kIdent)
       continue;
     const std::string& type = tok[i].text;
@@ -577,8 +301,8 @@ void analyze_hub_null_check(const LexedFile& f,
       hub_names.insert(name);
     } else if (i + 3 < tok.size()) {
       const Token& after = tok[i + 3];
-      if (is_punct_t(after, ";") || is_punct_t(after, "=") ||
-          is_punct_t(after, ",") || is_punct_t(after, ")"))
+      if (is_punct(after, ";") || is_punct(after, "=") ||
+          is_punct(after, ",") || is_punct(after, ")"))
         hub_names.erase(name);
     }
   }
@@ -610,7 +334,7 @@ void analyze_hub_null_check(const LexedFile& f,
     const Token& t = tok[i];
 
     // Apply a parsed condition to whatever follows its `)`.
-    if (pending_active && i == pending_close + 1 && !is_punct_t(t, "{")) {
+    if (pending_active && i == pending_close + 1 && !is_punct(t, "{")) {
       // Single-statement branch: positive guards hold until the `;`;
       // a terminator statement promotes the negation past the branch.
       stmt_guards.insert(pending.pos.begin(), pending.pos.end());
@@ -623,7 +347,7 @@ void analyze_hub_null_check(const LexedFile& f,
       pending_active = false;
     }
 
-    if (is_punct_t(t, "{")) {
+    if (is_punct(t, "{")) {
       GuardScope s;
       if (pending_active && i == pending_close + 1) {
         s.is_branch = true;
@@ -644,7 +368,7 @@ void analyze_hub_null_check(const LexedFile& f,
       stmt_start = true;
       continue;
     }
-    if (is_punct_t(t, "}")) {
+    if (is_punct(t, "}")) {
       if (scopes.size() > 1) {
         GuardScope closed = std::move(scopes.back());
         scopes.pop_back();
@@ -662,7 +386,7 @@ void analyze_hub_null_check(const LexedFile& f,
       stmt_start = true;
       continue;
     }
-    if (is_punct_t(t, ";")) {
+    if (is_punct(t, ";")) {
       GuardScope& cur = scopes.back();
       cur.last_stmt_terminates = cur.cur_stmt_terminator;
       cur.cur_stmt_terminator = false;
@@ -686,12 +410,12 @@ void analyze_hub_null_check(const LexedFile& f,
     // Parse if/while conditions (the condition tokens still flow through
     // the normal walk below, so dereferences inside them are checked).
     if ((t.text == "if" || t.text == "while") && i + 1 < tok.size() &&
-        is_punct_t(tok[i + 1], "(")) {
+        is_punct(tok[i + 1], "(")) {
       int depth = 0;
       std::size_t close = tok.size();
       for (std::size_t j = i + 1; j < tok.size(); ++j) {
-        if (is_punct_t(tok[j], "(")) ++depth;
-        if (is_punct_t(tok[j], ")") && --depth == 0) {
+        if (is_punct(tok[j], "(")) ++depth;
+        if (is_punct(tok[j], ")") && --depth == 0) {
           close = j;
           break;
         }
@@ -710,8 +434,8 @@ void analyze_hub_null_check(const LexedFile& f,
       continue;
     }
 
-    if (i > 0 && (is_punct_t(tok[i - 1], ".") || is_punct_t(tok[i - 1], "->") ||
-                  is_punct_t(tok[i - 1], "::")))
+    if (i > 0 && (is_punct(tok[i - 1], ".") || is_punct(tok[i - 1], "->") ||
+                  is_punct(tok[i - 1], "::")))
       continue;  // not the head of a chain
 
     // Walk the access chain a.b->c..., checking each -> dereference.
@@ -719,9 +443,9 @@ void analyze_hub_null_check(const LexedFile& f,
     std::string last = t.text;
     std::size_t j = i;
     while (j + 2 < tok.size() &&
-           (is_punct_t(tok[j + 1], ".") || is_punct_t(tok[j + 1], "->")) &&
+           (is_punct(tok[j + 1], ".") || is_punct(tok[j + 1], "->")) &&
            tok[j + 2].kind == Token::Kind::kIdent) {
-      if (is_punct_t(tok[j + 1], "->") && hub_names.count(last) &&
+      if (is_punct(tok[j + 1], "->") && hub_names.count(last) &&
           !guarded(path)) {
         report(out, "hub-null-check", f.path, tok[j + 1].line,
                "unchecked dereference of optional telemetry/trace pointer "
@@ -737,10 +461,10 @@ void analyze_hub_null_check(const LexedFile& f,
     }
 
     // `*chain` unary dereference (e.g. `Telemetry& tel = *cfg.telemetry;`).
-    if (hub_names.count(last) && i > 0 && is_punct_t(tok[i - 1], "*")) {
+    if (hub_names.count(last) && i > 0 && is_punct(tok[i - 1], "*")) {
       const bool unary = i < 2 || tok[i - 2].kind == Token::Kind::kPunct ||
-                         is_ident_t(tok[i - 2], "return");
-      if (unary && !(i >= 2 && is_punct_t(tok[i - 2], ")")) &&
+                         is_ident(tok[i - 2], "return");
+      if (unary && !(i >= 2 && is_punct(tok[i - 2], ")")) &&
           !guarded(path)) {
         report(out, "hub-null-check", f.path, tok[i - 1].line,
                "unchecked dereference of optional telemetry/trace pointer "
@@ -757,15 +481,15 @@ void analyze_hub_null_check(const LexedFile& f,
       const Token* next = j + 1 < tok.size() ? &tok[j + 1] : nullptr;
       const Token* prev = i > 0 ? &tok[i - 1] : nullptr;
       bool guard = false;
-      if (next != nullptr && is_punct_t(*next, "!=") && j + 2 < tok.size() &&
-          is_ident_t(tok[j + 2], "nullptr"))
+      if (next != nullptr && is_punct(*next, "!=") && j + 2 < tok.size() &&
+          is_ident(tok[j + 2], "nullptr"))
         guard = true;
-      if (prev != nullptr && is_punct_t(*prev, "!="))
+      if (prev != nullptr && is_punct(*prev, "!="))
         guard = true;  // nullptr != p
-      if ((next != nullptr && is_punct_t(*next, "&&")) ||
-          (prev != nullptr && is_punct_t(*prev, "&&")))
+      if ((next != nullptr && is_punct(*next, "&&")) ||
+          (prev != nullptr && is_punct(*prev, "&&")))
         guard = true;
-      if (next != nullptr && is_punct_t(*next, "?")) guard = true;
+      if (next != nullptr && is_punct(*next, "?")) guard = true;
       if (guard) stmt_guards.insert(path);
     }
 

@@ -1,7 +1,7 @@
 #pragma once
 
-// Stage-two semantic analyses over the cross-TU facts database
-// (src/lint/facts.h): the checks that need to see the whole tree at once.
+// Stage-two semantic analyses over the cross-TU facts (src/lint/facts.h):
+// the checks that need to see the whole tree at once.
 //
 //   * rng-stream-audit — the global Rng::split tag inventory. Two child
 //     streams split from the same parent with the same tag are
@@ -12,18 +12,10 @@
 //     value collisions inside the registry, and fixed-literal-seed Rng
 //     construction outside support/rng.*.
 //
-//   * shard-safety — the machine-checked precondition for the ROADMAP's
-//     intra-trial sharded engine: every RadioNetwork/ActiveSet member
-//     touched inside the slot loop must carry a classification
-//     (shard-local / barrier-mergeable / order-sensitive / read-only)
-//     with a merge rationale. An unclassified member is a finding, so
-//     the classification table cannot silently fall behind the engine.
-//
-//   * hub-null-check (flow-aware) — replaces the PR 5 guard-frame
-//     heuristic with per-branch guard tracking: guards live in the
-//     branch that established them, `if (!p) return;` promotes the
-//     guarantee past the early return, and `if (!p) { p->f(); }` is now
-//     caught (the old heuristic treated any mention of `!p` as a guard).
+//   * hub-null-check (flow-aware) — per-branch guard tracking: guards live
+//     in the branch that established them, `if (!p) return;` promotes the
+//     guarantee past the early return, and `if (!p) { p->f(); }` is
+//     caught.
 //
 // The layer-dag analysis lives in src/lint/layers.h.
 
@@ -40,25 +32,16 @@ namespace radiomc::lint {
 /// with the unordered-container rule in rules.cpp).
 bool in_deterministic_zone(std::string_view path);
 
-// ShardSafetyRow and TagInventoryEntry live in rules.h (they are part of
-// AnalysisResult, the engine's public output).
-
 /// Runs the RNG stream audit. Named tags are appended to `inventory`
-/// (sorted by value) for the v2 report.
-void analyze_rng_streams(const FactsDb& facts, std::vector<Finding>* out,
-                         std::vector<TagInventoryEntry>* inventory);
-
-/// Counts every split call site in src/ (for the v2 report).
-std::size_t count_split_sites(const FactsDb& facts);
-
-/// Runs the shard-safety classification. Rows for every touched member are
-/// appended to `rows`; unclassified members (and, once enough of an owner's
-/// members are observed, stale table entries) become findings.
-void analyze_shard_safety(const FactsDb& facts, std::vector<Finding>* out,
-                          std::vector<ShardSafetyRow>* rows);
+/// (sorted by value) and src/ split call sites are counted into
+/// `split_sites`, both for the v2 report.
+void analyze_rng_streams(const std::vector<FileFacts>& facts,
+                         std::vector<Finding>* out,
+                         std::vector<TagInventoryEntry>* inventory,
+                         std::size_t* split_sites);
 
 /// Flow-aware hub-null-check over one file. `global_fields` is the
-/// cross-TU set of optional-hook field names (facts pointer_fields with
+/// cross-TU set of optional-hook field names (facts pointer fields with
 /// hub types and `= nullptr`).
 void analyze_hub_null_check(const LexedFile& f,
                             const std::set<std::string>& global_fields,

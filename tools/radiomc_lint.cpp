@@ -6,8 +6,9 @@
 // runs. This tool makes them machine-checked on every commit: each rule in
 // src/lint/rules.cpp bans one way of silently breaking them, the semantic
 // analyses in src/lint/semantic.cpp + layers.cpp check the cross-TU
-// invariants (split-tag independence, the layer DAG, shard safety), and
-// every finding is individually waivable in-line with a reason.
+// invariants (split-tag independence, the layer DAG that carries the
+// include policy), and every finding is individually waivable in-line
+// with a reason.
 //
 // Usage:
 //   radiomc_lint [options] <path>...       lint files / directory trees
@@ -15,7 +16,6 @@
 //
 // Options:
 //   --json FILE       write the radiomc.lint/v2 JSON report to FILE
-//   --facts-out FILE  write the radiomc.facts/v1 cross-TU facts DB to FILE
 //   --layers FILE     layer manifest for the layer-dag analysis
 //                     (default: ./.lint-layers when it exists)
 //   --no-layers       skip the layer-dag analysis even if ./.lint-layers exists
@@ -36,14 +36,12 @@
 #include <string>
 #include <vector>
 
-#include "lint/facts.h"
 #include "lint/runner.h"
 
 namespace {
 
 int usage(std::ostream& os, int code) {
-  os << "usage: radiomc_lint [--json FILE] [--facts-out FILE] "
-        "[--layers FILE | --no-layers]\n"
+  os << "usage: radiomc_lint [--json FILE] [--layers FILE | --no-layers]\n"
         "                    [--rule ID[,ID...]]... [--no-waived] <path>...\n"
         "       radiomc_lint --list-rules\n";
   return code;
@@ -77,15 +75,6 @@ std::string nearest_rule(const std::string& id) {
   return best;
 }
 
-bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = std::move(ss).str();
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,7 +82,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> roots;
   std::string json_path;
-  std::string facts_path;
   std::string layers_path;
   bool no_layers = false;
   LintOptions opt;
@@ -110,9 +98,6 @@ int main(int argc, char** argv) {
     if (arg == "--json") {
       if (++i >= argc) return usage(std::cerr, 2);
       json_path = argv[i];
-    } else if (arg == "--facts-out") {
-      if (++i >= argc) return usage(std::cerr, 2);
-      facts_path = argv[i];
     } else if (arg == "--layers") {
       if (++i >= argc) return usage(std::cerr, 2);
       layers_path = argv[i];
@@ -181,15 +166,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     write_json_report(out, result, wall_ms);
-  }
-
-  if (!facts_path.empty()) {
-    std::ofstream out(facts_path);
-    if (!out) {
-      std::cerr << "radiomc_lint: cannot write " << facts_path << '\n';
-      return 2;
-    }
-    write_facts_json(out, result.facts);
   }
 
   const std::size_t unwaived = count_unwaived(result.findings);
