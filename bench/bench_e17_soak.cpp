@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     hcfg.depth = tree.depth;
     hcfg.warmup_phases = c.cfg.warmup_phases;
     std::ostringstream sink;
-    health::Monitor mon(c.g.num_nodes(), tree.level, hcfg, sink);
+    health::Monitor mon(tree.level, hcfg, sink);
     c.cfg.health = &mon;
     const svc::ServeOutcome out = svc::run_service(c.g, tree, c.cfg, c.seed);
     mon.finish();

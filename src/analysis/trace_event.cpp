@@ -2,32 +2,6 @@
 
 namespace radiomc::analysis {
 
-std::string_view msg_kind_name(MsgKind k) noexcept {
-  switch (k) {
-    case MsgKind::kData: return "data";
-    case MsgKind::kAck: return "ack";
-    case MsgKind::kLeader: return "leader";
-    case MsgKind::kBfsAnnounce: return "bfs_announce";
-    case MsgKind::kDfsToken: return "dfs_token";
-    case MsgKind::kBcastData: return "bcast_data";
-    case MsgKind::kNack: return "nack";
-    case MsgKind::kSetupReport: return "setup_report";
-  }
-  return "unknown";
-}
-
-std::optional<MsgKind> msg_kind_from_name(std::string_view name) noexcept {
-  if (name == "data") return MsgKind::kData;
-  if (name == "ack") return MsgKind::kAck;
-  if (name == "leader") return MsgKind::kLeader;
-  if (name == "bfs_announce") return MsgKind::kBfsAnnounce;
-  if (name == "dfs_token") return MsgKind::kDfsToken;
-  if (name == "bcast_data") return MsgKind::kBcastData;
-  if (name == "nack") return MsgKind::kNack;
-  if (name == "setup_report") return MsgKind::kSetupReport;
-  return std::nullopt;
-}
-
 bool is_upbound_kind(MsgKind k) noexcept {
   switch (k) {
     case MsgKind::kData:
@@ -41,12 +15,6 @@ bool is_upbound_kind(MsgKind k) noexcept {
     case MsgKind::kBcastData:
       return false;
   }
-  return false;
-}
-
-bool is_trace_line_kind(std::string_view ev) noexcept {
-  for (std::string_view k : kTraceLineKinds)
-    if (k == ev) return true;
   return false;
 }
 

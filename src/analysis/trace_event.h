@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "radio/message.h"
@@ -108,27 +107,6 @@ struct Trace {
   std::uint64_t collision_count = 0;  ///< txn >= 2
   std::uint64_t jam_count = 0;        ///< txn == 1
 };
-
-/// Canonical message-kind <-> wire-name mapping (matches the writer).
-std::string_view msg_kind_name(MsgKind k) noexcept;
-std::optional<MsgKind> msg_kind_from_name(std::string_view name) noexcept;
-
-/// The complete set of `ev` line kinds a radiomc.trace/v2 stream may
-/// contain. This table is the schema's source of truth: the writer
-/// (telemetry/jsonl_sink.cpp) must emit only these kinds and all of these
-/// kinds, which tests/lint_test.cpp's round trip checks on a live stream,
-/// so the v2 wire format cannot drift without both sides changing together.
-inline constexpr std::string_view kTraceLineKinds[] = {
-    "schema",     ///< header: version, protocol, slot algebra, BFS levels
-    "tx",         ///< a station transmitted
-    "rx",         ///< clean single-transmitter delivery
-    "coll",       ///< collision (txn >= 2) or jam-killed reception (txn == 1)
-    "agg",        ///< per-window tx/rx/coll/jam aggregate
-    "truncated",  ///< the writer hit its event cap; the trace is a prefix
-};
-
-/// True iff `ev` is one of kTraceLineKinds.
-bool is_trace_line_kind(std::string_view ev) noexcept;
 
 /// Kinds that climb the BFS tree child -> parent (collection §4, the
 /// upbound half of p2p §5, nack repair, setup reports); the lifecycle

@@ -3,318 +3,164 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <string_view>
 #include <utility>
-#include <vector>
 
+#include "telemetry/json_value.h"
 #include "telemetry/jsonl_sink.h"
 
 namespace radiomc::analysis {
 
 namespace {
 
-// --- Minimal flat-JSON line scanner -----------------------------------
-//
-// Accepts exactly the shape the sink writes: {"k":v,...} with v a string,
-// an unsigned integer, a boolean, or an array of unsigned integers. The
-// scanner produces (key, value) pairs; values keep their lexical form plus
-// a tag so the consumer can check types.
+using telemetry::JsonValue;
 
-enum class ValType { kString, kUInt, kBool, kUIntArray };
+// Typed access to one record's fields. A known key that is present with
+// the wrong type or out of its field's range is an error, never a silent
+// default. The first error wins; decoders check `error()` once at the end.
+class Record {
+ public:
+  explicit Record(const JsonValue& v) : v_(v) {}
 
-struct Field {
-  std::string key;
-  ValType type = ValType::kUInt;
-  std::string str;                  // kString
-  std::uint64_t num = 0;            // kUInt
-  bool b = false;                   // kBool
-  std::vector<std::uint64_t> arr;   // kUIntArray
+  const std::string& error() const noexcept { return error_; }
+
+  void fail(std::string msg) {
+    if (error_.empty()) error_ = std::move(msg);
+  }
+
+  /// Optional unsigned field: false (and *out untouched) when absent or
+  /// bad; present, it must be an integer that fits T.
+  template <class T>
+  bool uint(std::string_view key, T* out) {
+    const JsonValue* f = v_.find(key);
+    if (f == nullptr) return false;
+    const auto u = f->as_uint(std::numeric_limits<T>::max());
+    if (!u) {
+      fail("field \"" + std::string(key) +
+           "\" is not an unsigned integer in range");
+      return false;
+    }
+    *out = static_cast<T>(*u);
+    return true;
+  }
+
+  /// Required unsigned field; `missing` is the error when it is absent.
+  template <class T>
+  void need(std::string_view key, T* out, const char* missing) {
+    if (v_.find(key) == nullptr) fail(missing);
+    uint(key, out);
+  }
+
+  /// Optional string field; nullptr when absent or bad.
+  const std::string* str(std::string_view key) {
+    const JsonValue* f = typed(key, JsonValue::Kind::kString, "a string");
+    return f != nullptr ? &f->as_string() : nullptr;
+  }
+
+  void boolean(std::string_view key, bool* out) {
+    if (const JsonValue* f = typed(key, JsonValue::Kind::kBool, "a boolean"))
+      *out = f->as_bool();
+  }
+
+  const JsonValue* array(std::string_view key) {
+    return typed(key, JsonValue::Kind::kArray, "an array");
+  }
+
+ private:
+  const JsonValue* typed(std::string_view key, JsonValue::Kind kind,
+                         const char* what) {
+    const JsonValue* f = v_.find(key);
+    if (f == nullptr || f->kind() == kind) return f;
+    fail("field \"" + std::string(key) + "\" is not " + what);
+    return nullptr;
+  }
+
+  const JsonValue& v_;
+  std::string error_;
 };
 
-struct LineScan {
-  bool ok = false;
-  std::string error;
-  std::vector<Field> fields;
-};
-
-void skip_ws(std::string_view s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-}
-
-bool scan_string(std::string_view s, std::size_t& i, std::string* out) {
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  out->clear();
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      // The sink never emits content needing escapes beyond these, but a
-      // hand-edited fixture might.
-      if (i + 1 >= s.size()) return false;
-      char c = s[i + 1];
-      if (c == '"' || c == '\\' || c == '/') out->push_back(c);
-      else if (c == 'n') out->push_back('\n');
-      else if (c == 't') out->push_back('\t');
-      else return false;
-      i += 2;
-    } else {
-      out->push_back(s[i++]);
-    }
-  }
-  if (i >= s.size()) return false;  // unterminated
-  ++i;                              // closing quote
-  return true;
-}
-
-bool scan_uint(std::string_view s, std::size_t& i, std::uint64_t* out) {
-  if (i >= s.size() || s[i] < '0' || s[i] > '9') return false;
-  std::uint64_t v = 0;
-  while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
-    ++i;
-  }
-  *out = v;
-  return true;
-}
-
-LineScan scan_line(std::string_view s) {
-  LineScan r;
-  std::size_t i = 0;
-  skip_ws(s, i);
-  if (i >= s.size() || s[i] != '{') {
-    r.error = "expected '{'";
-    return r;
-  }
-  ++i;
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == '}') {
-    ++i;
-    r.ok = true;
-    return r;
-  }
-  for (;;) {
-    skip_ws(s, i);
-    Field f;
-    if (!scan_string(s, i, &f.key)) {
-      r.error = "expected key string";
-      return r;
-    }
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != ':') {
-      r.error = "expected ':' after key \"" + f.key + "\"";
-      return r;
-    }
-    ++i;
-    skip_ws(s, i);
-    if (i >= s.size()) {
-      r.error = "missing value for key \"" + f.key + "\"";
-      return r;
-    }
-    if (s[i] == '"') {
-      f.type = ValType::kString;
-      if (!scan_string(s, i, &f.str)) {
-        r.error = "bad string value for key \"" + f.key + "\"";
-        return r;
-      }
-    } else if (s[i] == 't' || s[i] == 'f') {
-      f.type = ValType::kBool;
-      if (s.substr(i, 4) == "true") {
-        f.b = true;
-        i += 4;
-      } else if (s.substr(i, 5) == "false") {
-        f.b = false;
-        i += 5;
-      } else {
-        r.error = "bad literal for key \"" + f.key + "\"";
-        return r;
-      }
-    } else if (s[i] == '[') {
-      f.type = ValType::kUIntArray;
-      ++i;
-      skip_ws(s, i);
-      if (i < s.size() && s[i] == ']') {
-        ++i;
-      } else {
-        for (;;) {
-          skip_ws(s, i);
-          std::uint64_t v = 0;
-          if (!scan_uint(s, i, &v)) {
-            r.error = "bad array element for key \"" + f.key + "\"";
-            return r;
-          }
-          f.arr.push_back(v);
-          skip_ws(s, i);
-          if (i < s.size() && s[i] == ',') {
-            ++i;
-            continue;
-          }
-          if (i < s.size() && s[i] == ']') {
-            ++i;
-            break;
-          }
-          r.error = "expected ',' or ']' in array for key \"" + f.key + "\"";
-          return r;
-        }
-      }
-    } else {
-      f.type = ValType::kUInt;
-      if (!scan_uint(s, i, &f.num)) {
-        r.error = "bad value for key \"" + f.key + "\"";
-        return r;
-      }
-    }
-    r.fields.push_back(std::move(f));
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      break;
-    }
-    r.error = "expected ',' or '}'";
-    return r;
-  }
-  skip_ws(s, i);
-  if (i != s.size()) {
-    r.error = "trailing characters after object";
-    return r;
-  }
-  r.ok = true;
-  return r;
-}
-
-const Field* find(const LineScan& ls, std::string_view key) {
-  for (const Field& f : ls.fields)
-    if (f.key == key) return &f;
-  return nullptr;
-}
-
-bool get_uint(const LineScan& ls, std::string_view key, std::uint64_t* out) {
-  const Field* f = find(ls, key);
-  if (f == nullptr || f->type != ValType::kUInt) return false;
-  *out = f->num;
-  return true;
-}
-
-// --- Per-record parsing ------------------------------------------------
-
-struct ParseCtx {
-  Trace* trace;
-  std::string error;  // non-empty => fail the line
-};
-
-void parse_schema(const LineScan& ls, ParseCtx* ctx) {
-  TraceSchema& sc = ctx->trace->schema;
-  const Field* v = find(ls, "v");
-  if (v == nullptr || v->type != ValType::kString) {
-    ctx->error = "schema record missing version string \"v\"";
-    return;
-  }
-  sc.version = v->str;
+void parse_schema(Record& r, Trace* tr) {
+  TraceSchema& sc = tr->schema;
+  const std::string* v = r.str("v");
+  if (v == nullptr)
+    return r.fail("schema record missing version string \"v\"");
+  sc.version = *v;
   if (sc.version != telemetry::kTraceSchemaVersion) {
-    ctx->error = "unsupported trace schema version \"" + sc.version +
-                 "\" (this reader understands \"" +
-                 telemetry::kTraceSchemaVersion + "\")";
-    return;
+    return r.fail("unsupported trace schema version \"" + sc.version +
+                  "\" (this reader understands \"" +
+                  telemetry::kTraceSchemaVersion + "\")");
   }
-  if (const Field* p = find(ls, "protocol");
-      p != nullptr && p->type == ValType::kString) {
-    sc.protocol = p->str;
-  }
-  std::uint64_t decay_len = 0;
-  if (get_uint(ls, "decay_len", &decay_len)) {
-    SlotStructure slots;
-    slots.decay_len = static_cast<std::uint32_t>(decay_len);
-    if (const Field* a = find(ls, "ack");
-        a != nullptr && a->type == ValType::kBool)
-      slots.ack_subslots = a->b;
-    if (const Field* m = find(ls, "mod3");
-        m != nullptr && m->type == ValType::kBool)
-      slots.mod3_gating = m->b;
-    sc.slots = slots;
-  }
-  get_uint(ls, "agg", &sc.aggregate_every);
-  if (const Field* lv = find(ls, "levels");
-      lv != nullptr && lv->type == ValType::kUIntArray) {
-    sc.levels.reserve(lv->arr.size());
-    for (std::uint64_t l : lv->arr)
-      sc.levels.push_back(static_cast<std::uint32_t>(l));
+  if (const std::string* p = r.str("protocol")) sc.protocol = *p;
+  SlotStructure slots;
+  const bool has_slots = r.uint("decay_len", &slots.decay_len);
+  r.boolean("ack", &slots.ack_subslots);
+  r.boolean("mod3", &slots.mod3_gating);
+  if (has_slots) sc.slots = slots;
+  r.uint("agg", &sc.aggregate_every);
+  if (const JsonValue* levels = r.array("levels")) {
+    sc.levels.reserve(levels->items().size());
+    for (const JsonValue& l : levels->items()) {
+      const auto u = l.as_uint(std::numeric_limits<std::uint32_t>::max());
+      if (!u) return r.fail("bad \"levels\" element");
+      sc.levels.push_back(static_cast<std::uint32_t>(*u));
+    }
   }
 }
 
-void parse_event(const LineScan& ls, EvKind kind, ParseCtx* ctx) {
+void parse_event(Record& r, EvKind kind, Trace* tr) {
   TraceEvent e;
   e.ev = kind;
-  std::uint64_t v = 0;
-  if (!get_uint(ls, "t", &e.t)) {
-    ctx->error = "event record missing slot \"t\"";
-    return;
-  }
-  if (!get_uint(ls, "node", &v)) {
-    ctx->error = "event record missing \"node\"";
-    return;
-  }
-  e.node = static_cast<NodeId>(v);
-  if (get_uint(ls, "ch", &v)) e.ch = static_cast<ChannelId>(v);
-
+  r.need("t", &e.t, "event record missing slot \"t\"");
+  r.need("node", &e.node, "event record missing \"node\"");
+  r.uint("ch", &e.ch);
   if (kind == EvKind::kCollision) {
-    if (!get_uint(ls, "txn", &v)) {
-      ctx->error = "coll record missing \"txn\"";
-      return;
-    }
-    e.tx_neighbors = static_cast<std::uint32_t>(v);
+    r.need("txn", &e.tx_neighbors, "coll record missing \"txn\"");
   } else {
-    const Field* k = find(ls, "kind");
-    if (k == nullptr || k->type != ValType::kString) {
-      ctx->error = "tx/rx record missing message \"kind\"";
-      return;
+    const std::string* name = r.str("kind");
+    if (name == nullptr) {
+      r.fail("tx/rx record missing message \"kind\"");
+    } else if (const auto mk = telemetry::msg_kind_from_name(*name)) {
+      e.kind = *mk;
+    } else {
+      r.fail("unknown message kind \"" + *name + "\"");
     }
-    std::optional<MsgKind> mk = msg_kind_from_name(k->str);
-    if (!mk) {
-      ctx->error = "unknown message kind \"" + k->str + "\"";
-      return;
-    }
-    e.kind = *mk;
-    if (get_uint(ls, "origin", &v)) e.origin = static_cast<NodeId>(v);
-    if (get_uint(ls, "seq", &v)) e.seq = static_cast<std::uint32_t>(v);
-    if (get_uint(ls, "dest", &v)) e.dest = static_cast<NodeId>(v);
-    if (get_uint(ls, "from", &v)) e.from = static_cast<NodeId>(v);
-    if (get_uint(ls, "fp", &v)) e.from_parent = static_cast<NodeId>(v);
+    r.uint("origin", &e.origin);
+    r.uint("seq", &e.seq);
+    r.uint("dest", &e.dest);
+    r.uint("from", &e.from);
+    r.uint("fp", &e.from_parent);
   }
+  if (!r.error().empty()) return;
 
-  Trace& tr = *ctx->trace;
-  tr.last_slot = std::max(tr.last_slot, e.t);
+  tr->last_slot = std::max(tr->last_slot, e.t);
   switch (kind) {
-    case EvKind::kTx: ++tr.tx_count; break;
-    case EvKind::kRx: ++tr.rx_count; break;
+    case EvKind::kTx: ++tr->tx_count; break;
+    case EvKind::kRx: ++tr->rx_count; break;
     case EvKind::kCollision:
-      if (e.tx_neighbors >= 2) ++tr.collision_count;
-      else ++tr.jam_count;
+      if (e.tx_neighbors >= 2) ++tr->collision_count;
+      else ++tr->jam_count;
       break;
   }
-  tr.events.push_back(e);
+  tr->events.push_back(e);
 }
 
-void parse_agg(const LineScan& ls, ParseCtx* ctx) {
+void parse_agg(Record& r, Trace* tr) {
   TraceWindow w;
-  if (!get_uint(ls, "t0", &w.t0) || !get_uint(ls, "t1", &w.t1)) {
-    ctx->error = "agg record missing window bounds";
-    return;
-  }
-  get_uint(ls, "tx", &w.tx);
-  get_uint(ls, "rx", &w.rx);
-  get_uint(ls, "coll", &w.coll);
-  get_uint(ls, "jam", &w.jam);
-  ctx->trace->windows.push_back(w);
+  const bool has_t0 = r.uint("t0", &w.t0);
+  const bool has_t1 = r.uint("t1", &w.t1);
+  if (!has_t0 || !has_t1) r.fail("agg record missing window bounds");
+  r.uint("tx", &w.tx);
+  r.uint("rx", &w.rx);
+  r.uint("coll", &w.coll);
+  r.uint("jam", &w.jam);
+  tr->windows.push_back(w);
 }
 
-void parse_truncated(const LineScan& ls, ParseCtx* ctx) {
-  Trace& tr = *ctx->trace;
-  tr.truncated = true;
-  get_uint(ls, "t", &tr.truncated_at);
-  get_uint(ls, "dropped", &tr.dropped_events);
+void parse_truncated(Record& r, Trace* tr) {
+  tr->truncated = true;
+  r.uint("t", &tr->truncated_at);
+  r.uint("dropped", &tr->dropped_events);
 }
 
 }  // namespace
@@ -324,60 +170,49 @@ TraceReadResult read_trace(std::istream& in) {
   std::string line;
   std::uint64_t line_no = 0;
   bool saw_schema = false;
+  auto fail = [&](std::string error) {
+    res.error = std::move(error);
+    res.line_no = line_no;
+    return std::move(res);
+  };
   while (std::getline(in, line)) {
     ++line_no;
-    // Tolerate \r\n fixtures.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    // Blank lines are skipped; '\r' also covers \r\n fixtures.
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-    LineScan ls = scan_line(line);
-    if (!ls.ok) {
-      res.error = "malformed JSONL: " + ls.error;
-      res.line_no = line_no;
-      return res;
-    }
-    const Field* ev = find(ls, "ev");
-    if (ev == nullptr || ev->type != ValType::kString) {
-      res.error = "record missing \"ev\" discriminator";
-      res.line_no = line_no;
-      return res;
-    }
+    const telemetry::JsonParseResult parsed = telemetry::parse_json(line);
+    if (!parsed.ok) return fail("malformed JSONL: " + parsed.error);
+    const JsonValue* ev_field = parsed.value.find("ev");
+    if (ev_field == nullptr || !ev_field->is_string())
+      return fail("record missing \"ev\" discriminator");
+    const std::string& ev = ev_field->as_string();
 
     if (!saw_schema) {
-      if (ev->str != "schema") {
-        res.error = "first record must be the schema header (got \"" +
-                    ev->str + "\")";
-        res.line_no = line_no;
-        return res;
-      }
-    } else if (ev->str == "schema") {
-      res.error = "duplicate schema record";
-      res.line_no = line_no;
-      return res;
+      if (ev != "schema")
+        return fail("first record must be the schema header (got \"" + ev +
+                    "\")");
+    } else if (ev == "schema") {
+      return fail("duplicate schema record");
     }
 
-    ParseCtx ctx{&res.trace, {}};
-    if (ev->str == "schema") {
-      parse_schema(ls, &ctx);
-      if (ctx.error.empty()) saw_schema = true;
-    } else if (ev->str == "tx") {
-      parse_event(ls, EvKind::kTx, &ctx);
-    } else if (ev->str == "rx") {
-      parse_event(ls, EvKind::kRx, &ctx);
-    } else if (ev->str == "coll") {
-      parse_event(ls, EvKind::kCollision, &ctx);
-    } else if (ev->str == "agg") {
-      parse_agg(ls, &ctx);
-    } else if (ev->str == "truncated") {
-      parse_truncated(ls, &ctx);
+    Record r(parsed.value);
+    if (ev == "schema") {
+      parse_schema(r, &res.trace);
+      saw_schema = true;
+    } else if (ev == "tx") {
+      parse_event(r, EvKind::kTx, &res.trace);
+    } else if (ev == "rx") {
+      parse_event(r, EvKind::kRx, &res.trace);
+    } else if (ev == "coll") {
+      parse_event(r, EvKind::kCollision, &res.trace);
+    } else if (ev == "agg") {
+      parse_agg(r, &res.trace);
+    } else if (ev == "truncated") {
+      parse_truncated(r, &res.trace);
     } else {
-      ctx.error = "unknown record type \"" + ev->str + "\"";
+      r.fail("unknown record type \"" + ev + "\"");
     }
-    if (!ctx.error.empty()) {
-      res.error = ctx.error;
-      res.line_no = line_no;
-      return res;
-    }
+    if (!r.error().empty()) return fail(r.error());
   }
   if (!saw_schema) {
     res.error = "empty stream: no schema header";

@@ -12,10 +12,9 @@
 //    line number, because a partially-understood trace would silently
 //    corrupt every downstream statistic.
 //
-// The JSON subset accepted is exactly what the sink emits: one flat object
-// per line with string / unsigned-integer / boolean scalars and one
-// integer array ("levels"). There is no general JSON parser in the repo
-// and this reader deliberately does not become one.
+// Each line is parsed by telemetry::parse_json, the repo's one JSON reader.
+// A known key holding the wrong type, or a number that is negative,
+// fractional or too large for its field, is an error too.
 
 #include <istream>
 #include <string>

@@ -8,18 +8,18 @@
 
 namespace radiomc::health {
 
-Monitor::Monitor(NodeId n, std::vector<std::uint32_t> levels,
-                 const HealthConfig& cfg, std::ostream& out)
-    : recorder_(n, std::move(levels)),
+Monitor::Monitor(std::vector<std::uint32_t> levels, const HealthConfig& cfg,
+                 std::ostream& out)
+    : recorder_(std::move(levels)),
       engine_(RuleSet::parse(cfg.rules)),
       cfg_(cfg),
       out_(&out) {
   init();
 }
 
-Monitor::Monitor(NodeId n, std::vector<std::uint32_t> levels,
-                 const HealthConfig& cfg, const std::string& path)
-    : recorder_(n, std::move(levels)),
+Monitor::Monitor(std::vector<std::uint32_t> levels, const HealthConfig& cfg,
+                 const std::string& path)
+    : recorder_(std::move(levels)),
       engine_(RuleSet::parse(cfg.rules)),
       cfg_(cfg),
       owned_(std::make_unique<std::ofstream>(path)),

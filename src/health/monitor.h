@@ -76,11 +76,11 @@ class Monitor {
  public:
   /// Streams to `out` (borrowed; must outlive the monitor). `levels[v]` is
   /// node v's BFS level, for the per-level collision tally.
-  Monitor(NodeId n, std::vector<std::uint32_t> levels,
-          const HealthConfig& cfg, std::ostream& out);
+  Monitor(std::vector<std::uint32_t> levels, const HealthConfig& cfg,
+          std::ostream& out);
   /// Opens `path` for writing and owns the stream. Check `ok()`.
-  Monitor(NodeId n, std::vector<std::uint32_t> levels,
-          const HealthConfig& cfg, const std::string& path);
+  Monitor(std::vector<std::uint32_t> levels, const HealthConfig& cfg,
+          const std::string& path);
   ~Monitor();
 
   Monitor(const Monitor&) = delete;

@@ -4,8 +4,8 @@
 
 namespace radiomc::health {
 
-FlightRecorder::FlightRecorder(NodeId n, std::vector<std::uint32_t> levels)
-    : levels_(std::move(levels)), win_(n) {
+FlightRecorder::FlightRecorder(std::vector<std::uint32_t> levels)
+    : levels_(std::move(levels)) {
   if (!levels_.empty()) {
     const std::uint32_t depth =
         *std::max_element(levels_.begin(), levels_.end());
@@ -13,20 +13,14 @@ FlightRecorder::FlightRecorder(NodeId n, std::vector<std::uint32_t> levels)
   }
 }
 
-void FlightRecorder::on_transmit(SlotTime, NodeId sender, ChannelId,
-                                 const Message& m) {
-  NodeCounters& c = win_[sender];
-  ++c.tx;
+void FlightRecorder::on_transmit(SlotTime, NodeId, ChannelId,
+                                 const Message&) {
   ++tx_win_;
-  if (m.kind == MsgKind::kAck) ++c.acks_served;
 }
 
 void FlightRecorder::on_deliver(SlotTime, NodeId receiver, ChannelId,
                                 const Message& m) {
-  NodeCounters& c = win_[receiver];
-  ++c.rx;
   ++rx_win_;
-  if (m.kind == MsgKind::kData) ++c.acks_owed;
   const std::uint64_t key = pair_key(receiver, m.sender);
   ++pair_win_[key];
   ++pair_ever_[key];
@@ -37,22 +31,18 @@ void FlightRecorder::on_collision(SlotTime, NodeId receiver, ChannelId,
   // Same split as ActivityCounter: one transmitting neighbor means fault
   // injection jammed an otherwise-clean reception; only >= 2 is a genuine
   // collision (lumping them would inflate the hotspot rule under jamming).
-  NodeCounters& c = win_[receiver];
   if (tx_neighbors >= 2) {
-    ++c.collisions;
     ++coll_win_;
     ++coll_total_;
     if (!level_coll_win_.empty() && receiver < levels_.size())
       ++level_coll_win_[levels_[receiver]];
   } else {
-    ++c.jams;
     ++jam_win_;
     ++jam_total_;
   }
 }
 
 void FlightRecorder::roll_window() {
-  std::fill(win_.begin(), win_.end(), NodeCounters{});
   pair_win_.clear();
   std::fill(level_coll_win_.begin(), level_coll_win_.end(), 0);
   tx_win_ = rx_win_ = coll_win_ = jam_win_ = 0;

@@ -6,17 +6,16 @@
 // the engine already exposes for tracing), so installing one costs nothing
 // on the hot path beyond the virtual calls the engine would make for any
 // sink, and installing none keeps the engine byte-identical to an
-// uninstrumented run. It accumulates per-node behavioral counters
-// (transmissions, receptions, genuine collisions vs jam-killed receptions,
-// acks owed vs served) plus two per-neighbor ledgers — who delivered to
-// whom this window, and who has ever delivered to whom — and per-BFS-level
-// collision tallies. The rule engine (health/rules.h) reads a window's
-// deltas, then `roll_window()` resets them; cumulative ledgers persist.
+// uninstrumented run. It accumulates window totals (transmissions,
+// receptions, genuine collisions vs jam-killed receptions), per-BFS-level
+// collision tallies and two per-neighbor ledgers — who delivered to whom
+// this window, and who has ever delivered to whom. The rule engine
+// (health/rules.h) reads a window's deltas, then `roll_window()` resets
+// them; cumulative ledgers persist.
 //
-// The per-neighbor ledger is deliberately receiver-major (key is
-// (receiver << 32) | sender) so a single ordered-map range scan yields one
-// receiver's senders in deterministic order — this is the substrate the
-// planned trust-score/blocklist layer will read.
+// The per-neighbor ledgers are receiver-major (key is (receiver << 32) |
+// sender) so a single ordered-map range scan yields one receiver's
+// senders in deterministic order.
 //
 // Everything here is a pure function of the observed event stream, which
 // is itself a pure function of (seed, config) — no clocks, no raw
@@ -31,21 +30,11 @@
 
 namespace radiomc::health {
 
-/// Per-node counters for the current window.
-struct NodeCounters {
-  std::uint64_t tx = 0;           ///< slots this node transmitted
-  std::uint64_t rx = 0;           ///< clean receptions
-  std::uint64_t collisions = 0;   ///< >= 2 transmitting neighbors heard
-  std::uint64_t jams = 0;         ///< jam-killed clean receptions (txn == 1)
-  std::uint64_t acks_owed = 0;    ///< kData receptions (each owes an ack)
-  std::uint64_t acks_served = 0;  ///< kAck transmissions
-};
-
 class FlightRecorder final : public TraceSink {
  public:
   /// `levels[v]` is node v's BFS level (used to bucket collisions per
   /// level); an empty vector disables the per-level tally.
-  FlightRecorder(NodeId n, std::vector<std::uint32_t> levels);
+  explicit FlightRecorder(std::vector<std::uint32_t> levels);
 
   void on_transmit(SlotTime t, NodeId sender, ChannelId ch,
                    const Message& m) override;
@@ -54,10 +43,6 @@ class FlightRecorder final : public TraceSink {
   void on_collision(SlotTime t, NodeId receiver, ChannelId ch,
                     std::uint32_t tx_neighbors) override;
 
-  /// Current-window per-node counters.
-  const std::vector<NodeCounters>& window_nodes() const noexcept {
-    return win_;
-  }
   /// Current-window receptions keyed (receiver << 32) | sender.
   const std::map<std::uint64_t, std::uint64_t>& window_pairs()
       const noexcept {
@@ -95,7 +80,6 @@ class FlightRecorder final : public TraceSink {
 
  private:
   std::vector<std::uint32_t> levels_;
-  std::vector<NodeCounters> win_;
   std::map<std::uint64_t, std::uint64_t> pair_win_;
   std::map<std::uint64_t, std::uint64_t> pair_ever_;
   std::vector<std::uint64_t> level_coll_win_;

@@ -7,6 +7,8 @@
 
 namespace radiomc::perf {
 
+using telemetry::JsonValue;
+
 namespace {
 
 /// Appends one bigger-is-better comparison; `baseline <= 0` rows carry no

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 
 namespace radiomc::perf {
 
@@ -56,7 +56,8 @@ struct DiffReport {
 
 /// Diffs two parsed documents of the same schema. Unknown or mismatched
 /// schemas yield comparable = false with an explanation, not a throw.
-DiffReport diff_reports(const JsonValue& baseline, const JsonValue& current,
+DiffReport diff_reports(const telemetry::JsonValue& baseline,
+                        const telemetry::JsonValue& current,
                         const DiffOptions& opt = {});
 
 /// Renders the report as a fixed-width text table (for stdout).

@@ -1,73 +1,50 @@
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 
-#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-namespace radiomc::perf {
+namespace radiomc::telemetry {
 
 namespace {
 const JsonValue kNullSentinel;
 }  // namespace
 
-const JsonValue& JsonValue::at(std::string_view key) const noexcept {
+std::optional<std::uint64_t> JsonValue::as_uint(
+    std::uint64_t max) const noexcept {
+  // 0x1p64 bounds the cast; NaN fails the first comparison.
+  if (!is_number() || !(num_ >= 0.0) || num_ >= 0x1p64 ||
+      num_ != std::floor(num_))
+    return std::nullopt;
+  const auto u = static_cast<std::uint64_t>(num_);
+  if (u > max) return std::nullopt;
+  return u;
+}
+
+const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   for (const auto& [k, v] : obj_)
-    if (k == key) return v;
-  return kNullSentinel;
+    if (k == key) return &v;
+  return nullptr;
 }
 
-bool JsonValue::at_present(std::string_view key) const noexcept {
-  for (const auto& [k, v] : obj_) {
-    (void)v;
-    if (k == key) return true;
-  }
-  return false;
+const JsonValue& JsonValue::at(std::string_view key) const noexcept {
+  const JsonValue* v = find(key);
+  return v != nullptr ? *v : kNullSentinel;
 }
 
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-JsonValue JsonValue::make_number(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.num_ = d;
-  return v;
-}
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.str_ = std::move(s);
-  return v;
-}
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.arr_ = std::move(items);
-  return v;
-}
-JsonValue JsonValue::make_object(
-    std::vector<std::pair<std::string, JsonValue>> members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.obj_ = std::move(members);
-  return v;
-}
-
-namespace {
-
-class Parser {
+// Builds every value in place (into `*out`, or into a freshly emplaced
+// array item / object member): the trace reader parses one document per
+// line of a 10^6-line file, where a temporary-and-move per value costs
+// more than the scanning.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonParseResult run() {
     JsonParseResult r;
-    JsonValue v;
-    if (!parse_value(&v)) {
+    if (!parse_value(&r.value)) {
       r.error = error_;
       return r;
     }
@@ -78,11 +55,13 @@ class Parser {
       return r;
     }
     r.ok = true;
-    r.value = std::move(v);
     return r;
   }
 
  private:
+  // The trace writer's widest record has 10 members.
+  static constexpr std::size_t kMemberReserve = 10;
+
   void skip_ws() {
     while (pos_ < text_.size() &&
            (text_[pos_] == ' ' || text_[pos_] == '\t' ||
@@ -103,55 +82,50 @@ class Parser {
     return true;
   }
 
+  bool literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return fail("bad literal");
+    pos_ += word.size();
+    return true;
+  }
+
   bool parse_value(JsonValue* out) {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{': return parse_object(out);
       case '[': return parse_array(out);
-      case '"': {
-        std::string s;
-        if (!parse_string(&s)) return false;
-        *out = JsonValue::make_string(std::move(s));
-        return true;
-      }
+      case '"':
+        out->kind_ = JsonValue::Kind::kString;
+        return parse_string(&out->str_);
       case 't':
-        if (text_.substr(pos_, 4) != "true") return fail("bad literal");
-        pos_ += 4;
-        *out = JsonValue::make_bool(true);
-        return true;
+        out->kind_ = JsonValue::Kind::kBool;
+        out->bool_ = true;
+        return literal("true");
       case 'f':
-        if (text_.substr(pos_, 5) != "false") return fail("bad literal");
-        pos_ += 5;
-        *out = JsonValue::make_bool(false);
-        return true;
-      case 'n':
-        if (text_.substr(pos_, 4) != "null") return fail("bad literal");
-        pos_ += 4;
-        *out = JsonValue::make_null();
-        return true;
+        out->kind_ = JsonValue::Kind::kBool;
+        return literal("false");
+      case 'n': return literal("null");
       default: return parse_number(out);
     }
   }
 
   bool parse_object(JsonValue* out) {
     if (!expect('{')) return false;
-    std::vector<std::pair<std::string, JsonValue>> members;
+    out->kind_ = JsonValue::Kind::kObject;
     skip_ws();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
-      *out = JsonValue::make_object(std::move(members));
       return true;
     }
+    auto& members = out->obj_;
+    members.reserve(kMemberReserve);
     for (;;) {
       skip_ws();
-      std::string key;
+      auto& [key, value] = members.emplace_back();
       if (!parse_string(&key)) return false;
       skip_ws();
       if (!expect(':')) return false;
-      JsonValue v;
-      if (!parse_value(&v)) return false;
-      members.emplace_back(std::move(key), std::move(v));
+      if (!parse_value(&value)) return false;
       skip_ws();
       if (pos_ >= text_.size()) return fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -160,7 +134,6 @@ class Parser {
       }
       if (text_[pos_] == '}') {
         ++pos_;
-        *out = JsonValue::make_object(std::move(members));
         return true;
       }
       return fail("expected ',' or '}'");
@@ -169,17 +142,15 @@ class Parser {
 
   bool parse_array(JsonValue* out) {
     if (!expect('[')) return false;
-    std::vector<JsonValue> items;
+    out->kind_ = JsonValue::Kind::kArray;
+    auto& items = out->arr_;
     skip_ws();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
-      *out = JsonValue::make_array(std::move(items));
       return true;
     }
     for (;;) {
-      JsonValue v;
-      if (!parse_value(&v)) return false;
-      items.push_back(std::move(v));
+      if (!parse_value(&items.emplace_back())) return false;
       skip_ws();
       if (pos_ >= text_.size()) return fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -188,7 +159,6 @@ class Parser {
       }
       if (text_[pos_] == ']') {
         ++pos_;
-        *out = JsonValue::make_array(std::move(items));
         return true;
       }
       return fail("expected ',' or ']'");
@@ -197,17 +167,15 @@ class Parser {
 
   bool parse_string(std::string* out) {
     if (!expect('"')) return false;
-    std::string s;
+    std::string& s = *out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        *out = std::move(s);
-        return true;
-      }
-      if (c != '\\') {
-        s += c;
-        continue;
-      }
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+        ++end;
+      s.append(text_, pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= text_.size()) break;
+      if (text_[pos_++] == '"') return true;
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -253,15 +221,30 @@ class Parser {
     return fail("unterminated string");
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
   bool parse_number(JsonValue* out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    bool plain = pos_ == start;  // unsigned digits only, so far
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+           (is_digit(text_[pos_]) || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E' ||
+            text_[pos_] == '+' || text_[pos_] == '-')) {
+      plain = plain && is_digit(text_[pos_]);
       ++pos_;
+    }
     if (pos_ == start) return fail("expected a value");
+    out->kind_ = JsonValue::Kind::kNumber;
+    // Up to 15 digits is below 2^53, so the integer is exact as a double
+    // and strtod would return the same value.
+    if (plain && pos_ - start <= 15) {
+      std::uint64_t v = 0;
+      for (std::size_t i = start; i < pos_; ++i)
+        v = v * 10 + static_cast<std::uint64_t>(text_[i] - '0');
+      out->num_ = static_cast<double>(v);
+      return true;
+    }
     const std::string token(text_.substr(start, pos_ - start));
     char* endp = nullptr;
     const double d = std::strtod(token.c_str(), &endp);
@@ -269,7 +252,11 @@ class Parser {
       pos_ = start;
       return fail("malformed number");
     }
-    *out = JsonValue::make_number(d);
+    if (!std::isfinite(d)) {
+      pos_ = start;
+      return fail("number out of double range");
+    }
+    out->num_ = d;
     return true;
   }
 
@@ -278,10 +265,8 @@ class Parser {
   std::string error_;
 };
 
-}  // namespace
-
 JsonParseResult parse_json(std::string_view text) {
-  return Parser(text).run();
+  return JsonParser(text).run();
 }
 
 JsonParseResult parse_json_file(const std::string& path) {
@@ -298,4 +283,4 @@ JsonParseResult parse_json_file(const std::string& path) {
   return r;
 }
 
-}  // namespace radiomc::perf
+}  // namespace radiomc::telemetry

@@ -1,26 +1,24 @@
 #pragma once
 
-// A small recursive-descent JSON parser producing an immutable value tree.
+// A small recursive-descent JSON parser producing an immutable value tree:
+// the reading half of json_writer.h and the repo's one JSON reader. The
+// offline tools read back what the repo's writers emit through it —
+// `radiomc_trace` (radiomc.trace/v2, one line at a time), `radiomc_monitor`
+// (snap/v1 and health/v1 streams) and `radiomc_perf` (perf/v1 reports and
+// bench/v1 tables) — and the tests use it to pin the documents' schemas.
 //
-// This is the *offline tooling* parser: `radiomc_perf` must read back the
-// documents the repo's writers emit (radiomc.perf/v1 reports and
-// radiomc.bench/v1 tables) in order to diff two runs, and the perf test
-// suite uses it to pin the report schema. The online trace reader
-// (analysis/trace_reader.h) stays the deliberately narrow line-oriented
-// parser it is — hot-path strictness there, generality here.
-//
-// Subset: RFC 8259 minus \uXXXX escapes beyond Latin-1 fidelity (escaped
-// code points are decoded to UTF-8). Numbers are held as double plus an
-// exact-integer flag, which covers every field our writers produce.
+// Subset: RFC 8259 minus surrogate pairs (a \uXXXX escape is decoded to
+// the UTF-8 of that one code point). Numbers are held as doubles, and a
+// number that does not fit a finite double (`1e999`) is a parse error.
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-namespace radiomc::perf {
+namespace radiomc::telemetry {
 
 class JsonValue {
  public:
@@ -47,6 +45,11 @@ class JsonValue {
   std::int64_t as_int(std::int64_t dflt = 0) const noexcept {
     return is_number() ? static_cast<std::int64_t>(num_) : dflt;
   }
+  /// The checked unsigned read for counts, ids and slots: the value iff
+  /// it is a number holding an integer in [0, max], nullopt otherwise
+  /// (wrong kind, negative, fractional or too large).
+  std::optional<std::uint64_t> as_uint(
+      std::uint64_t max = UINT64_MAX) const noexcept;
   const std::string& as_string() const noexcept { return str_; }
 
   const std::vector<JsonValue>& items() const noexcept { return arr_; }
@@ -57,22 +60,17 @@ class JsonValue {
     return obj_;
   }
 
+  /// Member lookup; nullptr when absent or not an object.
+  const JsonValue* find(std::string_view key) const noexcept;
   /// Member lookup; null-kind sentinel when absent or not an object.
   const JsonValue& at(std::string_view key) const noexcept;
   /// True iff the member exists (even with a null value).
-  bool has(std::string_view key) const noexcept { return at_present(key); }
-
-  // Construction (parser + tests building synthetic documents).
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double d);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(
-      std::vector<std::pair<std::string, JsonValue>> members);
+  bool has(std::string_view key) const noexcept {
+    return find(key) != nullptr;
+  }
 
  private:
-  bool at_present(std::string_view key) const noexcept;
+  friend class JsonParser;
 
   Kind kind_;
   bool bool_ = false;
@@ -96,4 +94,4 @@ JsonParseResult parse_json(std::string_view text);
 /// not an exception.
 JsonParseResult parse_json_file(const std::string& path);
 
-}  // namespace radiomc::perf
+}  // namespace radiomc::telemetry

@@ -4,19 +4,23 @@
 
 namespace radiomc::telemetry {
 
+bool is_trace_line_kind(std::string_view ev) noexcept {
+  for (std::string_view k : kTraceLineKinds)
+    if (k == ev) return true;
+  return false;
+}
+
+std::optional<MsgKind> msg_kind_from_name(std::string_view name) noexcept {
+  for (const auto& [kind, kind_name] : kMsgKindNames)
+    if (kind_name == name) return kind;
+  return std::nullopt;
+}
+
 namespace {
 
-const char* kind_name(MsgKind k) {
-  switch (k) {
-    case MsgKind::kData: return "data";
-    case MsgKind::kAck: return "ack";
-    case MsgKind::kLeader: return "leader";
-    case MsgKind::kBfsAnnounce: return "bfs_announce";
-    case MsgKind::kDfsToken: return "dfs_token";
-    case MsgKind::kBcastData: return "bcast_data";
-    case MsgKind::kNack: return "nack";
-    case MsgKind::kSetupReport: return "setup_report";
-  }
+std::string_view kind_name(MsgKind k) {
+  for (const auto& [kind, name] : kMsgKindNames)
+    if (kind == k) return name;
   return "unknown";
 }
 

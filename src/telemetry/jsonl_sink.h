@@ -34,8 +34,11 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "radio/message.h"
 #include "radio/schedule.h"
 #include "radio/trace.h"
 
@@ -44,6 +47,38 @@ namespace radiomc::telemetry {
 /// The trace stream schema version written by JsonlTraceSink and required
 /// by the analysis-side reader.
 inline constexpr const char* kTraceSchemaVersion = "radiomc.trace/v2";
+
+/// The complete set of `ev` line kinds a radiomc.trace/v2 stream may
+/// contain. The writer must emit only these kinds and all of these kinds,
+/// which tests/lint_test.cpp's round trip checks on a live stream.
+inline constexpr std::string_view kTraceLineKinds[] = {
+    "schema",     ///< header: version, protocol, slot algebra, BFS levels
+    "tx",         ///< a station transmitted
+    "rx",         ///< clean single-transmitter delivery
+    "coll",       ///< collision (txn >= 2) or jam-killed reception (txn == 1)
+    "agg",        ///< per-window tx/rx/coll/jam aggregate
+    "truncated",  ///< the writer hit its event cap; the trace is a prefix
+};
+
+/// True iff `ev` is one of kTraceLineKinds.
+bool is_trace_line_kind(std::string_view ev) noexcept;
+
+/// The message-kind wire names of tx/rx lines: the one MsgKind <-> name
+/// mapping, written by JsonlTraceSink and read back by the analysis
+/// reader. Every MsgKind has exactly one entry.
+inline constexpr std::pair<MsgKind, std::string_view> kMsgKindNames[] = {
+    {MsgKind::kData, "data"},
+    {MsgKind::kAck, "ack"},
+    {MsgKind::kLeader, "leader"},
+    {MsgKind::kBfsAnnounce, "bfs_announce"},
+    {MsgKind::kDfsToken, "dfs_token"},
+    {MsgKind::kBcastData, "bcast_data"},
+    {MsgKind::kNack, "nack"},
+    {MsgKind::kSetupReport, "setup_report"},
+};
+
+/// The kind whose wire name is `name`; nullopt for an unknown name.
+std::optional<MsgKind> msg_kind_from_name(std::string_view name) noexcept;
 
 struct JsonlOptions {
   bool events = true;  ///< per-event lines

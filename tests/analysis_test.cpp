@@ -209,6 +209,30 @@ TEST(TraceReader, RejectsUnknownRecordAndMalformedLine) {
 
   const TraceReadResult empty = parse("");
   EXPECT_FALSE(empty.ok);
+
+  // A known field out of its type's range or of the wrong kind is an
+  // error on its own line, never a wrapped, truncated or default value.
+  const char* const kOutOfRange[] = {
+      "{\"ev\":\"tx\",\"t\":99999999999999999999999,\"node\":1,\"ch\":0,"
+      "\"kind\":\"data\",\"origin\":1,\"seq\":0}",
+      "{\"ev\":\"tx\",\"t\":3,\"node\":4294967296,\"ch\":0,"
+      "\"kind\":\"data\",\"origin\":1,\"seq\":0}",
+      "{\"ev\":\"tx\",\"t\":3,\"node\":1,\"ch\":-1,"
+      "\"kind\":\"data\",\"origin\":1,\"seq\":0}",
+      "{\"ev\":\"tx\",\"t\":3,\"node\":1,\"ch\":0,"
+      "\"kind\":\"data\",\"origin\":1,\"seq\":1.5}",
+      "{\"ev\":\"tx\",\"t\":3,\"node\":1,\"ch\":0,"
+      "\"kind\":7,\"origin\":1,\"seq\":0}",
+  };
+  for (const char* bad : kOutOfRange) {
+    const TraceReadResult r = parse(
+        "{\"ev\":\"schema\",\"v\":\"radiomc.trace/v2\"}\n"
+        "{\"ev\":\"tx\",\"t\":2,\"node\":1,\"ch\":0,\"kind\":\"data\","
+        "\"origin\":1,\"seq\":0}\n" +
+        std::string(bad) + "\n");
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_EQ(r.line_no, 3u) << bad;
+  }
 }
 
 TEST(TraceReader, IgnoresUnknownKeysAndBlankLines) {

@@ -112,7 +112,7 @@ WindowStats Window(std::uint64_t n) {
 
 TEST(RuleMath, ThroughputTripsOnDeficitAndLatchesUntilClear) {
   RuleEngine eng(RuleSet::parse("throughput:0.9:0.95"));
-  const FlightRecorder rec(2, {});
+  const FlightRecorder rec({});
   const auto feed = [&](double rate, std::uint64_t phases) {
     WindowStats w = Window(0);
     w.offered_rate = 1.0;
@@ -143,7 +143,7 @@ TEST(RuleMath, ThroughputSlackForgivesShortHorizons) {
   // 16 phases where slack = 0.75 and the floor sits at 0.15 with a rate of
   // 0.2 staying above it) — sampling noise alone never fires the rule.
   RuleEngine eng(RuleSet::parse("throughput:0.9:0.95"));
-  const FlightRecorder rec(2, {});
+  const FlightRecorder rec({});
   WindowStats w = Window(0);
   w.offered_rate = 1.0;
   w.eval_phases = 16;
@@ -157,7 +157,7 @@ TEST(RuleMath, ThroughputSlackForgivesShortHorizons) {
 
 TEST(RuleMath, QueueGrowthSlopeTripsAndClears) {
   RuleEngine eng(RuleSet::parse("qgrowth:0.5:0.25"));
-  const FlightRecorder rec(2, {});
+  const FlightRecorder rec({});
   WindowStats w = Window(0);
   w.offered_rate = 1.0;
   w.in_system_begin = 0;
@@ -174,7 +174,7 @@ TEST(RuleMath, QueueGrowthSlopeTripsAndClears) {
 
 TEST(RuleMath, StallNeedsConsecutiveZeroDeliveryWindows) {
   RuleEngine eng(RuleSet::parse("stall:2"));
-  const FlightRecorder rec(2, {});
+  const FlightRecorder rec({});
   WindowStats stuck = Window(0);
   stuck.delivered = 0;
   stuck.in_system_end = 5;  // messages in flight, nothing moving
@@ -194,7 +194,7 @@ TEST(RuleMath, StallNeedsConsecutiveZeroDeliveryWindows) {
 
 TEST(RuleMath, SojournJudgedAgainstTheoremEnvelope) {
   RuleEngine eng(RuleSet::parse("sojourn:3:2.5"));
-  const FlightRecorder rec(2, {});
+  const FlightRecorder rec({});
   WindowStats w = Window(0);
   w.envelope_phases = 100.0;
   w.delivered = 10;
@@ -215,7 +215,7 @@ TEST(RuleMath, SojournJudgedAgainstTheoremEnvelope) {
 
 TEST(RuleMath, HotspotPinpointsTheLevelAndIgnoresJams) {
   RuleEngine eng(RuleSet::parse("hotspot:0.5:0.25:16"));
-  FlightRecorder rec(5, {0, 1, 1, 1, 2});
+  FlightRecorder rec({0, 1, 1, 1, 2});
   // 18 genuine collisions at level 1, 2 at level 2: share 0.9, total 20.
   for (int i = 0; i < 18; ++i) rec.on_collision(0, 1, 0, 2);
   for (int i = 0; i < 2; ++i) rec.on_collision(0, 4, 0, 3);
@@ -244,7 +244,7 @@ Message DataFrom(NodeId sender) {
 
 TEST(RuleMath, NeighborSilentIsGatedByHistoricalShare) {
   RuleEngine eng(RuleSet::parse("neighbor:0.9:0.75:3"));
-  FlightRecorder rec(8, {});
+  FlightRecorder rec({});
   // History: receiver 0 hears senders 1, 2, 3 equally (8 each).
   for (int i = 0; i < 8; ++i) {
     rec.on_deliver(0, 0, 0, DataFrom(1));
@@ -281,7 +281,7 @@ TEST(RuleMath, NeighborLowSharePeerQuietWindowIsNotSilent) {
   // almost nothing per window: its quiet window must not read as an
   // outage (the false-positive the share gate exists to kill).
   RuleEngine eng(RuleSet::parse("neighbor:0.95:0.75:8"));
-  FlightRecorder rec(8, {});
+  FlightRecorder rec({});
   for (int i = 0; i < 64; ++i) rec.on_deliver(0, 0, 0, DataFrom(1));
   for (int i = 0; i < 62; ++i) rec.on_deliver(0, 0, 0, DataFrom(2));
   rec.on_deliver(0, 0, 0, DataFrom(3));  // 1 of 127 ever
@@ -297,7 +297,7 @@ TEST(RuleMath, NeighborLowSharePeerQuietWindowIsNotSilent) {
 
 TEST(RuleMath, NeighborChatterRequiresHistoricalDiversity) {
   RuleEngine eng(RuleSet::parse("neighbor:0.9:0.75:3"));
-  FlightRecorder rec(8, {});
+  FlightRecorder rec({});
   // A chain node hears exactly one sender, always: topology, not
   // pathology — dominance 1.0 must not trip with distinct_ever == 1.
   for (int i = 0; i < 16; ++i) rec.on_deliver(0, 5, 0, DataFrom(6));
@@ -355,7 +355,7 @@ PhaseSample Sample(std::uint64_t phase, std::uint64_t arrivals,
 
 TEST(Monitor, WindowPacingSchemaAndFooter) {
   std::ostringstream out;
-  Monitor mon(4, {0, 1, 1, 2}, SmallConfig(), out);
+  Monitor mon({0, 1, 1, 2}, SmallConfig(), out);
   ASSERT_TRUE(mon.ok());
   for (std::uint64_t p = 0; p < 10; ++p)
     mon.on_phase(Sample(p, (p + 1) * 2, (p + 1) * 2));
@@ -384,7 +384,7 @@ TEST(Monitor, SustainedDeficitTripsThroughputOnce) {
   cfg.window_phases = 1000;
   cfg.rules = "throughput";
   std::ostringstream out;
-  Monitor mon(2, {}, cfg, out);
+  Monitor mon({}, cfg, out);
   // lambda = 1, zero deliveries: by the first window close the slack
   // 3*sqrt(1/1000) ~ 0.095 is well under the 0.9 floor.
   for (std::uint64_t p = 0; p < 3000; ++p) {
@@ -409,7 +409,7 @@ TEST(Monitor, WarmupGatesRuleEvaluation) {
   cfg.rules = "throughput";
   cfg.warmup_phases = 10'000;  // longer than the run: rules never eligible
   std::ostringstream out;
-  Monitor mon(2, {}, cfg, out);
+  Monitor mon({}, cfg, out);
   for (std::uint64_t p = 0; p < 3000; ++p) {
     PhaseSample s;
     s.phase = p;
@@ -424,7 +424,7 @@ TEST(Monitor, WarmupGatesRuleEvaluation) {
 
 TEST(Monitor, FinishIsIdempotent) {
   std::ostringstream out;
-  Monitor mon(2, {}, SmallConfig(), out);
+  Monitor mon({}, SmallConfig(), out);
   mon.on_phase(Sample(0, 1, 1));
   mon.finish();
   mon.finish();
@@ -434,7 +434,7 @@ TEST(Monitor, FinishIsIdempotent) {
 }
 
 TEST(Monitor, UnwritablePathReportsNotOk) {
-  Monitor mon(2, {}, SmallConfig(), "/nonexistent-dir/health.jsonl");
+  Monitor mon({}, SmallConfig(), "/nonexistent-dir/health.jsonl");
   EXPECT_FALSE(mon.ok());
 }
 
@@ -486,7 +486,7 @@ ServiceRun RunMonitored(const Graph& g, const std::string& arrival,
 
   ServiceRun r;
   std::ostringstream out;
-  Monitor mon(g.num_nodes(), tree.level, hcfg, out);
+  Monitor mon(tree.level, hcfg, out);
   cfg.health = &mon;
   r.out = service::run_service(g, tree, cfg, seed);
   mon.finish();
@@ -549,7 +549,7 @@ TEST(HealthService, MonitorDoesNotPerturbTheRun) {
   hcfg.depth = tree.depth;
   hcfg.warmup_phases = 50;
   std::ostringstream out;
-  Monitor mon(g.num_nodes(), tree.level, hcfg, out);
+  Monitor mon(tree.level, hcfg, out);
   cfg.health = &mon;
   const service::ServeOutcome obs = service::run_service(g, tree, cfg, 7);
 

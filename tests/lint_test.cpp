@@ -7,7 +7,7 @@
 //     include policy is pinned against the repo's own .lint-layers;
 //  2. the trace-kind round trip: one live JsonlTraceSink stream emits
 //     every `ev` kind, and the set it emits must equal
-//     analysis/trace_event.h's kTraceLineKinds exactly;
+//     telemetry/jsonl_sink.h's kTraceLineKinds exactly;
 //  3. the repo itself: linting the real src/tools/bench trees must yield
 //     zero unwaived findings (the same gate CI enforces).
 
@@ -20,12 +20,11 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/trace_event.h"
 #include "lint/lexer.h"
 #include "lint/rules.h"
 #include "lint/runner.h"
-#include "perf/json_value.h"
 #include "radio/message.h"
+#include "telemetry/json_value.h"
 #include "telemetry/jsonl_sink.h"
 
 namespace {
@@ -522,14 +521,6 @@ TEST(LintCatalog, CoversTheFiveFamilies) {
 // Trace-kind round trip: the live writer against the live table.
 // ---------------------------------------------------------------------------
 
-std::string EvValue(const std::string& line) {
-  const std::string key = "\"ev\":\"";
-  const std::size_t at = line.find(key);
-  if (at == std::string::npos) return {};
-  const std::size_t end = line.find('"', at + key.size());
-  return line.substr(at + key.size(), end - at - key.size());
-}
-
 TEST(TraceKindRoundTrip, EveryEmittedEvKindIsInTheTable) {
   std::ostringstream out;
   {
@@ -557,20 +548,21 @@ TEST(TraceKindRoundTrip, EveryEmittedEvKindIsInTheTable) {
   std::string line;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    const std::string ev = EvValue(line);
+    const std::string ev =
+        radiomc::telemetry::parse_json(line).value.at("ev").as_string();
     ASSERT_FALSE(ev.empty()) << "line without ev kind: " << line;
     emitted.insert(ev);
   }
   const std::set<std::string> table(
-      std::begin(radiomc::analysis::kTraceLineKinds),
-      std::end(radiomc::analysis::kTraceLineKinds));
+      std::begin(radiomc::telemetry::kTraceLineKinds),
+      std::end(radiomc::telemetry::kTraceLineKinds));
   EXPECT_EQ(emitted, table);
 }
 
 TEST(TraceKindRoundTrip, TableRejectsUnknownKinds) {
-  EXPECT_TRUE(radiomc::analysis::is_trace_line_kind("coll"));
-  EXPECT_FALSE(radiomc::analysis::is_trace_line_kind("bogus"));
-  EXPECT_FALSE(radiomc::analysis::is_trace_line_kind(""));
+  EXPECT_TRUE(radiomc::telemetry::is_trace_line_kind("coll"));
+  EXPECT_FALSE(radiomc::telemetry::is_trace_line_kind("bogus"));
+  EXPECT_FALSE(radiomc::telemetry::is_trace_line_kind(""));
 }
 
 // ---------------------------------------------------------------------------
@@ -922,9 +914,9 @@ TEST(LintReportV2, RoundTripsThroughTheJsonParser) {
   std::ostringstream os;
   radiomc::lint::write_json_report(os, result, /*wall_ms=*/1.5);
 
-  const auto parsed = radiomc::perf::parse_json(os.str());
+  const auto parsed = radiomc::telemetry::parse_json(os.str());
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  const radiomc::perf::JsonValue& doc = parsed.value;
+  const radiomc::telemetry::JsonValue& doc = parsed.value;
   EXPECT_EQ(doc.at("schema").as_string(), "radiomc.lint/v2");
 
   const auto& findings = doc.at("findings").items();

@@ -23,24 +23,24 @@
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "perf/json_value.h"
 #include "perf/profiler.h"
 #include "perf/regression.h"
 #include "perf/report.h"
 #include "perf/snapshot.h"
 #include "protocols/collection.h"
 #include "protocols/tree.h"
+#include "telemetry/json_value.h"
 #include "telemetry/metrics.h"
 
 namespace {
 
 using radiomc::perf::DiffOptions;
 using radiomc::perf::DiffReport;
-using radiomc::perf::JsonValue;
 using radiomc::perf::PerfSpan;
 using radiomc::perf::Profiler;
 using radiomc::perf::SnapshotStreamer;
 using radiomc::perf::SpanNode;
+using radiomc::telemetry::JsonValue;
 
 // ---------------------------------------------------------------------------
 // Profiler span tree.
@@ -139,7 +139,7 @@ TEST(PerfReport, EmittedDocumentMatchesSchema) {
   run.jobs = 3;
   run.slots = 128;
 
-  const auto doc = radiomc::perf::parse_json(to_perf_json(p, run));
+  const auto doc = radiomc::telemetry::parse_json(to_perf_json(p, run));
   ASSERT_TRUE(doc.ok) << doc.error;
   const JsonValue& v = doc.value;
 
@@ -174,7 +174,7 @@ TEST(PerfReport, UnbalancedRunIsVisibleInOpenSpans) {
   p.begin("leaked");
   radiomc::perf::RunInfo run;
   run.tool = "perf_test";
-  const auto doc = radiomc::perf::parse_json(to_perf_json(p, run));
+  const auto doc = radiomc::telemetry::parse_json(to_perf_json(p, run));
   ASSERT_TRUE(doc.ok) << doc.error;
   EXPECT_EQ(doc.value.at("open_spans").as_int(), 1);
 }
@@ -318,9 +318,27 @@ TEST(SnapshotFlags, ZeroCadenceIsRejectedAndValidComboPasses) {
 // ---------------------------------------------------------------------------
 
 JsonValue Parse(const std::string& text) {
-  const auto r = radiomc::perf::parse_json(text);
+  const auto r = radiomc::telemetry::parse_json(text);
   EXPECT_TRUE(r.ok) << r.error;
   return r.value;
+}
+
+TEST(JsonParse, NonFiniteNumberIsAnErrorAndUintReadIsChecked) {
+  const auto inf = radiomc::telemetry::parse_json("{\"windows\":1e999}");
+  EXPECT_FALSE(inf.ok);
+  EXPECT_EQ(inf.error, "number out of double range at byte 11");
+
+  const JsonValue v = Parse(
+      "{\"ok\":4294967295,\"neg\":-1,\"frac\":1.5,\"big\":4294967296,"
+      "\"huge\":1e20,\"str\":\"7\",\"long\":100000000000000000}");
+  EXPECT_EQ(v.at("ok").as_uint(UINT32_MAX), 4294967295u);
+  EXPECT_EQ(v.at("neg").as_uint(), std::nullopt);
+  EXPECT_EQ(v.at("frac").as_uint(), std::nullopt);
+  EXPECT_EQ(v.at("big").as_uint(UINT32_MAX), std::nullopt);
+  EXPECT_EQ(v.at("big").as_uint(), 4294967296u);
+  EXPECT_EQ(v.at("huge").as_uint(), std::nullopt);
+  EXPECT_EQ(v.at("str").as_uint(), std::nullopt);
+  EXPECT_EQ(v.at("long").as_uint(), 100000000000000000u);  // via strtod
 }
 
 std::string PerfDoc(double slots_per_sec, double span_ns) {

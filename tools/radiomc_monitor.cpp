@@ -23,10 +23,10 @@
 #include <string>
 #include <vector>
 
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 
-using radiomc::perf::JsonValue;
-using radiomc::perf::parse_json;
+using radiomc::telemetry::JsonValue;
+using radiomc::telemetry::parse_json;
 
 namespace {
 
@@ -122,6 +122,17 @@ bool read_stream(const std::string& path, Stream* s) {
                  static_cast<unsigned long long>(line_no), msg.c_str());
     return false;
   };
+  // Counts go through the checked unsigned read: absent reads as 0, but a
+  // present value must be a non-negative integer; the first bad field of
+  // a line is reported.
+  std::string bad_field;
+  auto count = [&](const JsonValue& v, const char* key) -> std::uint64_t {
+    const JsonValue* f = v.find(key);
+    if (f == nullptr) return 0;
+    if (const auto u = f->as_uint()) return *u;
+    if (bad_field.empty()) bad_field = key;
+    return 0;
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
@@ -135,25 +146,24 @@ bool read_stream(const std::string& path, Stream* s) {
       if (s->schema != "radiomc.snap/v1" &&
           s->schema != "radiomc.health/v1")
         return fail("unrecognized stream schema '" + s->schema + "'");
-      s->every_slots = static_cast<std::uint64_t>(v.at("every").as_int());
-      s->window_phases = static_cast<std::uint64_t>(v.at("window").as_int());
-      s->warmup_phases = static_cast<std::uint64_t>(v.at("warmup").as_int());
+      s->every_slots = count(v, "every");
+      s->window_phases = count(v, "window");
+      s->warmup_phases = count(v, "warmup");
       s->rules = v.at("rules").as_string();
-      continue;
-    }
-    if (s->has_end) return fail("event after the end footer");
-    if (ev == "snap") {
+    } else if (s->has_end) {
+      return fail("event after the end footer");
+    } else if (ev == "snap") {
       ++s->snaps;
-      s->last_slot = static_cast<std::uint64_t>(v.at("slot").as_int());
+      s->last_slot = count(v, "slot");
     } else if (ev == "window") {
       ++s->windows;
-      s->last_phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      s->last_phase = count(v, "phase");
     } else if (ev == "alert") {
       Alert a;
       a.rule = v.at("rule").as_string();
       a.trip = v.at("state").as_string() == "trip";
-      a.window = static_cast<std::uint64_t>(v.at("n").as_int());
-      a.phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      a.window = count(v, "n");
+      a.phase = count(v, "phase");
       a.value = v.at("value").as_double();
       a.limit = v.at("limit").as_double();
       a.detail = v.at("detail").as_string();
@@ -165,20 +175,22 @@ bool read_stream(const std::string& path, Stream* s) {
     } else if (ev == "end") {
       s->has_end = true;
       s->clean = v.has("clean") ? v.at("clean").as_bool(true) : true;
-      s->dropped = static_cast<std::uint64_t>(v.at("dropped").as_int());
-      s->end_snapshots =
-          static_cast<std::uint64_t>(v.at("snapshots").as_int());
-      s->end_windows = static_cast<std::uint64_t>(v.at("windows").as_int());
-      s->end_trips = static_cast<std::uint64_t>(v.at("trips").as_int());
-      s->end_clears = static_cast<std::uint64_t>(v.at("clears").as_int());
-      s->end_active = static_cast<std::uint64_t>(v.at("active").as_int());
-      s->end_slot = static_cast<std::uint64_t>(v.at("slot").as_int());
-      s->end_phase = static_cast<std::uint64_t>(v.at("phase").as_int());
+      s->dropped = count(v, "dropped");
+      s->end_snapshots = count(v, "snapshots");
+      s->end_windows = count(v, "windows");
+      s->end_trips = count(v, "trips");
+      s->end_clears = count(v, "clears");
+      s->end_active = count(v, "active");
+      s->end_slot = count(v, "slot");
+      s->end_phase = count(v, "phase");
     } else if (ev == "schema") {
       return fail("duplicate schema record");
     } else {
       return fail("unknown event '" + ev + "'");
     }
+    if (!bad_field.empty())
+      return fail("field \"" + bad_field +
+                  "\" is not a non-negative integer");
   }
   if (line_no == 0) {
     std::fprintf(stderr, "%s: empty stream\n", path.c_str());

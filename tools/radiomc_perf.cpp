@@ -18,7 +18,7 @@
 #include <fstream>
 #include <string>
 
-#include "perf/json_value.h"
+#include "telemetry/json_value.h"
 #include "perf/regression.h"
 
 namespace {
@@ -70,12 +70,12 @@ int main(int argc, char** argv) {
   }
   if (baseline_path.empty() || current_path.empty()) return usage();
 
-  const auto baseline = radiomc::perf::parse_json_file(baseline_path);
+  const auto baseline = radiomc::telemetry::parse_json_file(baseline_path);
   if (!baseline.ok) {
     std::fprintf(stderr, "radiomc_perf: %s\n", baseline.error.c_str());
     return 2;
   }
-  const auto current = radiomc::perf::parse_json_file(current_path);
+  const auto current = radiomc::telemetry::parse_json_file(current_path);
   if (!current.ok) {
     std::fprintf(stderr, "radiomc_perf: %s\n", current.error.c_str());
     return 2;

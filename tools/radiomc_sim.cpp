@@ -793,8 +793,8 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
     hcfg.offered_rate = cfg.arrival.mean_rate();
     hcfg.depth = w.setup.tree.depth;
     hcfg.warmup_phases = cfg.warmup_phases;
-    mon = std::make_unique<health::Monitor>(
-        w.g.num_nodes(), w.setup.tree.level, hcfg, health_path);
+    mon = std::make_unique<health::Monitor>(w.setup.tree.level, hcfg,
+                                            health_path);
     require(mon->ok(), "cannot open --health-out file " + health_path);
     cfg.health = mon.get();
   }
