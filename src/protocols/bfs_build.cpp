@@ -29,14 +29,30 @@ void BfsBuildStation::reset() {
   decay_.stop();
 }
 
+void BfsBuildStation::on_attach(Waker& w) {
+  waker_ = &w;
+  w.set_autosleep(true);
+}
+
 std::optional<Message> BfsBuildStation::poll(SlotTime t) {
-  if (level_ == kNoLevel || stage_of(t) != level_) return std::nullopt;
+  if (level_ == kNoLevel) return std::nullopt;
+  const std::uint64_t stage = stage_of(t);
+  if (stage != level_) {
+    if (waker_ != nullptr && stage < level_)
+      waker_->wake_at(level_ * stage_slots());
+    return std::nullopt;
+  }
   const std::uint64_t phase = t / cfg_.decay_len;
   if (phase != attempt_phase_) {
     attempt_phase_ = phase;
     decay_.start();
   }
-  if (!decay_.wants_transmit()) return std::nullopt;
+  if (!decay_.wants_transmit()) {
+    // Silent until the next phase of the stage restarts Decay.
+    const SlotTime next = (phase + 1) * cfg_.decay_len;
+    if (waker_ != nullptr && stage_of(next) == level_) waker_->wake_at(next);
+    return std::nullopt;
+  }
   Message m;
   m.kind = MsgKind::kBfsAnnounce;
   m.origin = me_;
@@ -53,6 +69,8 @@ void BfsBuildStation::deliver(SlotTime t, const Message& m) {
     parent_ = m.sender;
     root_id_ = static_cast<NodeId>(m.payload);
     joined_at_ = t;
+    // The next poll arms the start of the stage this node announces in.
+    if (waker_ != nullptr) waker_->wake();
   } else if (m.aux + 1 < level_) {
     // A neighbor sits at level m.aux <= level_-2: our own level is too
     // large, i.e. we missed an earlier stage. Report it so the setup
@@ -93,7 +111,6 @@ BfsBuildOutcome run_bfs_build(const Graph& g, NodeId root,
   RadioNetwork net(g);
   net.attach(std::move(ptrs));
 
-  std::uint64_t joined = 1;
   for (std::uint64_t stage = 0; stage < max_stages; ++stage) {
     // Levels are contiguous: an empty stage means no node holds level
     // `stage`, so construction is complete.
@@ -107,7 +124,7 @@ BfsBuildOutcome run_bfs_build(const Graph& g, NodeId root,
   BfsBuildOutcome out;
   out.slots = net.now();
   std::vector<NodeId> parents(n, kNoNode);
-  joined = 0;
+  std::uint64_t joined = 0;
   for (NodeId v = 0; v < n; ++v) {
     if (stations[v]->joined()) {
       ++joined;

@@ -38,11 +38,17 @@ class BfsBuildStation final : public SubStation {
   BfsBuildStation(NodeId me, BfsBuildConfig cfg, Rng rng);
 
   /// Makes this node a root (level 0) announcing `root_id` (normally its
-  /// own id; setup passes the elected leader's id).
+  /// own id; setup passes the elected leader's id). It does not wake the
+  /// station: call it before attach or from the poll that follows.
   void make_root(NodeId root_id);
   /// Restores the initial (unjoined) state.
   void reset();
 
+  /// Opts into autosleep: a node is polled only during its own stage
+  /// (level s announces in stage s) while its Decay is live. Joining wakes
+  /// it, and a poll before that stage arms the stage start; a dead Decay
+  /// arms the next phase in it.
+  void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
   void tick(SlotTime t) override;
@@ -67,10 +73,13 @@ class BfsBuildStation final : public SubStation {
   DecayProcess decay_;
   std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
   bool just_transmitted_ = false;
+  Waker* waker_ = nullptr;
 
+  std::uint64_t stage_slots() const noexcept {
+    return static_cast<std::uint64_t>(cfg_.decay_len) * cfg_.announce_phases;
+  }
   std::uint64_t stage_of(SlotTime t) const noexcept {
-    return t / (static_cast<std::uint64_t>(cfg_.decay_len) *
-                cfg_.announce_phases);
+    return t / stage_slots();
   }
 };
 

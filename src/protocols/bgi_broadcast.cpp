@@ -40,17 +40,18 @@ void FloodStation::reset(Rng rng) {
 
 std::optional<Message> FloodStation::poll(SlotTime t) {
   // An uninformed poll is a pure no-op, so an uninformed station may sleep
-  // until the front's delivery wakes it. An informed station re-wakes every
-  // poll: the flood restarts a Decay invocation each phase forever, so it
-  // always has a future transmission duty even in its silent slots.
+  // until the front's delivery wakes it.
   if (!informed_) return std::nullopt;
-  if (waker_ != nullptr) waker_->wake();
   const std::uint64_t phase = t / decay_len_;
   if (phase != attempt_phase_) {
     attempt_phase_ = phase;
     decay_.start();
   }
-  if (!decay_.wants_transmit()) return std::nullopt;
+  if (!decay_.wants_transmit()) {
+    // Silent until the next phase restarts Decay.
+    if (waker_ != nullptr) waker_->wake_at((phase + 1) * decay_len_);
+    return std::nullopt;
+  }
   just_transmitted_ = true;
   return msg_;
 }
@@ -62,7 +63,7 @@ void FloodStation::deliver(SlotTime t, const Message& m) {
   informed_at_ = t;
   msg_ = m;
   // Joins the flood at its next poll: attempt_phase_ lags behind, so a
-  // fresh Decay invocation starts at the next phase boundary seen.
+  // fresh Decay invocation starts on the very next slot, even mid-phase.
 }
 
 void FloodStation::tick(SlotTime) {

@@ -26,14 +26,13 @@ namespace radiomc {
 /// Decay invocation each; no acks, no level gating (the flood has no tree).
 class FloodStation final : public SubStation {
  public:
-  /// `autosleep`: opt into active-set descheduling where the station is
-  /// engine-attached directly (SingleStation). Uninformed stations are the
-  /// win — they neither transmit nor mutate on poll, so they sleep until
-  /// the message front's delivery wakes them; informed stations re-wake
-  /// every poll (the flood restarts Decay each phase, so they always have
-  /// a future duty). Byte-identical to always-active either way; only
-  /// EngineStats::station_polls differs. Embedded uses (setup) never
-  /// attach, so the flag is inert there.
+  /// `autosleep`: opt into active-set descheduling when attached (directly
+  /// via SingleStation, or through setup's forwarded Waker). Uninformed
+  /// stations neither transmit nor mutate on poll, so they sleep until the
+  /// message front's delivery wakes them; an informed station sleeps from
+  /// the slot its Decay dies until the next phase start, where the flood
+  /// restarts Decay. Byte-identical to always-active either way; only
+  /// EngineStats::station_polls differs.
   explicit FloodStation(std::uint32_t decay_len, Rng rng,
                         bool autosleep = true);
 

@@ -60,8 +60,10 @@ struct CollectionConfig {
   /// consumes no randomness (DecayProcess::wants_transmit is const; the
   /// coin is flipped only after an actual transmission) — proven A/B by
   /// tests/engine_diff_test.cpp. Only EngineStats::station_polls differs.
-  /// Takes effect only where the station is engine-attached directly (via
-  /// SingleStation); embedded uses (setup, channel mux) stay always-active.
+  /// Takes effect wherever the Waker reaches the station: SingleStation,
+  /// ChannelMuxStation in coordinated mode, and setup's verification
+  /// collection (SetupStation forwards its Waker); a non-coordinated
+  /// channel mux or time division keeps it always-active.
   bool autosleep = true;
 
   /// Optional observability, used by run_collection: phase spans, per-level

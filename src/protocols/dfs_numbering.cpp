@@ -33,6 +33,11 @@ void GraphDfsStation::set_local(std::uint32_t level, NodeId bfs_parent,
   }
 }
 
+void GraphDfsStation::on_attach(Waker& w) {
+  waker_ = &w;
+  w.set_autosleep(true);
+}
+
 void GraphDfsStation::reset() {
   have_token_ = false;
   visited_ = false;
@@ -97,6 +102,7 @@ void GraphDfsStation::deliver(SlotTime, const Message& m) {
 
   if (m.dest == me_) {
     have_token_ = true;
+    if (waker_ != nullptr) waker_->wake();
     if (!visited_) {
       visited_ = true;
       dfs_parent_ = m.sender;
@@ -146,6 +152,11 @@ void TreeDfsStation::set_local(NodeId bfs_parent, std::vector<NodeId> children,
   }
 }
 
+void TreeDfsStation::on_attach(Waker& w) {
+  waker_ = &w;
+  w.set_autosleep(true);
+}
+
 void TreeDfsStation::reset() {
   child_number_.assign(children_.size(), 0);
   child_max_desc_.assign(children_.size(), 0);
@@ -188,6 +199,7 @@ std::optional<Message> TreeDfsStation::poll(SlotTime) {
 void TreeDfsStation::deliver(SlotTime, const Message& m) {
   if (m.kind != MsgKind::kDfsToken || m.dest != me_) return;
   have_token_ = true;
+  if (waker_ != nullptr) waker_->wake();
   if (!numbered_) {
     numbered_ = true;
     number_ = m.seq;

@@ -61,10 +61,14 @@ class GraphDfsStation final : public SubStation {
   GraphDfsStation(NodeId me, std::vector<NodeId> neighbors);
 
   /// Supplies the node's BFS position (from the construction step) and
-  /// whether it initiates the traversal (the root does).
+  /// whether it initiates the traversal (the root does). It does not wake
+  /// the station: call it before attach or from the poll that follows.
   void set_local(std::uint32_t level, NodeId bfs_parent, bool initiator);
   void reset();
 
+  /// Opts into autosleep: only the token holder acts, so the station
+  /// sleeps until the token arrives.
+  void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
 
@@ -94,6 +98,7 @@ class GraphDfsStation final : public SubStation {
   std::vector<bool> heard_;                     // per neighbor
   std::vector<std::uint32_t> nbr_level_;        // per neighbor
   std::vector<NodeId> nbr_bfs_parent_;          // per neighbor
+  Waker* waker_ = nullptr;
 };
 
 class TreeDfsStation final : public SubStation {
@@ -101,11 +106,15 @@ class TreeDfsStation final : public SubStation {
   explicit TreeDfsStation(NodeId me);
 
   /// `children` must be the node's BFS children in ascending order (the
-  /// order learned from traversal 1).
+  /// order learned from traversal 1). Like GraphDfsStation::set_local, it
+  /// does not wake the station.
   void set_local(NodeId bfs_parent, std::vector<NodeId> children,
                  bool is_root);
   void reset();
 
+  /// Opts into autosleep: only the token holder acts, so the station
+  /// sleeps until the token arrives.
+  void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
 
@@ -136,6 +145,7 @@ class TreeDfsStation final : public SubStation {
   std::uint32_t max_desc_ = 0;
   std::uint32_t counter_ = 0;
   std::size_t next_child_ = 0;
+  Waker* waker_ = nullptr;
 };
 
 /// Standalone preparation driver: runs both traversals on fresh networks

@@ -36,18 +36,39 @@ void MaxFloodStation::reset() {
   decay_.stop();
 }
 
-std::optional<Message> MaxFloodStation::poll(SlotTime t) {
-  const std::uint64_t phase = t / cfg_.decay_len;
+void MaxFloodStation::on_attach(Waker& w) {
+  waker_ = &w;
+  w.set_autosleep(true);
+}
+
+bool MaxFloodStation::advertises(std::uint64_t phase) const noexcept {
   // Heartbeats are desynchronized by node id: a frontier node's periodic
   // retransmission mostly meets silent neighbors instead of the whole
   // neighborhood heartbeating at once.
-  const bool heartbeat = (phase % cfg_.heartbeat) == (me_ % cfg_.heartbeat);
-  if (phase > fresh_until_ && !heartbeat) return std::nullopt;
+  return phase <= fresh_until_ ||
+         (phase % cfg_.heartbeat) == (me_ % cfg_.heartbeat);
+}
+
+std::optional<Message> MaxFloodStation::idle(std::uint64_t phase) {
+  if (waker_ != nullptr) {
+    std::uint64_t next = phase + 1;
+    if (next > fresh_until_) {
+      const std::uint64_t hb = cfg_.heartbeat;
+      next += (me_ % hb + hb - next % hb) % hb;
+    }
+    waker_->wake_at(next * cfg_.decay_len);
+  }
+  return std::nullopt;
+}
+
+std::optional<Message> MaxFloodStation::poll(SlotTime t) {
+  const std::uint64_t phase = t / cfg_.decay_len;
+  if (!advertises(phase)) return idle(phase);
   if (phase != attempt_phase_) {
     attempt_phase_ = phase;
     decay_.start();
   }
-  if (!decay_.wants_transmit()) return std::nullopt;
+  if (!decay_.wants_transmit()) return idle(phase);
   Message m;
   m.kind = MsgKind::kLeader;
   m.origin = me_;
@@ -61,6 +82,9 @@ void MaxFloodStation::deliver(SlotTime t, const Message& m) {
   if (m.payload > best_) {
     best_ = m.payload;
     fresh_until_ = t / cfg_.decay_len + cfg_.fresh_phases;
+    // If the current phase just became fresh, its Decay starts on the
+    // very next poll, mid-phase.
+    if (waker_ != nullptr) waker_->wake();
   }
 }
 

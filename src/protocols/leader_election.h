@@ -45,6 +45,10 @@ class MaxFloodStation final : public SubStation {
  public:
   MaxFloodStation(NodeId me, LeaderConfig cfg, Rng rng);
 
+  /// Opts into autosleep: the station is polled only in phases where it
+  /// advertises (fresh or heartbeat) while its Decay is live; it arms the
+  /// start of its next such phase and wakes when a better value arrives.
+  void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
   void tick(SlotTime t) override;
@@ -58,6 +62,10 @@ class MaxFloodStation final : public SubStation {
 
  private:
   std::uint64_t draw_value();
+  /// True iff the node advertises in `phase` (fresh or its heartbeat).
+  bool advertises(std::uint64_t phase) const noexcept;
+  /// Silent poll in `phase`: arms the start of the next advertising phase.
+  std::optional<Message> idle(std::uint64_t phase);
 
   NodeId me_;
   LeaderConfig cfg_;
@@ -68,6 +76,7 @@ class MaxFloodStation final : public SubStation {
   DecayProcess decay_;
   std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
   bool just_transmitted_ = false;
+  Waker* waker_ = nullptr;
 };
 
 /// Standalone driver: runs max-flooding for `phases` phases and returns

@@ -34,6 +34,14 @@ namespace {
 /// The per-node state machine of the whole setup phase; channel 0 carries
 /// the epoch-specific protocol (election / announcements / floods / token),
 /// channel 1 carries the always-on verification collection.
+///
+/// Autosleep: the station forwards its Waker to every sub-station, so they
+/// share one membership bit (as ChannelMuxStation's coordinated mode does)
+/// and each keeps the Waker promise for itself, arming its own duties on
+/// its own clock through a `shifted` handle. At the epoch and attempt
+/// boundaries of the globally known schedule, where this station acts on
+/// its own (root hand-off, DFS start, final report, completion seed,
+/// attempt rollover), run_setup wakes every station.
 class SetupStation final : public Station {
  public:
   SetupStation(NodeId me, const Graph& g, SetupTuning tuning, Rng rng)
@@ -62,6 +70,18 @@ class SetupStation final : public Station {
     start_attempt();
   }
 
+  void on_attach(Waker& w) override {
+    waker_ = w;
+    w.set_autosleep(true);
+    rebase_wakers();
+    le_.on_attach(attempt_waker_);
+    bfs_.on_attach(b_waker_);
+    coll_.on_attach(b_waker_);
+    dfs1_.on_attach(attempt_waker_);
+    dfs2_.on_attach(attempt_waker_);
+    flood_g_.on_attach(g_waker_);
+  }
+
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     // Resync to the globally known schedule. A while-loop, not an equality
     // test: a station crashed across an attempt boundary (fault injection)
@@ -84,7 +104,6 @@ class SetupStation final : public Station {
     } else if (r < d_start()) {
       if (r == b_start() && le_.believes_leader()) become_root();
       tx[0] = bfs_.poll(r - b_start());
-      maybe_join();
     } else if (r < e_start()) {
       if (r == d_start()) begin_dfs1();
       tx[0] = dfs1_.poll(r);
@@ -190,6 +209,12 @@ class SetupStation final : public Station {
   SlotTime e_start() const noexcept { return d_start() + sched_.dfs1; }
   SlotTime f_start() const noexcept { return e_start() + sched_.dfs2; }
   SlotTime g_start() const noexcept { return f_start() + sched_.fv; }
+  /// Points the sub-stations' clocks at the current attempt's epochs.
+  void rebase_wakers() {
+    attempt_waker_ = waker_.shifted(attempt_start_);
+    b_waker_ = waker_.shifted(attempt_start_ + b_start());
+    g_waker_ = waker_.shifted(attempt_start_ + g_start());
+  }
 
   void start_attempt() {
     sched_ = setup_schedule(n_, decay_len_, tuning_, attempt_);
@@ -201,11 +226,11 @@ class SetupStation final : public Station {
     coll_.reset(rng_.split(rng_tags::kSetupCollRetryBase + attempt_));
     coll_bound_ = false;
     is_root_ = false;
-    reported_join_ = false;
     reported_final_ = false;
     reporters_b_.clear();
     reporters_f_.clear();
     verified_f_at_ = 0;
+    rebase_wakers();
   }
 
   void become_root() {
@@ -227,7 +252,6 @@ class SetupStation final : public Station {
     m.seq = 0;
     m.aux = bfs_.level();
     coll_.inject(m);
-    reported_join_ = true;
   }
 
   void begin_dfs1() {
@@ -270,6 +294,14 @@ class SetupStation final : public Station {
   SlotTime attempt_start_ = 0;
   SetupSchedule sched_;
 
+  // Engine handle (unattached until on_attach) and its shifted copies, one
+  // per sub-station clock: attempt-relative (election, DFS tokens), epoch B
+  // onwards (BFS, verification collection) and epoch G (completion flood).
+  Waker waker_;
+  Waker attempt_waker_;
+  Waker b_waker_;
+  Waker g_waker_;
+
   MaxFloodStation le_;
   BfsBuildStation bfs_;
   CollectionStation coll_;
@@ -279,7 +311,6 @@ class SetupStation final : public Station {
 
   bool coll_bound_ = false;
   bool is_root_ = false;
-  bool reported_join_ = false;
   bool reported_final_ = false;
   std::set<NodeId> reporters_b_;
   std::set<NodeId> reporters_f_;
@@ -340,8 +371,10 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
     }
   };
   auto publish_totals = [&](const SetupOutcome& o) {
-    if (tuning.profiler != nullptr)
+    if (tuning.profiler != nullptr) {
       tuning.profiler->count("setup.slots", o.slots);
+      tuning.profiler->count("setup.polls", o.engine_polls);
+    }
     if (tuning.telemetry == nullptr) return;
     telemetry::MetricsRegistry& reg = tuning.telemetry->metrics;
     reg.counter("setup.attempts").inc(o.attempts);
@@ -367,6 +400,9 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
       for (const auto& [name, len] : epoch_table(sched)) {
         perf::PerfSpan epoch_span(tuning.profiler,
                                   std::string("setup.") + name);
+        // Every station acts at an epoch or attempt boundary; the driver
+        // knows them all, so it wakes the sleeping stations there.
+        for (NodeId v = 0; v < n; ++v) net.wake_station(v);
         epoch_end += len;
         while (net.now() < epoch_end) net.step();
       }
@@ -390,6 +426,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
 
     out.ok = true;
     out.slots = net.now();
+    out.engine_polls = net.engine_stats().station_polls;
     // verified_f_at is relative to epoch B of the successful attempt.
     out.work_slots = (attempt_end - sched.attempt_length()) + sched.le +
                      root->verified_f_at();
@@ -412,6 +449,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
     return out;
   }
   out.slots = net.now();
+  out.engine_polls = net.engine_stats().station_polls;
   out.status = RunStatus::kDegraded;
   publish_totals(out);
   return out;

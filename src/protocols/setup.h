@@ -120,6 +120,10 @@ struct SetupOutcome {
   SlotTime work_slots = 0;  ///< when the root's final verification completed
   std::uint32_t attempts = 0;
   NodeId leader = kNoNode;
+  /// Engine on_slot invocations (EngineStats::station_polls): scheduling
+  /// economy only. Setup stations sleep between the duties of the globally
+  /// known schedule, so this is far below slots * n.
+  std::uint64_t engine_polls = 0;
   BfsTree tree;
   DfsLabels labels;
   std::vector<RoutingInfo> routing;

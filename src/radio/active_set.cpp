@@ -14,6 +14,12 @@ void ActiveSet::reset(NodeId n) {
   pending_flag_.assign(n, 0);
   slot_woken_.clear();
   pending_.clear();
+  timer_.clear();
+  next_.clear();
+  prev_.clear();
+  bucket_.clear();
+  armed_ = 0;
+  horizon_ = 0;
   any_autosleep_ = false;
   wake_events_ = 0;
 }
@@ -24,9 +30,63 @@ void ActiveSet::wake(NodeId v) {
     slot_woken_.push_back(v);
     ++wake_events_;
   }
+  queue(v);
+}
+
+void ActiveSet::queue(NodeId v) {
   if (!pending_flag_[v]) {
     pending_flag_[v] = 1;
     pending_.push_back(v);
+  }
+}
+
+void ActiveSet::wake_at(NodeId v, SlotTime t) {
+  if (t <= horizon_) {
+    wake(v);
+    return;
+  }
+  if (timer_.empty()) {
+    timer_.assign(n_, kNoTimer);
+    next_.assign(n_, kNoNode);
+    prev_.assign(n_, kNoNode);
+    bucket_.assign(kWheel, kNoNode);
+  }
+  if (t >= timer_[v]) return;  // the earliest armed time wins
+  if (timer_[v] == kNoTimer) {
+    ++armed_;
+  } else {
+    unlink(v);
+  }
+  timer_[v] = t;
+  NodeId& head = bucket_[t & (kWheel - 1)];
+  prev_[v] = kNoNode;
+  next_[v] = head;
+  if (head != kNoNode) prev_[head] = v;
+  head = v;
+}
+
+void ActiveSet::unlink(NodeId v) {
+  if (prev_[v] != kNoNode) {
+    next_[prev_[v]] = next_[v];
+  } else {
+    bucket_[timer_[v] & (kWheel - 1)] = next_[v];
+  }
+  if (next_[v] != kNoNode) prev_[next_[v]] = prev_[v];
+}
+
+void ActiveSet::fire_timers(SlotTime now) {
+  for (NodeId v = bucket_[now & (kWheel - 1)]; v != kNoNode;) {
+    const NodeId next = next_[v];
+    if (timer_[v] == now) {  // else due on a later turn of the wheel
+      unlink(v);
+      timer_[v] = kNoTimer;
+      --armed_;
+      // Admission only, like a wake raised between slots: it buys this
+      // slot's poll and no retention mark. A crashed station admitted
+      // here is kept frozen by the engine and polled on recovery.
+      queue(v);
+    }
+    v = next;
   }
 }
 
@@ -41,7 +101,10 @@ void ActiveSet::set_autosleep(NodeId v, bool on) {
   }
 }
 
-void ActiveSet::begin_slot() {
+void ActiveSet::begin_slot(SlotTime now) {
+  // From here on, wake_at(now + 1) means "poll next slot", i.e. wake().
+  horizon_ = now + 1;
+  if (armed_ != 0) fire_timers(now);
   if (pending_.empty()) return;
   bool joined = false;
   for (const NodeId v : pending_) {
@@ -87,6 +150,10 @@ void ActiveSet::end_slot(const std::uint8_t* keep) {
 
 void Waker::wake() noexcept {
   if (set_ != nullptr) set_->wake(node_);
+}
+
+void Waker::wake_at(SlotTime t) noexcept {
+  if (set_ != nullptr) set_->wake_at(node_, origin_ + t);
 }
 
 void Waker::set_autosleep(bool on) noexcept {

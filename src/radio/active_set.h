@@ -9,10 +9,18 @@
 // legacy full-scan engine used, which is what keeps transmit lists, trace
 // streams and capture-RNG draws byte-identical to the pre-rewrite engine.
 //
-// Cost model: `begin_slot` is O(wakes since last slot), `end_slot` is O(1)
-// when no station has autosleep enabled and no wake was raised (the
-// all-legacy fast path), O(active + wakes) otherwise. A sort is paid only
-// on slots where a sleeping station actually joined.
+// Cost model: `begin_slot` is O(wakes since last slot) plus, when any
+// timer is armed, one timer-wheel bucket; `end_slot` is O(1) when no
+// station has autosleep enabled and no wake was raised (the all-legacy
+// fast path), O(active + wakes) otherwise. A sort is paid only on slots
+// where a sleeping station actually joined.
+//
+// Timers: each station has at most one armed time, kept in a hashed
+// timer wheel (bucket = time mod kWheel) as an intrusive doubly linked
+// list, so arming, re-arming and firing are O(1) and memory stays O(n)
+// however often stations re-arm. A bucket holds the stations due at that
+// slot and those due whole turns later; a far timer is passed over once
+// per turn.
 //
 // All state is plain data owned by one engine; nothing here is
 // thread-safe (one RadioNetwork = one trial = one thread, as everywhere
@@ -29,7 +37,8 @@ namespace radiomc {
 
 class ActiveSet {
  public:
-  /// Resets to n stations, all active, none autosleep, no pending wakes.
+  /// Resets to n stations, all active, none autosleep, no pending wakes or
+  /// timers.
   void reset(NodeId n);
 
   NodeId size() const noexcept { return n_; }
@@ -46,11 +55,15 @@ class ActiveSet {
   /// Raises a wake for `v`: guarantees membership in the next slot and
   /// counts as "woken this slot" for the retention rule. Idempotent.
   void wake(NodeId v);
+  /// Arms `v`'s timer for slot `t` (earliest pending time wins). A time no
+  /// later than the next slot is wake(v).
+  void wake_at(NodeId v, SlotTime t);
   void set_autosleep(NodeId v, bool on);
 
-  /// Admits stations woken since the previous slot (sorting only if a
-  /// non-member actually joined). Call at the top of every slot.
-  void begin_slot();
+  /// Fires the timers due at `now`, then admits them and the stations
+  /// woken since the previous slot (sorting only if a non-member actually
+  /// joined). Call at the top of every slot.
+  void begin_slot(SlotTime now);
 
   /// Applies the retention rule after all of a slot's callbacks ran:
   /// an autosleep member leaves unless `keep[v]` is set (it returned a
@@ -67,9 +80,17 @@ class ActiveSet {
   void bind(Waker* w, NodeId v) noexcept {
     w->set_ = this;
     w->node_ = v;
+    w->origin_ = 0;
   }
 
  private:
+  static constexpr SlotTime kNoTimer = ~SlotTime{0};
+  static constexpr SlotTime kWheel = 1024;  // buckets, a power of two
+
+  void queue(NodeId v);
+  void unlink(NodeId v);
+  void fire_timers(SlotTime now);
+
   NodeId n_ = 0;
   std::vector<NodeId> active_;            // sorted member ids
   std::vector<std::uint8_t> in_active_;   // membership flag, by node
@@ -78,6 +99,12 @@ class ActiveSet {
   std::vector<std::uint8_t> pending_flag_;  // queued for admission, by node
   std::vector<NodeId> slot_woken_;        // nodes with woke_flag_ set
   std::vector<NodeId> pending_;           // nodes with pending_flag_ set
+  // Timer wheel, allocated on the first wake_at.
+  std::vector<SlotTime> timer_;      // armed time or kNoTimer, by node
+  std::vector<NodeId> next_, prev_;  // bucket list links, by node
+  std::vector<NodeId> bucket_;       // list head per bucket
+  std::size_t armed_ = 0;            // stations with a timer
+  SlotTime horizon_ = 0;  // next slot to run; wake_at(t <= horizon_) is wake()
   bool any_autosleep_ = false;
   std::uint64_t wake_events_ = 0;
 };

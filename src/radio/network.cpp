@@ -51,7 +51,7 @@ void RadioNetwork::step() {
   FaultSchedule* fs =
       (faults_ != nullptr && faults_->enabled()) ? faults_ : nullptr;
   if (fs) fs->begin_slot(now_);
-  active_set_.begin_slot();
+  active_set_.begin_slot(now_);
   ++epoch_;
   tx_list_.clear();
   touched_.clear();

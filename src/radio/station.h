@@ -67,13 +67,14 @@ class SubStation {
   SubStation(const SubStation&) = delete;
   SubStation& operator=(const SubStation&) = delete;
 
-  /// Engine adoption, forwarded by SingleStation, and by ChannelMuxStation
-  /// only in coordinated-autosleep mode. TimeDivisionStation never
-  /// forwards, and a non-coordinated ChannelMuxStation doesn't either:
-  /// their SubStations share one membership bit, so no single SubStation
-  /// can promise the whole node's idleness. A SubStation that opts in via
-  /// `w.set_autosleep(true)` makes the Waker contract's promise
-  /// (radio/waker.h) for itself alone.
+  /// Engine adoption, forwarded by SingleStation, by setup's per-node
+  /// station (with a `Waker::shifted` handle on the sub-station's clock),
+  /// and by ChannelMuxStation only in coordinated-autosleep mode.
+  /// TimeDivisionStation never forwards, and a non-coordinated
+  /// ChannelMuxStation doesn't either: their SubStations share one
+  /// membership bit, so no single SubStation can promise the whole node's
+  /// idleness. A SubStation that opts in via `w.set_autosleep(true)` makes
+  /// the Waker contract's promise (radio/waker.h) for itself alone.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Transmit decision for the SubStation's slot `t` (nullopt = listen).

@@ -30,16 +30,32 @@
 //     during this slot;
 //   * `wake()` on a sleeping station guarantees it is polled in the next
 //     slot (wakes raised between slots are merged before the next poll);
+//   * `wake_at(t)` arms a per-station timer: the station is admitted at the
+//     top of slot t, exactly as if `wake()` had been raised between slots
+//     t-1 and t. A station has one timer and the earliest armed time wins
+//     (a later arm while an earlier one is pending is dropped, so a
+//     station re-arms its next duty on every poll). `wake_at(t)` with t no
+//     later than the next slot is plain `wake()`;
 //   * a crashed station (fault injection) keeps its membership frozen — it
 //     is not polled while down, and resumes exactly where it was on
-//     recovery, matching the legacy engine's "state frozen until recovery";
+//     recovery, matching the legacy engine's "state frozen until recovery".
+//     A timer that fires while the station is down admits it like a wake
+//     does: it stays frozen in the set and is polled on recovery;
 //   * `set_autosleep(false)` re-wakes the station and pins it active.
 //
+// Time: stations know the globally known slot clock (the paper's model
+// gives every node the slot number), so a station may schedule its own
+// future duties with `wake_at`. A SubStation sees its own clock; the
+// adapter that shifts that clock hands it a `shifted` handle so its
+// `wake_at` times land on the right engine slots.
+//
 // Like the slot structure, wakes are model-legal bookkeeping: a station may
-// only call `wake()` from its own callbacks (or its driver between slots),
-// never from another station's state — the lint determinism rules apply.
+// only call `wake()`/`wake_at()` from its own callbacks (or its driver
+// between slots), never from another station's state — the lint
+// determinism rules apply.
 
 #include "graph/graph.h"
+#include "radio/message.h"
 
 namespace radiomc {
 
@@ -53,6 +69,11 @@ class Waker {
   /// call from on_slot / on_receive / on_slot_end or between slots.
   void wake() noexcept;
 
+  /// Ensures this station is polled in slot `t` of this handle's clock
+  /// (engine slot `t + origin`). One timer per station; the earliest armed
+  /// time wins. A time no later than the next slot behaves like wake().
+  void wake_at(SlotTime t) noexcept;
+
   /// Opts the station in (true) or out (false) of descheduling. Opting
   /// out re-wakes the station and pins it active from the next slot on.
   void set_autosleep(bool on) noexcept;
@@ -64,10 +85,20 @@ class Waker {
   /// active-set engine).
   bool attached() const noexcept { return set_ != nullptr; }
 
+  /// A handle for the same station whose clock starts at slot `origin` of
+  /// this handle's clock: for adapters that run a SubStation on a shifted
+  /// local time (setup epochs). wake() and set_autosleep are unaffected.
+  Waker shifted(SlotTime origin) const noexcept {
+    Waker w = *this;
+    w.origin_ += origin;
+    return w;
+  }
+
  private:
   friend class ActiveSet;
   ActiveSet* set_ = nullptr;
   NodeId node_ = kNoNode;
+  SlotTime origin_ = 0;  ///< engine slot of this handle's local slot 0
 };
 
 }  // namespace radiomc

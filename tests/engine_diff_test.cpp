@@ -21,9 +21,10 @@
 //     then wakes and transmits a short burst; its transmissions depend only
 //     on (absolute slot, receptions), honoring the waker promise that
 //     skipped idle polls are unobservable;
-//   * PeriodicBeacon (autosleep, self-waking): transmits every k-th slot
-//     and re-arms its own wake from on_slot, proving a station can sleep
-//     between self-scheduled duties.
+//   * PeriodicBeacon (autosleep, self-waking): transmits every k-th slot.
+//     One variant re-arms wake() every poll (kept awake by wakes); the
+//     timed variant arms wake_at(its next beacon slot) and sleeps between
+//     beacons, so timers meet crashes, link churn and capture too.
 
 #include <gtest/gtest.h>
 
@@ -34,22 +35,26 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "faults/fault_plan.h"
 #include "faults/fault_schedule.h"
 #include "graph/generators.h"
+#include "protocols/bfs_build.h"
 #include "protocols/bgi_broadcast.h"
 #include "protocols/broadcast_service.h"
 #include "protocols/collection.h"
 #include "protocols/decay.h"
 #include "protocols/dfs_numbering.h"
+#include "protocols/leader_election.h"
 #include "protocols/point_to_point.h"
 #include "protocols/tree.h"
 #include "radio/network.h"
 #include "reference_engine.h"
 #include "support/parallel.h"
 #include "support/rng.h"
+#include "support/util.h"
 #include "telemetry/jsonl_sink.h"
 
 namespace radiomc {
@@ -132,30 +137,39 @@ class SleepyResponder : public Station {
 /// behaves identically because the transmit test is on absolute slot time.
 class PeriodicBeacon : public Station {
  public:
-  PeriodicBeacon(NodeId self, SlotTime period) : self_(self), period_(period) {}
+  PeriodicBeacon(NodeId self, SlotTime period, bool timed)
+      : self_(self), period_(period), timed_(timed) {}
 
   void on_attach(Waker& w) override {
     waker_ = &w;
     w.set_autosleep(true);
   }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
-    if (t % period_ == self_ % period_) {
+    const SlotTime phase = self_ % period_;
+    if (t % period_ == phase) {
       Message m;
       m.kind = MsgKind::kLeader;
       m.origin = self_;
       m.seq = static_cast<std::uint32_t>(t / period_);
       tx[0] = m;
     }
-    // A wake() only spans one slot, so an autosleep station with a
-    // multi-slot schedule must re-arm every poll. This keeps the beacon
-    // effectively always scheduled — deliberately: it exercises the
-    // "kept awake by wake(), not by transmitting" retention path, while
-    // SleepyResponder covers genuine descheduling.
-    if (waker_ != nullptr) waker_->wake();
+    if (waker_ == nullptr) return;
+    if (timed_) {
+      // Sleep until the next beacon slot.
+      const SlotTime base = t - t % period_;
+      waker_->wake_at(t % period_ < phase ? base + phase
+                                          : base + period_ + phase);
+    } else {
+      // A wake() only spans one slot, so this variant re-arms every poll
+      // and stays effectively always scheduled — deliberately: it
+      // exercises the "kept awake by wake(), not by transmitting"
+      // retention path, while SleepyResponder covers genuine descheduling.
+      waker_->wake();
+    }
   }
   void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
     received.emplace_back(t, ch, m.origin, m.seq, m.payload, m.sender);
-    if (waker_ != nullptr) waker_->wake();
+    if (waker_ != nullptr && !timed_) waker_->wake();
   }
 
   std::vector<Delivery> received;
@@ -163,6 +177,7 @@ class PeriodicBeacon : public Station {
  private:
   NodeId self_;
   SlotTime period_;
+  bool timed_;
   Waker* waker_ = nullptr;
 };
 
@@ -177,6 +192,16 @@ struct Cell {
   SlotTime slots = 400;
 };
 
+bool same_metrics(const NetMetrics& a, const NetMetrics& b) {
+  return a.slots == b.slots && a.transmissions == b.transmissions &&
+         a.deliveries == b.deliveries &&
+         a.collision_events == b.collision_events &&
+         a.capture_deliveries == b.capture_deliveries &&
+         a.fault_jams == b.fault_jams && a.fault_drops == b.fault_drops &&
+         a.fault_link_blocked == b.fault_link_blocked &&
+         a.fault_crashed_slots == b.fault_crashed_slots;
+}
+
 /// Everything one engine produced, in comparable (and printable) form.
 struct RunDigest {
   std::vector<std::vector<Delivery>> per_station;
@@ -185,15 +210,7 @@ struct RunDigest {
 
   bool operator==(const RunDigest& o) const {
     return per_station == o.per_station && trace == o.trace &&
-           metrics.slots == o.metrics.slots &&
-           metrics.transmissions == o.metrics.transmissions &&
-           metrics.deliveries == o.metrics.deliveries &&
-           metrics.collision_events == o.metrics.collision_events &&
-           metrics.capture_deliveries == o.metrics.capture_deliveries &&
-           metrics.fault_jams == o.metrics.fault_jams &&
-           metrics.fault_drops == o.metrics.fault_drops &&
-           metrics.fault_link_blocked == o.metrics.fault_link_blocked &&
-           metrics.fault_crashed_slots == o.metrics.fault_crashed_slots;
+           same_metrics(metrics, o.metrics);
   }
 };
 
@@ -222,7 +239,7 @@ struct Population {
           logs.push_back(&sleepers.back().received);
           break;
         default:
-          beacons.emplace_back(v, 5 + v % 7);
+          beacons.emplace_back(v, 5 + v % 7, /*timed=*/v % 2 == 0);
           stations.push_back(&beacons.back());
           logs.push_back(&beacons.back().received);
           break;
@@ -643,6 +660,149 @@ TEST(AutosleepAB, FloodIsByteIdenticalAndPollsLess) {
     EXPECT_EQ(a.informed, b.informed);
     EXPECT_EQ(a.informed_at, b.informed_at);
     EXPECT_LT(a.engine_polls, b.engine_polls) << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Setup pieces: leader election, BFS construction, the two DFS token
+// traversals and the completion flood sleep on their own timed and token
+// wakes (only the flood has an option to turn that off). The reference
+// engine never hands out a Waker, so it polls every piece every slot: that
+// is the always-active side of the A/B.
+// ---------------------------------------------------------------------------
+
+/// One run of a setup piece: what the radio saw, and each node's end state.
+struct PieceRun {
+  std::string trace;
+  NetMetrics metrics;
+  std::vector<std::uint64_t> state;
+  std::uint64_t polls = 0;  ///< active-set engine only
+};
+
+/// Runs one SubStation per node (built by `make`) for `slots` slots under
+/// `plan`; `state` summarizes a node's end state in one word.
+template <typename Engine, typename Make, typename State>
+PieceRun run_piece(const Graph& g, const FaultPlan& plan, SlotTime slots,
+                   Make make, State state) {
+  std::vector<decltype(make(NodeId{0}))> subs;
+  std::deque<SingleStation> adapters;
+  std::vector<Station*> ptrs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    subs.push_back(make(v));
+    adapters.emplace_back(*subs.back());
+    ptrs.push_back(&adapters.back());
+  }
+  std::ostringstream trace_out;
+  PieceRun r;
+  {
+    telemetry::JsonlTraceSink trace(trace_out);
+    Engine net(g);
+    FaultSchedule faults(g, plan, 0xFA17ULL + g.num_nodes());
+    net.set_faults(&faults);
+    net.set_trace(&trace);
+    net.attach(ptrs);
+    net.run(slots);
+    r.metrics = net.metrics();
+    if constexpr (std::is_same_v<Engine, RadioNetwork>)
+      r.polls = net.engine_stats().station_polls;
+  }
+  r.trace = trace_out.str();
+  for (const auto& s : subs) r.state.push_back(state(*s));
+  return r;
+}
+
+template <typename Make, typename State>
+void expect_piece_matches(const std::string& what, const Graph& g,
+                          const FaultPlan& plan, SlotTime slots, Make make,
+                          State state) {
+  const PieceRun a = run_piece<RadioNetwork>(g, plan, slots, make, state);
+  const PieceRun b = run_piece<radiomc::testing::ReferenceNetwork>(
+      g, plan, slots, make, state);
+  EXPECT_TRUE(a.trace == b.trace) << what << ": trace bytes differ";
+  EXPECT_TRUE(same_metrics(a.metrics, b.metrics)) << what;
+  EXPECT_EQ(a.state, b.state) << what;
+  EXPECT_GT(a.metrics.transmissions, 0u) << what << " was vacuous";
+  EXPECT_LT(a.polls, static_cast<std::uint64_t>(g.num_nodes()) * slots)
+      << what << ": the piece did not sleep";
+}
+
+TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
+  Rng topo(0x5E7);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("grid6x6", gen::grid(6, 6));
+  graphs.emplace_back("udg40", gen::unit_disk_connected(
+                                   40, gen::udg_connect_radius(40), topo));
+  graphs.emplace_back("gnp48", gen::gnp_connected(48, 0.1, topo));
+  const std::vector<std::pair<std::string, FaultPlan>> plans = {
+      {"nofault", FaultPlan{}}, {"crash", crash_plan()}};
+  for (const auto& [gname, g] : graphs) {
+    const NodeId n = g.num_nodes();
+    const std::uint32_t dl = decay_length(g.max_degree());
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    for (const auto& [pname, plan] : plans) {
+      const std::string cell = gname + "/" + pname;
+
+      LeaderConfig lc;
+      lc.decay_len = dl;
+      expect_piece_matches(
+          cell + "/leader", g, plan, 160 * dl,
+          [&](NodeId v) {
+            return std::make_unique<MaxFloodStation>(v, lc, Rng(0x1E + v));
+          },
+          [](const MaxFloodStation& s) { return s.best(); });
+
+      BfsBuildConfig bc;
+      bc.decay_len = dl;
+      bc.announce_phases = 2 * ceil_log2(n) + 2;
+      expect_piece_matches(
+          cell + "/bfs", g, plan, 16 * dl * bc.announce_phases,
+          [&](NodeId v) {
+            auto s = std::make_unique<BfsBuildStation>(v, bc, Rng(0xBF + v));
+            if (v == 0) s->make_root(0);
+            return s;
+          },
+          [](const BfsBuildStation& s) {
+            return (std::uint64_t{s.level()} << 32) | s.parent();
+          });
+
+      expect_piece_matches(
+          cell + "/dfs_graph", g, plan, 2 * SlotTime{n} + 2,
+          [&](NodeId v) {
+            auto nb = g.neighbors(v);
+            auto s = std::make_unique<GraphDfsStation>(
+                v, std::vector<NodeId>(nb.begin(), nb.end()));
+            s->set_local(tree.level[v], tree.parent[v], v == 0);
+            return s;
+          },
+          [](const GraphDfsStation& s) {
+            return (std::uint64_t{s.visited()} << 33) |
+                   (std::uint64_t{s.bfs_levels_consistent()} << 32) |
+                   s.bfs_children().size();
+          });
+
+      expect_piece_matches(
+          cell + "/dfs_tree", g, plan, 2 * SlotTime{n} + 2,
+          [&](NodeId v) {
+            std::vector<NodeId> children;
+            for (NodeId u = 0; u < n; ++u)
+              if (tree.parent[u] == v) children.push_back(u);
+            auto s = std::make_unique<TreeDfsStation>(v);
+            s->set_local(tree.parent[v], children, v == 0);
+            return s;
+          },
+          [](const TreeDfsStation& s) {
+            return (std::uint64_t{s.number()} << 32) | s.max_desc();
+          });
+
+      expect_piece_matches(
+          cell + "/flood", g, plan, 40 * dl,
+          [&](NodeId v) {
+            auto s = std::make_unique<FloodStation>(dl, Rng(0xF1 + v));
+            if (v == 0) s->seed(Message{});
+            return s;
+          },
+          [](const FloodStation& s) { return s.informed_at(); });
+    }
   }
 }
 

@@ -17,9 +17,9 @@
 //   * crashed stations never transmit and never receive, checked against
 //     the fault schedule's per-slot alive view;
 //   * active-set membership is exactly "transmitted last slot, or woken,
-//     or not autosleeping" — predicted by an independent model in the
-//     test and compared against both the stations' observed polls and
-//     RadioNetwork::station_active.
+//     or its timer came due, or not autosleeping", frozen while crashed —
+//     predicted by an independent model in the test and compared against
+//     both the stations' observed polls and RadioNetwork::station_active.
 
 #include <gtest/gtest.h>
 
@@ -213,14 +213,15 @@ TEST(EngineInvariants, CrashedStationsNeverTransmitOrReceive) {
 }
 
 /// Autosleep station with a scripted behavior: transmits at slots in
-/// `tx_slots`, calls wake() at slots in `wake_slots` (both tested only when
-/// actually polled). Records every poll.
+/// `tx_slots`, calls wake() at slots in `wake_slots` and wake_at(target) at
+/// the slots keyed in `arms` (all tested only when actually polled).
+/// Records every poll.
 class Scripted : public Station {
  public:
   Scripted(NodeId self, std::set<SlotTime> tx_slots,
-           std::set<SlotTime> wake_slots)
+           std::set<SlotTime> wake_slots, std::map<SlotTime, SlotTime> arms)
       : self_(self), tx_slots_(std::move(tx_slots)),
-        wake_slots_(std::move(wake_slots)) {}
+        wake_slots_(std::move(wake_slots)), arms_(std::move(arms)) {}
 
   void on_attach(Waker& w) override {
     waker_ = &w;
@@ -235,6 +236,8 @@ class Scripted : public Station {
       tx[0] = m;
     }
     if (wake_slots_.count(t) != 0) waker_->wake();
+    if (const auto it = arms_.find(t); it != arms_.end())
+      waker_->wake_at(it->second);
   }
   void on_receive(SlotTime, ChannelId, const Message&) override {}
 
@@ -243,6 +246,7 @@ class Scripted : public Station {
  private:
   NodeId self_;
   std::set<SlotTime> tx_slots_, wake_slots_;
+  std::map<SlotTime, SlotTime> arms_;
   Waker* waker_ = nullptr;
 };
 
@@ -250,58 +254,121 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
   // Randomized scripts on a path graph; the test predicts the poll
   // schedule of every station with an independent model of the contract:
   //   polled at 0 (everyone starts active); polled at t+1 iff polled at t
-  //   and (transmitted at t or woke at t), or an external wake arrived
-  //   during slot t.
+  //   and (transmitted at t or woke at t, where wake_at(t' <= t+1) is a
+  //   wake), or an external wake arrived during slot t; admitted at t by
+  //   its timer, which holds the earliest time armed since it last fired.
+  // Odd rounds add crash churn: a crashed member is not polled and stays a
+  // member (frozen), and a timer firing on a crashed station admits it
+  // into that frozen membership, so it is polled on recovery.
   Rng rng(0x5C21);
   const SlotTime kSlots = 120;
+  constexpr SlotTime kNone = ~SlotTime{0};
+  // Coverage of the timer cases, summed over all rounds.
+  std::uint64_t fired = 0, fired_on_crashed = 0, dropped_later = 0,
+                lowered = 0, immediate = 0;
   for (int round = 0; round < 10; ++round) {
     const Graph g = gen::path(24);
+    const NodeId n = g.num_nodes();
+    // Every third round arms aligned "phase start" timers, so crowds of
+    // stations join at once and the engine rebuilds its members from the
+    // flags instead of sorting them.
+    const bool aligned = round % 3 == 2;
     std::deque<Scripted> stations;
     std::vector<Station*> ptrs;
-    std::vector<std::set<SlotTime>> tx_of(g.num_nodes()), wake_of(
-                                                              g.num_nodes());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::vector<std::set<SlotTime>> tx_of(n), wake_of(n);
+    std::vector<std::map<SlotTime, SlotTime>> arms_of(n);
+    for (NodeId v = 0; v < n; ++v) {
       std::set<SlotTime> tx, wake;
+      std::map<SlotTime, SlotTime> arms;
       for (SlotTime t = 0; t < kSlots; ++t) {
         if (rng.bernoulli(0.25)) tx.insert(t);
         if (rng.bernoulli(0.15)) wake.insert(t);
+        // Targets from one slot in the past to 15 ahead: the past, now and
+        // the next slot are plain wakes, the rest arm the timer.
+        if (aligned && rng.bernoulli(0.6)) {
+          arms[t] = (t / 8 + 1) * 8;
+        } else if (rng.bernoulli(0.3)) {
+          arms[t] = t + rng.next_below(17) - (t > 0);
+        }
       }
       tx_of[v] = tx;
       wake_of[v] = wake;
-      stations.emplace_back(v, tx, wake);
+      arms_of[v] = arms;
+      stations.emplace_back(v, tx, wake, arms);
       ptrs.push_back(&stations.back());
     }
     // A few driver-level wakes, exercising wake_station between slots.
     std::vector<std::pair<SlotTime, NodeId>> driver_wakes;
     for (int i = 0; i < 6; ++i)
       driver_wakes.emplace_back(rng.next_below(kSlots),
-                                static_cast<NodeId>(
-                                    rng.next_below(g.num_nodes())));
+                                static_cast<NodeId>(rng.next_below(n)));
     std::sort(driver_wakes.begin(), driver_wakes.end());
 
+    FaultPlan plan;
+    if (round % 2 == 1) {
+      plan.crash_rate = 0.1;
+      plan.recover_rate = 0.3;
+      plan.epoch_slots = 6;
+    }
+    // The alive view depends on the schedule alone: a twin precomputes it.
+    std::vector<std::vector<std::uint8_t>> alive(kSlots);
+    {
+      FaultSchedule twin(g, plan, 0x7113 + round);
+      for (SlotTime t = 0; t < kSlots; ++t) {
+        twin.begin_slot(t);
+        for (NodeId v = 0; v < n; ++v)
+          alive[t].push_back(twin.node_alive(v) ? 1 : 0);
+      }
+    }
+
     RadioNetwork net(g);
+    FaultSchedule faults(g, plan, 0x7113 + round);
+    net.set_faults(&faults);
     net.attach(ptrs);
 
-    // Independent prediction: polled at t iff active at t; retained after
-    // slot t iff it transmitted or self-woke at t; active at t+1 =
-    // retained union driver wakes delivered between t and t+1. (A pending
-    // driver wake is admitted at the next begin_slot, so station_active
-    // right after step(t) reflects `retained`, not yet the wake.)
-    std::vector<std::vector<SlotTime>> expected(g.num_nodes());
+    // Independent prediction: polled at t iff active at t and alive;
+    // retained after slot t iff it transmitted or self-woke at t, or is
+    // crashed; active at t+1 = retained union driver wakes delivered
+    // between t and t+1 union timers due at t+1. (Pending wakes and timers
+    // are admitted at the next begin_slot, so station_active right after
+    // step(t) reflects `retained`, not yet them.)
+    std::vector<std::vector<SlotTime>> expected(n);
     std::vector<std::vector<std::uint8_t>> retained_at(kSlots);
     {
-      std::vector<std::uint8_t> active(g.num_nodes(), 1);
+      std::vector<std::uint8_t> active(n, 1);
+      std::vector<SlotTime> timer(n, kNone);
       for (SlotTime t = 0; t < kSlots; ++t) {
-        retained_at[t].assign(g.num_nodes(), 0);
-        std::vector<std::uint8_t> next(g.num_nodes(), 0);
-        for (NodeId v = 0; v < g.num_nodes(); ++v) {
-          if (!active[v]) continue;
-          expected[v].push_back(t);
-          if (tx_of[v].count(t) != 0 || wake_of[v].count(t) != 0) {
-            retained_at[t][v] = 1;
-            next[v] = 1;
-          }
+        for (NodeId v = 0; v < n; ++v) {
+          if (timer[v] != t) continue;
+          timer[v] = kNone;
+          active[v] = 1;
+          ++fired;
+          fired_on_crashed += alive[t][v] ? 0 : 1;
         }
+        retained_at[t].assign(n, 0);
+        for (NodeId v = 0; v < n; ++v) {
+          if (!active[v]) continue;
+          if (!alive[t][v]) {
+            retained_at[t][v] = 1;
+            continue;
+          }
+          expected[v].push_back(t);
+          bool keep = tx_of[v].count(t) != 0 || wake_of[v].count(t) != 0;
+          if (const auto it = arms_of[v].find(t); it != arms_of[v].end()) {
+            const SlotTime at = it->second;
+            if (at <= t + 1) {
+              keep = true;
+              ++immediate;
+            } else if (at < timer[v]) {
+              lowered += timer[v] != kNone ? 1 : 0;
+              timer[v] = at;
+            } else {
+              ++dropped_later;
+            }
+          }
+          retained_at[t][v] = keep ? 1 : 0;
+        }
+        std::vector<std::uint8_t> next = retained_at[t];
         for (const auto& [wt, wv] : driver_wakes)
           if (wt == t) next[wv] = 1;  // arrives between slot t and t+1
         active = std::move(next);
@@ -310,7 +377,7 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
 
     for (SlotTime t = 0; t < kSlots; ++t) {
       net.step();
-      for (NodeId v = 0; v < g.num_nodes(); ++v)
+      for (NodeId v = 0; v < n; ++v)
         EXPECT_EQ(net.station_active(v),
                   retained_at[t][v] != 0)
             << "round " << round << " node " << v << " after slot " << t;
@@ -319,19 +386,27 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     }
 
     std::uint64_t total_polls = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (NodeId v = 0; v < n; ++v) {
       EXPECT_EQ(stations[v].polls, expected[v])
           << "round " << round << " node " << v;
       total_polls += stations[v].polls.size();
     }
     EXPECT_EQ(net.engine_stats().station_polls, total_polls);
     EXPECT_LE(net.engine_stats().peak_active,
-              static_cast<std::uint64_t>(g.num_nodes()));
+              static_cast<std::uint64_t>(n));
     EXPECT_GT(net.engine_stats().peak_active, 0u);
     // Autosleep everywhere: the engine must actually have slept somebody.
-    EXPECT_LT(total_polls,
-              static_cast<std::uint64_t>(g.num_nodes()) * kSlots);
+    EXPECT_LT(total_polls, static_cast<std::uint64_t>(n) * kSlots);
   }
+  // Every timer case occurred: a timer admitted a station at its slot, an
+  // earlier arm replaced a later one and a later arm lost to an earlier
+  // one (earliest wins), an arm for the next slot or earlier acted as a
+  // wake, and a timer fired on a crashed station.
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(lowered, 0u);
+  EXPECT_GT(dropped_later, 0u);
+  EXPECT_GT(immediate, 0u);
+  EXPECT_GT(fired_on_crashed, 0u);
 }
 
 TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {
