@@ -4,12 +4,12 @@
 //    that avoid this problem?"
 //
 // We quantify the congestion the remark refers to: per-BFS-level
-// transmission and delivery counts during a k-message collection and a
-// k-broadcast. The root-adjacent levels carry the entire load, with per-
-// node transmissions growing toward the root like k / width(level).
+// transmission counts during a k-message collection on grid8x8. The
+// root-adjacent levels carry the entire load, with per-node transmissions
+// growing toward the root like k / width(level).
 //
-// Inherently serial: one traced engine run whose ActivityCounter is the
-// measurement; --jobs is accepted for harness uniformity only.
+// Inherently serial: one run_collection whose ActivityCounter trace sink is
+// the measurement; --jobs is accepted for harness uniformity only.
 
 #include <string>
 #include <vector>
@@ -17,7 +17,6 @@
 #include "common.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "protocols/broadcast_service.h"
 #include "protocols/collection.h"
 #include "protocols/tree.h"
 #include "radio/trace.h"
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   const BfsTree tree = oracle_bfs_tree(g, 0);
   const int k = 128;
 
-  // Collection with a trace: build manually to attach the counter.
   std::vector<Message> init;
   for (int i = 0; i < k; ++i) {
     Message m;
@@ -47,23 +45,10 @@ int main(int argc, char** argv) {
     m.seq = static_cast<std::uint32_t>(i);
     init.push_back(m);
   }
-  CollectionConfig ccfg = CollectionConfig::for_graph(g);
-  Rng master(rng.next());
-  std::vector<std::unique_ptr<CollectionStation>> st;
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    st.push_back(
-        std::make_unique<CollectionStation>(v, tree, ccfg, master.split(v)));
-  for (const Message& m : init) st[m.origin]->inject(m);
-  std::deque<SingleStation> adapters;
-  std::vector<Station*> ptrs;
-  for (auto& s : st) adapters.emplace_back(*s);
-  for (auto& a : adapters) ptrs.push_back(&a);
   ActivityCounter counter(g.num_nodes());
-  RadioNetwork net(g);
-  net.set_trace(&counter);
-  net.attach(std::move(ptrs));
-  while (st[0]->root_sink().size() < init.size() && net.now() < 10'000'000)
-    net.step();
+  CollectionConfig ccfg = CollectionConfig::for_graph(g);
+  ccfg.trace = &counter;
+  run_collection(g, tree, std::move(init), ccfg, rng.next(), 10'000'000);
 
   // Aggregate by level.
   std::vector<std::uint64_t> level_tx(tree.depth + 1, 0), level_n(tree.depth + 1, 0);

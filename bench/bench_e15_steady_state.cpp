@@ -5,18 +5,19 @@
 // network is dominated by the tandem, so measured <= model is the claim —
 // and the margin shows how conservative mu = e^-1(1-e^-1) is.
 //
-// The six (case, lambda) steady-state runs shard across --jobs threads;
-// seeds are drawn serially in loop order so every cell is job-count
-// independent.
+// Each of the six (case, lambda) cells is one service::run_service run
+// with Bernoulli arrivals and admission off. The cells shard across --jobs
+// threads; seeds are drawn serially in loop order so every cell is
+// job-count independent.
 
 #include <vector>
 
 #include "common.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "protocols/steady_state.h"
 #include "protocols/tree.h"
 #include "queueing/analysis.h"
+#include "service/service.h"
 #include "support/rng.h"
 
 using namespace radiomc;
@@ -54,9 +55,13 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[i];
     const Case& c = cases[cell.ci];
     const BfsTree tree = oracle_bfs_tree(c.g, 0);
-    return run_collection_steady_state(c.g, tree, mu * cell.frac,
-                                       /*phases=*/20'000, /*warmup=*/2'000,
-                                       cell.seed);
+    service::ServeConfig cfg;
+    cfg.arrival.kind = service::ArrivalKind::kBernoulli;
+    cfg.arrival.rate = mu * cell.frac;
+    cfg.admission.policy = service::AdmissionPolicy::kOff;
+    cfg.phases = 20'000;
+    cfg.warmup_phases = 2'000;
+    return service::run_service(c.g, tree, cfg, cell.seed);
   });
 
   JsonEmitter json("E15",

@@ -108,10 +108,4 @@ struct Trace {
   std::uint64_t jam_count = 0;        ///< txn == 1
 };
 
-/// Kinds that climb the BFS tree child -> parent (collection §4, the
-/// upbound half of p2p §5, nack repair, setup reports); the lifecycle
-/// builder treats an rx of such a kind with `from_parent == node` as an
-/// accepted hop.
-bool is_upbound_kind(MsgKind k) noexcept;
-
 }  // namespace radiomc::analysis

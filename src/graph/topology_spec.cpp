@@ -1,6 +1,6 @@
 #include "graph/topology_spec.h"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -19,29 +19,15 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& what) {
-  require(!s.empty(), "topology spec: missing " + what);
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  require(end != nullptr && *end == '\0',
-          "topology spec: bad " + what + " '" + s + "'");
-  return v;
-}
-
-double parse_double(const std::string& s, const std::string& what) {
-  require(!s.empty(), "topology spec: missing " + what);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  require(end != nullptr && *end == '\0',
-          "topology spec: bad " + what + " '" + s + "'");
-  return v;
+NodeId parse_size(const std::string& s, const std::string& what) {
+  return static_cast<NodeId>(parse_unsigned(
+      s, "topology spec: " + what, std::numeric_limits<NodeId>::max()));
 }
 
 std::pair<NodeId, NodeId> parse_dims(const std::string& s) {
   const auto xs = split(s, 'x');
   require(xs.size() == 2, "topology spec: dims must look like RxC");
-  return {static_cast<NodeId>(parse_u64(xs[0], "rows")),
-          static_cast<NodeId>(parse_u64(xs[1], "cols"))};
+  return {parse_size(xs[0], "rows"), parse_size(xs[1], "cols")};
 }
 
 void arity(const std::vector<std::string>& parts, std::size_t lo,
@@ -59,19 +45,19 @@ Graph from_spec(const std::string& spec, Rng& rng) {
 
   if (kind == "path") {
     arity(parts, 2, 2);
-    return path(static_cast<NodeId>(parse_u64(parts[1], "n")));
+    return path(parse_size(parts[1], "n"));
   }
   if (kind == "cycle") {
     arity(parts, 2, 2);
-    return cycle(static_cast<NodeId>(parse_u64(parts[1], "n")));
+    return cycle(parse_size(parts[1], "n"));
   }
   if (kind == "complete") {
     arity(parts, 2, 2);
-    return complete(static_cast<NodeId>(parse_u64(parts[1], "n")));
+    return complete(parse_size(parts[1], "n"));
   }
   if (kind == "star") {
     arity(parts, 2, 2);
-    return star(static_cast<NodeId>(parse_u64(parts[1], "n")));
+    return star(parse_size(parts[1], "n"));
   }
   if (kind == "grid") {
     arity(parts, 2, 2);
@@ -85,37 +71,36 @@ Graph from_spec(const std::string& spec, Rng& rng) {
   }
   if (kind == "hypercube") {
     arity(parts, 2, 2);
-    return hypercube(static_cast<std::uint32_t>(parse_u64(parts[1], "dims")));
+    return hypercube(parse_size(parts[1], "dims"));
   }
   if (kind == "tree") {
     arity(parts, 3, 3);
-    return rary_tree(static_cast<NodeId>(parse_u64(parts[1], "n")),
-                     static_cast<std::uint32_t>(parse_u64(parts[2], "r")));
+    return rary_tree(parse_size(parts[1], "n"), parse_size(parts[2], "r"));
   }
   if (kind == "random-tree") {
     arity(parts, 2, 2);
-    return random_tree(static_cast<NodeId>(parse_u64(parts[1], "n")), rng);
+    return random_tree(parse_size(parts[1], "n"), rng);
   }
   if (kind == "caterpillar") {
     arity(parts, 3, 3);
-    return caterpillar(static_cast<NodeId>(parse_u64(parts[1], "spine")),
-                       static_cast<NodeId>(parse_u64(parts[2], "legs")));
+    return caterpillar(parse_size(parts[1], "spine"),
+                       parse_size(parts[2], "legs"));
   }
   if (kind == "barbell") {
     arity(parts, 3, 3);
-    return barbell(static_cast<NodeId>(parse_u64(parts[1], "clique")),
-                   static_cast<NodeId>(parse_u64(parts[2], "bridge")));
+    return barbell(parse_size(parts[1], "clique"),
+                   parse_size(parts[2], "bridge"));
   }
   if (kind == "gnp") {
     arity(parts, 3, 3);
-    return gnp_connected(static_cast<NodeId>(parse_u64(parts[1], "n")),
-                         parse_double(parts[2], "p"), rng);
+    return gnp_connected(parse_size(parts[1], "n"),
+                         parse_real(parts[2], "topology spec: p"), rng);
   }
   if (kind == "udg") {
     arity(parts, 2, 3);
-    const NodeId n = static_cast<NodeId>(parse_u64(parts[1], "n"));
+    const NodeId n = parse_size(parts[1], "n");
     const double radius =
-        parts.size() == 3 ? parse_double(parts[2], "radius")
+        parts.size() == 3 ? parse_real(parts[2], "topology spec: radius")
                           : udg_connect_radius(n);
     return unit_disk_connected(n, radius, rng);
   }

@@ -9,26 +9,6 @@
 
 namespace radiomc {
 
-namespace {
-
-bool is_upbound_kind(MsgKind k) {
-  switch (k) {
-    case MsgKind::kData:
-    case MsgKind::kNack:
-    case MsgKind::kSetupReport:
-      return true;
-    case MsgKind::kAck:
-    case MsgKind::kLeader:
-    case MsgKind::kBfsAnnounce:
-    case MsgKind::kDfsToken:
-    case MsgKind::kBcastData:
-      return false;
-  }
-  return false;
-}
-
-}  // namespace
-
 CollectionStation::CollectionStation(NodeId me, const BfsTree& tree,
                                      CollectionConfig cfg, Rng rng)
     : CollectionStation(me, cfg, rng) {

@@ -31,6 +31,25 @@ enum class MsgKind : std::uint8_t {
   kSetupReport,   ///< "I joined the tree" verification message (§2)
 };
 
+/// Kinds that climb the BFS tree child -> parent (collection §4, the
+/// upbound half of p2p §5, nack repair, setup reports). A receiver accepts
+/// one as a hop when it names the receiver as the sender's parent.
+constexpr bool is_upbound_kind(MsgKind k) noexcept {
+  switch (k) {
+    case MsgKind::kData:
+    case MsgKind::kNack:
+    case MsgKind::kSetupReport:
+      return true;
+    case MsgKind::kAck:
+    case MsgKind::kLeader:
+    case MsgKind::kBfsAnnounce:
+    case MsgKind::kDfsToken:
+    case MsgKind::kBcastData:
+      return false;
+  }
+  return false;
+}
+
 struct Message {
   MsgKind kind = MsgKind::kData;
   NodeId origin = kNoNode;         ///< original source of the payload

@@ -8,8 +8,8 @@
 // cover the regimes the Hsu–Burke model cares about:
 //
 //  * Bernoulli(rate)  — at most one arrival per phase, the exact input
-//    process of the paper's model 1/4 analysis (steady_state.h uses the
-//    same law for its bounded-horizon measurement);
+//    process of the paper's model 1/4 analysis (E15 measures the Thm 4.15
+//    domination under it);
 //  * Poisson(rate)    — unbounded batch sizes via inverse-CDF sampling on
 //    a single uniform draw per phase, so the stream is a pure function of
 //    the split RNG stream it is constructed with;

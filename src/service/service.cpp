@@ -74,7 +74,7 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   require(tree.num_nodes() == n, "serve: tree/graph mismatch");
   require(n >= 2, "serve: need a non-root node");
 
-  // Candidate origins per placement (same rule as steady_state).
+  // Candidate origins per placement.
   std::vector<NodeId> origins;
   for (NodeId v = 0; v < n; ++v) {
     if (v == tree.root) continue;
@@ -125,7 +125,7 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   // Live registry handles, resolved once (registry references are stable).
   // Counters hold *full-run* running totals so a SnapshotStreamer sees the
   // service breathe from slot one; the outcome's counters cover only the
-  // measured window (warmup excluded), matching steady_state semantics.
+  // measured window (warmup excluded).
   telemetry::Counter* c_arrivals = nullptr;
   telemetry::Counter* c_admitted = nullptr;
   telemetry::Counter* c_deferred = nullptr;

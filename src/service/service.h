@@ -19,6 +19,10 @@
 // splits, and the fault stream is derived only when a plan is active — the
 // same byte-identical discipline as every bounded driver in this tree.
 //
+// With `bernoulli:lambda` arrivals and admission off this is the §4.3
+// open-system measurement behind E15: the stationary population and
+// sojourn the Theorem 4.15 tandem must dominate.
+//
 // Certification of a finished run (throughput / sojourn / exactly-once
 // verdicts against the Theorem 4.15 closed forms) lives in
 // service/certify.h.
@@ -28,7 +32,7 @@
 
 #include "faults/fault_plan.h"
 #include "graph/graph.h"
-#include "protocols/steady_state.h"
+#include "protocols/collection.h"
 #include "protocols/tree.h"
 #include "radio/trace.h"
 #include "service/admission.h"
@@ -48,6 +52,12 @@ class Monitor;  // src/health/monitor.h; forward-declared for the same
 }  // namespace radiomc
 
 namespace radiomc::service {
+
+/// Where the driver places each new message.
+enum class ArrivalPlacement {
+  kDeepestLevel,  ///< arrivals at max-level nodes (the models' node D)
+  kUniform,       ///< arrivals at uniform random non-root nodes
+};
 
 struct ServeConfig {
   ArrivalSpec arrival;

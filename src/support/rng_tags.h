@@ -20,7 +20,7 @@
 //                      keep registry scalars below 0x100 or above 0xFFFF
 //                      only when the surrounding code cannot also split
 //                      on a station id from the same parent
-//   0x....  16-bit     protocol/driver stream scalars (0x5E21, 0xA221, ...)
+//   0x....  16-bit     protocol/driver stream scalars (0x5E21, 0x7a4d, ...)
 //   0xFA17____         fault event-kind streams (fault_schedule.cpp)
 //   0xFA5EED__         fault master-seed derivation (fault_plan.h contract)
 
@@ -44,9 +44,6 @@ inline constexpr std::uint64_t kSetupCollRetryBase = 200;
 /// Service-mode driver streams (service/service.cpp).
 inline constexpr std::uint64_t kServiceArrival = 0x5E21;
 inline constexpr std::uint64_t kServicePlacement = 0x5E22;
-
-/// Steady-state collection arrival stream (protocols/steady_state.cpp).
-inline constexpr std::uint64_t kSteadyArrival = 0xA221;
 
 /// Tandem-queue model drivers (queueing/models.cpp §2/§3/§4 figures).
 inline constexpr std::uint64_t kModel2Tandem = 0x7a4d;

@@ -1,8 +1,11 @@
 #pragma once
 
-// Small arithmetic helpers shared across the library.
+// Small arithmetic and input-checking helpers shared across the library.
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -37,6 +40,36 @@ constexpr std::uint32_t decay_length(std::uint32_t max_degree) noexcept {
 /// validate public API preconditions (Core Guidelines I.6).
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw std::invalid_argument(msg);
+}
+
+/// The checked number parser for command-line and spec input: `text` must
+/// be a whole unsigned decimal integer no larger than `max`. Empty input, a
+/// sign, trailing junk and out-of-range values throw std::invalid_argument
+/// naming the field `what` (unlike strtoull, which negates a leading '-'
+/// and stops at junk).
+inline std::uint64_t parse_unsigned(
+    const std::string& text, const std::string& what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  require(!text.empty() && ptr == end,
+          what + " '" + text + "' is not an unsigned decimal integer");
+  require(ec != std::errc::result_out_of_range && v <= max,
+          what + " '" + text + "' exceeds the maximum " + std::to_string(max));
+  return v;
+}
+
+/// parse_unsigned's twin for real fields: a finite, unsigned decimal number
+/// ("0.25", "1e-3"); the caller checks the range.
+inline double parse_real(const std::string& text, const std::string& what) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  require(!text.empty() && text[0] != '-' && ptr == end &&
+              ec == std::errc() && std::isfinite(v),
+          what + " '" + text + "' is not an unsigned finite number");
+  return v;
 }
 
 }  // namespace radiomc

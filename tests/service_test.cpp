@@ -121,6 +121,8 @@ TEST(Arrival, ParseRejectsWithSpecificMessages) {
   EXPECT_MSG(ArrivalSpec::parse(""), "arrival spec: empty");
   EXPECT_MSG(ArrivalSpec::parse("uniform:1"), "unknown kind 'uniform'");
   EXPECT_MSG(ArrivalSpec::parse("bernoulli"), "takes exactly one parameter");
+  EXPECT_MSG(ArrivalSpec::parse("bernoulli:0"), "must be in (0, 1)");
+  EXPECT_MSG(ArrivalSpec::parse("bernoulli:1"), "must be in (0, 1)");
   EXPECT_MSG(ArrivalSpec::parse("bernoulli:1.5"), "must be in (0, 1)");
   EXPECT_MSG(ArrivalSpec::parse("poisson:x"), "'x' is not a number");
   EXPECT_MSG(ArrivalSpec::parse("poisson:2abc"), "trailing junk");
@@ -205,6 +207,13 @@ ServeConfig BaseConfig(const std::string& arrival, std::uint64_t phases,
   return cfg;
 }
 
+/// Bernoulli(rate) arrivals with admission off: the §4.3 open system.
+ServeConfig OpenLoop(double rate, std::uint64_t phases, std::uint64_t warmup) {
+  ServeConfig cfg = BaseConfig("bernoulli:0.5", phases, warmup);
+  cfg.arrival.rate = rate;
+  return cfg;
+}
+
 TEST(Serve, DeterministicAcrossRuns) {
   const Graph g = gen::grid(4, 4);
   const BfsTree tree = oracle_bfs_tree(g, 0);
@@ -236,6 +245,63 @@ TEST(Serve, ConservesMessagesWithoutWarmup) {
   EXPECT_EQ(out.admitted, out.delivered + out.backlog);
   EXPECT_EQ(out.duplicates, 0u);
   EXPECT_EQ(out.status, RunStatus::kOk);
+}
+
+// The §4.3 open system (Bernoulli arrivals, admission off) that experiment
+// E15 measures.
+TEST(SteadyState, ConservesMessages) {
+  const Graph g = gen::grid(4, 4);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const ServeOutcome out = run_service(g, tree, OpenLoop(0.1, 3000, 0), 11);
+  // At low load everything injected drains: delivered ~ arrivals (the last
+  // few may be in flight).
+  EXPECT_GE(out.arrivals, 200u);
+  EXPECT_GE(out.delivered + 20, out.arrivals);
+}
+
+TEST(SteadyState, PopulationGrowsWithLoad) {
+  const Graph g = gen::path(13);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const double mu = queueing::mu_decay();
+  const ServeOutcome lo =
+      run_service(g, tree, OpenLoop(0.2 * mu, 8000, 1000), 12);
+  const ServeOutcome hi =
+      run_service(g, tree, OpenLoop(0.9 * mu, 8000, 1000), 12);
+  EXPECT_GT(hi.population.mean(), lo.population.mean());
+  EXPECT_GT(hi.sojourn_phases.mean(), 0.0);
+}
+
+TEST(SteadyState, DominatedByModel4ClosedForms) {
+  // Theorem 4.15: the live network is dominated by the model-4 tandem.
+  const Graph g = gen::path(11);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const double mu = queueing::mu_decay();
+  const double lambda = mu / 2;
+  const ServeOutcome out =
+      run_service(g, tree, OpenLoop(lambda, 15000, 2000), 13);
+  EXPECT_LE(out.population.mean(),
+            tree.depth * queueing::mean_queue_length(lambda, mu) * 1.05);
+  EXPECT_LE(out.sojourn_phases.mean(),
+            tree.depth * queueing::mean_wait(lambda, mu) * 1.05);
+}
+
+TEST(SteadyState, UniformPlacementWorksToo) {
+  const Graph g = gen::grid(4, 4);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  ServeConfig cfg = OpenLoop(0.15, 4000, 500);
+  cfg.placement = ArrivalPlacement::kUniform;
+  const ServeOutcome out = run_service(g, tree, cfg, 14);
+  EXPECT_GT(out.delivered, 0u);
+  EXPECT_GT(out.sojourn_phases.mean(), 0.0);
+}
+
+TEST(SteadyState, ValidatesArguments) {
+  const Graph g = gen::path(4);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  EXPECT_THROW(run_service(g, tree, OpenLoop(0.0, 10, 0), 1),
+               std::invalid_argument);
+  EXPECT_THROW(run_service(g, tree, OpenLoop(1.0, 10, 0), 1),
+               std::invalid_argument);
 }
 
 TEST(Serve, AutosleepIsByteIdenticalAndCheaper) {

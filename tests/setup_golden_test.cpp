@@ -182,6 +182,11 @@ std::string row(const Golden& g) {
   return o.str();
 }
 
+/// Prints a cell by name. Without it gtest prints the cell's raw bytes,
+/// which include the address of `name`, so the listed test ids would change
+/// from one process to the next.
+void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
+
 class SetupGolden : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(SetupGolden, PinnedToThePreSleepEngine) {

@@ -8,7 +8,6 @@
 #include "graph/generators.h"
 #include "protocols/broadcast_service.h"
 #include "protocols/collection.h"
-#include "protocols/steady_state.h"
 #include "protocols/tree.h"
 #include "queueing/analysis.h"
 #include "radio/schedule.h"
@@ -68,8 +67,12 @@ TEST(Soak, OpenSystemHighLoadStaysStable) {
   // still subcritical); the run ends with the backlog drained to O(model).
   const Graph g = gen::grid(4, 4);
   const BfsTree tree = oracle_bfs_tree(g, 0);
-  const auto out = run_collection_steady_state(
-      g, tree, 0.95 * 0.2325, /*phases=*/30'000, /*warmup=*/5'000, 0x50AE);
+  service::ServeConfig cfg;
+  cfg.arrival.kind = service::ArrivalKind::kBernoulli;
+  cfg.arrival.rate = 0.95 * 0.2325;
+  cfg.phases = 30'000;
+  cfg.warmup_phases = 5'000;
+  const service::ServeOutcome out = service::run_service(g, tree, cfg, 0x50AE);
   EXPECT_GT(out.delivered, 5'000u);
   // Population stays bounded (far below the total injected).
   EXPECT_LT(out.population.mean(), 50.0);

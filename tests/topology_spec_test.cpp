@@ -52,6 +52,12 @@ TEST(TopologySpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse("gnp:10:x"), std::invalid_argument);
   EXPECT_THROW(parse("tree:10"), std::invalid_argument);
   EXPECT_THROW(parse("path:5:9"), std::invalid_argument);
+  // Signs, trailing junk and sizes beyond NodeId are rejected, never
+  // wrapped or truncated into a huge allocation.
+  EXPECT_THROW(parse("path:-1"), std::invalid_argument);
+  EXPECT_THROW(parse("grid:-2x3"), std::invalid_argument);
+  EXPECT_THROW(parse("path:5x"), std::invalid_argument);
+  EXPECT_THROW(parse("path:4294967296"), std::invalid_argument);
 }
 
 TEST(TopologySpec, GrammarMentionsEveryFamily) {

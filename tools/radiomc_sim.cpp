@@ -50,6 +50,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -64,7 +65,6 @@
 #include "perf/snapshot.h"
 #include "graph/graph_io.h"
 #include "graph/topology_spec.h"
-#include "protocols/steady_state.h"
 #include "queueing/analysis.h"
 #include "protocols/bgi_broadcast.h"
 #include "protocols/broadcast_service.h"
@@ -86,6 +86,9 @@ using namespace radiomc;
 
 namespace {
 
+/// Ceiling for flags narrowed to 32 bits (node ids, counts, --jobs).
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -95,13 +98,16 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? dflt : it->second;
   }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t dflt) const {
+  std::uint64_t get_u64(
+      const std::string& key, std::uint64_t dflt,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::stoull(it->second);
+    return it == options.end() ? dflt
+                               : parse_unsigned(it->second, "--" + key, max);
   }
   double get_f64(const std::string& key, double dflt) const {
     const auto it = options.find(key);
-    return it == options.end() ? dflt : std::stod(it->second);
+    return it == options.end() ? dflt : parse_real(it->second, "--" + key);
   }
 };
 
@@ -162,7 +168,6 @@ int usage() {
       "\n"
       "commands:\n"
       "  topo       print graph statistics   [--dot [--tree]] [--edges]\n"
-      "  steady     open-system collection   [--lambda F] [--phases P]\n"
       "  serve      continuous-traffic service (open-loop soak driver)\n"
       "             [--arrival bernoulli:R|poisson:R|mmpp:R0:R1:PON:POFF]\n"
       "             [--phases P | --slots N] [--warmup P] [--uniform]\n"
@@ -363,7 +368,7 @@ World make_world(const Args& a, std::uint64_t seed, bool need_setup,
   if (need_setup) {
     SetupTuning tuning;
     tuning.random_id_bits =
-        static_cast<std::uint32_t>(a.get_u64("anon", 0));
+        static_cast<std::uint32_t>(a.get_u64("anon", 0, kU32Max));
     tuning.telemetry = tel;
     tuning.trace = setup_trace;
     tuning.profiler = profiler;
@@ -373,7 +378,7 @@ World make_world(const Args& a, std::uint64_t seed, bool need_setup,
     // under sustained faults the default budget of 12 can take ~2^12x the
     // base attempt length before reporting degraded.
     const auto max_attempts =
-        static_cast<std::uint32_t>(a.get_u64("attempts", 12));
+        static_cast<std::uint32_t>(a.get_u64("attempts", 12, kU32Max));
     w.setup = run_setup(w.g, rng.next(), tuning, max_attempts);
     if (setup_faults == nullptr || !setup_faults->any())
       require(w.setup.ok, "setup failed");
@@ -433,7 +438,7 @@ int run_cmd(const Args& a, CoreFn core) {
           "stream cannot interleave independent slot clocks");
   unsigned jobs = jobs_from_env(1);
   if (a.has("jobs")) {
-    jobs = static_cast<unsigned>(a.get_u64("jobs", 1));
+    jobs = static_cast<unsigned>(a.get_u64("jobs", 1, kU32Max));
     if (jobs == 0) jobs = hardware_jobs();
   }
   obs.perf_jobs = jobs;
@@ -506,44 +511,6 @@ int cmd_topo(const Args& a) {
   return obs.finish(0);
 }
 
-int cmd_steady(const Args& a) {
-  Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
-  Rng rng(a.get_u64("seed", 1) ^ 0xB5);
-  const double mu = queueing::mu_decay();
-  const double lambda =
-      std::stod(a.get("lambda", "0.5")) * mu;  // --lambda = fraction of mu
-  const FaultPlan faults = faults_from_args(a);
-  const auto out = run_collection_steady_state(
-      w.g, w.setup.tree, lambda, a.get_u64("phases", 20000),
-      a.get_u64("warmup", 2000), rng.next(),
-      ArrivalPlacement::kDeepestLevel, faults, obs.profiler(),
-      obs.slot_hook());
-  obs.tel.timeline.record(
-      "steady_state", "phases", 0, out.phases,  // span unit: phases
-      {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
-       {"delivered", static_cast<std::int64_t>(out.delivered)}});
-  obs.tel.metrics.counter("steady.arrivals").inc(out.arrivals);
-  obs.tel.metrics.counter("steady.delivered").inc(out.delivered);
-  obs.tel.metrics.gauge("steady.mean_population").set(out.population.mean());
-  obs.tel.metrics.gauge("steady.mean_sojourn_phases")
-      .set(out.sojourn_phases.mean());
-  std::printf("open-system collection at lambda = %.4f (%.0f%% of mu):\n",
-              lambda, 100.0 * lambda / mu);
-  std::printf("  arrivals/delivered  = %llu / %llu\n",
-              static_cast<unsigned long long>(out.arrivals),
-              static_cast<unsigned long long>(out.delivered));
-  std::printf("  mean population     = %.3f (model-4 bound %.3f)\n",
-              out.population.mean(),
-              w.setup.tree.depth * queueing::mean_queue_length(lambda, mu));
-  std::printf("  mean sojourn phases = %.3f (model-4 bound %.3f)\n",
-              out.sojourn_phases.mean(),
-              w.setup.tree.depth * queueing::mean_wait(lambda, mu));
-  std::fputs(fault_report_line(faults).c_str(), stdout);
-  return obs.finish(0);
-}
-
 TrialOut setup_core(const Args& a, std::uint64_t seed,
                     telemetry::Telemetry* tel,
                     telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
@@ -582,7 +549,7 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
                     perf::Profiler* prof, SlotHook*) {
   Rng rng(seed);
   const Graph g = gen::from_spec(a.get("topology", ""), rng);
-  const NodeId source = static_cast<NodeId>(a.get_u64("source", 0));
+  const NodeId source = static_cast<NodeId>(a.get_u64("source", 0, kU32Max));
   const FaultPlan faults = faults_from_args(a);
   const std::uint64_t phases =
       4 * (diameter(g) + 2 * ceil_log2(g.num_nodes()) + 4);
@@ -712,7 +679,7 @@ TrialOut broadcast_core(const Args& a, std::uint64_t seed,
   const std::uint64_t k = a.get_u64("k", 16);
   BroadcastServiceConfig cfg = BroadcastServiceConfig::for_graph(w.g);
   cfg.distribution.window =
-      static_cast<std::uint32_t>(a.get_u64("window", 0));
+      static_cast<std::uint32_t>(a.get_u64("window", 0, kU32Max));
   cfg.telemetry = tel;
   cfg.trace = trace;
   cfg.profiler = prof;
@@ -773,7 +740,7 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
                    ? (a.get_u64("slots", 0) + spp - 1) / spp
                    : a.get_u64("phases", 20'000);
   cfg.warmup_phases = a.get_u64("warmup", 2'000);
-  if (a.has("uniform")) cfg.placement = ArrivalPlacement::kUniform;
+  if (a.has("uniform")) cfg.placement = svc::ArrivalPlacement::kUniform;
   cfg.dedup_guard = !a.has("no-dedup");
   cfg.autosleep = !a.has("no-autosleep");
   cfg.faults = faults_from_args(a);
@@ -939,7 +906,7 @@ int cmd_ethernet(const Args& a) {
                        nullptr, obs.profiler());
   Rng rng(a.get_u64("seed", 1) ^ 0xB4);
   const std::uint32_t frames =
-      static_cast<std::uint32_t>(a.get_u64("frames", 1));
+      static_cast<std::uint32_t>(a.get_u64("frames", 1, kU32Max));
   std::vector<std::uint32_t> backlog(w.g.num_nodes(), frames);
   const auto out =
       run_ethernet_backoff(w.g, w.setup.tree, backlog, rng.next());
@@ -980,7 +947,6 @@ int main(int argc, char** argv) {
     if (a.command == "broadcast") return cmd_broadcast(a);
     if (a.command == "ranking") return cmd_ranking(a);
     if (a.command == "ethernet") return cmd_ethernet(a);
-    if (a.command == "steady") return cmd_steady(a);
     if (a.command == "serve") return cmd_serve(a);
     return usage();
   } catch (const std::exception& e) {

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -30,6 +31,7 @@
 #include "analysis/lifecycle.h"
 #include "analysis/report.h"
 #include "analysis/trace_reader.h"
+#include "support/util.h"
 
 using namespace radiomc;
 using namespace radiomc::analysis;
@@ -72,9 +74,11 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
     } else if (arg == "--json" && i + 1 < argc) {
       cli->json_out = argv[++i];
     } else if (arg == "--origin" && i + 1 < argc) {
-      cli->origin = std::stoull(argv[++i]);
+      cli->origin = parse_unsigned(argv[++i], "--origin",
+                                   std::numeric_limits<NodeId>::max());
     } else if (arg == "--seq" && i + 1 < argc) {
-      cli->seq = std::stoull(argv[++i]);
+      cli->seq = parse_unsigned(argv[++i], "--seq",
+                                std::numeric_limits<std::uint32_t>::max());
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -140,20 +144,21 @@ int cmd_audit(const Cli& cli, const Trace& trace) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli;
-  if (!parse_cli(argc, argv, &cli)) return usage();
-  const TraceReadResult read = read_trace_file(cli.file);
-  if (!read.ok) {
-    if (read.line_no > 0) {
-      std::fprintf(stderr, "%s:%llu: %s\n", cli.file.c_str(),
-                   static_cast<unsigned long long>(read.line_no),
-                   read.error.c_str());
-    } else {
-      std::fprintf(stderr, "%s: %s\n", cli.file.c_str(), read.error.c_str());
-    }
-    return 2;
-  }
   try {
+    Cli cli;
+    if (!parse_cli(argc, argv, &cli)) return usage();
+    const TraceReadResult read = read_trace_file(cli.file);
+    if (!read.ok) {
+      if (read.line_no > 0) {
+        std::fprintf(stderr, "%s:%llu: %s\n", cli.file.c_str(),
+                     static_cast<unsigned long long>(read.line_no),
+                     read.error.c_str());
+      } else {
+        std::fprintf(stderr, "%s: %s\n", cli.file.c_str(),
+                     read.error.c_str());
+      }
+      return 2;
+    }
     if (cli.sub == "report") return cmd_report(cli, read.trace);
     if (cli.sub == "lifecycle") return cmd_lifecycle(cli, read.trace);
     if (cli.sub == "audit") return cmd_audit(cli, read.trace);
