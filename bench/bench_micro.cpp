@@ -227,8 +227,11 @@ int run(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
   double min_time_ms = 100.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-time-ms") == 0 && i + 1 < argc)
-      min_time_ms = std::strtod(argv[++i], nullptr);
+    if (std::strcmp(argv[i], "--min-time-ms") == 0 && i + 1 < argc) {
+      const char* text = argv[++i];
+      min_time_ms = bench::checked_flag(
+          [text] { return parse_real(text, "--min-time-ms"); });
+    }
   }
   if (min_time_ms <= 0.0) min_time_ms = 1.0;
 

@@ -18,12 +18,15 @@
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "support/parallel.h"
 #include "support/stats.h"
+#include "support/util.h"
 #include "telemetry/json_writer.h"
 
 namespace radiomc::bench {
@@ -35,12 +38,28 @@ struct Options {
   unsigned jobs = 1;
 };
 
+/// Parses a bench flag's value with a checked parser (support/util.h); a
+/// malformed value ends the run with exit code 2 and the parser's message.
+template <typename Parse>
+auto checked_flag(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 inline Options parse_options(int argc, char** argv) {
   Options o;
   o.jobs = jobs_from_env();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const unsigned long v = std::strtoul(argv[++i], nullptr, 10);
+      const char* text = argv[++i];
+      const auto v = checked_flag([text] {
+        return parse_unsigned(text, "--jobs",
+                              std::numeric_limits<unsigned>::max());
+      });
       o.jobs = v == 0 ? hardware_jobs() : static_cast<unsigned>(v);
     }
   }

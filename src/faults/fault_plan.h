@@ -47,7 +47,8 @@ inline constexpr std::uint64_t kNoSlotLimit = ~0ULL;
 // their master stream is `rng_tags::kFaultStream` (support/rng_tags.h):
 // large so it can never collide with the small per-station tags
 // (`master.split(v)`), and drawn only when a plan is active — fault-free
-// runs consume exactly the historical stream.
+// runs consume exactly the historical stream. FaultSchedule::for_run is
+// the one place that draws it.
 
 struct FaultPlan {
   double crash_rate = 0.0;     ///< per node per epoch, in [0, 1]
@@ -85,5 +86,44 @@ struct FaultPlan {
 enum class RunStatus : std::uint8_t { kOk, kDegraded, kFailed };
 
 const char* to_string(RunStatus s) noexcept;
+
+/// The progress watchdog a run driver arms with its `stall_slots`. After
+/// each slot the driver asks `stalled(now, progress)`, where `progress`
+/// returns a measure that only grows (messages at the root, requests
+/// served); the watchdog fires once it has not grown for `limit` slots. A
+/// zero limit never fires and never evaluates `progress`.
+class StallWatchdog {
+ public:
+  StallWatchdog(std::uint64_t limit, std::uint64_t progress,
+                std::uint64_t now = 0) noexcept
+      : limit_(limit), progress_(progress), since_(now) {}
+
+  template <typename Progress>
+  bool stalled(std::uint64_t now, Progress&& progress) {
+    if (limit_ == 0) return false;
+    const std::uint64_t p = progress();
+    if (p > progress_) {
+      progress_ = p;
+      since_ = now;
+      return false;
+    }
+    fired_ = now - since_ >= limit_;
+    return fired_;
+  }
+
+  /// The run's outcome: kOk when it completed, kDegraded when the
+  /// watchdog stopped it, kFailed when the slot budget ran out.
+  RunStatus status(bool completed) const noexcept {
+    return completed ? RunStatus::kOk
+           : fired_  ? RunStatus::kDegraded
+                     : RunStatus::kFailed;
+  }
+
+ private:
+  std::uint64_t limit_;
+  std::uint64_t progress_;
+  std::uint64_t since_;
+  bool fired_ = false;
+};
 
 }  // namespace radiomc

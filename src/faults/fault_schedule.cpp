@@ -34,6 +34,12 @@ std::uint64_t pack_rx(NodeId v, std::uint32_t channel) noexcept {
 
 }  // namespace
 
+FaultSchedule FaultSchedule::for_run(const Graph& g, const FaultPlan& plan,
+                                     Rng& master) {
+  if (!plan.any()) return {};
+  return {g, plan, master.split(rng_tags::kFaultStream).next()};
+}
+
 FaultSchedule::FaultSchedule(const Graph& g, const FaultPlan& plan,
                              std::uint64_t seed)
     : plan_(plan) {

@@ -20,9 +20,10 @@
 // byte-identical under any `--jobs`, and two schedules built from the same
 // triple answer every query identically.
 //
-// The engine consumes it through `RadioNetwork::set_faults` (non-owning,
-// like `set_trace`); `enabled() == false` (default-constructed, or an
-// all-zero plan) makes the hook free.
+// Run drivers build theirs with `FaultSchedule::for_run` and hand it to the
+// engine through `RadioNetwork::set_faults` (non-owning, like `set_trace`);
+// `enabled() == false` (default-constructed, or an all-zero plan) makes the
+// hook free.
 
 #include <cstdint>
 #include <vector>
@@ -31,6 +32,8 @@
 #include "graph/graph.h"
 
 namespace radiomc {
+
+class Rng;
 
 class FaultSchedule {
  public:
@@ -49,6 +52,14 @@ class FaultSchedule {
   /// Compiles `plan` (validated here) against `g`. The graph must outlive
   /// the schedule. An all-zero plan yields a disabled schedule.
   FaultSchedule(const Graph& g, const FaultPlan& plan, std::uint64_t seed);
+
+  /// A run driver's schedule: `plan` compiled with the seed
+  /// `master.split(rng_tags::kFaultStream).next()`, or a disabled schedule
+  /// that draws nothing from `master` when the plan is all-zero, so a
+  /// fault-free run consumes exactly the historical stream. Call it where
+  /// the driver's stream order places the fault draw.
+  static FaultSchedule for_run(const Graph& g, const FaultPlan& plan,
+                               Rng& master);
 
   bool enabled() const noexcept { return enabled_; }
   const FaultPlan& plan() const noexcept { return plan_; }

@@ -2,9 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <stdexcept>
+
+#include "support/util.h"
 
 namespace radiomc::health {
 
@@ -15,12 +16,26 @@ namespace {
 }
 
 double parse_num(std::string_view tok, std::string_view clause) {
-  const std::string s(tok);
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || !std::isfinite(v))
-    bad("bad number '" + s + "' in '" + std::string(clause) + "'");
-  return v;
+  try {
+    return parse_real(std::string(tok), "bad number");
+  } catch (const std::invalid_argument& e) {
+    bad(e.what() + (" in '" + std::string(clause) + "'"));
+  }
+}
+
+/// A count (stall windows, min count): a positive integer written in
+/// plain decimal digits.
+std::uint64_t parse_count(std::string_view tok, std::string_view clause,
+                          const std::string& what) {
+  const double v = parse_num(tok, clause);
+  if (v < 1.0 || v != std::floor(v))
+    bad(what + " must be a positive integer in '" + std::string(clause) +
+        "'");
+  try {
+    return parse_unsigned(std::string(tok), what);
+  } catch (const std::invalid_argument& e) {
+    bad(e.what() + (" in '" + std::string(clause) + "'"));
+  }
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {
@@ -199,23 +214,13 @@ RuleSet RuleSet::parse(std::string_view spec) {
     if (toks.size() - 1 > max_params)
       bad("too many parameters in '" + std::string(clause) + "'");
     if (r.kind == RuleKind::kStall) {
-      if (toks.size() > 1) {
-        const double v = parse_num(toks[1], clause);
-        if (v < 1.0 || v != std::floor(v))
-          bad("stall windows must be a positive integer in '" +
-              std::string(clause) + "'");
-        r.min_count = static_cast<std::uint64_t>(v);
-      }
+      if (toks.size() > 1)
+        r.min_count = parse_count(toks[1], clause, "stall windows");
     } else {
       if (toks.size() > 1) r.trip = parse_num(toks[1], clause);
       if (toks.size() > 2) r.clear = parse_num(toks[2], clause);
-      if (toks.size() > 3) {
-        const double v = parse_num(toks[3], clause);
-        if (v < 1.0 || v != std::floor(v))
-          bad("min count must be a positive integer in '" +
-              std::string(clause) + "'");
-        r.min_count = static_cast<std::uint64_t>(v);
-      }
+      if (toks.size() > 3)
+        r.min_count = parse_count(toks[3], clause, "min count");
     }
     validate(r, clause);
     set.rules.push_back(r);

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -98,11 +97,8 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
   for (auto& a : adapters) ptrs.push_back(&a);
 
   RadioNetwork net(g);
-  FaultSchedule fsch;
-  if (faults.any()) {
-    fsch = FaultSchedule(g, faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
+  FaultSchedule fsch = FaultSchedule::for_run(g, faults, master);
+  net.set_faults(&fsch);
   net.attach(std::move(ptrs));
   net.run(phases * dl);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "perf/profiler.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -97,13 +96,10 @@ BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
   }
   for (auto& m : muxes_) ptrs.push_back(m.get());
   net_ = std::make_unique<RadioNetwork>(g, ncfg);
-  if (cfg.trace != nullptr) net_->set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net_->set_slot_hook(cfg.slot_hook);
-  if (cfg.faults.any()) {
-    faults_ = std::make_unique<FaultSchedule>(
-        g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net_->set_faults(faults_.get());
-  }
+  net_->observe(cfg);
+  faults_ = std::make_unique<FaultSchedule>(
+      FaultSchedule::for_run(g, cfg.faults, master));
+  net_->set_faults(faults_.get());
   net_->attach(std::move(ptrs));
 }
 
@@ -135,30 +131,18 @@ std::uint32_t BroadcastService::min_delivered_prefix() const {
 }
 
 bool BroadcastService::run_until_delivered(SlotTime max_slots) {
-  std::uint32_t progress_prefix = min_delivered_prefix();
-  SlotTime progress_slot = net_->now();
-  bool stalled = false;
+  const auto prefix = [this] { return min_delivered_prefix(); };
+  StallWatchdog watchdog(cfg_.stall_slots, prefix(), net_->now());
   while (net_->now() < max_slots) {
-    if (min_delivered_prefix() >= originated_) {
+    if (prefix() >= originated_) {
       status_ = RunStatus::kOk;
       return true;
     }
     net_->step();
-    if (cfg_.stall_slots > 0) {
-      const std::uint32_t prefix = min_delivered_prefix();
-      if (prefix > progress_prefix) {
-        progress_prefix = prefix;
-        progress_slot = net_->now();
-      } else if (net_->now() - progress_slot >= cfg_.stall_slots) {
-        stalled = true;
-        break;
-      }
-    }
+    if (watchdog.stalled(net_->now(), prefix)) break;
   }
-  const bool done = min_delivered_prefix() >= originated_;
-  status_ = done      ? RunStatus::kOk
-            : stalled ? RunStatus::kDegraded
-                      : RunStatus::kFailed;
+  const bool done = prefix() >= originated_;
+  status_ = watchdog.status(done);
   return done;
 }
 
@@ -199,21 +183,8 @@ KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,
         .inc(root.root_idle_rebroadcasts());
     telemetry::publish_net_metrics(svc.metrics(), tel.metrics,
                                    "distribution");
-    if (svc.faults() != nullptr && svc.faults()->enabled()) {
-      const FaultSchedule& fsch = *svc.faults();
-      telemetry::publish_fault_metrics(fsch, svc.metrics(), tel.metrics,
-                                       "distribution");
-      tel.timeline.record(
-          "faults", "distribution", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(fsch.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(fsch.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(fsch.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(svc.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(svc.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    telemetry::publish_fault_run(tel, svc.faults(), svc.metrics(),
+                                 "distribution", out.slots, out.status);
   }
   return out;
 }

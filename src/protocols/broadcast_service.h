@@ -27,7 +27,11 @@
 
 namespace radiomc {
 
-struct BroadcastServiceConfig {
+/// The observers (radio/trace.h) serve run_k_broadcast: a distribution span
+/// with resend/idle-rebroadcast counters in the hub, a "broadcast.run"
+/// profiler span with slot/resend counters. The observers inside
+/// `collection` are ignored: the service runs one network.
+struct BroadcastServiceConfig : Observers {
   CollectionConfig collection;
   DistributionConfig distribution;
   /// Separate channels (paper's default) or odd/even time multiplexing.
@@ -36,19 +40,6 @@ struct BroadcastServiceConfig {
   /// Physical-layer knobs (e.g. the Remark-3 capture model); the channel
   /// count is set by `mode` and any value here is overwritten.
   RadioNetwork::Config engine;
-
-  /// Optional observability, used by run_k_broadcast: a distribution span
-  /// with resend/idle-rebroadcast counters plus the engine totals.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the service's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_k_broadcast opens a
-  /// "broadcast.run" span and bumps slot/resend counters (perf-purity:
-  /// write-only, never read back).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the service's network.
-  SlotHook* slot_hook = nullptr;
 
   /// Fault injection (src/faults/), compiled by the service against the
   /// graph and a stream split off the seed. The per-protocol plans inside
@@ -88,8 +79,8 @@ class BroadcastService {
   /// outcome afterwards.
   bool run_until_delivered(SlotTime max_slots);
   RunStatus status() const noexcept { return status_; }
-  /// The service's fault schedule, or nullptr when faults are off.
-  const FaultSchedule* faults() const noexcept { return faults_.get(); }
+  /// The service's fault schedule (disabled when faults are off).
+  const FaultSchedule& faults() const noexcept { return *faults_; }
 
   SlotTime now() const;
   std::uint64_t originated() const noexcept { return originated_; }

@@ -4,7 +4,6 @@
 
 #include "perf/profiler.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -191,15 +190,10 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   for (auto& a : adapters) ptrs.push_back(&a);
 
   RadioNetwork net(g);
-  if (cfg.trace != nullptr) net.set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  FaultSchedule faults;
-  if (cfg.faults.any()) {
-    // Derived after the station splits, and only when a plan is active, so
-    // fault-free runs consume exactly the historical stream.
-    faults = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
+  net.observe(cfg);
+  // Derived after the station splits.
+  FaultSchedule faults = FaultSchedule::for_run(g, cfg.faults, master);
+  net.set_faults(&faults);
   net.attach(std::move(ptrs));
 
   CollectionOutcome out;
@@ -240,30 +234,19 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   };
 
   const CollectionStation* root = stations[tree.root].get();
-  std::size_t progress_count = root->root_sink().size();
-  SlotTime progress_slot = 0;
-  bool stalled = false;
+  const auto arrived = [root] { return root->root_sink().size(); };
+  StallWatchdog watchdog(cfg.stall_slots, arrived());
   {
     perf::PerfSpan drain_span(cfg.profiler, "collection.drain");
-    while (root->root_sink().size() < expected && net.now() < max_slots) {
+    while (arrived() < expected && net.now() < max_slots) {
       if (net.now() % slots_per_phase == 0)
         snapshot_occupancy(net.now() / slots_per_phase);
       net.step();
-      if (cfg.stall_slots > 0) {
-        if (root->root_sink().size() > progress_count) {
-          progress_count = root->root_sink().size();
-          progress_slot = net.now();
-        } else if (net.now() - progress_slot >= cfg.stall_slots) {
-          stalled = true;
-          break;
-        }
-      }
+      if (watchdog.stalled(net.now(), arrived)) break;
     }
   }
-  out.completed = root->root_sink().size() >= expected;
-  out.status = out.completed ? RunStatus::kOk
-               : stalled    ? RunStatus::kDegraded
-                            : RunStatus::kFailed;
+  out.completed = arrived() >= expected;
+  out.status = watchdog.status(out.completed);
   out.slots = net.now();
   out.phases = (net.now() + slots_per_phase - 1) / slots_per_phase;
   out.deliveries = root->root_sink();
@@ -311,20 +294,8 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
           .inc(out.advance_phases[l]);
     }
     telemetry::publish_net_metrics(net.metrics(), tel.metrics, "collection");
-    if (faults.enabled()) {
-      telemetry::publish_fault_metrics(faults, net.metrics(), tel.metrics,
-                                       "collection");
-      tel.timeline.record(
-          "faults", "collection", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(faults.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(faults.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(faults.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(net.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(net.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    telemetry::publish_fault_run(tel, faults, net.metrics(), "collection",
+                                 out.slots, out.status);
   }
   return out;
 }

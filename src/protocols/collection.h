@@ -36,12 +36,10 @@
 
 namespace radiomc {
 
-namespace perf {
-class Profiler;  // src/perf/profiler.h; forward-declared so no protocol
-                 // header includes the measurement layer (perf-purity)
-}  // namespace perf
-
-struct CollectionConfig {
+/// The observers (radio/trace.h) serve run_collection: a drain span,
+/// per-level advance counters and queue-depth histograms in the hub, a
+/// "collection.drain" profiler span with slot/phase/delivery counters.
+struct CollectionConfig : Observers {
   SlotStructure slots;  ///< decay_len from Delta; ack + mod-3 on by default
 
   /// §8 Remark 3: under the capture conflict model an acknowledgement can
@@ -65,21 +63,6 @@ struct CollectionConfig {
   /// collection (SetupStation forwards its Waker); a non-coordinated
   /// channel mux or time division keeps it always-active.
   bool autosleep = true;
-
-  /// Optional observability, used by run_collection: phase spans, per-level
-  /// advance counters and queue-depth histograms, engine counters. Not part
-  /// of the radio model — the protocol never reads it.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the driver's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_collection opens a "collection.
-  /// drain" span and bumps slot/phase/delivery counters. Write-only from
-  /// here — timing never flows back into the protocol (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the driver's network (e.g. a
-  /// perf::SnapshotStreamer). Sees only the slot counter.
-  SlotHook* slot_hook = nullptr;
 
   /// Fault injection (src/faults/): run_collection compiles this against
   /// the graph and a stream split off the run seed. All-zero (the default)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -74,15 +73,12 @@ VirtualEthernet::VirtualEthernet(const Graph& g, const BfsTree& tree,
     muxes_.push_back(std::make_unique<ChannelMuxStation>(
         std::vector<SubStation*>{coll_[v].get(), dist_[v].get()}));
   for (auto& m : muxes_) ptrs.push_back(m.get());
-  // The fault seed is derived only when a plan is enabled, and after the
-  // per-station splits above: fault-free buses consume exactly the
-  // historical stream (Rng::split advances the parent, so an
-  // unconditional draw here would shift every later consumer).
-  if (cfg_.faults.any())
-    faults_ = std::make_unique<FaultSchedule>(
-        g, cfg_.faults, master.split(rng_tags::kFaultStream).next());
+  // The fault seed is drawn after the per-station splits above (Rng::split
+  // advances the parent, so a draw before them would shift every station).
+  faults_ = std::make_unique<FaultSchedule>(
+      FaultSchedule::for_run(g, cfg_.faults, master));
   net_ = std::make_unique<RadioNetwork>(g, ncfg);
-  if (faults_) net_->set_faults(faults_.get());
+  net_->set_faults(faults_.get());
   net_->attach(std::move(ptrs));
 }
 

@@ -118,7 +118,7 @@ class VirtualEthernet {
   std::vector<std::unique_ptr<CollectionStation>> coll_;
   std::vector<std::unique_ptr<DistributionStation>> dist_;
   std::vector<std::unique_ptr<Station>> muxes_;
-  std::unique_ptr<FaultSchedule> faults_;  ///< null when the plan is off
+  std::unique_ptr<FaultSchedule> faults_;  ///< disabled when the plan is off
   std::unique_ptr<RadioNetwork> net_;
 
   std::vector<std::uint32_t> node_round_;       ///< rounds observed so far

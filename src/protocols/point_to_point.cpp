@@ -7,7 +7,6 @@
 
 #include "perf/profiler.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -280,13 +279,9 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  if (cfg.trace != nullptr) net.set_trace(cfg.trace);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  FaultSchedule faults;
-  if (cfg.faults.any()) {
-    faults = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
+  net.observe(cfg);
+  FaultSchedule faults = FaultSchedule::for_run(g, cfg.faults, master);
+  net.set_faults(&faults);
   net.attach(std::move(ptrs));
 
   P2pOutcome out;
@@ -326,23 +321,13 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   };
 
   harvest(0);  // self-addressed requests complete instantly
-  std::uint64_t progress_count = delivered;
-  SlotTime progress_slot = 0;
-  bool stalled = false;
+  StallWatchdog watchdog(cfg.stall_slots, delivered);
   {
     perf::PerfSpan run_span(cfg.profiler, "p2p.run");
     while (delivered < requests.size() && net.now() < max_slots) {
       net.step();
       harvest(net.now());
-      if (cfg.stall_slots > 0) {
-        if (delivered > progress_count) {
-          progress_count = delivered;
-          progress_slot = net.now();
-        } else if (net.now() - progress_slot >= cfg.stall_slots) {
-          stalled = true;
-          break;
-        }
-      }
+      if (watchdog.stalled(net.now(), [&] { return delivered; })) break;
     }
   }
   if (cfg.profiler != nullptr) {
@@ -350,9 +335,7 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
     cfg.profiler->count("p2p.delivered", delivered);
   }
   out.completed = delivered >= requests.size();
-  out.status = out.completed ? RunStatus::kOk
-               : stalled    ? RunStatus::kDegraded
-                            : RunStatus::kFailed;
+  out.status = watchdog.status(out.completed);
   out.slots = net.now();
   out.delivered = delivered;
   out.engine_polls = net.engine_stats().station_polls;
@@ -373,20 +356,8 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
         lat.add(static_cast<std::int64_t>(s));
     telemetry::publish_net_metrics(net.metrics(), tel.metrics,
                                    "point_to_point");
-    if (faults.enabled()) {
-      telemetry::publish_fault_metrics(faults, net.metrics(), tel.metrics,
-                                       "point_to_point");
-      tel.timeline.record(
-          "faults", "point_to_point", 0, out.slots,
-          {{"crashes", static_cast<std::int64_t>(faults.stats().crashes)},
-           {"recoveries",
-            static_cast<std::int64_t>(faults.stats().recoveries)},
-           {"link_downs",
-            static_cast<std::int64_t>(faults.stats().link_downs)},
-           {"jams", static_cast<std::int64_t>(net.metrics().fault_jams)},
-           {"drops", static_cast<std::int64_t>(net.metrics().fault_drops)},
-           {"degraded", out.status == RunStatus::kDegraded ? 1 : 0}});
-    }
+    telemetry::publish_fault_run(tel, faults, net.metrics(), "point_to_point",
+                                 out.slots, out.status);
   }
   return out;
 }

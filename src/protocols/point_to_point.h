@@ -34,20 +34,11 @@
 
 namespace radiomc {
 
-struct P2pConfig {
+/// The observers (radio/trace.h) serve run_point_to_point: a run span with
+/// request counts and a delivery-latency histogram in the hub, a "p2p.run"
+/// profiler span with request/slot counters.
+struct P2pConfig : Observers {
   SlotStructure slots;  ///< ack + mod-3 on by default
-
-  /// Optional observability, used by run_point_to_point: a run span with
-  /// request counts, delivery-latency histogram, engine counters.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the driver's network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: a "p2p.run" span plus request/slot
-  /// counters. Write-only here (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the driver's network.
-  SlotHook* slot_hook = nullptr;
 
   /// Fault injection (src/faults/); all-zero = no faults, legacy path.
   FaultPlan faults;

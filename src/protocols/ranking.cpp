@@ -7,7 +7,6 @@
 
 #include "protocols/tree.h"
 #include "radio/network.h"
-#include "support/rng_tags.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -113,11 +112,8 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  FaultSchedule fsch;
-  if (faults.any()) {
-    fsch = FaultSchedule(g, faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
+  FaultSchedule fsch = FaultSchedule::for_run(g, faults, master);
+  net.set_faults(&fsch);
   net.attach(std::move(ptrs));
 
   auto delivered = [&] {
@@ -128,21 +124,10 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
     for (NodeId v = 0; v < n; ++v) c += downs[v]->sink().empty() ? 0 : 1;
     return c;
   };
-  std::uint64_t progress_count = delivered();
-  SlotTime progress_slot = 0;
-  bool stalled = false;
+  StallWatchdog watchdog(stall_slots, delivered());
   while (delivered() < expected_downs && net.now() < max_slots) {
     net.step();
-    if (stall_slots > 0) {
-      const std::uint64_t c = delivered();
-      if (c > progress_count) {
-        progress_count = c;
-        progress_slot = net.now();
-      } else if (net.now() - progress_slot >= stall_slots) {
-        stalled = true;
-        break;
-      }
-    }
+    if (watchdog.stalled(net.now(), delivered)) break;
   }
   out.deliver_slots = net.now();
   if (telemetry != nullptr) {
@@ -153,12 +138,11 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
          {"completed", delivered() >= expected_downs ? 1 : 0}});
     telemetry::publish_net_metrics(net.metrics(), telemetry->metrics,
                                    "ranking_deliver");
-    if (fsch.enabled())
-      telemetry::publish_fault_metrics(fsch, net.metrics(),
-                                       telemetry->metrics, "ranking_deliver");
+    telemetry::publish_fault_metrics(fsch, net.metrics(), telemetry->metrics,
+                                     "ranking_deliver");
   }
   if (delivered() < expected_downs) {
-    out.status = stalled ? RunStatus::kDegraded : RunStatus::kFailed;
+    out.status = watchdog.status(false);
     return out;
   }
 

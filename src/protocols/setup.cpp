@@ -337,14 +337,9 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
-  if (tuning.trace != nullptr) net.set_trace(tuning.trace);
-  if (tuning.slot_hook != nullptr) net.set_slot_hook(tuning.slot_hook);
-  FaultSchedule faults;
-  if (tuning.faults.any()) {
-    faults =
-        FaultSchedule(g, tuning.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&faults);
-  }
+  net.observe(tuning);
+  FaultSchedule faults = FaultSchedule::for_run(g, tuning.faults, master);
+  net.set_faults(&faults);
   net.attach(std::move(ptrs));
 
   // Epoch boundaries are globally known (a pure function of n, Delta and
@@ -382,8 +377,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
         .inc(o.attempts > 0 ? o.attempts - 1 : 0);
     reg.counter(o.ok ? "setup.completed" : "setup.failed").inc();
     telemetry::publish_net_metrics(net.metrics(), reg, "setup");
-    if (faults.enabled())
-      telemetry::publish_fault_metrics(faults, net.metrics(), reg, "setup");
+    telemetry::publish_fault_metrics(faults, net.metrics(), reg, "setup");
   };
 
   SetupOutcome out;

@@ -57,7 +57,11 @@
 
 namespace radiomc {
 
-struct SetupTuning {
+/// The observers (radio/trace.h) serve run_setup: one hub span per epoch
+/// per attempt (A..G, on the globally known schedule boundaries) plus
+/// attempt/restart counters, and one "setup.attempt" profiler span per
+/// attempt with one child per epoch — no station cooperation needed.
+struct SetupTuning : Observers {
   /// Multiplier on the B and F collection budgets (in units of n*decay_len).
   std::uint32_t verify_mult = 96;
   /// Multiplier on the completion-flood budget (units of n*decay_len).
@@ -70,21 +74,6 @@ struct SetupTuning {
   /// the next attempt, so the setup stays always-correct even with tiny
   /// id spaces.
   std::uint32_t random_id_bits = 0;
-
-  /// Optional observability: run_setup records one span per epoch per
-  /// attempt (A..G, on the globally known schedule boundaries) plus
-  /// attempt/restart counters and the engine totals. Null = off.
-  TelemetryHub* telemetry = nullptr;
-  /// Optional physical-event sink installed on the setup network.
-  TraceSink* trace = nullptr;
-
-  /// Optional perf instrumentation: run_setup opens one "setup.attempt"
-  /// span per attempt with one child span per epoch (A..G boundaries are
-  /// globally known, so the spans need no station cooperation). Write-only
-  /// — timing never reaches the schedule or an Rng (perf-purity).
-  perf::Profiler* profiler = nullptr;
-  /// Optional per-slot observer installed on the setup network.
-  SlotHook* slot_hook = nullptr;
 
   /// Fault injection (src/faults/) applied to the setup network itself.
   /// The verify/restart machinery is what tolerates it: a mid-epoch crash

@@ -137,10 +137,15 @@ class RadioNetwork {
   /// remove). Instrumentation only — stations cannot see it.
   void set_trace(TraceSink* sink) noexcept { trace_ = sink; }
 
-  /// Installs a per-slot pulse observer (not owned; nullptr to remove),
-  /// called once at the end of every slot. One pointer test per slot when
-  /// unset — stream-identical to a build without the hook.
-  void set_slot_hook(SlotHook* hook) noexcept { slot_hook_ = hook; }
+  /// Installs a run's engine-side observers: `o.trace` as the trace sink
+  /// and `o.slot_hook` as the per-slot pulse, called once at the end of
+  /// every slot (both not owned; null leaves them off). One pointer test
+  /// per slot each when unset — stream-identical to a build without them.
+  /// The hub and the profiler in `o` are the driver's to write.
+  void observe(const Observers& o) noexcept {
+    trace_ = o.trace;
+    slot_hook_ = o.slot_hook;
+  }
 
   /// Installs a fault schedule (not owned; nullptr to remove). A crashed
   /// station neither transmits nor receives (its slot hooks are not

@@ -39,6 +39,34 @@ class SlotHook {
   virtual void on_slot_done(SlotTime t) = 0;
 };
 
+namespace telemetry {
+struct Telemetry;  // telemetry/telemetry.h
+}  // namespace telemetry
+namespace perf {
+class Profiler;  // perf/profiler.h
+}  // namespace perf
+
+/// Protocol-facing name of the telemetry aggregate.
+using TelemetryHub = telemetry::Telemetry;
+
+/// The optional observers a run driver attaches: the same four for every
+/// protocol, so the run configs inherit them from here. All are borrowed,
+/// null means off, and none ever feeds back into the protocol. The trace
+/// sink and slot hook go on the engine (RadioNetwork::observe); the hub and
+/// the profiler are written by the driver itself. Forward declarations
+/// only, so no station-facing header pulls in the measurement layers.
+struct Observers {
+  /// Phase spans, counters and histograms for `--metrics-out`.
+  TelemetryHub* telemetry = nullptr;
+  /// Physical-event sink installed on the driver's network.
+  TraceSink* trace = nullptr;
+  /// Host-time spans and counters for `--perf-out`.
+  perf::Profiler* profiler = nullptr;
+  /// Per-slot observer installed on the driver's network (e.g. a
+  /// perf::SnapshotStreamer).
+  SlotHook* slot_hook = nullptr;
+};
+
 /// Counts per-node activity; the cheap always-on-able sink.
 class ActivityCounter final : public TraceSink {
  public:

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/util.h"
+
 namespace radiomc::service {
 
 namespace {
@@ -89,19 +91,7 @@ ArrivalSpec ArrivalSpec::parse(const std::string& text) {
                "arrival spec: empty — expected KIND:RATE[:...], e.g. "
                "bernoulli:0.5");
   const auto num = [&](std::size_t i, const char* what) {
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(parts.at(i), &used);
-    } catch (const std::invalid_argument&) {
-      fail(std::string("arrival spec: ") + what + " '" +
-           (i < parts.size() ? parts[i] : "") + "' is not a number");
-    }
-    // Outside the try: this throw must not be mistaken for stod's.
-    require_spec(used == parts[i].size(),
-                 std::string("arrival spec: trailing junk in ") + what +
-                     " '" + parts[i] + "'");
-    return v;
+    return parse_real(parts[i], std::string("arrival spec: ") + what);
   };
   ArrivalSpec s;
   if (parts[0] == "bernoulli" || parts[0] == "poisson") {

@@ -97,11 +97,12 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   for (auto& s : st) adapters.emplace_back(*s);
   for (auto& a : adapters) ptrs.push_back(&a);
   RadioNetwork net(g);
-  if (cfg.slot_hook != nullptr) net.set_slot_hook(cfg.slot_hook);
-  // Installed only when a monitor is present: with health off the network
-  // carries no trace sink at all, exactly as before this subsystem
-  // existed, so health-off serve output stays byte-identical.
-  if (cfg.health != nullptr) net.set_trace(cfg.health->sink());
+  // Serve takes no trace of its own: the trace sink is the health
+  // monitor's flight recorder, so with health off the network carries no
+  // sink at all and serve output stays byte-identical.
+  net.observe({cfg.telemetry,
+               cfg.health != nullptr ? cfg.health->sink() : nullptr,
+               cfg.profiler, cfg.slot_hook});
   net.attach(std::move(ptrs));
 
   const std::uint64_t slots_per_phase = st[0]->clock().slots_per_phase();
@@ -109,11 +110,8 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   Rng placement_rng = master.split(rng_tags::kServicePlacement);
   // Derived after the arrival/placement streams so a faulted run faces the
   // identical offered load as a fault-free run with the same seed.
-  FaultSchedule fsch;
-  if (cfg.faults.any()) {
-    fsch = FaultSchedule(g, cfg.faults, master.split(rng_tags::kFaultStream).next());
-    net.set_faults(&fsch);
-  }
+  FaultSchedule fsch = FaultSchedule::for_run(g, cfg.faults, master);
+  net.set_faults(&fsch);
 
   const double lambda = cfg.arrival.mean_rate();
   const double mu = queueing::mu_decay();
@@ -297,9 +295,8 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   if (cfg.telemetry != nullptr) {
     telemetry::publish_net_metrics(net.metrics(), cfg.telemetry->metrics,
                                    "serve");
-    if (cfg.faults.any())
-      telemetry::publish_fault_metrics(fsch, net.metrics(),
-                                       cfg.telemetry->metrics, "serve");
+    telemetry::publish_fault_metrics(fsch, net.metrics(),
+                                     cfg.telemetry->metrics, "serve");
   }
   if (cfg.profiler != nullptr) {
     cfg.profiler->count("service.slots", out.slots);

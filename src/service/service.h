@@ -40,16 +40,10 @@
 #include "support/stats.h"
 #include "telemetry/telemetry.h"
 
-namespace radiomc {
-namespace perf {
-class Profiler;  // src/perf/profiler.h; forward-declared so no service
-                 // header includes the measurement layer (perf-purity)
-}  // namespace perf
-namespace health {
-class Monitor;  // src/health/monitor.h; forward-declared for the same
-                // reason — observers are wired, never read back
-}  // namespace health
-}  // namespace radiomc
+namespace radiomc::health {
+class Monitor;  // src/health/monitor.h; forward-declared so no service
+                // header includes it — observers are wired, never read back
+}  // namespace radiomc::health
 
 namespace radiomc::service {
 

@@ -61,14 +61,19 @@ inline std::uint64_t parse_unsigned(
 }
 
 /// parse_unsigned's twin for real fields: a finite, unsigned decimal number
-/// ("0.25", "1e-3"); the caller checks the range.
+/// ("0.25", "1e-3"); the caller checks the range. No whitespace, hex or
+/// sign is accepted, and each way to fail has its own message.
 inline double parse_real(const std::string& text, const std::string& what) {
   double v = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  require(!text.empty() && text[0] != '-' && ptr == end &&
-              ec == std::errc() && std::isfinite(v),
-          what + " '" + text + "' is not an unsigned finite number");
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, v);
+  const std::string quoted = what + " '" + text + "'";
+  require(ptr != begin, quoted + " is not a number");
+  require(ptr == end, quoted + " has trailing junk");
+  require(text[0] != '-', quoted + " is negative");
+  require(ec == std::errc() && std::isfinite(v),
+          quoted + " is out of range");
   return v;
 }
 

@@ -54,9 +54,12 @@ void publish_net_metrics(const NetMetrics& m, MetricsRegistry& reg,
 void publish_fault_metrics(const FaultSchedule& faults, const NetMetrics& m,
                            MetricsRegistry& reg, const std::string& protocol);
 
-}  // namespace radiomc::telemetry
+/// publish_fault_metrics plus the run's "faults" span: one span over
+/// [0, slots) named `protocol`, carrying the crash/recovery/link-down
+/// totals, the jam and drop counts and whether the watchdog degraded the
+/// run. A no-op for a disabled schedule.
+void publish_fault_run(Telemetry& tel, const FaultSchedule& faults,
+                       const NetMetrics& m, const std::string& protocol,
+                       SlotTime slots, RunStatus status);
 
-namespace radiomc {
-/// Protocol-facing alias: configs declare `telemetry::Telemetry*`.
-using TelemetryHub = telemetry::Telemetry;
-}  // namespace radiomc
+}  // namespace radiomc::telemetry

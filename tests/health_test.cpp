@@ -87,6 +87,13 @@ TEST(RuleParse, RejectsWithSpecificMessages) {
              "stall windows must be a positive integer");
   EXPECT_MSG(RuleSet::parse("stall:1.5"),
              "stall windows must be a positive integer");
+  // Checked numbers: no hex, no padding, no out-of-range count.
+  EXPECT_MSG(RuleSet::parse("stall:0x10"), "bad number '0x10'");
+  EXPECT_MSG(RuleSet::parse("stall: 3"), "bad number ' 3'");
+  EXPECT_MSG(RuleSet::parse("stall:1e30"),
+             "stall windows '1e30' is not an unsigned decimal integer");
+  EXPECT_MSG(RuleSet::parse("neighbor:0.9:0.75:99999999999999999999"),
+             "min count '99999999999999999999' exceeds the maximum");
   EXPECT_MSG(RuleSet::parse("hotspot:1.5"), "hotspot needs");
   EXPECT_MSG(RuleSet::parse("neighbor:0.9:0.75:0"),
              "min count must be a positive integer");

@@ -458,6 +458,25 @@ TEST(LintTelemetry, SameNameOtherPointerTypeIsNotAHub) {
   EXPECT_EQ(CountRule(findings, "hub-null-check"), 0u);
 }
 
+TEST(LintTelemetry, ObserverFieldsReachedThroughTheBaseAreHubs) {
+  // The run configs inherit their observer pointers from the Observers
+  // struct in radio/trace.h. Linted together with the real header, an
+  // unguarded dereference through the base, or through a config that
+  // inherits it, is still a finding.
+  std::string trace_h;
+  ASSERT_TRUE(radiomc::lint::read_file(
+      RADIOMC_SOURCE_DIR "/src/radio/trace.h", &trace_h));
+  const auto findings = Lint(
+      {{"src/radio/trace.h", trace_h},
+       {"src/protocols/bad.cpp",
+        "struct Cfg : Observers {};\n"
+        "void run(const Observers& obs, const Cfg& cfg) {\n"
+        "  obs.telemetry->metrics.counter(\"x\");\n"
+        "  cfg.profiler->count(\"x\");\n"
+        "}\n"}});
+  EXPECT_EQ(CountRule(findings, "hub-null-check"), 2u);
+}
+
 TEST(LintTelemetry, WaiverSuppressesHubFinding) {
   const auto findings = Lint(
       {{"src/protocols/waived.cpp",

@@ -1,0 +1,334 @@
+// Golden pins for what the observers see. Every run driver hands its
+// observers (telemetry hub, trace sink, profiler, slot hook) and its fault
+// schedule to the engine; this suite pins, per driver, the bytes each
+// observer ends up with:
+//
+//  * the `radiomc.telemetry/v1` document (`Telemetry::to_json()`), which
+//    carries the fault counters and the "faults" span of a faulted run;
+//  * the JSONL trace stream, where the driver takes a trace (for serve,
+//    the health monitor's stream: its flight recorder is the trace sink);
+//  * every slot the slot hook saw;
+//  * the profiler's counters and span tree (names and activation counts;
+//    never a time).
+//
+// The faulted cells run crash 0.02 / recover 0.5 / jam 0.15 with a stall
+// watchdog tight enough to fire, so the degraded path is pinned too. A
+// change to how drivers wire observers or install faults must leave every
+// digest here unchanged.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "faults/fault_plan.h"
+#include "graph/generators.h"
+#include "health/monitor.h"
+#include "perf/profiler.h"
+#include "protocols/broadcast_service.h"
+#include "protocols/collection.h"
+#include "protocols/dfs_numbering.h"
+#include "protocols/point_to_point.h"
+#include "protocols/ranking.h"
+#include "protocols/setup.h"
+#include "protocols/tree.h"
+#include "service/service.h"
+#include "support/rng.h"
+#include "telemetry/jsonl_sink.h"
+#include "telemetry/telemetry.h"
+
+#include "golden_hash.h"
+
+namespace radiomc {
+namespace {
+
+struct Digest {
+  RunStatus status;
+  SlotTime slots;
+  std::uint64_t telemetry;  ///< Telemetry::to_json()
+  std::uint64_t stream;     ///< trace (or health) stream bytes; 0 = none
+  std::uint64_t hook;       ///< slots seen by the slot hook; 0 = none
+  std::uint64_t profiler;   ///< counters + span tree shape; 0 = none
+};
+
+/// The digest as a table row, so a mismatch prints the whole cell.
+std::string row(const Digest& d) {
+  std::ostringstream o;
+  o << "{RunStatus::"
+    << (d.status == RunStatus::kOk         ? "kOk"
+        : d.status == RunStatus::kDegraded ? "kDegraded"
+                                           : "kFailed")
+    << ", " << d.slots << ", 0x" << std::hex << d.telemetry << "ULL, 0x"
+    << d.stream << "ULL, 0x" << d.hook << "ULL, 0x" << d.profiler << "ULL}";
+  return o.str();
+}
+
+/// Hashes every slot the engine reports done.
+class HookDigest final : public SlotHook {
+ public:
+  void on_slot_done(SlotTime t) override { fnv_.word(t); }
+  std::uint64_t value() const noexcept { return fnv_.value(); }
+
+ private:
+  Fnv fnv_;
+};
+
+void hash_span(const perf::SpanNode& s, Fnv& h) {
+  h.bytes(s.name);
+  h.word(s.count);
+  h.word(s.children.size());
+  for (const auto& c : s.children) hash_span(*c, h);
+}
+
+std::uint64_t profiler_digest(const perf::Profiler& p) {
+  Fnv h;
+  for (const auto& [name, value] : p.counters()) {
+    h.bytes(name);
+    h.word(value);
+  }
+  hash_span(p.root(), h);
+  return h.value();
+}
+
+std::uint64_t telemetry_digest(const TelemetryHub& hub) {
+  Fnv h;
+  h.bytes(hub.to_json());
+  return h.value();
+}
+
+FaultPlan churn_and_jam() {
+  FaultPlan p;
+  p.crash_rate = 0.02;
+  p.recover_rate = 0.5;
+  p.jam_prob = 0.15;
+  p.epoch_slots = 128;
+  return p;
+}
+
+/// Everything a cell attaches, plus the digest of what it saw.
+struct Rig {
+  TelemetryHub hub;
+  HashingBuf buf;
+  std::ostream out{&buf};
+  HookDigest hook;
+  perf::Profiler prof;
+
+  Digest digest(RunStatus status, SlotTime slots, bool stream) const {
+    return {status,     slots,       telemetry_digest(hub),
+            stream ? buf.value() : 0, hook.value(), profiler_digest(prof)};
+  }
+};
+
+const Graph& grid6() {
+  static const Graph g = gen::grid(6, 6);
+  return g;
+}
+
+Digest setup_cell(Rig& r, bool faulted) {
+  SetupOutcome out;
+  {
+    telemetry::JsonlTraceSink trace(r.out);
+    trace.set_protocol("setup");
+    SetupTuning t;
+    t.telemetry = &r.hub;
+    t.trace = &trace;
+    t.profiler = &r.prof;
+    t.slot_hook = &r.hook;
+    if (faulted) {
+      t.faults.crash_rate = 0.02;
+      t.faults.recover_rate = 0.5;
+    }
+    out = run_setup(gen::grid(4, 4), 11, t, 8);
+  }
+  return r.digest(out.status, out.slots, true);
+}
+
+Digest collection_cell(Rig& r, bool faulted) {
+  const Graph& g = grid6();
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  Rng rng(5);
+  std::vector<Message> init;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    Message m;
+    m.kind = MsgKind::kData;
+    m.origin = 1 + static_cast<NodeId>(rng.next_below(g.num_nodes() - 1));
+    m.seq = i;
+    init.push_back(m);
+  }
+  CollectionOutcome out;
+  {
+    telemetry::JsonlTraceSink trace(r.out);
+    CollectionConfig cfg = CollectionConfig::for_graph(g);
+    trace.set_protocol("collection");
+    trace.set_slot_structure(cfg.slots);
+    trace.set_levels(tree.level);
+    cfg.telemetry = &r.hub;
+    cfg.trace = &trace;
+    cfg.profiler = &r.prof;
+    cfg.slot_hook = &r.hook;
+    if (faulted) {
+      cfg.faults = churn_and_jam();
+      cfg.stall_slots = 80;
+    }
+    out = run_collection(g, tree, init, cfg, 6);
+  }
+  return r.digest(out.status, out.slots, true);
+}
+
+Digest p2p_cell(Rig& r, bool faulted) {
+  const Graph& g = grid6();
+  const PreparationResult prep = run_preparation(g, oracle_bfs_tree(g, 0));
+  Rng rng(7);
+  std::vector<P2pRequest> reqs;
+  for (std::uint64_t i = 0; i < 16; ++i)
+    reqs.push_back({static_cast<NodeId>(rng.next_below(g.num_nodes())),
+                    static_cast<NodeId>(rng.next_below(g.num_nodes())), i});
+  P2pOutcome out;
+  {
+    telemetry::JsonlTraceSink trace(r.out);
+    P2pConfig cfg = P2pConfig::for_graph(g);
+    trace.set_protocol("p2p");
+    trace.set_slot_structure(cfg.slots);
+    cfg.telemetry = &r.hub;
+    cfg.trace = &trace;
+    cfg.profiler = &r.prof;
+    cfg.slot_hook = &r.hook;
+    if (faulted) {
+      cfg.faults = churn_and_jam();
+      cfg.stall_slots = 80;
+    }
+    out = run_point_to_point(g, prep, reqs, cfg, 8);
+  }
+  return r.digest(out.status, out.slots, true);
+}
+
+Digest broadcast_cell(Rig& r, bool faulted) {
+  const Graph& g = grid6();
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  Rng rng(9);
+  std::vector<NodeId> sources;
+  for (int i = 0; i < 8; ++i)
+    sources.push_back(static_cast<NodeId>(rng.next_below(g.num_nodes())));
+  KBroadcastOutcome out;
+  {
+    telemetry::JsonlTraceSink trace(r.out);
+    trace.set_protocol("broadcast");
+    trace.set_levels(tree.level);
+    BroadcastServiceConfig cfg = BroadcastServiceConfig::for_graph(g);
+    cfg.telemetry = &r.hub;
+    cfg.trace = &trace;
+    cfg.profiler = &r.prof;
+    cfg.slot_hook = &r.hook;
+    if (faulted) {
+      cfg.faults = churn_and_jam();
+      cfg.stall_slots = 1200;
+    }
+    out = run_k_broadcast(g, tree, sources, cfg, 10);
+  }
+  return r.digest(out.status, out.slots, true);
+}
+
+Digest service_cell(Rig& r, bool) {
+  const Graph& g = grid6();
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  service::ServeConfig cfg;
+  cfg.arrival = service::ArrivalSpec::parse("bernoulli:0.1");
+  cfg.phases = 400;
+  cfg.warmup_phases = 50;
+  cfg.faults = churn_and_jam();
+  cfg.telemetry = &r.hub;
+  cfg.profiler = &r.prof;
+  cfg.slot_hook = &r.hook;
+  health::HealthConfig hcfg;
+  hcfg.window_phases = 32;
+  hcfg.offered_rate = cfg.arrival.mean_rate();
+  hcfg.depth = tree.depth;
+  hcfg.warmup_phases = cfg.warmup_phases;
+  service::ServeOutcome out;
+  {
+    health::Monitor mon(tree.level, hcfg, r.out);
+    cfg.health = &mon;
+    out = service::run_service(g, tree, cfg, 12);
+  }
+  return r.digest(out.status, out.slots, true);
+}
+
+Digest ranking_cell(Rig& r, bool) {
+  const Graph& g = grid6();
+  const PreparationResult prep = run_preparation(g, oracle_bfs_tree(g, 0));
+  Rng rng(13);
+  std::vector<std::uint64_t> ids(g.num_nodes());
+  for (auto& id : ids) id = rng.next();
+  const RankingOutcome out = run_ranking(g, prep, ids, 14, 200'000'000,
+                                         &r.hub, churn_and_jam(), 2000);
+  Digest d = r.digest(out.status, out.total_slots(), false);
+  d.hook = d.profiler = 0;  // ranking takes no hook or profiler
+  return d;
+}
+
+struct Cell {
+  const char* name;
+  Digest (*run)(Rig& r, bool faulted);
+  bool faulted;
+  Digest golden;
+};
+
+/// Prints a cell by name (gtest would otherwise print its raw bytes).
+void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
+
+const Cell kCells[] = {
+    // clang-format off
+    {"setup", setup_cell, false,
+     {RunStatus::kOk, 15940, 0x34f43d924c281432ULL, 0xeeeb2b16c2a38528ULL, 0xecaeeca620bdfc9fULL, 0x9f10b8527f02519aULL}},
+    {"setup_faulted", setup_cell, true,
+     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0x89104a5f265d6870ULL}},
+    {"collection", collection_cell, false,
+     {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL}},
+    {"collection_faulted", collection_cell, true,
+     {RunStatus::kDegraded, 233, 0x8df450f2e9ac8f8dULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0xae91023007340315ULL}},
+    {"p2p", p2p_cell, false,
+     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x8170715e5a00d34fULL}},
+    {"p2p_faulted", p2p_cell, true,
+     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x83a5e6737a8357f1ULL}},
+    {"broadcast", broadcast_cell, false,
+     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xbab964a8aecbe529ULL}},
+    {"broadcast_faulted", broadcast_cell, true,
+     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xde9351d225170b58ULL}},
+    {"service_faulted", service_cell, true,
+     {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x36a2a514dd80eaebULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL}},
+    {"ranking_faulted", ranking_cell, true,
+     {RunStatus::kDegraded, 4578, 0x9f77618f8ab9efbbULL, 0x0ULL, 0x0ULL, 0x0ULL}},
+    // clang-format on
+};
+
+class ObserverGolden : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(ObserverGolden, EveryObserverSeesThePinnedBytes) {
+  const Cell& c = GetParam();
+  Rig r;
+  EXPECT_EQ(row(c.run(r, c.faulted)), row(c.golden)) << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, ObserverGolden, ::testing::ValuesIn(kCells),
+                         [](const ::testing::TestParamInfo<Cell>& p) {
+                           return std::string(p.param.name);
+                         });
+
+TEST(ObserverGolden, FaultedCellsCoverTheFaultSpanAndTheDegradedPath) {
+  // The faulted collection, p2p and broadcast cells exist to pin the
+  // "faults" span and the watchdog's degraded outcome.
+  for (const auto run : {collection_cell, p2p_cell, broadcast_cell}) {
+    Rig r;
+    EXPECT_EQ(run(r, true).status, RunStatus::kDegraded);
+    std::size_t fault_spans = 0;
+    for (const telemetry::PhaseSpan& s : r.hub.timeline.spans())
+      fault_spans += s.protocol == "faults" ? 1 : 0;
+    EXPECT_EQ(fault_spans, 1u);
+  }
+}
+
+}  // namespace
+}  // namespace radiomc

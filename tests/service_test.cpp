@@ -126,6 +126,13 @@ TEST(Arrival, ParseRejectsWithSpecificMessages) {
   EXPECT_MSG(ArrivalSpec::parse("bernoulli:1.5"), "must be in (0, 1)");
   EXPECT_MSG(ArrivalSpec::parse("poisson:x"), "'x' is not a number");
   EXPECT_MSG(ArrivalSpec::parse("poisson:2abc"), "trailing junk");
+  // Checked numbers: no overflow to a stod exception, no hex, no padding.
+  EXPECT_MSG(ArrivalSpec::parse("bernoulli:1e999"),
+             "rate '1e999' is out of range");
+  EXPECT_MSG(ArrivalSpec::parse("bernoulli:0x0.1"),
+             "rate '0x0.1' has trailing junk");
+  EXPECT_MSG(ArrivalSpec::parse("poisson: 0.5"), "' 0.5' is not a number");
+  EXPECT_MSG(ArrivalSpec::parse("poisson:-0.5"), "'-0.5' is negative");
   EXPECT_MSG(ArrivalSpec::parse("poisson:9"), "must be <= 8");
   EXPECT_MSG(ArrivalSpec::parse("mmpp:0.1:0.2"), "exactly four parameters");
   EXPECT_MSG(ArrivalSpec::parse("mmpp:0.5:0.2:0.5:0.5"),

@@ -20,6 +20,7 @@
 
 #include "telemetry/json_value.h"
 #include "perf/regression.h"
+#include "support/util.h"
 
 namespace {
 
@@ -51,9 +52,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--threshold") {
       if (i + 1 >= argc) return usage();
       try {
-        opt.threshold = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "radiomc_perf: bad --threshold '%s'\n", argv[i]);
+        opt.threshold = radiomc::parse_real(argv[++i], "--threshold");
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "radiomc_perf: %s\n", e.what());
         return 2;
       }
     } else if (arg == "--json") {

@@ -278,9 +278,11 @@ struct Obs {
     return o;
   }
 
-  telemetry::JsonlTraceSink* trace() { return sink.get(); }
-  perf::Profiler* profiler() { return prof.get(); }
-  SlotHook* slot_hook() { return snap.get(); }
+  /// What the command's run attaches: the trace sink is always a
+  /// JsonlTraceSink (see jsonl_trace).
+  Observers observers() {
+    return {&tel, sink.get(), prof.get(), snap.get()};
+  }
 
   /// Flushes the trace and writes the metrics document; `rc` passes
   /// through so commands can end with `return obs.finish(rc);`.
@@ -343,36 +345,42 @@ struct Obs {
   }
 };
 
+/// The trace sink of `o` with its type back: run_cmd attaches only
+/// JsonlTraceSinks, and the cores write the trace's run-context header.
+telemetry::JsonlTraceSink* jsonl_trace(const Observers& o) {
+  return static_cast<telemetry::JsonlTraceSink*>(o.trace);
+}
+
+/// The observers of the setup run under another command: the same hub and
+/// profiler, but no trace or slot hook, so trace timestamps and snapshots
+/// follow one network clock — the command's own protocol.
+Observers setup_observers(const Observers& o) {
+  return {o.telemetry, nullptr, o.profiler, nullptr};
+}
+
 struct World {
   Graph g;
   SetupOutcome setup;
 };
 
-/// `trace_setup`: attach the physical-event sink to the setup run itself
-/// (the `setup` command); other commands trace only their own protocol so
-/// slot timestamps in the trace refer to one network clock. `seed` stands
-/// in for --seed so each --trials repetition builds its own world.
-/// `setup_faults`: only the `setup` command injects faults into the setup
-/// run itself (and then tolerates a degraded outcome); every other
+/// `setup_obs`: what the setup run reports to (the `setup` command
+/// attaches all of its observers, see setup_observers for the others).
+/// `seed` stands in for --seed so each --trials repetition builds its own
+/// world. `setup_faults`: only the `setup` command injects faults into the
+/// setup run itself (and then tolerates a degraded outcome); every other
 /// command needs the tree, so its setup runs fault-free and the plan
 /// applies to the protocol under test.
 World make_world(const Args& a, std::uint64_t seed, bool need_setup,
-                 telemetry::Telemetry* tel = nullptr,
-                 TraceSink* setup_trace = nullptr,
-                 const FaultPlan* setup_faults = nullptr,
-                 perf::Profiler* profiler = nullptr,
-                 SlotHook* setup_hook = nullptr) {
+                 const Observers& setup_obs = {},
+                 const FaultPlan* setup_faults = nullptr) {
   Rng rng(seed);
   World w;
   w.g = gen::from_spec(a.get("topology", ""), rng);
   if (need_setup) {
     SetupTuning tuning;
+    static_cast<Observers&>(tuning) = setup_obs;
     tuning.random_id_bits =
         static_cast<std::uint32_t>(a.get_u64("anon", 0, kU32Max));
-    tuning.telemetry = tel;
-    tuning.trace = setup_trace;
-    tuning.profiler = profiler;
-    tuning.slot_hook = setup_hook;
     if (setup_faults != nullptr) tuning.faults = *setup_faults;
     // --attempts caps the verify/restart loop; attempt lengths double, so
     // under sustained faults the default budget of 12 can take ~2^12x the
@@ -412,9 +420,7 @@ struct TrialOut {
 };
 
 using CoreFn = TrialOut (*)(const Args&, std::uint64_t seed,
-                            telemetry::Telemetry* tel,
-                            telemetry::JsonlTraceSink* trace,
-                            perf::Profiler* prof, SlotHook* hook);
+                            const Observers& obs);
 
 /// Dispatch for the trial-parallel commands. Without --trials this is the
 /// historical single-run path, byte for byte. With --trials N, trial t's
@@ -425,8 +431,7 @@ int run_cmd(const Args& a, CoreFn core) {
   Obs obs = Obs::from_args(a);
   const std::uint64_t trials = a.get_u64("trials", 1);
   if (trials <= 1) {
-    const TrialOut out = core(a, a.get_u64("seed", 1), &obs.tel, obs.trace(),
-                              obs.profiler(), obs.slot_hook());
+    const TrialOut out = core(a, a.get_u64("seed", 1), obs.observers());
     std::fputs(out.report.c_str(), stdout);
     return obs.finish(out.rc);
   }
@@ -456,12 +461,11 @@ int run_cmd(const Args& a, CoreFn core) {
   // the command level records one aggregate span over the whole pool run —
   // the same place per-trial telemetry merges.
   const auto outs = [&] {
-    perf::PerfSpan pool_span(obs.profiler(), "trials.run");
+    perf::PerfSpan pool_span(obs.prof.get(), "trials.run");
     return run_indexed(trials, jobs, [&](std::uint64_t t) {
       Slot s;
       s.tel = std::make_unique<telemetry::Telemetry>();
-      const TrialOut out =
-          core(a, seeds[t], s.tel.get(), nullptr, nullptr, nullptr);
+      const TrialOut out = core(a, seeds[t], Observers{s.tel.get()});
       s.rc = out.rc;
       s.report = out.report;
       return s;
@@ -511,14 +515,11 @@ int cmd_topo(const Args& a) {
   return obs.finish(0);
 }
 
-TrialOut setup_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel,
-                    telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                    SlotHook* hook) {
+TrialOut setup_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   const FaultPlan faults = faults_from_args(a);
-  if (trace != nullptr) trace->set_protocol("setup");
-  const World w = make_world(a, seed, true, tel, /*setup_trace=*/trace,
-                             &faults, prof, /*setup_hook=*/hook);
+  if (telemetry::JsonlTraceSink* trace = jsonl_trace(obs))
+    trace->set_protocol("setup");
+  const World w = make_world(a, seed, true, obs, &faults);
   TrialOut out;
   if (!w.setup.ok) {
     out.report = strf("setup on %s: %s after %u attempts (%llu slots)\n",
@@ -544,9 +545,7 @@ TrialOut setup_core(const Args& a, std::uint64_t seed,
 
 int cmd_setup(const Args& a) { return run_cmd(a, setup_core); }
 
-TrialOut flood_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel, telemetry::JsonlTraceSink*,
-                    perf::Profiler* prof, SlotHook*) {
+TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   Rng rng(seed);
   const Graph g = gen::from_spec(a.get("topology", ""), rng);
   const NodeId source = static_cast<NodeId>(a.get_u64("source", 0, kU32Max));
@@ -554,9 +553,9 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
   const std::uint64_t phases =
       4 * (diameter(g) + 2 * ceil_log2(g.num_nodes()) + 4);
   const auto out = [&] {
-    // run_bgi_broadcast predates the config-struct hook plumbing; the
-    // span around the call still lands the flood in the perf report.
-    perf::PerfSpan span(prof, "flood.run");
+    // run_bgi_broadcast takes no observers (the E11a baseline runs it
+    // bare); the command records its span and telemetry around the call.
+    perf::PerfSpan span(obs.profiler, "flood.run");
     return run_bgi_broadcast(g, source, phases, rng.next(), faults);
   }();
   TrialOut r;
@@ -564,16 +563,19 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
                   out.informed_count, g.num_nodes(),
                   static_cast<unsigned long long>(out.slots));
   r.report += fault_report_line(faults);
-  tel->timeline.record(
-      "flood", "run", 0, out.slots,
-      {{"informed", static_cast<std::int64_t>(out.informed_count)},
-       {"n", static_cast<std::int64_t>(g.num_nodes())}});
-  tel->metrics.counter("flood.informed").inc(out.informed_count);
-  telemetry::Distribution& at = tel->metrics.distribution(
-      "flood.informed_at", {}, telemetry::Scale::kLog2);
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    if (out.informed[v])
-      at.add(static_cast<std::int64_t>(out.informed_at[v]));
+  if (obs.telemetry != nullptr) {
+    TelemetryHub& tel = *obs.telemetry;
+    tel.timeline.record(
+        "flood", "run", 0, out.slots,
+        {{"informed", static_cast<std::int64_t>(out.informed_count)},
+         {"n", static_cast<std::int64_t>(g.num_nodes())}});
+    tel.metrics.counter("flood.informed").inc(out.informed_count);
+    telemetry::Distribution& at = tel.metrics.distribution(
+        "flood.informed_at", {}, telemetry::Scale::kLog2);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      if (out.informed[v])
+        at.add(static_cast<std::int64_t>(out.informed_at[v]));
+  }
   r.rc = out.informed_count == g.num_nodes() ? 0 : 1;
   return r;
 }
@@ -581,10 +583,8 @@ TrialOut flood_core(const Args& a, std::uint64_t seed,
 int cmd_flood(const Args& a) { return run_cmd(a, flood_core); }
 
 TrialOut collect_core(const Args& a, std::uint64_t seed,
-                      telemetry::Telemetry* tel,
-                      telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                      SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+                      const Observers& obs) {
+  World w = make_world(a, seed, true, setup_observers(obs));
   Rng rng(seed ^ 0xC0);
   const std::uint64_t k = a.get_u64("k", 16);
   std::vector<Message> init;
@@ -598,17 +598,14 @@ TrialOut collect_core(const Args& a, std::uint64_t seed,
   }
   CollectionConfig cfg = CollectionConfig::for_graph(w.g);
   if (a.has("no-mod3")) cfg.slots.mod3_gating = false;
-  cfg.telemetry = tel;
-  cfg.trace = trace;
-  if (trace != nullptr) {
+  static_cast<Observers&>(cfg) = obs;
+  if (telemetry::JsonlTraceSink* trace = jsonl_trace(obs)) {
     // Record run context in the trace's schema header so radiomc_trace
     // can decode slots and attribute events to BFS levels offline.
     trace->set_protocol("collection");
     trace->set_slot_structure(cfg.slots);
     trace->set_levels(w.setup.tree.level);
   }
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;  // snapshots track the collection network's clock
   cfg.faults = faults_from_args(a);
   cfg.stall_slots = a.get_u64("fault-stall", 0);
   const auto out = run_collection(w.g, w.setup.tree, init, cfg, rng.next());
@@ -628,11 +625,8 @@ TrialOut collect_core(const Args& a, std::uint64_t seed,
 
 int cmd_collect(const Args& a) { return run_cmd(a, collect_core); }
 
-TrialOut p2p_core(const Args& a, std::uint64_t seed,
-                  telemetry::Telemetry* tel,
-                  telemetry::JsonlTraceSink* trace, perf::Profiler* prof,
-                  SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+TrialOut p2p_core(const Args& a, std::uint64_t seed, const Observers& obs) {
+  World w = make_world(a, seed, true, setup_observers(obs));
   Rng rng(seed ^ 0xB1);
   const std::uint64_t k = a.get_u64("k", 16);
   PreparationResult prep;
@@ -644,15 +638,12 @@ TrialOut p2p_core(const Args& a, std::uint64_t seed,
     reqs.push_back({static_cast<NodeId>(rng.next_below(w.g.num_nodes())),
                     static_cast<NodeId>(rng.next_below(w.g.num_nodes())), i});
   P2pConfig pcfg = P2pConfig::for_graph(w.g);
-  pcfg.telemetry = tel;
-  pcfg.trace = trace;
-  if (trace != nullptr) {
+  static_cast<Observers&>(pcfg) = obs;
+  if (telemetry::JsonlTraceSink* trace = jsonl_trace(obs)) {
     trace->set_protocol("p2p");
     trace->set_slot_structure(pcfg.slots);
     trace->set_levels(w.setup.tree.level);
   }
-  pcfg.profiler = prof;
-  pcfg.slot_hook = hook;
   pcfg.faults = faults_from_args(a);
   pcfg.stall_slots = a.get_u64("fault-stall", 0);
   const auto out = run_point_to_point(w.g, prep, reqs, pcfg, rng.next());
@@ -671,22 +662,17 @@ TrialOut p2p_core(const Args& a, std::uint64_t seed,
 int cmd_p2p(const Args& a) { return run_cmd(a, p2p_core); }
 
 TrialOut broadcast_core(const Args& a, std::uint64_t seed,
-                        telemetry::Telemetry* tel,
-                        telemetry::JsonlTraceSink* trace,
-                        perf::Profiler* prof, SlotHook* hook) {
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+                        const Observers& obs) {
+  World w = make_world(a, seed, true, setup_observers(obs));
   Rng rng(seed ^ 0xB2);
   const std::uint64_t k = a.get_u64("k", 16);
   BroadcastServiceConfig cfg = BroadcastServiceConfig::for_graph(w.g);
   cfg.distribution.window =
       static_cast<std::uint32_t>(a.get_u64("window", 0, kU32Max));
-  cfg.telemetry = tel;
-  cfg.trace = trace;
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;
+  static_cast<Observers&>(cfg) = obs;
   cfg.faults = faults_from_args(a);
   cfg.stall_slots = a.get_u64("fault-stall", 0);
-  if (trace != nullptr) {
+  if (telemetry::JsonlTraceSink* trace = jsonl_trace(obs)) {
     trace->set_protocol("broadcast");
     trace->set_levels(w.setup.tree.level);
   }
@@ -710,9 +696,7 @@ TrialOut broadcast_core(const Args& a, std::uint64_t seed,
 
 int cmd_broadcast(const Args& a) { return run_cmd(a, broadcast_core); }
 
-TrialOut serve_core(const Args& a, std::uint64_t seed,
-                    telemetry::Telemetry* tel, telemetry::JsonlTraceSink*,
-                    perf::Profiler* prof, SlotHook* hook) {
+TrialOut serve_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   namespace svc = radiomc::service;
   const svc::AdmissionPolicy policy =
       svc::admission_policy_from_string(a.get("admission", "off"));
@@ -725,7 +709,7 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
                                   a.has("health-window"),
                                   a.get_u64("health-window", 64));
 
-  World w = make_world(a, seed, true, tel, nullptr, nullptr, prof);
+  World w = make_world(a, seed, true, setup_observers(obs));
   Rng rng(seed ^ 0xB6);
 
   svc::ServeConfig cfg;
@@ -744,9 +728,9 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
   cfg.dedup_guard = !a.has("no-dedup");
   cfg.autosleep = !a.has("no-autosleep");
   cfg.faults = faults_from_args(a);
-  cfg.telemetry = tel;
-  cfg.profiler = prof;
-  cfg.slot_hook = hook;
+  cfg.telemetry = obs.telemetry;
+  cfg.profiler = obs.profiler;
+  cfg.slot_hook = obs.slot_hook;
 
   // --health-out: attach the online monitor. Its flight recorder rides the
   // same null-guarded TraceSink hook as --trace-out elsewhere, so a run
@@ -809,15 +793,16 @@ TrialOut serve_core(const Args& a, std::uint64_t seed,
         health_path.c_str());
   }
 
-  if (tel != nullptr) {
-    tel->timeline.record(
+  if (obs.telemetry != nullptr) {
+    TelemetryHub& tel = *obs.telemetry;
+    tel.timeline.record(
         "serve", "phases", 0, cfg.warmup_phases + cfg.phases,
         {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
          {"delivered", static_cast<std::int64_t>(out.delivered)},
          {"shed", static_cast<std::int64_t>(out.shed)}});
-    tel->metrics.gauge("service.mean_population", {{"protocol", "serve"}})
+    tel.metrics.gauge("service.mean_population", {{"protocol", "serve"}})
         .set(out.population.mean());
-    tel->metrics.gauge("service.mean_sojourn_phases", {{"protocol", "serve"}})
+    tel.metrics.gauge("service.mean_sojourn_phases", {{"protocol", "serve"}})
         .set(out.sojourn_phases.mean());
   }
 
@@ -876,8 +861,8 @@ int cmd_serve(const Args& a) {
 
 int cmd_ranking(const Args& a) {
   Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
+  World w = make_world(a, a.get_u64("seed", 1), true,
+                       setup_observers(obs.observers()));
   Rng rng(a.get_u64("seed", 1) ^ 0xB3);
   PreparationResult prep;
   prep.ok = true;
@@ -902,8 +887,8 @@ int cmd_ranking(const Args& a) {
 int cmd_ethernet(const Args& a) {
   reject_fault_flags(a, "ethernet");
   Obs obs = Obs::from_args(a);
-  World w = make_world(a, a.get_u64("seed", 1), true, &obs.tel, nullptr,
-                       nullptr, obs.profiler());
+  World w = make_world(a, a.get_u64("seed", 1), true,
+                       setup_observers(obs.observers()));
   Rng rng(a.get_u64("seed", 1) ^ 0xB4);
   const std::uint32_t frames =
       static_cast<std::uint32_t>(a.get_u64("frames", 1, kU32Max));
