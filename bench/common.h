@@ -52,7 +52,7 @@ auto checked_flag(Parse&& parse) {
 
 inline Options parse_options(int argc, char** argv) {
   Options o;
-  o.jobs = jobs_from_env();
+  o.jobs = checked_flag([] { return jobs_from_env(); });
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       const char* text = argv[++i];

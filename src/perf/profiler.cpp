@@ -1,5 +1,7 @@
 #include "perf/profiler.h"
 
+#include "telemetry/telemetry.h"
+
 namespace radiomc::perf {
 
 SpanNode* SpanNode::child(std::string_view child_name) {
@@ -43,6 +45,29 @@ void Profiler::end() {
 
 void Profiler::count(std::string_view name, std::uint64_t delta) {
   counters_[std::string(name)] += delta;
+}
+
+RunSpan::RunSpan(const Observers& obs, std::string_view protocol,
+                 std::string_view name, SlotTime begin)
+    : telemetry_(obs.telemetry),
+      profiler_(obs.profiler),
+      protocol_(protocol),
+      name_(name),
+      begin_(begin) {
+  if (profiler_ != nullptr)
+    profiler_->begin(std::string(protocol).append(".").append(name));
+}
+
+void RunSpan::close(SlotTime end, std::initializer_list<Attr> attrs) {
+  if (telemetry_ != nullptr) {
+    telemetry::PhaseSpan span{std::string(protocol_), std::string(name_),
+                              begin_, end, {}};
+    for (const auto& [key, value] : attrs) span.attrs.emplace_back(key, value);
+    telemetry_->timeline.record(std::move(span));
+  }
+  if (profiler_ != nullptr) profiler_->end();
+  telemetry_ = nullptr;
+  profiler_ = nullptr;
 }
 
 }  // namespace radiomc::perf

@@ -6,8 +6,8 @@
 // what proves a speedup and catches a regression.
 //
 // Design rules (enforced by the `perf-purity` lint family):
-//  * Null-cost when off: every hook takes a `Profiler*`; a null pointer
-//    means no clock read, no allocation, no branch beyond the null test.
+//  * Null-cost when off: every hook takes a `Profiler*` or `Observers`; a
+//    null pointer means no clock read, no allocation, no branch beyond it.
 //    Simulation output is byte-identical with profiling on or off — time
 //    flows out into reports, never back into an Rng or a transmit intent.
 //  * Write-only from instrumented code: call sites can open spans and bump
@@ -18,18 +18,22 @@
 //
 // Spans aggregate structurally: the same name opened under the same parent
 // accumulates into one node (count, total/min/max ns), so a span opened
-// once per setup attempt or once per Decay invocation stays O(1) memory
+// once per setup attempt or once per service phase stays O(1) memory
 // however long the run. The profiler is single-threaded by design — one
 // per driver thread; parallel trial runners profile at the driver level
 // (the same place their telemetry merges).
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "radio/message.h"
+#include "radio/trace.h"
 #include "support/stopwatch.h"
 
 namespace radiomc::perf {
@@ -51,8 +55,8 @@ class Profiler {
   Profiler();
 
   /// Opens a span named `name` nested under the innermost open span.
-  /// Prefer the RAII PerfSpan below; begin/end exist for non-scoped
-  /// lifetimes (e.g. a span closed by a different callback).
+  /// Prefer the RAII RunSpan or PerfSpan below; begin/end exist for
+  /// non-scoped lifetimes (e.g. a span closed by a different callback).
   void begin(std::string_view name);
   /// Closes the innermost open span; unbalanced calls are ignored.
   void end();
@@ -93,9 +97,9 @@ class Profiler {
   std::uint64_t cpu0_ns_;
 };
 
-/// RAII span: opens on construction, closes on destruction; a null
-/// profiler disables it entirely (no clock read). This is the only
-/// profiling primitive protocol drivers should touch.
+/// RAII span: opens on construction, closes on destruction; a null profiler
+/// disables it (no clock read). For stretches with no single slot clock (a
+/// service phase, a trial pool); a run's slot-time stretch is a RunSpan.
 class PerfSpan {
  public:
   PerfSpan(Profiler* p, std::string_view name) : p_(p) {
@@ -109,6 +113,38 @@ class PerfSpan {
 
  private:
   Profiler* p_;
+};
+
+/// One timed stretch of a run (a setup epoch, a collection drain), recorded
+/// once for both observers: close() appends the slot-time span {protocol,
+/// name, begin, end, attrs} to the hub's timeline (--metrics-out) and ends
+/// the host-time profiler span "<protocol>.<name>" the constructor opened
+/// (--perf-out). Both observers null: no clock read, no allocation. Left
+/// without close() (early return, exception), it still ends the profiler
+/// span and records no timeline span. `protocol` and `name` must outlive
+/// the span (drivers pass literals).
+class RunSpan {
+ public:
+  using Attr = std::pair<std::string_view, std::int64_t>;
+
+  RunSpan(const Observers& obs, std::string_view protocol,
+          std::string_view name, SlotTime begin);
+  ~RunSpan() {
+    if (profiler_ != nullptr) profiler_->end();
+  }
+  RunSpan(const RunSpan&) = delete;
+  RunSpan& operator=(const RunSpan&) = delete;
+
+  /// Ends the stretch at slot `end` (one past its last slot). Later calls,
+  /// and the destructor, do nothing.
+  void close(SlotTime end, std::initializer_list<Attr> attrs = {});
+
+ private:
+  TelemetryHub* telemetry_;
+  Profiler* profiler_;
+  std::string_view protocol_;
+  std::string_view name_;
+  SlotTime begin_;
 };
 
 }  // namespace radiomc::perf

@@ -154,12 +154,13 @@ KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,
   for (std::size_t i = 0; i < sources.size(); ++i)
     svc.broadcast(sources[i], 0x42000000ULL + i);
   KBroadcastOutcome out;
-  {
-    perf::PerfSpan run_span(cfg.profiler, "broadcast.run");
-    out.completed = svc.run_until_delivered(max_slots);
-  }
+  perf::RunSpan run_span(cfg, "distribution", "k_broadcast", 0);
+  out.completed = svc.run_until_delivered(max_slots);
   out.status = svc.status();
   out.slots = svc.now();
+  run_span.close(out.slots,
+                 {{"k", static_cast<std::int64_t>(sources.size())},
+                  {"completed", out.completed ? 1 : 0}});
   out.root_resends = svc.distribution(tree.root).root_resends();
   out.delivered_prefix = svc.min_delivered_prefix();
   out.engine_polls = svc.engine_stats().station_polls;
@@ -171,10 +172,6 @@ KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,
   if (cfg.telemetry != nullptr) {
     telemetry::Telemetry& tel = *cfg.telemetry;
     const DistributionStation& root = svc.distribution(tree.root);
-    tel.timeline.record(
-        "distribution", "k_broadcast", 0, out.slots,
-        {{"k", static_cast<std::int64_t>(sources.size())},
-         {"completed", out.completed ? 1 : 0}});
     tel.metrics.counter("distribution.broadcasts").inc(sources.size());
     tel.metrics.counter("distribution.root_fresh_sent")
         .inc(root.root_sent_fresh());

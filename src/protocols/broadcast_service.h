@@ -27,9 +27,9 @@
 
 namespace radiomc {
 
-/// The observers (radio/trace.h) serve run_k_broadcast: a distribution span
-/// with resend/idle-rebroadcast counters in the hub, a "broadcast.run"
-/// profiler span with slot/resend counters. The observers inside
+/// The observers (radio/trace.h) serve run_k_broadcast: one span for the hub
+/// and the profiler ("distribution.k_broadcast"), resend/idle-rebroadcast
+/// counters in the hub, slot/resend profiler counters. The observers inside
 /// `collection` are ignored: the service runs one network.
 struct BroadcastServiceConfig : Observers {
   CollectionConfig collection;

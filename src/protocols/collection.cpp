@@ -236,19 +236,22 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   const CollectionStation* root = stations[tree.root].get();
   const auto arrived = [root] { return root->root_sink().size(); };
   StallWatchdog watchdog(cfg.stall_slots, arrived());
-  {
-    perf::PerfSpan drain_span(cfg.profiler, "collection.drain");
-    while (arrived() < expected && net.now() < max_slots) {
-      if (net.now() % slots_per_phase == 0)
-        snapshot_occupancy(net.now() / slots_per_phase);
-      net.step();
-      if (watchdog.stalled(net.now(), arrived)) break;
-    }
+  perf::RunSpan drain_span(cfg, "collection", "drain", 0);
+  while (arrived() < expected && net.now() < max_slots) {
+    if (net.now() % slots_per_phase == 0)
+      snapshot_occupancy(net.now() / slots_per_phase);
+    net.step();
+    if (watchdog.stalled(net.now(), arrived)) break;
   }
   out.completed = arrived() >= expected;
   out.status = watchdog.status(out.completed);
   out.slots = net.now();
   out.phases = (net.now() + slots_per_phase - 1) / slots_per_phase;
+  drain_span.close(out.slots,
+                   {{"k", static_cast<std::int64_t>(expected)},
+                    {"phases", static_cast<std::int64_t>(out.phases)},
+                    {"depth", static_cast<std::int64_t>(tree.depth)},
+                    {"completed", out.completed ? 1 : 0}});
   out.deliveries = root->root_sink();
   out.engine_polls = net.engine_stats().station_polls;
 
@@ -275,12 +278,6 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
 
   if (cfg.telemetry != nullptr) {
     telemetry::Telemetry& tel = *cfg.telemetry;
-    tel.timeline.record(
-        "collection", "drain", 0, out.slots,
-        {{"k", static_cast<std::int64_t>(expected)},
-         {"phases", static_cast<std::int64_t>(out.phases)},
-         {"depth", static_cast<std::int64_t>(tree.depth)},
-         {"completed", out.completed ? 1 : 0}});
     tel.metrics.counter("collection.messages_delivered")
         .inc(out.deliveries.size());
     tel.metrics.counter("collection.phases").inc(out.phases);

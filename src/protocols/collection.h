@@ -36,9 +36,9 @@
 
 namespace radiomc {
 
-/// The observers (radio/trace.h) serve run_collection: a drain span,
-/// per-level advance counters and queue-depth histograms in the hub, a
-/// "collection.drain" profiler span with slot/phase/delivery counters.
+/// The observers (radio/trace.h) serve run_collection: one drain span for
+/// the hub and the profiler ("collection.drain"), per-level advance counters
+/// and queue-depth histograms in the hub, slot/phase/delivery counters.
 struct CollectionConfig : Observers {
   SlotStructure slots;  ///< decay_len from Delta; ack + mod-3 on by default
 

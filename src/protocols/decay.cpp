@@ -3,7 +3,6 @@
 #include <memory>
 #include <vector>
 
-#include "perf/profiler.h"
 #include "radio/network.h"
 
 namespace radiomc {
@@ -13,9 +12,8 @@ namespace {
 /// Transmits one fixed message under Decay; everyone else listens.
 class DecayTrialStation final : public Station {
  public:
-  DecayTrialStation(std::uint32_t decay_len, bool transmits, Rng rng,
-                    bool autosleep)
-      : decay_(decay_len), rng_(rng), autosleep_(autosleep) {
+  DecayTrialStation(std::uint32_t decay_len, bool transmits, Rng rng)
+      : decay_(decay_len), rng_(rng) {
     if (transmits) decay_.start();
   }
 
@@ -24,9 +22,7 @@ class DecayTrialStation final : public Station {
   // once the coin kills it — or for pure listeners from the start — on_slot
   // returns no intent and on_slot_end is a no-op, so skipping both changes
   // nothing. No event ever re-creates transmit desire, hence no wake().
-  void on_attach(Waker& w) override {
-    if (autosleep_) w.set_autosleep(true);
-  }
+  void on_attach(Waker& w) override { w.set_autosleep(true); }
 
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
     if (!decay_.wants_transmit()) return;
@@ -52,7 +48,6 @@ class DecayTrialStation final : public Station {
  private:
   DecayProcess decay_;
   Rng rng_;
-  bool autosleep_;
   bool transmitted_ = false;
   bool received_ = false;
 };
@@ -61,10 +56,7 @@ class DecayTrialStation final : public Station {
 
 bool decay_single_trial(const Graph& g, NodeId receiver,
                         const std::vector<NodeId>& transmitters,
-                        std::uint32_t decay_len, Rng& rng,
-                        perf::Profiler* profiler, bool autosleep,
-                        std::uint64_t* engine_polls) {
-  perf::PerfSpan span(profiler, "decay.invocation");
+                        std::uint32_t decay_len, Rng& rng) {
   require(receiver < g.num_nodes(), "decay_single_trial: receiver in range");
   std::vector<bool> sends(g.num_nodes(), false);
   for (NodeId t : transmitters) {
@@ -77,7 +69,7 @@ bool decay_single_trial(const Graph& g, NodeId receiver,
   stations.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     stations.push_back(std::make_unique<DecayTrialStation>(
-        decay_len, sends[v], rng.split(v), autosleep));
+        decay_len, sends[v], rng.split(v)));
   std::vector<Station*> ptrs;
   ptrs.reserve(stations.size());
   for (auto& s : stations) ptrs.push_back(s.get());
@@ -85,7 +77,6 @@ bool decay_single_trial(const Graph& g, NodeId receiver,
   RadioNetwork net(g);
   net.attach(std::move(ptrs));
   net.run(decay_len);
-  if (engine_polls) *engine_polls = net.engine_stats().station_polls;
   return stations[receiver]->received();
 }
 

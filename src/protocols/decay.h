@@ -24,10 +24,6 @@
 
 namespace radiomc {
 
-namespace perf {
-class Profiler;  // src/perf/profiler.h; forward-declared (perf-purity)
-}  // namespace perf
-
 class DecayProcess {
  public:
   /// `length` is the maximum number of transmissions per invocation,
@@ -71,19 +67,12 @@ class DecayProcess {
 /// and reports whether `receiver` heard any of them. All transmitters must
 /// be neighbors of `receiver` for property (2) to apply, but the function
 /// does not require it (multi-hop interference studies use non-neighbors).
-/// `profiler` (optional) records one "decay.invocation" span per trial.
 ///
-/// With `autosleep` the listeners opt out of the engine's active set (they
-/// never transmit, and their idle slots touch no state), so only live
-/// Decay processes are polled; a live process transmits every polled slot,
-/// which retains its membership with zero wake() calls, making the result
-/// byte-identical to the always-active run. `engine_polls` (optional)
-/// receives the engine's on_slot count — the quantity autosleep shrinks.
+/// Every station autosleeps: listeners never transmit, and a live Decay
+/// process transmits on every polled slot, which keeps its active-set
+/// membership with no wake(). Only live processes are polled.
 bool decay_single_trial(const Graph& g, NodeId receiver,
                         const std::vector<NodeId>& transmitters,
-                        std::uint32_t decay_len, Rng& rng,
-                        perf::Profiler* profiler = nullptr,
-                        bool autosleep = true,
-                        std::uint64_t* engine_polls = nullptr);
+                        std::uint32_t decay_len, Rng& rng);
 
 }  // namespace radiomc

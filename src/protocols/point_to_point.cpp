@@ -322,31 +322,28 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
 
   harvest(0);  // self-addressed requests complete instantly
   StallWatchdog watchdog(cfg.stall_slots, delivered);
-  {
-    perf::PerfSpan run_span(cfg.profiler, "p2p.run");
-    while (delivered < requests.size() && net.now() < max_slots) {
-      net.step();
-      harvest(net.now());
-      if (watchdog.stalled(net.now(), [&] { return delivered; })) break;
-    }
-  }
-  if (cfg.profiler != nullptr) {
-    cfg.profiler->count("p2p.slots", net.now());
-    cfg.profiler->count("p2p.delivered", delivered);
+  perf::RunSpan run_span(cfg, "point_to_point", "run", 0);
+  while (delivered < requests.size() && net.now() < max_slots) {
+    net.step();
+    harvest(net.now());
+    if (watchdog.stalled(net.now(), [&] { return delivered; })) break;
   }
   out.completed = delivered >= requests.size();
   out.status = watchdog.status(out.completed);
   out.slots = net.now();
+  run_span.close(out.slots,
+                 {{"k", static_cast<std::int64_t>(requests.size())},
+                  {"delivered", static_cast<std::int64_t>(delivered)},
+                  {"completed", out.completed ? 1 : 0}});
+  if (cfg.profiler != nullptr) {
+    cfg.profiler->count("p2p.slots", out.slots);
+    cfg.profiler->count("p2p.delivered", delivered);
+  }
   out.delivered = delivered;
   out.engine_polls = net.engine_stats().station_polls;
 
   if (cfg.telemetry != nullptr) {
     telemetry::Telemetry& tel = *cfg.telemetry;
-    tel.timeline.record(
-        "point_to_point", "run", 0, out.slots,
-        {{"k", static_cast<std::int64_t>(requests.size())},
-         {"delivered", static_cast<std::int64_t>(delivered)},
-         {"completed", out.completed ? 1 : 0}});
     tel.metrics.counter("p2p.requests").inc(requests.size());
     tel.metrics.counter("p2p.delivered").inc(delivered);
     telemetry::Distribution& lat = tel.metrics.distribution(

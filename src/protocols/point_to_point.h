@@ -34,9 +34,9 @@
 
 namespace radiomc {
 
-/// The observers (radio/trace.h) serve run_point_to_point: a run span with
-/// request counts and a delivery-latency histogram in the hub, a "p2p.run"
-/// profiler span with request/slot counters.
+/// The observers (radio/trace.h) serve run_point_to_point: one run span for
+/// the hub and the profiler ("point_to_point.run"), request counts and a
+/// delivery-latency histogram in the hub, request/slot profiler counters.
 struct P2pConfig : Observers {
   SlotStructure slots;  ///< ack + mod-3 on by default
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 
+#include "perf/profiler.h"
 #include "protocols/tree.h"
 #include "radio/network.h"
 #include "support/util.h"
@@ -14,8 +15,8 @@ namespace radiomc {
 RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
                            const std::vector<std::uint64_t>& app_ids,
                            std::uint64_t seed, SlotTime max_slots,
-                           TelemetryHub* telemetry, const FaultPlan& faults,
-                           SlotTime stall_slots) {
+                           const Observers& observers,
+                           const FaultPlan& faults, SlotTime stall_slots) {
   const NodeId n = g.num_nodes();
   require(app_ids.size() == n, "run_ranking: one app id per node");
   require(prep.routing.size() == n, "run_ranking: bad preparation");
@@ -51,17 +52,17 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
     initial.push_back(m);
   }
   CollectionConfig ccfg = CollectionConfig::for_graph(g);
-  ccfg.telemetry = telemetry;
+  ccfg.telemetry = observers.telemetry;
+  ccfg.profiler = observers.profiler;
   ccfg.faults = faults;
   ccfg.stall_slots = stall_slots;
+  perf::RunSpan collect_span(observers, "ranking", "collect", 0);
   const CollectionOutcome collected =
       run_collection(g, tree, initial, ccfg, seed, max_slots);
   out.collect_slots = collected.slots;
-  if (telemetry != nullptr)
-    telemetry->timeline.record(
-        "ranking", "collect", 0, out.collect_slots,
-        {{"n", static_cast<std::int64_t>(n)},
-         {"completed", collected.completed ? 1 : 0}});
+  collect_span.close(out.collect_slots,
+                     {{"n", static_cast<std::int64_t>(n)},
+                      {"completed", collected.completed ? 1 : 0}});
   if (!collected.completed) {
     out.status = collected.status;
     return out;
@@ -125,20 +126,20 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
     return c;
   };
   StallWatchdog watchdog(stall_slots, delivered());
+  perf::RunSpan deliver_span(observers, "ranking", "deliver",
+                             out.collect_slots);
   while (delivered() < expected_downs && net.now() < max_slots) {
     net.step();
     if (watchdog.stalled(net.now(), delivered)) break;
   }
   out.deliver_slots = net.now();
-  if (telemetry != nullptr) {
-    telemetry->timeline.record(
-        "ranking", "deliver", out.collect_slots,
-        out.collect_slots + out.deliver_slots,
-        {{"ranks", static_cast<std::int64_t>(expected_downs)},
-         {"completed", delivered() >= expected_downs ? 1 : 0}});
-    telemetry::publish_net_metrics(net.metrics(), telemetry->metrics,
-                                   "ranking_deliver");
-    telemetry::publish_fault_metrics(fsch, net.metrics(), telemetry->metrics,
+  deliver_span.close(out.collect_slots + out.deliver_slots,
+                     {{"ranks", static_cast<std::int64_t>(expected_downs)},
+                      {"completed", delivered() >= expected_downs ? 1 : 0}});
+  if (observers.telemetry != nullptr) {
+    telemetry::MetricsRegistry& reg = observers.telemetry->metrics;
+    telemetry::publish_net_metrics(net.metrics(), reg, "ranking_deliver");
+    telemetry::publish_fault_metrics(fsch, net.metrics(), reg,
                                      "ranking_deliver");
   }
   if (delivered() < expected_downs) {

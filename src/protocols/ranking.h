@@ -16,7 +16,7 @@
 #include "protocols/collection.h"
 #include "protocols/dfs_numbering.h"
 #include "protocols/point_to_point.h"
-#include "telemetry/telemetry.h"
+#include "radio/trace.h"
 
 namespace radiomc {
 
@@ -35,8 +35,9 @@ struct RankingOutcome {
 /// Runs the full ranking protocol. `app_ids[v]` is node v's application id
 /// (must be distinct). Uses an already-prepared tree (setup measured
 /// separately, as in §7: "not including the setup costs of Section 2").
-/// `telemetry`, when given, receives "ranking" collect/deliver spans (the
-/// inner collection additionally reports through the same hub).
+/// `observers`: the hub and profiler get the "ranking" collect/deliver spans
+/// and pass on to the inner collection (its "collection.drain" nests under
+/// "ranking.collect"); the trace sink and slot hook go unused.
 /// `faults` / `stall_slots` mirror CollectionConfig's fields: the fault
 /// plan is applied to both phases (each phase's network compiles its own
 /// schedule off the phase seed) and the watchdog turns a stalled phase
@@ -45,7 +46,7 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
                            const std::vector<std::uint64_t>& app_ids,
                            std::uint64_t seed,
                            SlotTime max_slots = 200'000'000,
-                           TelemetryHub* telemetry = nullptr,
+                           const Observers& observers = {},
                            const FaultPlan& faults = {},
                            SlotTime stall_slots = 0);
 

@@ -1,9 +1,8 @@
 #include "protocols/setup.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <string>
+#include <utility>
 
 #include "perf/profiler.h"
 #include "radio/network.h"
@@ -342,29 +341,6 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
   net.set_faults(&faults);
   net.attach(std::move(ptrs));
 
-  // Epoch boundaries are globally known (a pure function of n, Delta and
-  // the attempt), so both the telemetry timeline and the perf span tree
-  // can be laid down by the driver with no cooperation from the stations.
-  auto epoch_table = [](const SetupSchedule& sched) {
-    return std::array<std::pair<const char*, SlotTime>, 6>{
-        {{"leader_election", sched.le},
-         {"bfs_verify", sched.bv},
-         {"dfs_graph", sched.dfs1},
-         {"dfs_tree", sched.dfs2},
-         {"final_verify", sched.fv},
-         {"completion_flood", sched.gl}}};
-  };
-  auto record_attempt_spans = [&](std::uint32_t attempt, SlotTime base,
-                                  const SetupSchedule& sched) {
-    if (tuning.telemetry == nullptr) return;
-    telemetry::PhaseTimeline& tl = tuning.telemetry->timeline;
-    SlotTime t = base;
-    for (const auto& [name, len] : epoch_table(sched)) {
-      tl.record("setup", name, t, t + len,
-                {{"attempt", static_cast<std::int64_t>(attempt)}});
-      t += len;
-    }
-  };
   auto publish_totals = [&](const SetupOutcome& o) {
     if (tuning.profiler != nullptr) {
       tuning.profiler->count("setup.slots", o.slots);
@@ -385,25 +361,27 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
     const SetupSchedule sched = setup_schedule(n, dl, tuning, attempt);
     const SlotTime attempt_end = attempt_start + sched.attempt_length();
-    {
-      // One perf span per attempt, one child per epoch; stepping epoch by
-      // epoch to the same fixed boundaries leaves the slot stream exactly
-      // as the flat while-loop produced it.
-      perf::PerfSpan attempt_span(tuning.profiler, "setup.attempt");
-      SlotTime epoch_end = attempt_start;
-      for (const auto& [name, len] : epoch_table(sched)) {
-        perf::PerfSpan epoch_span(tuning.profiler,
-                                  std::string("setup.") + name);
-        // Every station acts at an epoch or attempt boundary; the driver
-        // knows them all, so it wakes the sleeping stations there.
-        for (NodeId v = 0; v < n; ++v) net.wake_station(v);
-        epoch_end += len;
-        while (net.now() < epoch_end) net.step();
-      }
-      while (net.now() < attempt_end) net.step();  // defensive; no-op
+    // Epoch boundaries are globally known (a pure function of n, Delta and
+    // the attempt), so the driver lays down each epoch's span itself and
+    // steps to the same fixed boundaries the stations keep.
+    SlotTime epoch_start = attempt_start;
+    for (const auto& [name, len] :
+         {std::pair<const char*, SlotTime>{"leader_election", sched.le},
+          {"bfs_verify", sched.bv},
+          {"dfs_graph", sched.dfs1},
+          {"dfs_tree", sched.dfs2},
+          {"final_verify", sched.fv},
+          {"completion_flood", sched.gl}}) {
+      perf::RunSpan span(tuning, "setup", name, epoch_start);
+      // Every station acts at an epoch or attempt boundary; the driver
+      // knows them all, so it wakes the sleeping stations there.
+      for (NodeId v = 0; v < n; ++v) net.wake_station(v);
+      epoch_start += len;
+      while (net.now() < epoch_start) net.step();
+      span.close(epoch_start,
+                 {{"attempt", static_cast<std::int64_t>(attempt)}});
     }
     if (tuning.profiler != nullptr) tuning.profiler->count("setup.attempts");
-    record_attempt_spans(attempt, attempt_start, sched);
     attempt_start = attempt_end;
     out.attempts = attempt + 1;
 

@@ -57,10 +57,11 @@
 
 namespace radiomc {
 
-/// The observers (radio/trace.h) serve run_setup: one hub span per epoch
-/// per attempt (A..G, on the globally known schedule boundaries) plus
-/// attempt/restart counters, and one "setup.attempt" profiler span per
-/// attempt with one child per epoch — no station cooperation needed.
+/// The observers (radio/trace.h) serve run_setup: one span per epoch per
+/// attempt (A..G, on the globally known schedule boundaries), recorded once
+/// for both the hub ("setup" / "<epoch>") and the profiler (a top-level
+/// "setup.<epoch>" whose count is the attempts), plus attempt/restart
+/// counters — no station cooperation needed.
 struct SetupTuning : Observers {
   /// Multiplier on the B and F collection budgets (in units of n*decay_len).
   std::uint32_t verify_mult = 96;

@@ -1,7 +1,10 @@
 #include "support/parallel.h"
 
 #include <cstdlib>
+#include <limits>
 #include <string>
+
+#include "support/util.h"
 
 namespace radiomc {
 
@@ -10,12 +13,11 @@ unsigned hardware_jobs() noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-unsigned jobs_from_env(unsigned fallback) noexcept {
+unsigned jobs_from_env(unsigned fallback) {
   const char* env = std::getenv("RADIOMC_JOBS");
   if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
+  const auto v = parse_unsigned(
+      env, "RADIOMC_JOBS", std::numeric_limits<unsigned>::max());
   return v == 0 ? hardware_jobs() : static_cast<unsigned>(v);
 }
 

@@ -38,8 +38,9 @@ unsigned hardware_jobs() noexcept;
 
 /// Default job count when a driver got no explicit --jobs: the
 /// RADIOMC_JOBS environment variable ("0" means all hardware threads),
-/// else `fallback` (serial by default, so plain runs stay plain).
-unsigned jobs_from_env(unsigned fallback = 1) noexcept;
+/// else `fallback` (serial by default, so plain runs stay plain). A
+/// malformed value ("-1", "4x") throws parse_unsigned's named error.
+unsigned jobs_from_env(unsigned fallback = 1);
 
 /// Fixed-size pool of worker threads draining one FIFO task queue.
 /// Tasks must not throw (wrap trial bodies that can; `run_indexed` does).

@@ -21,11 +21,4 @@ void PhaseTimeline::write_json(JsonWriter& w) const {
   w.end_array();
 }
 
-std::string PhaseTimeline::to_json() const {
-  std::string out;
-  JsonWriter w(&out);
-  write_json(w);
-  return out;
-}
-
 }  // namespace radiomc::telemetry

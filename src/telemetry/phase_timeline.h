@@ -5,11 +5,11 @@
 // BFS levels, verification restarts, collection drains — instead of one
 // opaque total. Spans carry small integer attributes (attempt index, level,
 // message count) and may nest or overlap freely; the timeline is an append
-// log ordered by recording time, not an interval tree.
+// log ordered by recording time, not an interval tree. Run drivers record a
+// timed stretch through perf::RunSpan, which feeds the profiler too.
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,31 +25,12 @@ struct PhaseSpan {
   SlotTime begin = 0;    ///< first slot of the span
   SlotTime end = 0;      ///< one past the last slot
   std::vector<std::pair<std::string, std::int64_t>> attrs;
-
-  SlotTime length() const noexcept { return end - begin; }
 };
 
 class PhaseTimeline {
  public:
   /// Appends a completed span.
   void record(PhaseSpan span) { spans_.push_back(std::move(span)); }
-  void record(std::string_view protocol, std::string_view name,
-              SlotTime begin, SlotTime end,
-              std::vector<std::pair<std::string, std::int64_t>> attrs = {}) {
-    record(PhaseSpan{std::string(protocol), std::string(name), begin, end,
-                     std::move(attrs)});
-  }
-
-  /// Opens a span to be closed later; returns its index. Useful when the
-  /// end slot is only known after the fact (e.g. a drain loop).
-  std::size_t open(std::string_view protocol, std::string_view name,
-                   SlotTime begin) {
-    spans_.push_back(
-        PhaseSpan{std::string(protocol), std::string(name), begin, begin, {}});
-    return spans_.size() - 1;
-  }
-  void close(std::size_t index, SlotTime end) { spans_[index].end = end; }
-  PhaseSpan& at(std::size_t index) { return spans_[index]; }
 
   /// Appends every span of `other` in its recording order. Slot times are
   /// kept as recorded — each trial has its own network clock — so callers
@@ -59,10 +40,8 @@ class PhaseTimeline {
   }
 
   const std::vector<PhaseSpan>& spans() const noexcept { return spans_; }
-  bool empty() const noexcept { return spans_.empty(); }
 
-  /// JSON array of span objects, in recording order.
-  std::string to_json() const;
+  /// Writes the JSON array of span objects, in recording order.
   void write_json(JsonWriter& w) const;
 
  private:

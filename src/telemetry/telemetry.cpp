@@ -80,13 +80,13 @@ void publish_fault_run(Telemetry& tel, const FaultSchedule& faults,
   publish_fault_metrics(faults, m, tel.metrics, protocol);
   const FaultSchedule::Stats& s = faults.stats();
   tel.timeline.record(
-      "faults", protocol, 0, slots,
-      {{"crashes", static_cast<std::int64_t>(s.crashes)},
-       {"recoveries", static_cast<std::int64_t>(s.recoveries)},
-       {"link_downs", static_cast<std::int64_t>(s.link_downs)},
-       {"jams", static_cast<std::int64_t>(m.fault_jams)},
-       {"drops", static_cast<std::int64_t>(m.fault_drops)},
-       {"degraded", status == RunStatus::kDegraded ? 1 : 0}});
+      {"faults", protocol, 0, slots,
+       {{"crashes", static_cast<std::int64_t>(s.crashes)},
+        {"recoveries", static_cast<std::int64_t>(s.recoveries)},
+        {"link_downs", static_cast<std::int64_t>(s.link_downs)},
+        {"jams", static_cast<std::int64_t>(m.fault_jams)},
+        {"drops", static_cast<std::int64_t>(m.fault_drops)},
+        {"degraded", status == RunStatus::kDegraded ? 1 : 0}}});
 }
 
 }  // namespace radiomc::telemetry

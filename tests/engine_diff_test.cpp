@@ -519,25 +519,76 @@ TEST(AutosleepAB, CollectionIdenticalUnderFaultsToo) {
   }
 }
 
-TEST(AutosleepAB, DecayTrialIsByteIdenticalAndPollsLess) {
-  // Listeners never transmit and a live Decay process transmits on every
-  // polled slot, so autosleep needs zero wake() calls: the result must
-  // match with strictly fewer polls (the listeners' idle slots).
-  const Graph g = gen::star(20);
-  std::vector<NodeId> transmitters;
-  for (NodeId v = 1; v <= 6; ++v) transmitters.push_back(v);
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng_on(seed * 31);
-    Rng rng_off(seed * 31);
-    std::uint64_t polls_on = 0, polls_off = 0;
-    const bool a = decay_single_trial(g, 0, transmitters, 8, rng_on, nullptr,
-                                      /*autosleep=*/true, &polls_on);
-    const bool b = decay_single_trial(g, 0, transmitters, 8, rng_off, nullptr,
-                                      /*autosleep=*/false, &polls_off);
-    EXPECT_EQ(a, b) << "seed " << seed;
-    EXPECT_EQ(rng_on.next(), rng_off.next()) << "seed " << seed;
-    EXPECT_LT(polls_on, polls_off) << "seed " << seed;
+/// The paper's Decay procedure as an always-polled station: transmit at
+/// every opportunity while the DecayProcess lives, flip the coin after each
+/// transmission. It takes no Waker, so it never sleeps.
+class DecayReference final : public Station {
+ public:
+  DecayReference(std::uint32_t len, bool transmits, Rng rng)
+      : decay_(len), rng_(rng) {
+    if (transmits) decay_.start();
   }
+  void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
+    if (!decay_.wants_transmit()) return;
+    Message m;
+    m.kind = MsgKind::kData;
+    tx[0] = m;
+    transmitted_ = true;
+  }
+  void on_receive(SlotTime, ChannelId, const Message&) override {
+    received_ = true;
+  }
+  void on_slot_end(SlotTime) override {
+    if (transmitted_) decay_.after_transmit(rng_);
+    transmitted_ = false;
+  }
+  bool received() const noexcept { return received_; }
+
+ private:
+  DecayProcess decay_;
+  Rng rng_;
+  bool transmitted_ = false;
+  bool received_ = false;
+};
+
+TEST(AutosleepAB, DecayTrialMatchesTheAlwaysPolledReference) {
+  // decay_single_trial's stations sleep between their own transmissions;
+  // Decay on the always-polled reference engine, from the same per-node
+  // streams, must reach the same verdict and leave the caller's Rng in the
+  // same state.
+  const Graph g = gen::star(20);
+  constexpr std::uint32_t kLen = 8;
+  std::vector<bool> sends(g.num_nodes(), false);
+  std::vector<NodeId> transmitters;
+  for (NodeId v = 1; v <= 6; ++v) {
+    transmitters.push_back(v);
+    sends[v] = true;
+  }
+  std::uint64_t heard = 0;
+  constexpr std::uint64_t kSeeds = 24;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng_sleep(seed * 31);
+    Rng rng_ref(seed * 31);
+    const bool a = decay_single_trial(g, 0, transmitters, kLen, rng_sleep);
+
+    std::vector<std::unique_ptr<DecayReference>> stations;
+    std::vector<Station*> ptrs;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      stations.push_back(
+          std::make_unique<DecayReference>(kLen, sends[v], rng_ref.split(v)));
+      ptrs.push_back(stations.back().get());
+    }
+    radiomc::testing::ReferenceNetwork net(g);
+    net.attach(std::move(ptrs));
+    net.run(kLen);
+
+    EXPECT_EQ(a, stations[0]->received()) << "seed " << seed;
+    EXPECT_EQ(rng_sleep.next(), rng_ref.next()) << "seed " << seed;
+    heard += a ? 1 : 0;
+  }
+  // Both verdicts occur, so the comparison is not vacuous.
+  EXPECT_GT(heard, 0u);
+  EXPECT_LT(heard, kSeeds);
 }
 
 TEST(AutosleepAB, KBroadcastIsByteIdenticalAndPollsLess) {

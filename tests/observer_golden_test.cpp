@@ -262,10 +262,12 @@ Digest ranking_cell(Rig& r, bool) {
   Rng rng(13);
   std::vector<std::uint64_t> ids(g.num_nodes());
   for (auto& id : ids) id = rng.next();
-  const RankingOutcome out = run_ranking(g, prep, ids, 14, 200'000'000,
-                                         &r.hub, churn_and_jam(), 2000);
+  Observers obs;
+  obs.telemetry = &r.hub;
+  const RankingOutcome out = run_ranking(g, prep, ids, 14, 200'000'000, obs,
+                                         churn_and_jam(), 2000);
   Digest d = r.digest(out.status, out.total_slots(), false);
-  d.hook = d.profiler = 0;  // ranking takes no hook or profiler
+  d.hook = d.profiler = 0;  // the cell attaches the hub only
   return d;
 }
 
@@ -282,21 +284,21 @@ void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
 const Cell kCells[] = {
     // clang-format off
     {"setup", setup_cell, false,
-     {RunStatus::kOk, 15940, 0x34f43d924c281432ULL, 0xeeeb2b16c2a38528ULL, 0xecaeeca620bdfc9fULL, 0x9f10b8527f02519aULL}},
+     {RunStatus::kOk, 15940, 0x34f43d924c281432ULL, 0xeeeb2b16c2a38528ULL, 0xecaeeca620bdfc9fULL, 0x614f001e7da9f130ULL}},
     {"setup_faulted", setup_cell, true,
-     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0x89104a5f265d6870ULL}},
+     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0xfc865590fd487a30ULL}},
     {"collection", collection_cell, false,
      {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL}},
     {"collection_faulted", collection_cell, true,
      {RunStatus::kDegraded, 233, 0x8df450f2e9ac8f8dULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0xae91023007340315ULL}},
     {"p2p", p2p_cell, false,
-     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x8170715e5a00d34fULL}},
+     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL}},
     {"p2p_faulted", p2p_cell, true,
-     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x83a5e6737a8357f1ULL}},
+     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x2c06aafac3ea095aULL}},
     {"broadcast", broadcast_cell, false,
-     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xbab964a8aecbe529ULL}},
+     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xefaff40dd11ab568ULL}},
     {"broadcast_faulted", broadcast_cell, true,
-     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xde9351d225170b58ULL}},
+     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xd3bfc835ccf75163ULL}},
     {"service_faulted", service_cell, true,
      {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x36a2a514dd80eaebULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL}},
     {"ranking_faulted", ranking_cell, true,

@@ -299,5 +299,25 @@ TEST(BenchHarness, ParseOptionsReadsJobsFlag) {
   EXPECT_GE(all.jobs, 1u);
 }
 
+TEST(BenchHarness, JobsEnvIsParsedLikeTheFlag) {
+  ::setenv("RADIOMC_JOBS", "3", 1);
+  EXPECT_EQ(jobs_from_env(1), 3u);
+  // A sign, trailing junk, whitespace or an over-range value is a named
+  // error, never a wrapped or silently defaulted job count.
+  for (const std::string bad : {"-1", "4x", "+2", " 2", "4294967296"}) {
+    ::setenv("RADIOMC_JOBS", bad.c_str(), 1);
+    try {
+      jobs_from_env(1);
+      ADD_FAILURE() << "accepted RADIOMC_JOBS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("RADIOMC_JOBS '" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("RADIOMC_JOBS");
+  EXPECT_EQ(jobs_from_env(7), 7u);
+}
+
 }  // namespace
 }  // namespace radiomc

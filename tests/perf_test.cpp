@@ -2,6 +2,8 @@
 //
 //  * Profiler span-tree semantics: nesting, same-name-same-parent
 //    aggregation, counters, balanced/unbalanced depth accounting;
+//  * RunSpan: one record feeding both the timeline and the profiler under
+//    one name, nothing with no observers, no timeline span when left open;
 //  * the radiomc.perf/v1 report schema, pinned by parsing the emitted
 //    document back through the offline JSON parser;
 //  * the SnapshotStreamer JSONL stream: golden layout without a profiler
@@ -31,6 +33,7 @@
 #include "protocols/tree.h"
 #include "telemetry/json_value.h"
 #include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -38,6 +41,7 @@ using radiomc::perf::DiffOptions;
 using radiomc::perf::DiffReport;
 using radiomc::perf::PerfSpan;
 using radiomc::perf::Profiler;
+using radiomc::perf::RunSpan;
 using radiomc::perf::SnapshotStreamer;
 using radiomc::perf::SpanNode;
 using radiomc::telemetry::JsonValue;
@@ -119,6 +123,65 @@ TEST(Profiler, OpenDepthCountsUnclosedSpans) {
   EXPECT_EQ(p.open_depth(), 2u);
   p.end();
   EXPECT_EQ(p.open_depth(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// RunSpan: one span record for both observers.
+// ---------------------------------------------------------------------------
+
+TEST(RunSpan, FeedsTimelineAndProfilerUnderOneName) {
+  radiomc::TelemetryHub hub;
+  Profiler p;
+  radiomc::Observers obs;
+  obs.telemetry = &hub;
+  obs.profiler = &p;
+  {
+    RunSpan span(obs, "collection", "drain", 7);
+    EXPECT_EQ(p.open_depth(), 1u);
+    span.close(19, {{"k", 4}, {"completed", 1}});
+    EXPECT_EQ(p.open_depth(), 0u);
+    span.close(25, {{"k", 5}});  // a second close is a no-op
+  }
+  EXPECT_EQ(p.open_depth(), 0u);
+
+  const auto& spans = hub.timeline.spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].protocol, "collection");
+  EXPECT_EQ(spans[0].name, "drain");
+  EXPECT_EQ(spans[0].begin, 7u);
+  EXPECT_EQ(spans[0].end, 19u);
+  const std::vector<std::pair<std::string, std::int64_t>> attrs = {
+      {"k", 4}, {"completed", 1}};
+  EXPECT_EQ(spans[0].attrs, attrs);
+
+  ASSERT_EQ(p.root().children.size(), 1u);
+  const SpanNode& node = *p.root().children[0];
+  EXPECT_EQ(node.name, "collection.drain");
+  EXPECT_EQ(node.count, 1u);
+  EXPECT_TRUE(node.children.empty());
+}
+
+TEST(RunSpan, NoObserversRecordsNothing) {
+  RunSpan span(radiomc::Observers{}, "setup", "leader_election", 0);
+  span.close(10, {{"attempt", 0}});
+}
+
+TEST(RunSpan, LeftOpenClosesTheProfilerAndRecordsNoTimelineSpan) {
+  radiomc::TelemetryHub hub;
+  Profiler p;
+  radiomc::Observers obs;
+  obs.telemetry = &hub;
+  obs.profiler = &p;
+  try {
+    RunSpan span(obs, "ranking", "deliver", 3);
+    throw std::runtime_error("driver failed mid-run");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(p.open_depth(), 0u);
+  EXPECT_TRUE(hub.timeline.spans().empty());
+  ASSERT_EQ(p.root().children.size(), 1u);
+  EXPECT_EQ(p.root().children[0]->name, "ranking.deliver");
+  EXPECT_EQ(p.root().children[0]->count, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ TEST(Resilience, RankingTerminatesUnderJam) {
   FaultPlan plan;
   plan.jam_prob = 0.15;
   const auto out =
-      run_ranking(g, prep, ids, 5, 50'000'000, nullptr, plan, 200'000);
+      run_ranking(g, prep, ids, 5, 50'000'000, {}, plan, 200'000);
   if (out.completed) {
     EXPECT_EQ(out.status, RunStatus::kOk);
   } else {

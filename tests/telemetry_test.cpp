@@ -28,7 +28,6 @@ namespace {
 using telemetry::Labels;
 using telemetry::MetricsRegistry;
 using telemetry::MetricsSnapshot;
-using telemetry::PhaseTimeline;
 using telemetry::Scale;
 
 // ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ TEST(Telemetry, FullDocumentIsWellFormed) {
   telemetry::Telemetry tel;
   tel.metrics.counter("c", {{"weird", "va\"lue\n"}}).inc(1);
   tel.metrics.gauge("g").set(0.25);
-  tel.timeline.record("proto", "span", 3, 9, {{"attempt", 1}});
+  tel.timeline.record({"proto", "span", 3, 9, {{"attempt", 1}}});
   const std::string json = tel.to_json();
   EXPECT_TRUE(well_formed(json)) << json;
   EXPECT_NE(json.find("\"schema\":\"radiomc.telemetry/v1\""),
@@ -252,20 +251,7 @@ TEST(Telemetry, FullDocumentIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase timeline: open/close bookkeeping and the ordering produced by a
-// full setup run.
-
-TEST(PhaseTimeline, OpenCloseAndOrder) {
-  PhaseTimeline tl;
-  const std::size_t i = tl.open("collection", "drain", 5);
-  tl.record("collection", "late", 9, 12);
-  tl.close(i, 11);
-  ASSERT_EQ(tl.spans().size(), 2u);
-  EXPECT_EQ(tl.spans()[0].name, "drain");
-  EXPECT_EQ(tl.spans()[0].end, 11u);
-  EXPECT_EQ(tl.spans()[0].length(), 6u);
-  EXPECT_TRUE(well_formed(tl.to_json()));
-}
+// Phase timeline: the ordering produced by a full setup run.
 
 TEST(PhaseTimeline, SetupRunRecordsContiguousEpochSpans) {
   Rng rng(0x7e1);

@@ -552,12 +552,13 @@ TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   const FaultPlan faults = faults_from_args(a);
   const std::uint64_t phases =
       4 * (diameter(g) + 2 * ceil_log2(g.num_nodes()) + 4);
-  const auto out = [&] {
-    // run_bgi_broadcast takes no observers (the E11a baseline runs it
-    // bare); the command records its span and telemetry around the call.
-    perf::PerfSpan span(obs.profiler, "flood.run");
-    return run_bgi_broadcast(g, source, phases, rng.next(), faults);
-  }();
+  // run_bgi_broadcast takes no observers (the E11a baseline runs it bare);
+  // the command records its span and telemetry around the call.
+  perf::RunSpan span(obs, "flood", "run", 0);
+  const auto out = run_bgi_broadcast(g, source, phases, rng.next(), faults);
+  span.close(out.slots,
+             {{"informed", static_cast<std::int64_t>(out.informed_count)},
+              {"n", static_cast<std::int64_t>(g.num_nodes())}});
   TrialOut r;
   r.report = strf("BGI flood from %u: informed %u/%u in %llu slots\n", source,
                   out.informed_count, g.num_nodes(),
@@ -565,10 +566,6 @@ TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   r.report += fault_report_line(faults);
   if (obs.telemetry != nullptr) {
     TelemetryHub& tel = *obs.telemetry;
-    tel.timeline.record(
-        "flood", "run", 0, out.slots,
-        {{"informed", static_cast<std::int64_t>(out.informed_count)},
-         {"n", static_cast<std::int64_t>(g.num_nodes())}});
     tel.metrics.counter("flood.informed").inc(out.informed_count);
     telemetry::Distribution& at = tel.metrics.distribution(
         "flood.informed_at", {}, telemetry::Scale::kLog2);
@@ -796,10 +793,10 @@ TrialOut serve_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   if (obs.telemetry != nullptr) {
     TelemetryHub& tel = *obs.telemetry;
     tel.timeline.record(
-        "serve", "phases", 0, cfg.warmup_phases + cfg.phases,
-        {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
-         {"delivered", static_cast<std::int64_t>(out.delivered)},
-         {"shed", static_cast<std::int64_t>(out.shed)}});
+        {"serve", "phases", 0, cfg.warmup_phases + cfg.phases,
+         {{"arrivals", static_cast<std::int64_t>(out.arrivals)},
+          {"delivered", static_cast<std::int64_t>(out.delivered)},
+          {"shed", static_cast<std::int64_t>(out.shed)}}});
     tel.metrics.gauge("service.mean_population", {{"protocol", "serve"}})
         .set(out.population.mean());
     tel.metrics.gauge("service.mean_sojourn_phases", {{"protocol", "serve"}})
@@ -871,8 +868,9 @@ int cmd_ranking(const Args& a) {
   std::vector<std::uint64_t> ids(w.g.num_nodes());
   for (auto& id : ids) id = rng.next();
   const FaultPlan faults = faults_from_args(a);
-  const auto out = run_ranking(w.g, prep, ids, rng.next(), 200'000'000,
-                               &obs.tel, faults, a.get_u64("fault-stall", 0));
+  const auto out =
+      run_ranking(w.g, prep, ids, rng.next(), 200'000'000, obs.observers(),
+                  faults, a.get_u64("fault-stall", 0));
   std::printf("ranking of %u nodes: %s in %llu slots\n", w.g.num_nodes(),
               out.completed ? "complete" : "INCOMPLETE",
               static_cast<unsigned long long>(out.total_slots()));
@@ -893,19 +891,19 @@ int cmd_ethernet(const Args& a) {
   const std::uint32_t frames =
       static_cast<std::uint32_t>(a.get_u64("frames", 1, kU32Max));
   std::vector<std::uint32_t> backlog(w.g.num_nodes(), frames);
+  // run_ethernet_backoff takes no observers; record the run here.
+  perf::RunSpan span(obs.observers(), "ethernet", "run", 0);
   const auto out =
       run_ethernet_backoff(w.g, w.setup.tree, backlog, rng.next());
+  const auto sent = static_cast<std::int64_t>(out.delivered_frames.size());
+  span.close(out.slots, {{"frames", sent},
+                         {"rounds", static_cast<std::int64_t>(out.rounds_used)},
+                         {"completed", out.completed ? 1 : 0}});
   std::printf("virtual ethernet: %zu frames drained in %u bus rounds "
               "(%llu slots): %s\n",
               out.delivered_frames.size(), out.rounds_used,
               static_cast<unsigned long long>(out.slots),
               out.completed ? "complete" : "INCOMPLETE");
-  // run_ethernet_backoff has no telemetry hooks; record the run here.
-  obs.tel.timeline.record(
-      "ethernet", "run", 0, out.slots,
-      {{"frames", static_cast<std::int64_t>(out.delivered_frames.size())},
-       {"rounds", static_cast<std::int64_t>(out.rounds_used)},
-       {"completed", out.completed ? 1 : 0}});
   obs.tel.metrics.counter("ethernet.delivered_frames")
       .inc(out.delivered_frames.size());
   obs.tel.metrics.counter("ethernet.rounds_used").inc(out.rounds_used);
