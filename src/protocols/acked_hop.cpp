@@ -1,0 +1,83 @@
+#include "protocols/acked_hop.h"
+
+#include <utility>
+
+namespace radiomc {
+
+AckedHop::AckedHop(NodeId me, const SlotStructure& slots, bool autosleep,
+                   Rng rng)
+    : me_(me),
+      clock_(slots),
+      rng_(rng),
+      decay_(slots.decay_len),
+      autosleep_(autosleep) {}
+
+void AckedHop::place(NodeId parent, std::uint32_t level) {
+  parent_ = parent;
+  level_ = level;
+  wake();
+}
+
+void AckedHop::reset(Rng rng) {
+  parent_ = kNoNode;
+  level_ = 0;
+  rng_ = rng;
+  fifo_.clear();
+  decay_.reset();
+  owed_ack_.reset();
+}
+
+void AckedHop::attach(Waker& w) {
+  if (!autosleep_) return;  // legacy contract: permanently active
+  waker_ = &w;
+  w.set_autosleep(true);
+}
+
+std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {
+  // Duty check: stay scheduled while there is anything left to send (an
+  // owed ack, or a message mid-drain), even in slots where the phase clock
+  // or the Decay coin keeps us silent. A FIFO with nowhere to go never
+  // drains: the same dead end as always-active, minus the polls.
+  const bool sending = may_send && !fifo_.empty();
+  if (owed_ack_ || sending) wake();
+  const PhaseClock::SlotInfo info = clock_.decode(t);
+
+  if (info.is_ack) return std::exchange(owed_ack_, std::nullopt);
+  // Data subslot: one Decay invocation per phase for the head (§4.1).
+  if (!sending || !clock_.level_may_send_data(info, level_) ||
+      !decay_.transmits_in(info.phase))
+    return std::nullopt;
+  Message m = fifo_.front();
+  m.sender = me_;
+  m.sender_parent = parent_;  // §4: appended so receivers can classify
+  return m;
+}
+
+bool AckedHop::receive(SlotTime t, const Message& m) {
+  wake();
+  if (!clock_.decode(t).is_ack) return true;
+  if (m.kind != MsgKind::kAck || m.dest != me_ || fifo_.empty()) return false;
+  const Message& head = fifo_.front();
+  if (m.origin == head.origin && m.seq == head.seq) {
+    // The next hop has the message; it now lives on exactly one buffer.
+    fifo_.pop_front();
+    decay_.stop();
+  }
+  return false;
+}
+
+void AckedHop::acknowledge(const Message& m) {
+  Message ack;
+  ack.kind = MsgKind::kAck;
+  ack.dest = m.sender;
+  ack.origin = m.origin;
+  ack.seq = m.seq;
+  owed_ack_ = ack;
+}
+
+void AckedHop::push(const Message& m) {
+  fifo_.push_back(m);
+  wake();
+}
+
+}  // namespace radiomc

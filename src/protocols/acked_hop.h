@@ -1,0 +1,97 @@
+#pragma once
+
+// The §3 acknowledged hop: the one mechanism behind collection (§4) and
+// both halves of point-to-point (§5).
+//
+// A node keeps a FIFO of the messages it still owes its next hop. In every
+// phase it runs one Decay invocation for the head message on the data
+// subslots its BFS level may use (§2.2 mod-3 gating), stamping its own id
+// and its BFS parent's id on each copy (§4). A receiver that accepts a
+// data message owes the deterministic acknowledgement of §3 and sends it
+// in the next ack subslot; the sender drops its head exactly when that ack
+// arrives, so a message lives on exactly one buffer (Theorem 3.1).
+//
+// `AckedHop` owns all of that. Its owner station keeps only what differs
+// between the protocols: which data receptions it accepts (it calls
+// `acknowledge` for those), where an accepted message goes (`push` to send
+// it on, or a sink), and whether it may send at all (`poll`'s `may_send`).
+//
+// Autosleep (radio/waker.h): the hop keeps its station scheduled while it
+// owes an ack or holds a message it may send, and wakes it on every
+// reception and push; otherwise a poll is a pure no-op and the engine may
+// deschedule the station.
+
+#include <cstdint>
+#include <deque>
+#include <optional>
+
+#include "protocols/decay.h"
+#include "radio/schedule.h"
+#include "radio/station.h"
+#include "support/rng.h"
+
+namespace radiomc {
+
+class AckedHop {
+ public:
+  /// One message handed to its final consumer, with the slot it arrived.
+  struct Delivery {
+    SlotTime slot = 0;
+    Message msg;
+  };
+
+  /// `autosleep`: opt into the engine's active set when attached.
+  AckedHop(NodeId me, const SlotStructure& slots, bool autosleep, Rng rng);
+
+  /// Places the node in the BFS tree: `parent` is stamped on every copy it
+  /// sends, `level` gates its data subslots. Wakes the station, since the
+  /// new position may let it send.
+  void place(NodeId parent, std::uint32_t level);
+  /// Back to the unplaced, empty state (no FIFO, no owed ack, no Decay)
+  /// with fresh randomness.
+  void reset(Rng rng);
+
+  /// The owner's on_attach: keeps the Waker iff autosleep is on.
+  void attach(Waker& w);
+  void wake() {
+    if (waker_ != nullptr) waker_->wake();
+  }
+
+  /// Transmit decision for slot `t`: the owed ack in an ack subslot, the
+  /// head message under this phase's Decay in a data subslot. `may_send`
+  /// is the owner's verdict on whether its FIFO has somewhere to go.
+  std::optional<Message> poll(SlotTime t, bool may_send);
+  /// A reception in slot `t`. Wakes the station: any reception may create
+  /// duty, and receptions reach sleeping stations too. An ack-subslot
+  /// reception is the hop's own business (a matching ack pops the head)
+  /// and returns false; a data-subslot reception returns true for the
+  /// owner to classify.
+  bool receive(SlotTime t, const Message& m);
+  /// Owes the §3 acknowledgement of data message `m` in the next ack
+  /// subslot.
+  void acknowledge(const Message& m);
+  /// Appends `m` to the FIFO and wakes the station: it is transmit duty
+  /// for the next poll.
+  void push(const Message& m);
+  /// The owner's tick: flips the Decay coin after a transmitting slot.
+  void tick() { decay_.end_slot(rng_); }
+
+  NodeId id() const noexcept { return me_; }
+  std::uint32_t level() const noexcept { return level_; }
+  std::size_t size() const noexcept { return fifo_.size(); }
+  const PhaseClock& clock() const noexcept { return clock_; }
+
+ private:
+  NodeId me_;
+  NodeId parent_ = kNoNode;
+  std::uint32_t level_ = 0;
+  PhaseClock clock_;
+  Rng rng_;
+  std::deque<Message> fifo_;
+  DecayProcess decay_;
+  std::optional<Message> owed_ack_;
+  bool autosleep_;
+  Waker* waker_ = nullptr;  ///< set by attach iff autosleep_ is on
+};
+
+}  // namespace radiomc

@@ -24,9 +24,7 @@ void BfsBuildStation::reset() {
   root_id_ = kNoNode;
   consistent_ = true;
   joined_at_ = 0;
-  attempt_phase_ = static_cast<std::uint64_t>(-1);
-  just_transmitted_ = false;
-  decay_.stop();
+  decay_.reset();
 }
 
 void BfsBuildStation::on_attach(Waker& w) {
@@ -43,11 +41,7 @@ std::optional<Message> BfsBuildStation::poll(SlotTime t) {
     return std::nullopt;
   }
   const std::uint64_t phase = t / cfg_.decay_len;
-  if (phase != attempt_phase_) {
-    attempt_phase_ = phase;
-    decay_.start();
-  }
-  if (!decay_.wants_transmit()) {
+  if (!decay_.transmits_in(phase)) {
     // Silent until the next phase of the stage restarts Decay.
     const SlotTime next = (phase + 1) * cfg_.decay_len;
     if (waker_ != nullptr && stage_of(next) == level_) waker_->wake_at(next);
@@ -58,7 +52,6 @@ std::optional<Message> BfsBuildStation::poll(SlotTime t) {
   m.origin = me_;
   m.aux = level_;
   m.payload = root_id_;
-  just_transmitted_ = true;
   return m;
 }
 
@@ -79,12 +72,7 @@ void BfsBuildStation::deliver(SlotTime t, const Message& m) {
   }
 }
 
-void BfsBuildStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
-}
+void BfsBuildStation::tick(SlotTime) { decay_.end_slot(rng_); }
 
 BfsBuildOutcome run_bfs_build(const Graph& g, NodeId root,
                               const BfsBuildConfig& cfg, std::uint64_t seed,

@@ -71,8 +71,6 @@ class BfsBuildStation final : public SubStation {
   bool consistent_ = true;
   SlotTime joined_at_ = 0;
   DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool just_transmitted_ = false;
   Waker* waker_ = nullptr;
 
   std::uint64_t stage_slots() const noexcept {

@@ -8,14 +8,10 @@
 
 namespace radiomc {
 
-FloodStation::FloodStation(std::uint32_t decay_len, Rng rng, bool autosleep)
-    : decay_len_(decay_len),
-      rng_(rng),
-      decay_(decay_len),
-      autosleep_(autosleep) {}
+FloodStation::FloodStation(std::uint32_t decay_len, Rng rng)
+    : decay_len_(decay_len), rng_(rng), decay_(decay_len) {}
 
 void FloodStation::on_attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
   waker_ = &w;
   w.set_autosleep(true);
 }
@@ -32,9 +28,7 @@ void FloodStation::reset(Rng rng) {
   informed_ = false;
   informed_at_ = 0;
   msg_ = Message{};
-  decay_.stop();
-  attempt_phase_ = static_cast<std::uint64_t>(-1);
-  just_transmitted_ = false;
+  decay_.reset();
 }
 
 std::optional<Message> FloodStation::poll(SlotTime t) {
@@ -42,16 +36,11 @@ std::optional<Message> FloodStation::poll(SlotTime t) {
   // until the front's delivery wakes it.
   if (!informed_) return std::nullopt;
   const std::uint64_t phase = t / decay_len_;
-  if (phase != attempt_phase_) {
-    attempt_phase_ = phase;
-    decay_.start();
-  }
-  if (!decay_.wants_transmit()) {
+  if (!decay_.transmits_in(phase)) {
     // Silent until the next phase restarts Decay.
     if (waker_ != nullptr) waker_->wake_at((phase + 1) * decay_len_);
     return std::nullopt;
   }
-  just_transmitted_ = true;
   return msg_;
 }
 
@@ -61,20 +50,15 @@ void FloodStation::deliver(SlotTime t, const Message& m) {
   informed_ = true;
   informed_at_ = t;
   msg_ = m;
-  // Joins the flood at its next poll: attempt_phase_ lags behind, so a
-  // fresh Decay invocation starts on the very next slot, even mid-phase.
+  // Joins the flood at its next poll: Decay has not yet begun this phase,
+  // so a fresh invocation starts on the very next slot, even mid-phase.
 }
 
-void FloodStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
-}
+void FloodStation::tick(SlotTime) { decay_.end_slot(rng_); }
 
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
                              std::uint64_t phases, std::uint64_t seed,
-                             const FaultPlan& faults, bool autosleep) {
+                             const FaultPlan& faults) {
   const NodeId n = g.num_nodes();
   require(source < n, "run_bgi_broadcast: source out of range");
   const std::uint32_t dl = decay_length(g.max_degree());
@@ -83,8 +67,7 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
   std::vector<std::unique_ptr<FloodStation>> stations;
   stations.reserve(n);
   for (NodeId v = 0; v < n; ++v)
-    stations.push_back(
-        std::make_unique<FloodStation>(dl, master.split(v), autosleep));
+    stations.push_back(std::make_unique<FloodStation>(dl, master.split(v)));
   Message m;
   m.kind = MsgKind::kBcastData;
   m.origin = source;
@@ -104,7 +87,6 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
 
   BgiOutcome out;
   out.slots = net.now();
-  out.engine_polls = net.engine_stats().station_polls;
   out.informed.resize(n);
   out.informed_at.resize(n);
   for (NodeId v = 0; v < n; ++v) {

@@ -9,6 +9,11 @@
 // Used here as (a) the "success" floods inside the setup phase (§2),
 // (b) the naive k-broadcast baseline ("in principle the message can be
 // sent using the BFS protocol", §6), and (c) a test vehicle for Decay.
+//
+// The phase-by-phase Decay bookkeeping is DecayProcess's (decay.h). Every
+// FloodStation sleeps on the engine's active set (radio/waker.h); the
+// always-polled comparison lives in tests/engine_diff_test.cpp, which runs
+// the same stations on the reference engine.
 
 #include <cstdint>
 #include <optional>
@@ -26,15 +31,7 @@ namespace radiomc {
 /// Decay invocation each; no acks, no level gating (the flood has no tree).
 class FloodStation final : public SubStation {
  public:
-  /// `autosleep`: opt into active-set descheduling when attached (directly
-  /// via SingleStation, or through setup's forwarded Waker). Uninformed
-  /// stations neither transmit nor mutate on poll, so they sleep until the
-  /// message front's delivery wakes them; an informed station sleeps from
-  /// the slot its Decay dies until the next phase start, where the flood
-  /// restarts Decay. Byte-identical to always-active either way; only
-  /// EngineStats::station_polls differs.
-  explicit FloodStation(std::uint32_t decay_len, Rng rng,
-                        bool autosleep = true);
+  FloodStation(std::uint32_t decay_len, Rng rng);
 
   /// Makes this node the (or a) source: informed from the start.
   void seed(const Message& m);
@@ -42,6 +39,11 @@ class FloodStation final : public SubStation {
   /// Clears the flood state and re-seeds the randomness (setup attempts).
   void reset(Rng rng);
 
+  /// Opts into autosleep (directly via SingleStation, or through setup's
+  /// forwarded Waker). Uninformed stations neither transmit nor mutate on
+  /// poll, so they sleep until the message front's delivery wakes them; an
+  /// informed station sleeps from the slot its Decay dies until the next
+  /// phase start, where the flood restarts Decay.
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
@@ -59,10 +61,7 @@ class FloodStation final : public SubStation {
   SlotTime informed_at_ = 0;
   Message msg_;
   DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool just_transmitted_ = false;
-  bool autosleep_ = false;
-  Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
+  Waker* waker_ = nullptr;
 };
 
 /// Standalone driver: floods one message from `source` for `phases` phases;
@@ -72,20 +71,12 @@ struct BgiOutcome {
   std::uint32_t informed_count = 0;
   std::vector<bool> informed;
   std::vector<SlotTime> informed_at;  ///< meaningful where informed
-
-  /// Engine on_slot invocations (EngineStats::station_polls): scheduling
-  /// economy only — the autosleep A/B tests assert it drops while the
-  /// informed sets stay identical.
-  std::uint64_t engine_polls = 0;
 };
 /// `faults`: optional fault plan compiled against the flood network (the
 /// phase budget bounds the run, so no watchdog is needed; under faults the
 /// informed count simply reports the partial coverage).
-/// `autosleep`: forwarded to every FloodStation; kept as a parameter for
-/// the A/B byte-identity tests.
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
                              std::uint64_t phases, std::uint64_t seed,
-                             const FaultPlan& faults = {},
-                             bool autosleep = true);
+                             const FaultPlan& faults = {});
 
 }  // namespace radiomc

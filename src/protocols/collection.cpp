@@ -1,6 +1,7 @@
 #include "protocols/collection.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "perf/profiler.h"
 #include "radio/network.h"
@@ -15,40 +16,19 @@ CollectionStation::CollectionStation(NodeId me, const BfsTree& tree,
 }
 
 CollectionStation::CollectionStation(NodeId me, CollectionConfig cfg, Rng rng)
-    : me_(me),
-      clock_(cfg.slots),
-      rng_(rng),
-      decay_(cfg.slots.decay_len),
-      dedup_guard_(cfg.dedup_guard),
-      autosleep_(cfg.autosleep) {}
-
-void CollectionStation::on_attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
-  waker_ = &w;
-  w.set_autosleep(true);
-}
+    : hop_(me, cfg.slots, cfg.autosleep, rng), dedup_guard_(cfg.dedup_guard) {}
 
 void CollectionStation::set_local(NodeId parent, std::uint32_t level,
                                   bool is_root) {
-  parent_ = parent;
-  level_ = level;
   is_root_ = is_root;
   bound_ = true;
-  if (waker_ != nullptr) waker_->wake();
+  hop_.place(parent, level);
 }
 
 void CollectionStation::reset(Rng rng) {
-  rng_ = rng;
-  parent_ = kNoNode;
-  level_ = 0;
+  hop_.reset(rng);
   is_root_ = false;
   bound_ = false;
-  buffer_.clear();
-  decay_.stop();
-  attempt_phase_ = static_cast<std::uint64_t>(-1);
-  attempt_done_ = false;
-  just_transmitted_ = false;
-  ack_to_send_.reset();
   sink_.clear();
   accept_log_.clear();
   seen_.clear();
@@ -56,76 +36,14 @@ void CollectionStation::reset(Rng rng) {
 
 std::optional<Message> CollectionStation::poll(SlotTime t) {
   if (!bound_) return std::nullopt;
-  // Autosleep duty check: stay scheduled while there is anything left to
-  // send (a buffered message mid-drain or a pending ack), even in slots
-  // where the phase clock or the Decay coin keeps us silent. With neither,
-  // this poll is a pure no-op and the engine may deschedule us until
-  // deliver/inject wakes the station.
-  if (waker_ != nullptr && (ack_to_send_.has_value() ||
-                            (!is_root_ && !buffer_.empty())))
-    waker_->wake();
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (ack_to_send_) {
-      Message ack = *ack_to_send_;
-      ack_to_send_.reset();
-      return ack;
-    }
-    return std::nullopt;
-  }
-
-  // Data subslot.
-  if (is_root_ || buffer_.empty()) return std::nullopt;
-  if (!clock_.level_may_send_data(info, level_)) return std::nullopt;
-
-  if (info.phase != attempt_phase_) {
-    // First transmission opportunity of this phase with a nonempty buffer:
-    // begin one Decay invocation for the head message (§4.1: one message
-    // per node per phase).
-    attempt_phase_ = info.phase;
-    attempt_done_ = false;
-    decay_.start();
-  }
-  if (attempt_done_ || !decay_.wants_transmit()) return std::nullopt;
-
-  Message m = buffer_.front();
-  m.sender = me_;
-  m.sender_parent = parent_;  // §4: appended so receivers can classify
-  just_transmitted_ = true;
-  return m;
+  return hop_.poll(t, /*may_send=*/!is_root_);  // the root is the sink
 }
 
 void CollectionStation::deliver(SlotTime t, const Message& m) {
-  if (!bound_) return;
-  // Any reception may create a duty (an ack to emit, a message to relay),
-  // and deliveries reach sleeping stations too — wake unconditionally; the
-  // next poll re-evaluates and lets the engine park us again if not.
-  if (waker_ != nullptr) waker_->wake();
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (m.kind != MsgKind::kAck || m.dest != me_) return;
-    if (buffer_.empty()) return;
-    const Message& head = buffer_.front();
-    if (m.origin == head.origin && m.seq == head.seq) {
-      // Our parent has the message; it now lives on exactly one buffer.
-      buffer_.pop_front();
-      decay_.stop();
-      attempt_done_ = true;
-    }
-    return;
-  }
-
+  if (!bound_ || !hop_.receive(t, m)) return;
   // Data subslot: accept only messages from our BFS children (§4).
-  if (!is_upbound_kind(m.kind) || m.sender_parent != me_) return;
-
-  Message ack;
-  ack.kind = MsgKind::kAck;
-  ack.dest = m.sender;
-  ack.origin = m.origin;
-  ack.seq = m.seq;
-  ack_to_send_ = ack;
+  if (!is_upbound_kind(m.kind) || m.sender_parent != hop_.id()) return;
+  hop_.acknowledge(m);
 
   if (dedup_guard_) {
     // Remark 3 mode: a lost ack makes the child retransmit; acknowledge
@@ -135,32 +53,29 @@ void CollectionStation::deliver(SlotTime t, const Message& m) {
     if (!seen_.insert(key).second) return;
   }
 
-  if (record_accepts_) accept_log_.emplace_back(info.phase, level_ + 1);
+  if (record_accepts_)
+    accept_log_.emplace_back(hop_.clock().decode(t).phase, hop_.level() + 1);
 
-  if (is_root_) {
-    sink_.push_back({t, m});
-    if (root_handler_) root_handler_(t, m);
-  } else {
-    buffer_.push_back(m);
-  }
-}
-
-void CollectionStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
+  if (is_root_)
+    arrive(t, m);
+  else
+    hop_.push(m);
 }
 
 void CollectionStation::inject(const Message& m) {
-  require(m.origin == me_, "CollectionStation::inject: origin must be self");
-  if (waker_ != nullptr) waker_->wake();
+  require(m.origin == hop_.id(),
+          "CollectionStation::inject: origin must be self");
   if (is_root_) {
-    sink_.push_back({0, m});
-    if (root_handler_) root_handler_(0, m);
-    return;
+    hop_.wake();
+    arrive(0, m);
+  } else {
+    hop_.push(m);
   }
-  buffer_.push_back(m);
+}
+
+void CollectionStation::arrive(SlotTime t, const Message& m) {
+  sink_.push_back({t, m});
+  if (root_handler_) root_handler_(t, m);
 }
 
 CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,

@@ -15,18 +15,24 @@
 // node accepts exactly the messages whose `sender_parent` field names
 // itself, i.e. messages from its own BFS children.
 //
+// The buffer, the per-phase Decay, the acks and the duty wake are the §3
+// hop core (acked_hop.h), shared with both halves of point-to-point.
+// CollectionStation adds only what is collection's own: it accepts
+// upbound messages from its children, hands arrivals at the root to the
+// sink (with the Remark 3 dedup guard and the Theorem 4.1 accept log),
+// and never sends from the root.
+//
 // Randomness affects only the running time: on the graph spanned by the
 // BFS tree the protocol always succeeds (§1.2).
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "faults/fault_plan.h"
-#include "protocols/decay.h"
+#include "protocols/acked_hop.h"
 #include "protocols/tree.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
@@ -54,10 +60,10 @@ struct CollectionConfig : Observers {
   /// Opt into the active-set engine's autosleep (radio/waker.h): a station
   /// with an empty buffer and no pending ack is descheduled until a
   /// reception or an inject wakes it. Protocol output is byte-identical
-  /// either way — an idle CollectionStation poll mutates nothing and
-  /// consumes no randomness (DecayProcess::wants_transmit is const; the
-  /// coin is flipped only after an actual transmission) — proven A/B by
-  /// tests/engine_diff_test.cpp. Only EngineStats::station_polls differs.
+  /// either way — an idle CollectionStation poll never reaches Decay and
+  /// consumes no randomness (the coin is flipped only after an actual
+  /// transmission) — proven A/B by tests/engine_diff_test.cpp. Only
+  /// EngineStats::station_polls differs.
   /// Takes effect wherever the Waker reaches the station: SingleStation,
   /// ChannelMuxStation in coordinated mode, and setup's verification
   /// collection (SetupStation forwards its Waker); a non-coordinated
@@ -85,10 +91,7 @@ struct CollectionConfig : Observers {
 /// run it next to a distribution pipeline (§1.4).
 class CollectionStation final : public SubStation {
  public:
-  struct Delivery {
-    SlotTime slot = 0;
-    Message msg;
-  };
+  using Delivery = AckedHop::Delivery;
 
   CollectionStation(NodeId me, const BfsTree& tree, CollectionConfig cfg,
                     Rng rng);
@@ -103,10 +106,10 @@ class CollectionStation final : public SubStation {
   /// randomness; the root handler is kept. Used between setup attempts.
   void reset(Rng rng);
 
-  void on_attach(Waker& w) override;
+  void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime t) override;
+  void tick(SlotTime) override { hop_.tick(); }
 
   /// Application-level origination: enqueue a message for the root. The
   /// caller provides origin == this node's id and a per-origin-unique seq.
@@ -114,10 +117,10 @@ class CollectionStation final : public SubStation {
   /// between slots; Waker::wake is merged before the next poll).
   void inject(const Message& m);
 
-  NodeId id() const noexcept { return me_; }
-  std::uint32_t level() const noexcept { return level_; }
+  NodeId id() const noexcept { return hop_.id(); }
+  std::uint32_t level() const noexcept { return hop_.level(); }
   bool is_root() const noexcept { return is_root_; }
-  std::size_t buffer_size() const noexcept { return buffer_.size(); }
+  std::size_t buffer_size() const noexcept { return hop_.size(); }
 
   /// Root only: everything delivered so far, in arrival order.
   const std::vector<Delivery>& root_sink() const noexcept { return sink_; }
@@ -135,23 +138,15 @@ class CollectionStation final : public SubStation {
     return accept_log_;
   }
 
-  const PhaseClock& clock() const noexcept { return clock_; }
+  const PhaseClock& clock() const noexcept { return hop_.clock(); }
 
  private:
-  NodeId me_;
-  NodeId parent_ = kNoNode;
-  std::uint32_t level_ = 0;
+  /// Root only: an arrival goes to the sink and the root handler.
+  void arrive(SlotTime t, const Message& m);
+
+  AckedHop hop_;
   bool is_root_ = false;
   bool bound_ = false;
-  PhaseClock clock_;
-  Rng rng_;
-
-  std::deque<Message> buffer_;
-  DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool attempt_done_ = false;     ///< acked this phase; stay silent
-  bool just_transmitted_ = false;
-  std::optional<Message> ack_to_send_;
 
   std::vector<Delivery> sink_;
   std::function<void(SlotTime, const Message&)> root_handler_;
@@ -159,8 +154,6 @@ class CollectionStation final : public SubStation {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> accept_log_;
   bool dedup_guard_ = false;
   std::set<std::uint64_t> seen_;  ///< (origin << 32) | seq, guard mode only
-  bool autosleep_ = false;
-  Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
 };
 
 /// Standalone driver: places `initial` messages on their origins' buffers,

@@ -13,9 +13,7 @@ namespace {
 class DecayTrialStation final : public Station {
  public:
   DecayTrialStation(std::uint32_t decay_len, bool transmits, Rng rng)
-      : decay_(decay_len), rng_(rng) {
-    if (transmits) decay_.start();
-  }
+      : decay_(decay_len), rng_(rng), transmits_(transmits) {}
 
   // The Waker promise holds trivially here: a live Decay process transmits
   // on every polled slot (transmitting retains active-set membership), and
@@ -24,31 +22,27 @@ class DecayTrialStation final : public Station {
   // nothing. No event ever re-creates transmit desire, hence no wake().
   void on_attach(Waker& w) override { w.set_autosleep(true); }
 
+  // The whole trial is one phase: a transmitter's first poll begins its
+  // invocation.
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
-    if (!decay_.wants_transmit()) return;
+    if (!transmits_ || !decay_.transmits_in(0)) return;
     Message m;
     m.kind = MsgKind::kData;
     tx[0] = m;
-    transmitted_ = true;
   }
 
   void on_receive(SlotTime, ChannelId, const Message&) override {
     received_ = true;
   }
 
-  void on_slot_end(SlotTime) override {
-    if (transmitted_) {
-      decay_.after_transmit(rng_);
-      transmitted_ = false;
-    }
-  }
+  void on_slot_end(SlotTime) override { decay_.end_slot(rng_); }
 
   bool received() const noexcept { return received_; }
 
  private:
   DecayProcess decay_;
   Rng rng_;
-  bool transmitted_ = false;
+  bool transmits_;
   bool received_ = false;
 };
 

@@ -13,8 +13,11 @@
 //   (2) if several neighbors of v run Decay concurrently, v receives one of
 //       the messages with probability > 1/2.
 //
-// `DecayProcess` is the per-node state of one invocation; protocol stations
-// embed one and drive it on their data-transmission opportunities.
+// `DecayProcess` is the per-node state of one invocation plus the per-phase
+// bookkeeping every Decay station shares (BGI's flood, leader election,
+// BFS construction, distribution and the §3 acknowledged hop): the first
+// opportunity of a new phase begins a fresh invocation, a transmitting
+// slot is recorded, and its coin is flipped at the slot's end.
 
 #include <cstdint>
 
@@ -49,17 +52,49 @@ class DecayProcess {
     if (rng.coin()) live_ = false;
   }
 
-  /// Aborts the invocation (used when an acknowledgement arrives).
+  /// Aborts the invocation (used when an acknowledgement arrives). It
+  /// stays silent until the next phase begins a fresh one.
   void stop() noexcept { live_ = false; }
+
+  /// A transmission opportunity in `phase`: the first one of a new phase
+  /// begins a fresh invocation (one invocation per phase). Returns true iff
+  /// the node transmits now, and records it for end_slot.
+  bool transmits_in(std::uint64_t phase) noexcept {
+    if (phase != phase_) {
+      phase_ = phase;
+      start();
+    }
+    if (!wants_transmit()) return false;
+    transmitted_ = true;
+    return true;
+  }
+
+  /// End of the slot: flips the coin iff the slot transmitted.
+  void end_slot(Rng& rng) noexcept {
+    if (!transmitted_) return;
+    transmitted_ = false;
+    after_transmit(rng);
+  }
+
+  /// Back to the initial state: no invocation and no phase begun.
+  void reset() noexcept {
+    live_ = false;
+    transmitted_ = false;
+    phase_ = kNoPhase;
+  }
 
   bool live() const noexcept { return live_; }
   std::uint32_t transmissions_used() const noexcept { return used_; }
   std::uint32_t length() const noexcept { return length_; }
 
  private:
+  static constexpr std::uint64_t kNoPhase = static_cast<std::uint64_t>(-1);
+
   std::uint32_t length_;
   std::uint32_t used_ = 0;
   bool live_ = false;
+  bool transmitted_ = false;
+  std::uint64_t phase_ = kNoPhase;
 };
 
 /// Experiment helper (E1): runs a single synchronized Decay invocation on

@@ -202,12 +202,9 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
 
   if (!forwarding_) return std::nullopt;
   const PhaseClock::SlotInfo info = clock_.decode(t);
-  if (!clock_.level_may_send_data(info, level_)) return std::nullopt;
-  if (info.phase != attempt_phase_) {
-    attempt_phase_ = info.phase;
-    decay_.start();
-  }
-  if (!decay_.wants_transmit()) return std::nullopt;
+  if (!clock_.level_may_send_data(info, level_) ||
+      !decay_.transmits_in(info.phase))
+    return std::nullopt;
 
   Message m = *forwarding_;
   m.sender = me_;
@@ -216,7 +213,6 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
   // always stores absolute numbering), stamped before the wire wrap below.
   m.aux = cfg_.epoch_tags ? (level_ | (era_of(m.seq) << 16)) : level_;
   m.seq = wire_of(m.seq);  // window-bounded wire numbering
-  just_transmitted_ = true;
   return m;
 }
 
@@ -280,11 +276,6 @@ void DistributionStation::deliver(SlotTime t, const Message& m) {
   note_received(t, *abs, stored);
 }
 
-void DistributionStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
-}
+void DistributionStation::tick(SlotTime) { decay_.end_slot(rng_); }
 
 }  // namespace radiomc

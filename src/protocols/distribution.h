@@ -161,9 +161,7 @@ class DistributionStation final : public SubStation {
   Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
 
   DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
   std::uint64_t last_superphase_ = static_cast<std::uint64_t>(-1);
-  bool just_transmitted_ = false;
 
   // Pipeline registers.
   std::optional<Message> forwarding_;     ///< sent during this superphase

@@ -31,9 +31,7 @@ void MaxFloodStation::reset() {
   own_value_ = draw_value();
   best_ = own_value_;
   fresh_until_ = cfg_.fresh_phases;
-  attempt_phase_ = static_cast<std::uint64_t>(-1);
-  just_transmitted_ = false;
-  decay_.stop();
+  decay_.reset();
 }
 
 void MaxFloodStation::on_attach(Waker& w) {
@@ -63,17 +61,11 @@ std::optional<Message> MaxFloodStation::idle(std::uint64_t phase) {
 
 std::optional<Message> MaxFloodStation::poll(SlotTime t) {
   const std::uint64_t phase = t / cfg_.decay_len;
-  if (!advertises(phase)) return idle(phase);
-  if (phase != attempt_phase_) {
-    attempt_phase_ = phase;
-    decay_.start();
-  }
-  if (!decay_.wants_transmit()) return idle(phase);
+  if (!advertises(phase) || !decay_.transmits_in(phase)) return idle(phase);
   Message m;
   m.kind = MsgKind::kLeader;
   m.origin = me_;
   m.payload = best_;
-  just_transmitted_ = true;
   return m;
 }
 
@@ -88,12 +80,7 @@ void MaxFloodStation::deliver(SlotTime t, const Message& m) {
   }
 }
 
-void MaxFloodStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
-}
+void MaxFloodStation::tick(SlotTime) { decay_.end_slot(rng_); }
 
 LeaderOutcome run_leader_election(const Graph& g, std::uint64_t phases,
                                   std::uint64_t seed) {

@@ -74,8 +74,6 @@ class MaxFloodStation final : public SubStation {
   std::uint64_t best_;
   std::uint64_t fresh_until_ = 0;  ///< advertise through this phase
   DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool just_transmitted_ = false;
   Waker* waker_ = nullptr;
 };
 

@@ -17,29 +17,20 @@ namespace radiomc {
 
 P2pUpStation::P2pUpStation(NodeId me, const RoutingInfo& info, P2pConfig cfg,
                            Rng rng)
-    : me_(me),
-      info_(info),
-      clock_(cfg.slots),
-      rng_(rng),
-      autosleep_(cfg.autosleep),
-      decay_(cfg.slots.decay_len) {}
-
-void P2pUpStation::on_attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
-  waker_ = &w;
-  w.set_autosleep(true);
+    : info_(info), hop_(me, cfg.slots, cfg.autosleep, rng) {
+  hop_.place(info.parent, info.level);
 }
 
 std::uint32_t P2pUpStation::send(std::uint32_t dest_addr,
                                  std::uint64_t payload) {
   Message m;
   m.kind = MsgKind::kData;
-  m.origin = me_;
+  m.origin = hop_.id();
   m.dest = dest_addr;  // p2p addresses are DFS numbers
   m.payload = payload;
   m.seq = next_seq_++;
   route(0, m);
-  if (waker_ != nullptr) waker_->wake();  // fresh duty for a sleeping node
+  hop_.wake();  // fresh duty for a sleeping node
   return m.seq;
 }
 
@@ -50,81 +41,21 @@ void P2pUpStation::route(SlotTime t, const Message& m) {
     require(down_ != nullptr, "P2pUpStation: downward half not wired");
     down_->enqueue(m);  // LCA reached: turn downwards (§5.2)
   } else {
-    buffer_.push_back(m);  // keep climbing
+    hop_.push(m);  // keep climbing
   }
 }
 
 std::optional<Message> P2pUpStation::poll(SlotTime t) {
-  // Autosleep duty check (collection's pattern): stay awake while an ack
-  // is owed or buffered traffic can still climb (a rootward buffer with no
-  // parent never drains — same dead end as always-active, minus the polls).
-  if (waker_ != nullptr &&
-      (ack_to_send_ || (!buffer_.empty() && info_.parent != kNoNode)))
-    waker_->wake();
-
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (ack_to_send_) {
-      Message ack = *ack_to_send_;
-      ack_to_send_.reset();
-      return ack;
-    }
-    return std::nullopt;
-  }
-  if (buffer_.empty() || info_.parent == kNoNode) return std::nullopt;
-  if (!clock_.level_may_send_data(info, info_.level)) return std::nullopt;
-
-  if (info.phase != attempt_phase_) {
-    attempt_phase_ = info.phase;
-    attempt_done_ = false;
-    decay_.start();
-  }
-  if (attempt_done_ || !decay_.wants_transmit()) return std::nullopt;
-
-  Message m = buffer_.front();
-  m.sender = me_;
-  m.sender_parent = info_.parent;
-  just_transmitted_ = true;
-  return m;
+  // Without a parent a rootward buffer never drains.
+  return hop_.poll(t, /*may_send=*/info_.parent != kNoNode);
 }
 
 void P2pUpStation::deliver(SlotTime t, const Message& m) {
-  // Receptions reach sleeping stations; any of them may create duty (an
-  // ack popping the buffer head, data owing an ack). Wake unconditionally
-  // and let the next poll's duty check re-evaluate.
-  if (waker_ != nullptr) waker_->wake();
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (m.kind != MsgKind::kAck || m.dest != me_ || buffer_.empty()) return;
-    const Message& head = buffer_.front();
-    if (m.origin == head.origin && m.seq == head.seq) {
-      buffer_.pop_front();
-      decay_.stop();
-      attempt_done_ = true;
-    }
-    return;
-  }
-
+  if (!hop_.receive(t, m)) return;
   // Data subslot: accept only from our own BFS children (§4 tagging).
-  if (m.kind != MsgKind::kData || m.sender_parent != me_) return;
-
-  Message ack;
-  ack.kind = MsgKind::kAck;
-  ack.dest = m.sender;
-  ack.origin = m.origin;
-  ack.seq = m.seq;
-  ack_to_send_ = ack;
-
+  if (m.kind != MsgKind::kData || m.sender_parent != hop_.id()) return;
+  hop_.acknowledge(m);
   route(t, m);
-}
-
-void P2pUpStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,93 +64,28 @@ void P2pUpStation::tick(SlotTime) {
 
 P2pDownStation::P2pDownStation(NodeId me, const RoutingInfo& info,
                                P2pConfig cfg, Rng rng)
-    : me_(me),
-      info_(info),
-      clock_(cfg.slots),
-      rng_(rng),
-      autosleep_(cfg.autosleep),
-      decay_(cfg.slots.decay_len) {}
-
-void P2pDownStation::on_attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
-  waker_ = &w;
-  w.set_autosleep(true);
+    : info_(info), hop_(me, cfg.slots, cfg.autosleep, rng) {
+  hop_.place(info.parent, info.level);
 }
 
 std::optional<Message> P2pDownStation::poll(SlotTime t) {
-  // Autosleep duty check: an owed ack or buffered descent is future work.
-  if (waker_ != nullptr && (ack_to_send_ || !buffer_.empty()))
-    waker_->wake();
-
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (ack_to_send_) {
-      Message ack = *ack_to_send_;
-      ack_to_send_.reset();
-      return ack;
-    }
-    return std::nullopt;
-  }
-  if (buffer_.empty()) return std::nullopt;
-  if (!clock_.level_may_send_data(info, info_.level)) return std::nullopt;
-
-  if (info.phase != attempt_phase_) {
-    attempt_phase_ = info.phase;
-    attempt_done_ = false;
-    decay_.start();
-  }
-  if (attempt_done_ || !decay_.wants_transmit()) return std::nullopt;
-
-  Message m = buffer_.front();
-  m.sender = me_;
-  m.sender_parent = info_.parent;
-  just_transmitted_ = true;
-  return m;
+  return hop_.poll(t, /*may_send=*/true);
 }
 
 void P2pDownStation::deliver(SlotTime t, const Message& m) {
-  if (waker_ != nullptr) waker_->wake();  // see P2pUpStation::deliver
-  const PhaseClock::SlotInfo info = clock_.decode(t);
-
-  if (info.is_ack) {
-    if (m.kind != MsgKind::kAck || m.dest != me_ || buffer_.empty()) return;
-    const Message& head = buffer_.front();
-    if (m.origin == head.origin && m.seq == head.seq) {
-      buffer_.pop_front();
-      decay_.stop();
-      attempt_done_ = true;
-    }
-    return;
-  }
-
+  if (!hop_.receive(t, m)) return;
   // Data subslot (§5.3): "a node w receiving a message designated to u
   // processes it only if u is a BFS-tree descendant of w". The appended
   // sender id additionally tells us the message moves downwards (it comes
   // from our BFS parent), not from one of our own children.
-  if (m.kind != MsgKind::kData) return;
-  if (m.sender != info_.parent) return;
-  if (!info_.subtree_contains(m.dest)) return;
-
-  Message ack;
-  ack.kind = MsgKind::kAck;
-  ack.dest = m.sender;
-  ack.origin = m.origin;
-  ack.seq = m.seq;
-  ack_to_send_ = ack;
-
-  if (m.dest == info_.number) {
+  if (m.kind != MsgKind::kData || m.sender != info_.parent ||
+      !info_.subtree_contains(m.dest))
+    return;
+  hop_.acknowledge(m);
+  if (m.dest == info_.number)
     sink_.push_back({t, m});  // final delivery
-  } else {
-    buffer_.push_back(m);
-  }
-}
-
-void P2pDownStation::tick(SlotTime) {
-  if (just_transmitted_) {
-    decay_.after_transmit(rng_);
-    just_transmitted_ = false;
-  }
+  else
+    hop_.push(m);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,45 +153,41 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   P2pOutcome out;
   out.delivery_slot.assign(requests.size(), static_cast<SlotTime>(-1));
   std::uint64_t delivered = 0;
-  std::vector<std::size_t> up_seen(n, 0), down_seen(n, 0);
-  auto harvest = [&](SlotTime) {
-    for (NodeId v = 0; v < n; ++v) {
-      const auto& su = ups[v]->sink();
-      for (; up_seen[v] < su.size(); ++up_seen[v]) {
-        const auto& d = su[up_seen[v]];
+  // Every node's up and down sink, with how far the driver has read it.
+  struct Cursor {
+    const std::vector<AckedHop::Delivery>* sink;
+    std::size_t seen = 0;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(2 * n);
+  for (NodeId v = 0; v < n; ++v) {
+    cursors.push_back({&ups[v]->sink()});
+    cursors.push_back({&downs[v]->sink()});
+  }
+  auto harvest = [&] {
+    for (Cursor& c : cursors)
+      for (; c.seen < c.sink->size(); ++c.seen) {
+        const AckedHop::Delivery& d = (*c.sink)[c.seen];
         const std::uint64_t tag =
             (static_cast<std::uint64_t>(d.msg.origin) << 32) | d.msg.seq;
-        if (const std::size_t* req = find_request(tag)) {
-          // First copy only: a lost ack (fault injection) makes the sender
-          // retransmit an already-delivered message, and the radio level
-          // cannot deduplicate that — the end-to-end count must.
-          if (out.delivery_slot[*req] == static_cast<SlotTime>(-1)) {
-            out.delivery_slot[*req] = d.slot;
-            ++delivered;
-          }
+        // First copy only: a lost ack (fault injection) makes the sender
+        // retransmit an already-delivered message, and the radio level
+        // cannot deduplicate that — the end-to-end count must.
+        const std::size_t* req = find_request(tag);
+        if (req != nullptr &&
+            out.delivery_slot[*req] == static_cast<SlotTime>(-1)) {
+          out.delivery_slot[*req] = d.slot;
+          ++delivered;
         }
       }
-      const auto& sd = downs[v]->sink();
-      for (; down_seen[v] < sd.size(); ++down_seen[v]) {
-        const auto& d = sd[down_seen[v]];
-        const std::uint64_t tag =
-            (static_cast<std::uint64_t>(d.msg.origin) << 32) | d.msg.seq;
-        if (const std::size_t* req = find_request(tag)) {
-          if (out.delivery_slot[*req] == static_cast<SlotTime>(-1)) {
-            out.delivery_slot[*req] = d.slot;
-            ++delivered;
-          }
-        }
-      }
-    }
   };
 
-  harvest(0);  // self-addressed requests complete instantly
+  harvest();  // self-addressed requests complete instantly
   StallWatchdog watchdog(cfg.stall_slots, delivered);
   perf::RunSpan run_span(cfg, "point_to_point", "run", 0);
   while (delivered < requests.size() && net.now() < max_slots) {
     net.step();
-    harvest(net.now());
+    harvest();
     if (watchdog.stalled(net.now(), [&] { return delivered; })) break;
   }
   out.completed = delivered >= requests.size();

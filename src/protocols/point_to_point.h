@@ -10,8 +10,12 @@
 // `a`, then descends (the downward subprotocol, §5.3): each hop the holder
 // sends it down, and a receiver processes it only if `a` lies in its own
 // subtree — which, by disjointness of sibling subtrees, identifies the
-// unique next hop. Both directions use Decay per phase, the deterministic
-// acknowledgements of §3, and the mod-3 level gating of §2.2; the two
+// unique next hop. Both directions are the §3 hop core (acked_hop.h) that
+// collection also runs: Decay per phase, the deterministic acknowledgements
+// of §3, and the mod-3 level gating of §2.2. Each half adds only which
+// receptions it accepts (from its children going up; from its parent and
+// for its subtree going down), where they go (the LCA turn, or the final
+// delivery) and whether it may send (up: only with a parent). The two
 // directions run concurrently on separate channels (§1.4).
 //
 // As in the paper, destinations are DFS addresses ("Henceforth, each node
@@ -19,12 +23,11 @@
 // by the root and is what the ranking application (§7) distributes.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "faults/fault_plan.h"
-#include "protocols/decay.h"
+#include "protocols/acked_hop.h"
 #include "protocols/dfs_numbering.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
@@ -65,45 +68,31 @@ class P2pDownStation;
 /// Upward subprotocol (§5.2): collection toward the least common ancestor.
 class P2pUpStation final : public SubStation {
  public:
-  struct Delivery {
-    SlotTime slot = 0;
-    Message msg;
-  };
+  using Delivery = AckedHop::Delivery;
 
   P2pUpStation(NodeId me, const RoutingInfo& info, P2pConfig cfg, Rng rng);
 
   /// Wires the handoff to this node's downward half (LCA turn).
   void set_down(P2pDownStation* down) noexcept { down_ = down; }
 
-  void on_attach(Waker& w) override;
+  void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime t) override;
+  void tick(SlotTime) override { hop_.tick(); }
 
   /// Originates a transmission to DFS address `dest_addr`. Returns the
   /// per-origin sequence number assigned to it.
   std::uint32_t send(std::uint32_t dest_addr, std::uint64_t payload);
 
-  std::size_t buffer_size() const noexcept { return buffer_.size(); }
+  std::size_t buffer_size() const noexcept { return hop_.size(); }
   const std::vector<Delivery>& sink() const noexcept { return sink_; }
 
  private:
   void route(SlotTime t, const Message& m);
 
-  NodeId me_;
   RoutingInfo info_;
-  PhaseClock clock_;
-  Rng rng_;
+  AckedHop hop_;
   P2pDownStation* down_ = nullptr;
-  bool autosleep_;
-  Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
-
-  std::deque<Message> buffer_;
-  DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool attempt_done_ = false;
-  bool just_transmitted_ = false;
-  std::optional<Message> ack_to_send_;
   std::uint32_t next_seq_ = 0;
   std::vector<Delivery> sink_;
 };
@@ -111,41 +100,27 @@ class P2pUpStation final : public SubStation {
 /// Downward subprotocol (§5.3): descent by DFS-interval containment.
 class P2pDownStation final : public SubStation {
  public:
+  using Delivery = AckedHop::Delivery;
+
   P2pDownStation(NodeId me, const RoutingInfo& info, P2pConfig cfg, Rng rng);
 
-  void on_attach(Waker& w) override;
+  void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime t) override;
+  void tick(SlotTime) override { hop_.tick(); }
 
   /// LCA handoff from the upward half (or from local origination). Wakes
   /// the station: the handoff happens inside the upward half's deliver,
   /// and the new buffer entry is transmit duty for the *next* poll.
-  void enqueue(const Message& m) {
-    buffer_.push_back(m);
-    if (waker_ != nullptr) waker_->wake();
-  }
+  void enqueue(const Message& m) { hop_.push(m); }
 
-  std::size_t buffer_size() const noexcept { return buffer_.size(); }
-  const std::vector<P2pUpStation::Delivery>& sink() const noexcept {
-    return sink_;
-  }
+  std::size_t buffer_size() const noexcept { return hop_.size(); }
+  const std::vector<Delivery>& sink() const noexcept { return sink_; }
 
  private:
-  NodeId me_;
   RoutingInfo info_;
-  PhaseClock clock_;
-  Rng rng_;
-  bool autosleep_;
-  Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
-
-  std::deque<Message> buffer_;
-  DecayProcess decay_;
-  std::uint64_t attempt_phase_ = static_cast<std::uint64_t>(-1);
-  bool attempt_done_ = false;
-  bool just_transmitted_ = false;
-  std::optional<Message> ack_to_send_;
-  std::vector<P2pUpStation::Delivery> sink_;
+  AckedHop hop_;
+  std::vector<Delivery> sink_;
 };
 
 /// One transmission request for the driver: node `src` sends `payload` to

@@ -697,29 +697,12 @@ TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
   }
 }
 
-TEST(AutosleepAB, FloodIsByteIdenticalAndPollsLess) {
-  // The flood's win is the uninformed frontier: on a long path most
-  // stations sleep until the wave reaches them.
-  const Graph g = gen::path(64);
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const BgiOutcome a =
-        run_bgi_broadcast(g, 0, /*phases=*/400, seed, {}, /*autosleep=*/true);
-    const BgiOutcome b =
-        run_bgi_broadcast(g, 0, 400, seed, {}, /*autosleep=*/false);
-    EXPECT_EQ(a.slots, b.slots);
-    EXPECT_EQ(a.informed_count, b.informed_count);
-    EXPECT_EQ(a.informed, b.informed);
-    EXPECT_EQ(a.informed_at, b.informed_at);
-    EXPECT_LT(a.engine_polls, b.engine_polls) << "seed " << seed;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Setup pieces: leader election, BFS construction, the two DFS token
-// traversals and the completion flood sleep on their own timed and token
-// wakes (only the flood has an option to turn that off). The reference
-// engine never hands out a Waker, so it polls every piece every slot: that
-// is the always-active side of the A/B.
+// traversals, the verification collection and the completion flood sleep
+// on their own timed, token and duty wakes. The reference engine never
+// hands out a Waker, so it polls every piece every slot: that is the
+// always-active side of the A/B.
 // ---------------------------------------------------------------------------
 
 /// One run of a setup piece: what the radio saw, and each node's end state.
@@ -845,6 +828,23 @@ TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
             return (std::uint64_t{s.number()} << 32) | s.max_desc();
           });
 
+      // The §3 hop core under the B/F verification collection: one
+      // message from every non-root climbs the oracle tree.
+      const CollectionConfig cc = CollectionConfig::for_graph(g);
+      expect_piece_matches(
+          cell + "/collection", g, plan,
+          4 * SlotTime{n} * PhaseClock(cc.slots).slots_per_phase(),
+          [&](NodeId v) {
+            auto s = std::make_unique<CollectionStation>(v, tree, cc,
+                                                         Rng(0xC0 + v));
+            if (v != 0) s->inject(one_data_message_each(g)[v - 1]);
+            return s;
+          },
+          [](const CollectionStation& s) {
+            return (std::uint64_t{s.buffer_size()} << 32) |
+                   s.root_sink().size();
+          });
+
       expect_piece_matches(
           cell + "/flood", g, plan, 40 * dl,
           [&](NodeId v) {
@@ -855,6 +855,24 @@ TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
           [](const FloodStation& s) { return s.informed_at(); });
     }
   }
+}
+
+TEST(AutosleepAB, FloodOnALongPathMatchesTheAlwaysPolledReference) {
+  // The flood's win is the uninformed frontier: on a long path most
+  // stations sleep until the wave reaches them.
+  const Graph g = gen::path(64);
+  const std::uint32_t dl = decay_length(g.max_degree());
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    expect_piece_matches(
+        "path64/seed" + std::to_string(seed), g, FaultPlan{}, 400 * dl,
+        [&](NodeId v) {
+          auto s = std::make_unique<FloodStation>(dl, Rng(seed).split(v));
+          if (v == 0) s->seed(Message{});
+          return s;
+        },
+        [](const FloodStation& s) {
+          return (std::uint64_t{s.informed()} << 63) | s.informed_at();
+        });
 }
 
 }  // namespace

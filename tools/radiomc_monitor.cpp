@@ -159,9 +159,19 @@ bool read_stream(const std::string& path, Stream* s) {
       ++s->windows;
       s->last_phase = count(v, "phase");
     } else if (ev == "alert") {
+      // An alert is a rule transition: a named rule, a state that is
+      // exactly "trip" or "clear", and the numbers it was judged by.
+      const std::string& state = v.at("state").as_string();
+      if (state != "trip" && state != "clear")
+        return fail("field \"state\" is neither \"trip\" nor \"clear\"");
+      if (!v.at("rule").is_string())
+        return fail("field \"rule\" is not a string");
+      for (const char* key : {"value", "limit"})
+        if (!v.at(key).is_number())
+          return fail("field \"" + std::string(key) + "\" is not a number");
       Alert a;
       a.rule = v.at("rule").as_string();
-      a.trip = v.at("state").as_string() == "trip";
+      a.trip = state == "trip";
       a.window = count(v, "n");
       a.phase = count(v, "phase");
       a.value = v.at("value").as_double();
@@ -235,9 +245,17 @@ std::vector<Check> run_checks(const Stream& s) {
               std::to_string(s.clears) + " clears, footer declares " +
               std::to_string(s.end_trips) + " / " +
               std::to_string(s.end_clears));
-      add("active-consistent", s.end_active == s.end_trips - s.end_clears,
-          "active " + std::to_string(s.end_active) + " vs trips-clears " +
-              std::to_string(s.end_trips - s.end_clears));
+      // Every clear ends an earlier trip, so clears never exceed trips;
+      // checked first, the subtraction cannot wrap.
+      const bool balanced = s.end_clears <= s.end_trips;
+      add("active-consistent",
+          balanced && s.end_active == s.end_trips - s.end_clears,
+          balanced ? "active " + std::to_string(s.end_active) +
+                         " vs trips-clears " +
+                         std::to_string(s.end_trips - s.end_clears)
+                   : "footer declares " + std::to_string(s.end_clears) +
+                         " clears but only " +
+                         std::to_string(s.end_trips) + " trips");
     }
   }
   if (s.schema == "radiomc.health/v1")
