@@ -4,13 +4,8 @@
 
 namespace radiomc {
 
-AckedHop::AckedHop(NodeId me, const SlotStructure& slots, bool autosleep,
-                   Rng rng)
-    : me_(me),
-      clock_(slots),
-      rng_(rng),
-      decay_(slots.decay_len),
-      autosleep_(autosleep) {}
+AckedHop::AckedHop(NodeId me, const SlotStructure& slots, Rng rng)
+    : me_(me), clock_(slots), rng_(rng), decay_(slots.decay_len) {}
 
 void AckedHop::place(NodeId parent, std::uint32_t level) {
   parent_ = parent;
@@ -28,7 +23,6 @@ void AckedHop::reset(Rng rng) {
 }
 
 void AckedHop::attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
   waker_ = &w;
   w.set_autosleep(true);
 }

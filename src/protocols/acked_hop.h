@@ -16,10 +16,10 @@
 // `acknowledge` for those), where an accepted message goes (`push` to send
 // it on, or a sink), and whether it may send at all (`poll`'s `may_send`).
 //
-// Autosleep (radio/waker.h): the hop keeps its station scheduled while it
-// owes an ack or holds a message it may send, and wakes it on every
-// reception and push; otherwise a poll is a pure no-op and the engine may
-// deschedule the station.
+// Sleeping (radio/waker.h), always: the hop keeps its station scheduled
+// while it owes an ack or holds a message it may send, and wakes it on
+// every reception and push; otherwise a poll is a pure no-op and the
+// engine may deschedule the station.
 
 #include <cstdint>
 #include <deque>
@@ -40,8 +40,7 @@ class AckedHop {
     Message msg;
   };
 
-  /// `autosleep`: opt into the engine's active set when attached.
-  AckedHop(NodeId me, const SlotStructure& slots, bool autosleep, Rng rng);
+  AckedHop(NodeId me, const SlotStructure& slots, Rng rng);
 
   /// Places the node in the BFS tree: `parent` is stamped on every copy it
   /// sends, `level` gates its data subslots. Wakes the station, since the
@@ -51,7 +50,7 @@ class AckedHop {
   /// with fresh randomness.
   void reset(Rng rng);
 
-  /// The owner's on_attach: keeps the Waker iff autosleep is on.
+  /// The owner's on_attach: keeps the Waker and opts in.
   void attach(Waker& w);
   void wake() {
     if (waker_ != nullptr) waker_->wake();
@@ -90,8 +89,7 @@ class AckedHop {
   std::deque<Message> fifo_;
   DecayProcess decay_;
   std::optional<Message> owed_ack_;
-  bool autosleep_;
-  Waker* waker_ = nullptr;  ///< set by attach iff autosleep_ is on
+  Waker* waker_ = nullptr;  ///< set by attach
 };
 
 }  // namespace radiomc

@@ -80,14 +80,12 @@ BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
   RadioNetwork::Config ncfg = cfg.engine;
   if (cfg.mode == BroadcastServiceConfig::ChannelMode::kSeparate) {
     ncfg.num_channels = 2;
-    // Coordinated autosleep only when both subs make the Waker promise:
-    // the muxed node shares one membership bit (see ChannelMuxStation).
-    const bool autosleep =
-        cfg.collection.autosleep && cfg.distribution.autosleep;
+    // Coordinated: both subs keep the Waker promise, so the node may share
+    // one membership bit (see ChannelMuxStation).
     for (NodeId v = 0; v < n; ++v)
       muxes_.push_back(std::make_unique<ChannelMuxStation>(
           std::vector<SubStation*>{coll_[v].get(), dist_[v].get()},
-          autosleep));
+          /*coordinated_autosleep=*/true));
   } else {
     ncfg.num_channels = 1;
     for (NodeId v = 0; v < n; ++v)

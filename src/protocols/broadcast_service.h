@@ -93,8 +93,8 @@ class BroadcastService {
   DistributionStation& distribution_mutable(NodeId v) { return *dist_[v]; }
   const CollectionStation& collection(NodeId v) const { return *coll_[v]; }
   const NetMetrics& metrics() const;
-  /// Engine scheduling counters (station polls / wake events) — the
-  /// autosleep payoff metrics.
+  /// Engine scheduling counters (station polls / wake events): what
+  /// sleeping saves.
   const EngineStats& engine_stats() const { return net_->engine_stats(); }
 
  private:
@@ -128,7 +128,7 @@ struct KBroadcastOutcome {
   /// property still guarantees every real message below it was delivered —
   /// exactly-once weakens to at-least-once, completeness survives.
   std::uint32_t delivered_prefix = 0;
-  /// Engine on_slot invocations — the autosleep payoff metric.
+  /// Engine on_slot invocations — what sleeping saves.
   std::uint64_t engine_polls = 0;
 };
 KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,

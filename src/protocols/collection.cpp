@@ -16,7 +16,7 @@ CollectionStation::CollectionStation(NodeId me, const BfsTree& tree,
 }
 
 CollectionStation::CollectionStation(NodeId me, CollectionConfig cfg, Rng rng)
-    : hop_(me, cfg.slots, cfg.autosleep, rng), dedup_guard_(cfg.dedup_guard) {}
+    : hop_(me, cfg.slots, rng), dedup_guard_(cfg.dedup_guard) {}
 
 void CollectionStation::set_local(NodeId parent, std::uint32_t level,
                                   bool is_root) {

@@ -17,6 +17,11 @@
 //
 // The buffer, the per-phase Decay, the acks and the duty wake are the §3
 // hop core (acked_hop.h), shared with both halves of point-to-point.
+// Every CollectionStation sleeps (radio/waker.h) where the Waker reaches
+// it: with an empty buffer and no owed ack it waits for a reception or an
+// inject. An idle poll never reaches Decay or draws randomness, so only
+// EngineStats::station_polls changes; tests/engine_diff_test.cpp proves it
+// against the always-polled reference engine.
 // CollectionStation adds only what is collection's own: it accepts
 // upbound messages from its children, hands arrivals at the root to the
 // sink (with the Remark 3 dedup guard and the Theorem 4.1 accept log),
@@ -56,19 +61,6 @@ struct CollectionConfig : Observers {
   /// the paper's "more complicated, less reliable and slower protocol".
   /// Off by default: the main model needs no duplicate state.
   bool dedup_guard = false;
-
-  /// Opt into the active-set engine's autosleep (radio/waker.h): a station
-  /// with an empty buffer and no pending ack is descheduled until a
-  /// reception or an inject wakes it. Protocol output is byte-identical
-  /// either way — an idle CollectionStation poll never reaches Decay and
-  /// consumes no randomness (the coin is flipped only after an actual
-  /// transmission) — proven A/B by tests/engine_diff_test.cpp. Only
-  /// EngineStats::station_polls differs.
-  /// Takes effect wherever the Waker reaches the station: SingleStation,
-  /// ChannelMuxStation in coordinated mode, and setup's verification
-  /// collection (SetupStation forwards its Waker); a non-coordinated
-  /// channel mux or time division keeps it always-active.
-  bool autosleep = true;
 
   /// Fault injection (src/faults/): run_collection compiles this against
   /// the graph and a stream split off the run seed. All-zero (the default)
@@ -113,7 +105,7 @@ class CollectionStation final : public SubStation {
 
   /// Application-level origination: enqueue a message for the root. The
   /// caller provides origin == this node's id and a per-origin-unique seq.
-  /// Wakes the station when autosleep descheduled it (drivers inject
+  /// Wakes the station if the engine descheduled it (drivers inject
   /// between slots; Waker::wake is merged before the next poll).
   void inject(const Message& m);
 
@@ -176,8 +168,8 @@ struct CollectionOutcome {
   std::vector<std::uint64_t> advance_phases;
 
   /// Engine on_slot invocations (EngineStats::station_polls): scheduling
-  /// economy, not radio physics — the autosleep A/B tests assert it drops
-  /// while everything above stays byte-identical.
+  /// economy, not radio physics — sleeping stations lower it while
+  /// everything above stays what the always-polled engine computes.
   std::uint64_t engine_polls = 0;
 };
 

@@ -22,7 +22,6 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
       cfg_(cfg),
       clock_(make_clock(cfg)),
       rng_(rng),
-      autosleep_(cfg.autosleep),
       decay_(cfg.decay_len) {
   // The era shares the 32-bit aux field with the hop level (16 bits each).
   require(!cfg_.epoch_tags || cfg_.window == 0 || tree.depth < 0x10000,
@@ -31,7 +30,6 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
 }
 
 void DistributionStation::on_attach(Waker& w) {
-  if (!autosleep_) return;  // legacy contract: permanently active
   waker_ = &w;
   w.set_autosleep(true);
 }
@@ -96,7 +94,7 @@ void DistributionStation::on_superphase_boundary(std::uint64_t sp) {
     // superphase what arrived during the previous one). The guard is
     // vacuous for an always-active station — its boundary fires at every
     // superphase start, before any reception of that superphase, so a
-    // captured register is always from sp-1. An autosleep station firing a
+    // captured register is always from sp-1. A sleeping station firing a
     // late boundary must not promote a reception made in the boundary's
     // own superphase; it stays in received_sp_ for the next shift, exactly
     // where the on-time schedule would have put it.
@@ -190,7 +188,7 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
     on_superphase_boundary(sp);
   }
 
-  // Autosleep duty check: stay awake while any state machine owes future
+  // Duty check: stay awake while any state machine owes future
   // action. The root is pinned — its boundary reacts to mid-superphase
   // root_enqueue() calls and to the idle-rebroadcast duty, so it may never
   // fire late. A non-root owes action while a register holds a message or

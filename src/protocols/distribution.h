@@ -22,6 +22,11 @@
 // — the bounded-numbering scheme the paper sketches with "numbered mod
 // 3n^2" plus an acknowledged checkpoint every n^2 messages (we use 4W/2W/W
 // for a crisper uniqueness argument; see DESIGN.md).
+//
+// Every DistributionStation sleeps (radio/waker.h): a non-root station
+// with empty pipeline registers and NACK timers waits for a reception. The
+// root never sleeps: a superphase boundary it fired late could take a
+// mid-superphase root_enqueue() a superphase early.
 
 #include <cstdint>
 #include <deque>
@@ -67,16 +72,6 @@ struct DistributionConfig {
   /// exhibits the phantom prefix on it). No effect when window == 0 (era
   /// is identically 0 and aux carries exactly the level).
   bool epoch_tags = true;
-
-  /// Opt into the active-set engine's autosleep (radio/waker.h). A
-  /// non-root station's idle slots touch no state once its pipeline
-  /// registers and NACK timers are empty, so it sleeps until the next
-  /// reception; the root is deliberately pinned awake — its superphase
-  /// boundary reacts to mid-superphase root_enqueue() calls, so a late
-  /// (caught-up) boundary could pick a fresh message one superphase
-  /// earlier than an always-active root would. Byte-identical deliveries
-  /// either way; the engine_diff A/B test is the proof.
-  bool autosleep = true;
 
   static DistributionConfig for_graph(const Graph& g) {
     DistributionConfig c;
@@ -157,8 +152,7 @@ class DistributionStation final : public SubStation {
   PhaseClock clock_;
   Rng rng_;
 
-  bool autosleep_;
-  Waker* waker_ = nullptr;  ///< set by on_attach iff autosleep_ is on
+  Waker* waker_ = nullptr;  ///< set by on_attach
 
   DecayProcess decay_;
   std::uint64_t last_superphase_ = static_cast<std::uint64_t>(-1);
@@ -166,7 +160,7 @@ class DistributionStation final : public SubStation {
   // Pipeline registers.
   std::optional<Message> forwarding_;     ///< sent during this superphase
   std::optional<Message> received_sp_;    ///< first reception this superphase
-  /// Superphase in which received_sp_ was captured. An autosleep station
+  /// Superphase in which received_sp_ was captured. A sleeping station
   /// can fire a boundary *late* (first poll after a wake); the shift must
   /// then promote only a reception made before the boundary's superphase —
   /// an always-active station would have shifted an empty register at the

@@ -17,7 +17,7 @@ namespace radiomc {
 
 P2pUpStation::P2pUpStation(NodeId me, const RoutingInfo& info, P2pConfig cfg,
                            Rng rng)
-    : info_(info), hop_(me, cfg.slots, cfg.autosleep, rng) {
+    : info_(info), hop_(me, cfg.slots, rng) {
   hop_.place(info.parent, info.level);
 }
 
@@ -64,7 +64,7 @@ void P2pUpStation::deliver(SlotTime t, const Message& m) {
 
 P2pDownStation::P2pDownStation(NodeId me, const RoutingInfo& info,
                                P2pConfig cfg, Rng rng)
-    : info_(info), hop_(me, cfg.slots, cfg.autosleep, rng) {
+    : info_(info), hop_(me, cfg.slots, rng) {
   hop_.place(info.parent, info.level);
 }
 
@@ -139,7 +139,7 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   std::vector<Station*> ptrs;
   for (NodeId v = 0; v < n; ++v)
     muxes.emplace_back(std::vector<SubStation*>{ups[v].get(), downs[v].get()},
-                       cfg.autosleep);
+                       /*coordinated_autosleep=*/true);
   for (auto& m : muxes) ptrs.push_back(&m);
 
   RadioNetwork::Config ncfg;

@@ -16,7 +16,10 @@
 // receptions it accepts (from its children going up; from its parent and
 // for its subtree going down), where they go (the LCA turn, or the final
 // delivery) and whether it may send (up: only with a parent). The two
-// directions run concurrently on separate channels (§1.4).
+// directions run concurrently on separate channels (§1.4), under a
+// coordinated ChannelMuxStation: a node sleeps (radio/waker.h) while
+// neither half owes an ack or holds buffered traffic, and any reception
+// wakes it. Both halves keep the Waker promise, so the joint one holds.
 //
 // As in the paper, destinations are DFS addresses ("Henceforth, each node
 // uses its DFS number as its address"); the id->address directory is held
@@ -48,13 +51,6 @@ struct P2pConfig : Observers {
   /// Progress watchdog: when > 0 and no request completes for this many
   /// slots, the driver stops with RunStatus::kDegraded. 0 = off.
   SlotTime stall_slots = 0;
-
-  /// Opt into the active-set engine's autosleep (radio/waker.h): a node
-  /// sleeps while neither half owes an ack or holds buffered traffic, and
-  /// any reception wakes it. The driver composes both halves under a
-  /// coordinated ChannelMuxStation, so the promise is joint. Byte-identical
-  /// deliveries either way; the engine_diff A/B test is the proof.
-  bool autosleep = true;
 
   static P2pConfig for_graph(const Graph& g) {
     P2pConfig c;
@@ -141,7 +137,7 @@ struct P2pOutcome {
   std::uint64_t delivered = 0;
   /// Per request: slot at which it reached its destination (or -1).
   std::vector<SlotTime> delivery_slot;
-  /// Engine on_slot invocations — the autosleep payoff metric.
+  /// Engine on_slot invocations — what sleeping saves.
   std::uint64_t engine_polls = 0;
 };
 

@@ -129,8 +129,8 @@ class RadioNetwork {
   std::size_t active_station_count() const noexcept {
     return active_set_.active().size();
   }
-  /// Wakes a station from driver level (between slots), e.g. to deliver an
-  /// out-of-band arrival to a sleeping queue station.
+  /// Wakes a station from driver level (between slots); run_setup does so
+  /// at each epoch and attempt boundary of its schedule.
   void wake_station(NodeId v) { active_set_.wake(v); }
 
   /// Installs an observer for physical events (not owned; nullptr to

@@ -69,12 +69,12 @@ class SubStation {
 
   /// Engine adoption, forwarded by SingleStation, by setup's per-node
   /// station (with a `Waker::shifted` handle on the sub-station's clock),
-  /// and by ChannelMuxStation only in coordinated-autosleep mode.
-  /// TimeDivisionStation never forwards, and a non-coordinated
-  /// ChannelMuxStation doesn't either: their SubStations share one
-  /// membership bit, so no single SubStation can promise the whole node's
-  /// idleness. A SubStation that opts in via `w.set_autosleep(true)` makes
-  /// the Waker contract's promise (radio/waker.h) for itself alone.
+  /// and by ChannelMuxStation only in coordinated mode. TimeDivisionStation
+  /// never forwards, and a non-coordinated ChannelMuxStation doesn't
+  /// either: their SubStations share one membership bit, so no single
+  /// SubStation can promise the whole node's idleness. Every protocol
+  /// SubStation opts in here, unconditionally, via `w.set_autosleep(true)`,
+  /// making the Waker contract's promise (radio/waker.h) for itself alone.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Transmit decision for the SubStation's slot `t` (nullopt = listen).
@@ -111,7 +111,8 @@ class ChannelMuxStation final : public Station {
   /// pending work, wakes on the deliveries that create work): the subs
   /// share one membership bit, so the node sleeps exactly when no sub
   /// transmitted or woke this slot — which the per-sub promises jointly
-  /// make safe. TimeDivisionStation deliberately has no such mode: a sub's
+  /// make safe. The p2p, ranking and k-broadcast drivers always coordinate.
+  /// TimeDivisionStation deliberately has no such mode: a sub's
   /// duty wake buys exactly one polled slot, so a time-sliced node could
   /// sleep through the *other* sub's dedicated slots and deadlock.
   explicit ChannelMuxStation(std::vector<SubStation*> subs,

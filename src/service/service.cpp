@@ -87,7 +87,6 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   Rng master(seed);
   CollectionConfig ccfg = CollectionConfig::for_graph(g);
   ccfg.dedup_guard = cfg.dedup_guard;
-  ccfg.autosleep = cfg.autosleep;
   std::vector<std::unique_ptr<CollectionStation>> st;
   for (NodeId v = 0; v < n; ++v)
     st.push_back(

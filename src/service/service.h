@@ -8,7 +8,9 @@
 // start-of-phase queue depth against the Hsu–Burke envelope and admits,
 // defers, or sheds each one; admitted messages are injected at their
 // origin stations and climb the tree under the unmodified §4 collection
-// protocol. The driver keeps the telemetry registry current *every phase*
+// protocol. Idle collection stations sleep (collection.h) and an injected
+// arrival wakes its station, so a long soak spends polls only where there
+// is traffic. The driver keeps the telemetry registry current *every phase*
 // (arrival/admission/delivery counters, in-system and ingress-backlog
 // gauges, per-level queue-depth distributions), so a SnapshotStreamer
 // installed as the slot hook turns a soak into a live radiomc.snap/v1
@@ -69,11 +71,6 @@ struct ServeConfig {
   /// certification asserts. On by default — a service owes its clients
   /// exactly-once, not the paper's cleanest model.
   bool dedup_guard = true;
-  /// Collection stations opt into the active-set engine's autosleep
-  /// (radio/waker.h): idle stations cost no polls on long soaks. Output is
-  /// byte-identical either way (the Waker contract, proven by the engine
-  /// diff harness); off only for A/B measurements.
-  bool autosleep = true;
 
   FaultPlan faults;
 
@@ -120,7 +117,8 @@ struct ServeOutcome {
   /// Arrivals still held by the defer policy at the end.
   std::uint64_t defer_backlog = 0;
 
-  /// Engine on_slot invocations — the autosleep payoff metric.
+  /// Engine on_slot invocations: idle collection stations sleep
+  /// (collection.h), so a long soak costs few polls per phase.
   std::uint64_t engine_polls = 0;
 
   /// kOk, or kDegraded when the run shed/deferred traffic, delivered a

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -443,9 +444,10 @@ TEST(EngineDiff, MatrixIsJobCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol-level autosleep A/B: the production protocols that adopted the
-// Waker contract must be byte-identical with autosleep on vs off — the
-// only thing allowed to change is how many polls the engine spends.
+// Protocol-level A/B: every production station sleeps, and none can be
+// told not to. The reference engine never hands out a Waker, so it polls
+// every station every slot: that is the always-polled side of each A/B.
+// The only thing sleeping may change is how many polls the engine spends.
 // ---------------------------------------------------------------------------
 
 std::vector<Message> one_data_message_each(const Graph& g) {
@@ -459,64 +461,6 @@ std::vector<Message> one_data_message_each(const Graph& g) {
     init.push_back(m);
   }
   return init;
-}
-
-TEST(AutosleepAB, CollectionIsByteIdenticalAndPollsLess) {
-  const std::vector<Graph> graphs = {gen::path(24), gen::grid(5, 5),
-                                     gen::star(16)};
-  for (const Graph& g : graphs) {
-    const BfsTree tree = oracle_bfs_tree(g, 0);
-    CollectionConfig on = CollectionConfig::for_graph(g);
-    on.autosleep = true;
-    CollectionConfig off = on;
-    off.autosleep = false;
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const auto a = run_collection(g, tree, one_data_message_each(g), on,
-                                    seed);
-      const auto b = run_collection(g, tree, one_data_message_each(g), off,
-                                    seed);
-      ASSERT_TRUE(a.completed);
-      ASSERT_TRUE(b.completed);
-      EXPECT_EQ(a.slots, b.slots);
-      EXPECT_EQ(a.phases, b.phases);
-      EXPECT_EQ(a.occupied_phases, b.occupied_phases);
-      EXPECT_EQ(a.advance_phases, b.advance_phases);
-      ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
-      for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
-        EXPECT_EQ(a.deliveries[i].slot, b.deliveries[i].slot);
-        EXPECT_EQ(a.deliveries[i].msg.origin, b.deliveries[i].msg.origin);
-        EXPECT_EQ(a.deliveries[i].msg.seq, b.deliveries[i].msg.seq);
-        EXPECT_EQ(a.deliveries[i].msg.sender, b.deliveries[i].msg.sender);
-      }
-      // Drained stations sleep out the tail of the run.
-      EXPECT_LT(a.engine_polls, b.engine_polls)
-          << "seed " << seed << " n=" << g.num_nodes();
-    }
-  }
-}
-
-TEST(AutosleepAB, CollectionIdenticalUnderFaultsToo) {
-  const Graph g = gen::grid(4, 4);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  CollectionConfig on = CollectionConfig::for_graph(g);
-  on.dedup_guard = true;
-  on.faults.crash_rate = 0.02;
-  on.faults.recover_rate = 0.3;
-  on.faults.drop_prob = 0.02;
-  on.faults.epoch_slots = 256;
-  CollectionConfig off = on;
-  off.autosleep = false;
-  const auto a =
-      run_collection(g, tree, one_data_message_each(g), on, 9, 400'000);
-  const auto b =
-      run_collection(g, tree, one_data_message_each(g), off, 9, 400'000);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.slots, b.slots);
-  ASSERT_EQ(a.deliveries.size(), b.deliveries.size());
-  for (std::size_t i = 0; i < a.deliveries.size(); ++i) {
-    EXPECT_EQ(a.deliveries[i].slot, b.deliveries[i].slot);
-    EXPECT_EQ(a.deliveries[i].msg.origin, b.deliveries[i].msg.origin);
-  }
 }
 
 /// The paper's Decay procedure as an always-polled station: transmit at
@@ -591,121 +535,11 @@ TEST(AutosleepAB, DecayTrialMatchesTheAlwaysPolledReference) {
   EXPECT_LT(heard, kSeeds);
 }
 
-TEST(AutosleepAB, KBroadcastIsByteIdenticalAndPollsLess) {
-  // Distribution + collection under the coordinated ChannelMuxStation:
-  // every node's in-order delivery log must match slot-for-slot, and the
-  // root's resend/idle-rebroadcast books must agree — only the poll count
-  // may change.
-  const Graph g = gen::grid(5, 5);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < g.num_nodes(); v += 3) sources.push_back(v);
-  BroadcastServiceConfig on = BroadcastServiceConfig::for_graph(g);
-  on.collection.autosleep = true;
-  on.distribution.autosleep = true;
-  on.distribution.window = 4;
-  BroadcastServiceConfig off = on;
-  off.collection.autosleep = false;
-  off.distribution.autosleep = false;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const KBroadcastOutcome a =
-        run_k_broadcast(g, tree, sources, on, seed, 2'000'000);
-    const KBroadcastOutcome b =
-        run_k_broadcast(g, tree, sources, off, seed, 2'000'000);
-    ASSERT_TRUE(a.completed) << "seed " << seed;
-    ASSERT_TRUE(b.completed) << "seed " << seed;
-    EXPECT_EQ(a.slots, b.slots) << "seed " << seed;
-    EXPECT_EQ(a.delivered_prefix, b.delivered_prefix) << "seed " << seed;
-    EXPECT_EQ(a.root_resends, b.root_resends) << "seed " << seed;
-    EXPECT_LT(a.engine_polls, b.engine_polls) << "seed " << seed;
-  }
-}
-
-TEST(AutosleepAB, BroadcastDeliveryLogsIdenticalSlotForSlot) {
-  // Stronger than outcome equality: drive two services in lockstep and
-  // compare every node's (slot, seq) delivery log byte-for-byte.
-  const Graph g = gen::path(18);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  BroadcastServiceConfig on = BroadcastServiceConfig::for_graph(g);
-  on.distribution.window = 4;
-  BroadcastServiceConfig off = on;
-  off.collection.autosleep = false;
-  off.distribution.autosleep = false;
-  BroadcastService sa(g, tree, on, 77);
-  BroadcastService sb(g, tree, off, 77);
-  for (NodeId v = 0; v < g.num_nodes(); v += 2) {
-    sa.broadcast(v, 4000 + v);
-    sb.broadcast(v, 4000 + v);
-  }
-  ASSERT_TRUE(sa.run_until_delivered(2'000'000));
-  ASSERT_TRUE(sb.run_until_delivered(2'000'000));
-  EXPECT_EQ(sa.now(), sb.now());
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    EXPECT_EQ(sa.distribution(v).delivery_log(),
-              sb.distribution(v).delivery_log())
-        << "node " << v;
-  EXPECT_LT(sa.engine_stats().station_polls, sb.engine_stats().station_polls);
-}
-
-TEST(AutosleepAB, BroadcastIdenticalUnderFaultsToo) {
-  const Graph g = gen::grid(4, 4);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  BroadcastServiceConfig on = BroadcastServiceConfig::for_graph(g);
-  on.distribution.window = 4;
-  on.faults.crash_rate = 0.01;
-  on.faults.recover_rate = 0.3;
-  on.faults.drop_prob = 0.02;
-  on.faults.epoch_slots = 512;
-  on.stall_slots = 200'000;
-  BroadcastServiceConfig off = on;
-  off.collection.autosleep = false;
-  off.distribution.autosleep = false;
-  std::vector<NodeId> sources = {1, 5, 9, 13};
-  const KBroadcastOutcome a =
-      run_k_broadcast(g, tree, sources, on, 11, 1'000'000);
-  const KBroadcastOutcome b =
-      run_k_broadcast(g, tree, sources, off, 11, 1'000'000);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.slots, b.slots);
-  EXPECT_EQ(a.delivered_prefix, b.delivered_prefix);
-  EXPECT_EQ(a.root_resends, b.root_resends);
-}
-
-TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
-  Rng rng(414);
-  const Graph g = gen::gnp_connected(24, 0.2, rng);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  const PreparationResult prep = run_preparation(g, tree);
-  ASSERT_TRUE(prep.ok);
-  std::vector<P2pRequest> reqs;
-  for (int i = 0; i < 20; ++i)
-    reqs.push_back({static_cast<NodeId>(rng.next_below(g.num_nodes())),
-                    static_cast<NodeId>(rng.next_below(g.num_nodes())),
-                    static_cast<std::uint64_t>(9000 + i)});
-  P2pConfig on = P2pConfig::for_graph(g);
-  on.autosleep = true;
-  P2pConfig off = on;
-  off.autosleep = false;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const P2pOutcome a = run_point_to_point(g, prep, reqs, on, seed);
-    const P2pOutcome b = run_point_to_point(g, prep, reqs, off, seed);
-    ASSERT_TRUE(a.completed) << "seed " << seed;
-    ASSERT_TRUE(b.completed) << "seed " << seed;
-    EXPECT_EQ(a.slots, b.slots) << "seed " << seed;
-    EXPECT_EQ(a.delivery_slot, b.delivery_slot) << "seed " << seed;
-    EXPECT_LT(a.engine_polls, b.engine_polls) << "seed " << seed;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Setup pieces: leader election, BFS construction, the two DFS token
-// traversals, the verification collection and the completion flood sleep
-// on their own timed, token and duty wakes. The reference engine never
-// hands out a Waker, so it polls every piece every slot: that is the
-// always-active side of the A/B.
+// Pieces: one protocol's stations on every node, run on both engines.
 // ---------------------------------------------------------------------------
 
-/// One run of a setup piece: what the radio saw, and each node's end state.
+/// One run of a piece: what the radio saw, and each node's end state.
 struct PieceRun {
   std::string trace;
   NetMetrics metrics;
@@ -713,52 +547,112 @@ struct PieceRun {
   std::uint64_t polls = 0;  ///< active-set engine only
 };
 
-/// Runs one SubStation per node (built by `make`) for `slots` slots under
-/// `plan`; `state` summarizes a node's end state in one word.
-template <typename Engine, typename Make, typename State>
+/// A node whose two SubStations share it as the p2p and k-broadcast
+/// drivers compose them: `a` on channel 0, `b` on channel 1, under a
+/// coordinated ChannelMuxStation.
+template <typename A, typename B>
+struct Muxed {
+  std::unique_ptr<A> a;
+  std::unique_ptr<B> b;
+};
+
+/// The Station the engine drives for a piece node.
+template <typename S>
+std::unique_ptr<Station> station_of(std::unique_ptr<S>& s) {
+  return std::make_unique<SingleStation>(*s);
+}
+template <typename A, typename B>
+std::unique_ptr<Station> station_of(Muxed<A, B>& m) {
+  return std::make_unique<ChannelMuxStation>(
+      std::vector<SubStation*>{m.a.get(), m.b.get()},
+      /*coordinated_autosleep=*/true);
+}
+
+/// What a piece's `state` sees of a node: the SubStation, or both halves.
+template <typename S>
+const S& parts_of(const std::unique_ptr<S>& s) {
+  return *s;
+}
+template <typename A, typename B>
+const Muxed<A, B>& parts_of(const Muxed<A, B>& m) {
+  return m;
+}
+
+/// The default between-slots driver: none.
+struct NoDriver {
+  template <typename Nodes>
+  void operator()(SlotTime, Nodes&) const {}
+};
+
+/// Runs one node per vertex (built by `make`) for `slots` slots under
+/// `plan` on an engine configured by `engine`. `drive(t, nodes)` runs
+/// before slot t, between slots, on both engines alike; it must depend on
+/// t and the nodes only, since each engine's run calls it afresh. `state`
+/// summarizes a node's end state in one word.
+template <typename Engine, typename Make, typename State, typename Drive>
 PieceRun run_piece(const Graph& g, const FaultPlan& plan, SlotTime slots,
-                   Make make, State state) {
-  std::vector<decltype(make(NodeId{0}))> subs;
-  std::deque<SingleStation> adapters;
+                   Make make, State state,
+                   const RadioNetwork::Config& engine, Drive drive) {
+  std::vector<decltype(make(NodeId{0}))> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(make(v));
+  std::vector<std::unique_ptr<Station>> stations;
   std::vector<Station*> ptrs;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    subs.push_back(make(v));
-    adapters.emplace_back(*subs.back());
-    ptrs.push_back(&adapters.back());
+  for (auto& node : nodes) {
+    stations.push_back(station_of(node));
+    ptrs.push_back(stations.back().get());
   }
   std::ostringstream trace_out;
   PieceRun r;
   {
     telemetry::JsonlTraceSink trace(trace_out);
-    Engine net(g);
+    Engine net(g, engine);
     FaultSchedule faults(g, plan, 0xFA17ULL + g.num_nodes());
     net.set_faults(&faults);
     net.set_trace(&trace);
     net.attach(ptrs);
-    net.run(slots);
+    for (SlotTime t = 0; t < slots; ++t) {
+      drive(t, nodes);
+      net.step();
+    }
     r.metrics = net.metrics();
     if constexpr (std::is_same_v<Engine, RadioNetwork>)
       r.polls = net.engine_stats().station_polls;
   }
   r.trace = trace_out.str();
-  for (const auto& s : subs) r.state.push_back(state(*s));
+  for (const auto& node : nodes) r.state.push_back(state(parts_of(node)));
   return r;
 }
 
-template <typename Make, typename State>
-void expect_piece_matches(const std::string& what, const Graph& g,
+/// Runs the piece on both engines and checks the sleeping one against the
+/// always-polled reference; returns the sleeping engine's run.
+template <typename Make, typename State, typename Drive = NoDriver>
+PieceRun expect_piece_matches(const std::string& what, const Graph& g,
                           const FaultPlan& plan, SlotTime slots, Make make,
-                          State state) {
-  const PieceRun a = run_piece<RadioNetwork>(g, plan, slots, make, state);
+                          State state, const RadioNetwork::Config& engine = {},
+                          Drive drive = {}) {
+  const PieceRun a =
+      run_piece<RadioNetwork>(g, plan, slots, make, state, engine, drive);
   const PieceRun b = run_piece<radiomc::testing::ReferenceNetwork>(
-      g, plan, slots, make, state);
+      g, plan, slots, make, state, engine, drive);
   EXPECT_TRUE(a.trace == b.trace) << what << ": trace bytes differ";
   EXPECT_TRUE(same_metrics(a.metrics, b.metrics)) << what;
   EXPECT_EQ(a.state, b.state) << what;
   EXPECT_GT(a.metrics.transmissions, 0u) << what << " was vacuous";
   EXPECT_LT(a.polls, static_cast<std::uint64_t>(g.num_nodes()) * slots)
       << what << ": the piece did not sleep";
+  return a;
 }
+
+/// Every piece runs fault-free and under crash churn.
+const std::vector<std::pair<std::string, FaultPlan>>& piece_plans() {
+  static const std::vector<std::pair<std::string, FaultPlan>> plans = {
+      {"nofault", FaultPlan{}}, {"crash", crash_plan()}};
+  return plans;
+}
+
+// Setup pieces: leader election, BFS construction, the two DFS token
+// traversals, the verification collection and the completion flood sleep
+// on their own timed, token and duty wakes.
 
 TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
   Rng topo(0x5E7);
@@ -767,13 +661,11 @@ TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
   graphs.emplace_back("udg40", gen::unit_disk_connected(
                                    40, gen::udg_connect_radius(40), topo));
   graphs.emplace_back("gnp48", gen::gnp_connected(48, 0.1, topo));
-  const std::vector<std::pair<std::string, FaultPlan>> plans = {
-      {"nofault", FaultPlan{}}, {"crash", crash_plan()}};
   for (const auto& [gname, g] : graphs) {
     const NodeId n = g.num_nodes();
     const std::uint32_t dl = decay_length(g.max_degree());
     const BfsTree tree = oracle_bfs_tree(g, 0);
-    for (const auto& [pname, plan] : plans) {
+    for (const auto& [pname, plan] : piece_plans()) {
       const std::string cell = gname + "/" + pname;
 
       LeaderConfig lc;
@@ -873,6 +765,333 @@ TEST(AutosleepAB, FloodOnALongPathMatchesTheAlwaysPolledReference) {
         [](const FloodStation& s) {
           return (std::uint64_t{s.informed()} << 63) | s.informed_at();
         });
+}
+
+// ---------------------------------------------------------------------------
+// The protocol drivers' compositions: collection as serve runs it, the p2p
+// and k-broadcast muxes, and distribution alone. Arrivals enter between
+// slots, as the drivers inject them.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words: a node's logs folded into one word.
+class Digest {
+ public:
+  Digest& operator<<(std::uint64_t x) {
+    h_ = (h_ ^ x) * 0x100000001B3ULL;
+    return *this;
+  }
+  /// A state word: `count` in the high half (what a test checks for
+  /// progress), the digest folded into the low half.
+  std::uint64_t with_count(std::uint64_t count) const {
+    return (count << 32) | ((h_ ^ (h_ >> 32)) & 0xFFFFFFFFULL);
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+Digest& operator<<(Digest& d, const std::vector<AckedHop::Delivery>& log) {
+  for (const auto& [slot, m] : log)
+    d << slot << m.origin << m.seq << m.dest << m.sender << m.payload;
+  return d;
+}
+
+/// The count half of a state word.
+std::uint64_t count_of(std::uint64_t state) { return state >> 32; }
+
+/// Arrival times 0, 1, 3, 6, 10, ... (in phases or superphases): early
+/// arrivals reach a busy network, later ones stations that drained and
+/// slept long ago.
+std::vector<std::uint64_t> triangular(std::uint64_t count) {
+  std::vector<std::uint64_t> at;
+  for (std::uint64_t i = 0; i < count; ++i) at.push_back(i * (i + 1) / 2);
+  return at;
+}
+
+/// The index of `x` in the sorted `at`, if it is there.
+std::optional<std::size_t> index_in(const std::vector<std::uint64_t>& at,
+                                    std::uint64_t x) {
+  const auto it = std::lower_bound(at.begin(), at.end(), x);
+  if (it == at.end() || *it != x) return std::nullopt;
+  return static_cast<std::size_t>(it - at.begin());
+}
+
+/// serve's composition: one CollectionStation per node with the dedup
+/// guard on, and arrivals injected between slots at deepest-level nodes
+/// on phase boundaries. A late arrival lands on a station that has
+/// drained and slept, so only AckedHop::push's wake schedules it in time.
+void collection_with_mid_run_arrivals(const std::string& pname,
+                                      const FaultPlan& plan) {
+  Rng topo(0xC011);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("path24", gen::path(24));
+  graphs.emplace_back("star16", gen::star(16));  // every leaf is deepest
+  graphs.emplace_back("grid5x5", gen::grid(5, 5));
+  graphs.emplace_back("udg40", gen::unit_disk_connected(
+                                   40, gen::udg_connect_radius(40), topo));
+  for (const auto& [gname, g] : graphs) {
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    std::vector<NodeId> deepest;
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      if (tree.level[v] == tree.depth) deepest.push_back(v);
+    CollectionConfig cc = CollectionConfig::for_graph(g);
+    cc.dedup_guard = true;
+    const SlotTime spp = PhaseClock(cc.slots).slots_per_phase();
+    const std::vector<std::uint64_t> arrive_at = triangular(16);
+    const SlotTime slots = (arrive_at.back() + 8 * (tree.depth + 4)) * spp;
+    const PieceRun run = expect_piece_matches(
+        gname + "/" + pname, g, plan, slots,
+        [&](NodeId v) {
+          auto s = std::make_unique<CollectionStation>(v, tree, cc,
+                                                       Rng(0xC0).split(v));
+          s->record_accepts(true);
+          return s;
+        },
+        [](const CollectionStation& s) {
+          Digest d;
+          d << s.buffer_size() << s.root_sink();
+          for (const auto& [phase, level] : s.accept_log()) d << phase << level;
+          return d.with_count(s.root_sink().size());
+        },
+        RadioNetwork::Config{},
+        [&](SlotTime t, auto& nodes) {
+          if (t % spp != 0) return;
+          const auto i = index_in(arrive_at, t / spp);
+          if (!i) return;
+          Message m;
+          m.kind = MsgKind::kData;
+          m.origin = deepest[*i % deepest.size()];
+          m.seq = static_cast<std::uint32_t>(*i);
+          m.payload = 5000 + *i;
+          nodes[m.origin]->inject(m);
+        });
+    if (plan.any()) continue;
+    EXPECT_EQ(count_of(run.state[tree.root]), arrive_at.size())
+        << gname << ": not every arrival reached the root";
+  }
+}
+
+TEST(AutosleepAB, CollectionIsByteIdenticalAndPollsLess) {
+  collection_with_mid_run_arrivals("nofault", FaultPlan{});
+}
+
+TEST(AutosleepAB, CollectionIdenticalUnderFaultsToo) {
+  collection_with_mid_run_arrivals("crash", crash_plan());
+}
+
+TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
+  // run_point_to_point's and run_ranking's composition: P2pUpStation on
+  // channel 0 and P2pDownStation on channel 1 under one coordinated mux,
+  // requests addressed by run_preparation's DFS labels and sent between
+  // slots on phase boundaries.
+  Rng topo(0x929);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("gnp24", gen::gnp_connected(24, 0.2, topo));
+  graphs.emplace_back("grid5x5", gen::grid(5, 5));
+  graphs.emplace_back("path16", gen::path(16));
+  for (const auto& [gname, g] : graphs) {
+    const NodeId n = g.num_nodes();
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    const PreparationResult prep = run_preparation(g, tree);
+    ASSERT_TRUE(prep.ok) << gname;
+    const P2pConfig pc = P2pConfig::for_graph(g);
+    const SlotTime spp = PhaseClock(pc.slots).slots_per_phase();
+    Rng pick(0x4E0 + n);
+    std::vector<P2pRequest> reqs;
+    for (std::uint64_t i = 0; i < 20; ++i)
+      reqs.push_back({static_cast<NodeId>(pick.next_below(n)),
+                      static_cast<NodeId>(pick.next_below(n)), 9000 + i});
+    const std::vector<std::uint64_t> send_at = triangular(reqs.size());
+    const SlotTime slots =
+        (send_at.back() + 8 * (2 * tree.depth + 4)) * spp;
+    RadioNetwork::Config two_channels;
+    two_channels.num_channels = 2;
+    using Node = Muxed<P2pUpStation, P2pDownStation>;
+    for (const auto& [pname, plan] : piece_plans()) {
+      const PieceRun run = expect_piece_matches(
+          gname + "/" + pname, g, plan, slots,
+          [&](NodeId v) {
+            Node node{std::make_unique<P2pUpStation>(v, prep.routing[v], pc,
+                                                     Rng(0x9B).split(2 * v)),
+                      std::make_unique<P2pDownStation>(
+                          v, prep.routing[v], pc, Rng(0x9B).split(2 * v + 1))};
+            node.a->set_down(node.b.get());
+            return node;
+          },
+          [](const Node& node) {
+            Digest d;
+            d << node.a->buffer_size() << node.b->buffer_size()
+              << node.a->sink() << node.b->sink();
+            return d.with_count(node.a->sink().size() +
+                                node.b->sink().size());
+          },
+          two_channels,
+          [&](SlotTime t, std::vector<Node>& nodes) {
+            if (t % spp != 0) return;
+            const auto i = index_in(send_at, t / spp);
+            if (!i) return;
+            const P2pRequest& r = reqs[*i];
+            nodes[r.src].a->send(prep.labels.number[r.dst], r.payload);
+          });
+      if (plan.any()) continue;
+      std::uint64_t delivered = 0;
+      for (const std::uint64_t s : run.state) delivered += count_of(s);
+      EXPECT_EQ(delivered, reqs.size()) << gname;
+    }
+  }
+}
+
+/// BroadcastService's composition: CollectionStation on channel 0 and
+/// DistributionStation on channel 1 under one coordinated mux, window 4.
+/// Every third node broadcasts once; non-roots send their NACKs and
+/// checkpoint acks up the collection channel, and the root's collection
+/// handler feeds data, NACKs and acks to its distribution sender, so
+/// root_enqueue runs whenever a message reaches the root.
+void k_broadcast_mux(const std::string& gname, const Graph& g,
+                     const std::string& pname, const FaultPlan& plan) {
+  const NodeId n = g.num_nodes();
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  BroadcastServiceConfig bc = BroadcastServiceConfig::for_graph(g);
+  bc.distribution.window = 4;
+  const std::uint64_t k = (n + 2) / 3;
+  const SlotTime sps =
+      DistributionStation(0, tree, bc.distribution, Rng(0))
+          .slots_per_superphase();
+  const SlotTime slots = 3 * (tree.depth + 3 * k + 16) * sps;
+  RadioNetwork::Config two_channels;
+  two_channels.num_channels = 2;
+  using Node = Muxed<CollectionStation, DistributionStation>;
+  const PieceRun run = expect_piece_matches(
+      gname + "/" + pname, g, plan, slots,
+      [&](NodeId v) {
+        Node node{std::make_unique<CollectionStation>(
+                      v, tree, bc.collection, Rng(0xB5).split(2 * v)),
+                  std::make_unique<DistributionStation>(
+                      v, tree, bc.distribution,
+                      Rng(0xB5).split(2 * v + 1))};
+        CollectionStation* up = node.a.get();
+        auto seq = std::make_shared<std::uint32_t>(0);
+        const auto send_up = [up, seq, v](MsgKind kind) {
+          return [up, seq, v, kind](std::uint64_t aux) {
+            Message m;
+            m.kind = kind;
+            m.origin = v;
+            m.seq = (*seq)++;
+            m.aux = static_cast<std::uint32_t>(aux);
+            m.payload = aux;
+            up->inject(m);
+          };
+        };
+        if (v == tree.root) {
+          DistributionStation* root = node.b.get();
+          up->set_root_handler([root](SlotTime, const Message& m) {
+            if (m.kind == MsgKind::kData) root->root_enqueue(m);
+            if (m.kind == MsgKind::kNack) root->root_request_resend(m.aux);
+            if (m.kind == MsgKind::kSetupReport)
+              root->root_checkpoint_ack(m.origin, m.aux);
+          });
+        } else {
+          node.b->set_control(send_up(MsgKind::kNack),
+                              send_up(MsgKind::kSetupReport));
+        }
+        if (v % 3 == 0) send_up(MsgKind::kData)(4000 + v);
+        return node;
+      },
+      [](const Node& node) {
+        const DistributionStation& dist = *node.b;
+        Digest d;
+        d << node.a->buffer_size() << node.a->root_sink()
+          << dist.root_sent_fresh() << dist.root_resends()
+          << dist.root_idle_rebroadcasts();
+        for (const auto& [slot, seq] : dist.delivery_log()) d << slot << seq;
+        return d.with_count(dist.delivered_prefix());
+      },
+      two_channels);
+  if (plan.any()) return;
+  for (NodeId v = 0; v < n; ++v) {
+    if (v == tree.root) continue;
+    EXPECT_EQ(count_of(run.state[v]), k) << gname << " node " << v;
+  }
+}
+
+TEST(AutosleepAB, KBroadcastIsByteIdenticalAndPollsLess) {
+  k_broadcast_mux("grid5x5", gen::grid(5, 5), "nofault", FaultPlan{});
+}
+
+TEST(AutosleepAB, BroadcastDeliveryLogsIdenticalSlotForSlot) {
+  // The state word digests every node's (slot, seq) delivery log.
+  k_broadcast_mux("path18", gen::path(18), "nofault", FaultPlan{});
+}
+
+TEST(AutosleepAB, BroadcastIdenticalUnderFaultsToo) {
+  // Long outages: a node whose parents stay down for two superphases
+  // misses two waves and sleeps with a NACK still due, so its retry
+  // timer alone must keep it polled (crash_plan's outages are too short).
+  FaultPlan outage;
+  outage.crash_rate = 0.02;
+  outage.recover_rate = 0.03;
+  outage.epoch_slots = 16;
+  const Graph path18 = gen::path(18);
+  const Graph grid5x5 = gen::grid(5, 5);
+  k_broadcast_mux("path18", path18, "crash", crash_plan());
+  k_broadcast_mux("path18", path18, "outage", outage);
+  k_broadcast_mux("grid5x5", grid5x5, "crash", crash_plan());
+  k_broadcast_mux("grid5x5", grid5x5, "outage", outage);
+}
+
+TEST(AutosleepAB, DistributionWithMidSuperphaseEnqueuesMatchesTheAlwaysPolledReference) {
+  // The root pin: root_enqueue lands between slots in the middle of a
+  // superphase. An always-polled root takes the message at the next
+  // superphase boundary; a root that slept through its boundary would
+  // take it at once, a superphase early. Window 0: no collection channel
+  // carries checkpoint acks here.
+  Rng topo(0xD157);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("path24", gen::path(24));
+  graphs.emplace_back("grid5x5", gen::grid(5, 5));
+  graphs.emplace_back("udg40", gen::unit_disk_connected(
+                                   40, gen::udg_connect_radius(40), topo));
+  for (const auto& [gname, g] : graphs) {
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    const DistributionConfig dc = DistributionConfig::for_graph(g);
+    const SlotTime sps =
+        DistributionStation(0, tree, dc, Rng(0)).slots_per_superphase();
+    std::vector<std::uint64_t> enqueue_at = triangular(8);
+    for (std::uint64_t& sp : enqueue_at) sp += 2;  // the root sleeps first
+    const SlotTime slots = (enqueue_at.back() + tree.depth + 8) * sps;
+    for (const auto& [pname, plan] : piece_plans()) {
+      const PieceRun run = expect_piece_matches(
+          gname + "/" + pname, g, plan, slots,
+          [&](NodeId v) {
+            return std::make_unique<DistributionStation>(v, tree, dc,
+                                                         Rng(0xD5).split(v));
+          },
+          [](const DistributionStation& s) {
+            Digest d;
+            d << s.root_sent_fresh() << s.root_resends()
+              << s.root_idle_rebroadcasts();
+            for (const auto& [slot, seq] : s.delivery_log()) d << slot << seq;
+            return d.with_count(s.delivered_prefix());
+          },
+          RadioNetwork::Config{},
+          [&](SlotTime t, auto& nodes) {
+            if (t % sps != sps / 2) return;
+            const auto i = index_in(enqueue_at, t / sps);
+            if (!i) return;
+            Message m;
+            m.kind = MsgKind::kData;
+            m.origin = tree.root;
+            m.payload = 6000 + *i;
+            nodes[tree.root]->root_enqueue(m);
+          });
+      if (plan.any()) continue;
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (v == tree.root) continue;
+        EXPECT_EQ(count_of(run.state[v]), enqueue_at.size())
+            << gname << " node " << v;
+      }
+    }
+  }
 }
 
 }  // namespace

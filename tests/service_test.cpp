@@ -314,20 +314,19 @@ TEST(SteadyState, ValidatesArguments) {
 TEST(Serve, AutosleepIsByteIdenticalAndCheaper) {
   const Graph g = gen::grid(5, 5);
   const BfsTree tree = oracle_bfs_tree(g, 0);
-  ServeConfig on = BaseConfig("bernoulli:0.08", 1200, 100);
-  ServeConfig off = on;
-  off.autosleep = false;
-  const ServeOutcome a = run_service(g, tree, on, 41);
-  const ServeOutcome b = run_service(g, tree, off, 41);
+  const ServeOutcome a =
+      run_service(g, tree, BaseConfig("bernoulli:0.08", 1200, 100), 41);
   // The Waker contract: sleeping changes which stations get polled, never
-  // what any station computes.
-  EXPECT_EQ(a.arrivals, b.arrivals);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.slots, b.slots);
-  EXPECT_EQ(a.backlog, b.backlog);
-  EXPECT_EQ(a.population.mean(), b.population.mean());
-  EXPECT_EQ(a.sojourn_phases.mean(), b.sojourn_phases.mean());
-  EXPECT_LT(a.engine_polls, b.engine_polls);
+  // what any station computes. The pins are this run's outcome with every
+  // station polled in every slot (780,000 polls), recorded before the
+  // sleeping path became the only one.
+  EXPECT_EQ(a.arrivals, 99u);
+  EXPECT_EQ(a.delivered, 99u);
+  EXPECT_EQ(a.slots, 31200u);
+  EXPECT_EQ(a.backlog, 0u);
+  EXPECT_EQ(a.population.mean(), 0.082500000000000046);
+  EXPECT_EQ(a.sojourn_phases.mean(), 2.0);
+  EXPECT_LT(a.engine_polls, std::uint64_t{g.num_nodes()} * a.slots);
 }
 
 TEST(Serve, ShedBoundsQueuesUnderOverload) {

@@ -54,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,18 +146,6 @@ FaultPlan faults_from_args(const Args& a) {
   return p;
 }
 
-/// Commands without a fault model (topo builds no network; ethernet's
-/// virtual bus predates the hook) refuse the flags instead of ignoring
-/// them silently.
-void reject_fault_flags(const Args& a, const char* cmd) {
-  for (const auto& [key, value] : a.options) {
-    (void)value;
-    require(key.rfind("fault-", 0) != 0,
-            "--" + key + " is not supported by the " + std::string(cmd) +
-                " command: it injects no faults");
-  }
-}
-
 /// One stdout line describing the active plan; empty when no fault is
 /// enabled so fault-free reports stay byte-identical to the historical
 /// output.
@@ -172,7 +161,7 @@ int usage() {
       "             [--arrival bernoulli:R|poisson:R|mmpp:R0:R1:PON:POFF]\n"
       "             [--phases P | --slots N] [--warmup P] [--uniform]\n"
       "             [--admission off|shed|defer [--envelope M]]\n"
-      "             [--no-dedup] [--no-autosleep]\n"
+      "             [--no-dedup]\n"
       "             [--health-out FILE [--alert-rules SPEC] "
       "[--health-window N]]\n"
       "                                  (radiomc.health/v1 alert stream)\n"
@@ -222,6 +211,7 @@ int usage() {
       "slot)\n"
       "                --fault-stall N     (watchdog: degraded after N "
       "slots w/o progress)\n"
+      "any other option is an error naming it (exit 2)\n"
       "topology spec: %s\n",
       gen::spec_grammar().c_str());
   return 2;
@@ -485,7 +475,6 @@ int run_cmd(const Args& a, CoreFn core) {
 }
 
 int cmd_topo(const Args& a) {
-  reject_fault_flags(a, "topo");
   Rng rng(a.get_u64("seed", 1));
   const Graph g = gen::from_spec(a.get("topology", ""), rng);
   if (a.has("dot")) {
@@ -543,8 +532,6 @@ TrialOut setup_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   return out;
 }
 
-int cmd_setup(const Args& a) { return run_cmd(a, setup_core); }
-
 TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   Rng rng(seed);
   const Graph g = gen::from_spec(a.get("topology", ""), rng);
@@ -576,8 +563,6 @@ TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   r.rc = out.informed_count == g.num_nodes() ? 0 : 1;
   return r;
 }
-
-int cmd_flood(const Args& a) { return run_cmd(a, flood_core); }
 
 TrialOut collect_core(const Args& a, std::uint64_t seed,
                       const Observers& obs) {
@@ -620,8 +605,6 @@ TrialOut collect_core(const Args& a, std::uint64_t seed,
   return r;
 }
 
-int cmd_collect(const Args& a) { return run_cmd(a, collect_core); }
-
 TrialOut p2p_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   World w = make_world(a, seed, true, setup_observers(obs));
   Rng rng(seed ^ 0xB1);
@@ -656,8 +639,6 @@ TrialOut p2p_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   return r;
 }
 
-int cmd_p2p(const Args& a) { return run_cmd(a, p2p_core); }
-
 TrialOut broadcast_core(const Args& a, std::uint64_t seed,
                         const Observers& obs) {
   World w = make_world(a, seed, true, setup_observers(obs));
@@ -691,8 +672,6 @@ TrialOut broadcast_core(const Args& a, std::uint64_t seed,
   return r;
 }
 
-int cmd_broadcast(const Args& a) { return run_cmd(a, broadcast_core); }
-
 TrialOut serve_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   namespace svc = radiomc::service;
   const svc::AdmissionPolicy policy =
@@ -723,7 +702,6 @@ TrialOut serve_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   cfg.warmup_phases = a.get_u64("warmup", 2'000);
   if (a.has("uniform")) cfg.placement = svc::ArrivalPlacement::kUniform;
   cfg.dedup_guard = !a.has("no-dedup");
-  cfg.autosleep = !a.has("no-autosleep");
   cfg.faults = faults_from_args(a);
   cfg.telemetry = obs.telemetry;
   cfg.profiler = obs.profiler;
@@ -883,7 +861,6 @@ int cmd_ranking(const Args& a) {
 }
 
 int cmd_ethernet(const Args& a) {
-  reject_fault_flags(a, "ethernet");
   Obs obs = Obs::from_args(a);
   World w = make_world(a, a.get_u64("seed", 1), true,
                        setup_observers(obs.observers()));
@@ -910,27 +887,74 @@ int cmd_ethernet(const Args& a) {
   return obs.finish(out.completed ? 0 : 1);
 }
 
+/// Option groups, each name with a leading space.
+const std::string kSetupFlags = " anon attempts";
+const std::string kTrialFlags = " trials jobs";
+const std::string kFaultFlags =
+    " fault-crash fault-recover fault-link-down fault-link-up fault-jam"
+    " fault-drop fault-epoch fault-from fault-until fault-stall";
+
+/// A command: a trial core for run_cmd or its own entry point, and the
+/// options it reads besides --topology, --seed and the telemetry and perf
+/// flags.
+struct Command {
+  const char* name;
+  CoreFn core;
+  int (*run)(const Args&);
+  std::string reads;
+};
+
+const Command kCommands[] = {
+    {"topo", nullptr, cmd_topo, " dot tree edges"},
+    {"setup", setup_core, nullptr, kSetupFlags + kTrialFlags + kFaultFlags},
+    {"flood", flood_core, nullptr, " source" + kTrialFlags + kFaultFlags},
+    {"collect", collect_core, nullptr,
+     " k no-mod3" + kSetupFlags + kTrialFlags + kFaultFlags},
+    {"p2p", p2p_core, nullptr,
+     " k" + kSetupFlags + kTrialFlags + kFaultFlags},
+    {"broadcast", broadcast_core, nullptr,
+     " k window" + kSetupFlags + kTrialFlags + kFaultFlags},
+    {"ranking", nullptr, cmd_ranking, kSetupFlags + kFaultFlags},
+    {"ethernet", nullptr, cmd_ethernet, " frames" + kSetupFlags},
+    {"serve", nullptr, cmd_serve,
+     " arrival phases slots warmup uniform admission envelope no-dedup"
+     " health-out alert-rules health-window certify certify-margin"
+     " certify-sojourn soak-out" +
+         kSetupFlags + kTrialFlags + kFaultFlags},
+};
+
+/// Refuses, before the command prints anything, every option `c` does not
+/// read: an ignored option is a silent no-op (--phase for --phases would
+/// run the default horizon). Commands without a fault model (topo builds
+/// no network; ethernet's virtual bus predates the hook) say so.
+void check_options(const Args& a, const Command& c) {
+  const std::string known = " topology seed metrics-out trace-out trace-agg"
+                            " trace-max perf-out snapshot-out snapshot-every" +
+                            c.reads + " ";
+  for (const auto& [key, value] : a.options) {
+    (void)value;
+    if (key.find(' ') == std::string::npos &&
+        known.find(" " + key + " ") != std::string::npos)
+      continue;
+    require(c.reads.find(" fault-") != std::string::npos ||
+                key.rfind("fault-", 0) != 0,
+            "--" + key + " is not supported by the " + c.name +
+                " command: it injects no faults");
+    throw std::invalid_argument("unknown option --" + key + " for " +
+                                c.name);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse_args(argc, argv);
   try {
-    // The health monitor paces on service phases, which only serve has;
-    // everywhere else the flags would be silent no-ops, so hard-error.
-    if (a.command != "serve")
-      for (const char* f : {"health-out", "alert-rules", "health-window"})
-        require(!a.has(f), std::string("--") + f +
-                               " requires the serve command: the health "
-                               "monitor paces on service phases");
-    if (a.command == "topo") return cmd_topo(a);
-    if (a.command == "setup") return cmd_setup(a);
-    if (a.command == "flood") return cmd_flood(a);
-    if (a.command == "collect") return cmd_collect(a);
-    if (a.command == "p2p") return cmd_p2p(a);
-    if (a.command == "broadcast") return cmd_broadcast(a);
-    if (a.command == "ranking") return cmd_ranking(a);
-    if (a.command == "ethernet") return cmd_ethernet(a);
-    if (a.command == "serve") return cmd_serve(a);
+    const Args a = parse_args(argc, argv);
+    for (const Command& c : kCommands) {
+      if (a.command != c.name) continue;
+      check_options(a, c);
+      return c.core != nullptr ? run_cmd(a, c.core) : c.run(a);
+    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
