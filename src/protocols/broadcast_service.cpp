@@ -165,6 +165,7 @@ KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,
   if (cfg.profiler != nullptr) {
     cfg.profiler->count("broadcast.slots", out.slots);
     cfg.profiler->count("broadcast.root_resends", out.root_resends);
+    cfg.profiler->count("broadcast.polls", out.engine_polls);
   }
 
   if (cfg.telemetry != nullptr) {

@@ -189,6 +189,7 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
     cfg.profiler->count("collection.slots", out.slots);
     cfg.profiler->count("collection.phases", out.phases);
     cfg.profiler->count("collection.delivered", out.deliveries.size());
+    cfg.profiler->count("collection.polls", out.engine_polls);
   }
 
   if (cfg.telemetry != nullptr) {

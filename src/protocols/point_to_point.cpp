@@ -197,12 +197,13 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
                  {{"k", static_cast<std::int64_t>(requests.size())},
                   {"delivered", static_cast<std::int64_t>(delivered)},
                   {"completed", out.completed ? 1 : 0}});
+  out.delivered = delivered;
+  out.engine_polls = net.engine_stats().station_polls;
   if (cfg.profiler != nullptr) {
     cfg.profiler->count("p2p.slots", out.slots);
     cfg.profiler->count("p2p.delivered", delivered);
+    cfg.profiler->count("p2p.polls", out.engine_polls);
   }
-  out.delivered = delivered;
-  out.engine_polls = net.engine_stats().station_polls;
 
   if (cfg.telemetry != nullptr) {
     telemetry::Telemetry& tel = *cfg.telemetry;

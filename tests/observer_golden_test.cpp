@@ -9,7 +9,12 @@
 //    the health monitor's stream: its flight recorder is the trace sink);
 //  * every slot the slot hook saw;
 //  * the profiler's counters and span tree (names and activation counts;
-//    never a time).
+//    never a time);
+//  * apart, in the `polls` column: every engine poll count and wake count
+//    the observers saw (the `<protocol>.polls` profiler counters, the
+//    health windows' "polls" and "wakes"), summed. These measure the
+//    engine's scheduling, not the radio, so a change that only makes
+//    stations sleep more moves this column alone, and never up.
 //
 // The faulted cells run crash 0.02 / recover 0.5 / jam 0.15 with a stall
 // watchdog tight enough to fire, so the degraded path is pinned too. A
@@ -22,6 +27,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -52,6 +58,8 @@ struct Digest {
   std::uint64_t stream;     ///< trace (or health) stream bytes; 0 = none
   std::uint64_t hook;       ///< slots seen by the slot hook; 0 = none
   std::uint64_t profiler;   ///< counters + span tree shape; 0 = none
+  std::uint64_t polls;      ///< engine polls seen by any observer
+  std::uint64_t wakes;      ///< engine wake events seen by any observer
 };
 
 /// The digest as a table row, so a mismatch prints the whole cell.
@@ -62,9 +70,59 @@ std::string row(const Digest& d) {
         : d.status == RunStatus::kDegraded ? "kDegraded"
                                            : "kFailed")
     << ", " << d.slots << ", 0x" << std::hex << d.telemetry << "ULL, 0x"
-    << d.stream << "ULL, 0x" << d.hook << "ULL, 0x" << d.profiler << "ULL}";
+    << d.stream << "ULL, 0x" << d.hook << "ULL, 0x" << d.profiler << "ULL, "
+    << std::dec << d.polls << ", " << d.wakes << "}";
   return o.str();
 }
+
+/// Scheduling counts pulled out of the observers' bytes.
+struct Sched {
+  std::uint64_t polls = 0;
+  std::uint64_t wakes = 0;
+};
+
+/// Hashes a JSONL stream line by line with its `"polls":k` and
+/// `"wakes":w` members cut out and summed into `sched`.
+class StreamDigest final : public std::streambuf {
+ public:
+  explicit StreamDigest(Sched& sched) : sched_(sched) {}
+  std::uint64_t value() const noexcept { return fnv_.value(); }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof()))
+      return traits_type::not_eof(c);
+    line_ += traits_type::to_char_type(c);
+    if (line_.back() == '\n') flush_line();
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    for (std::streamsize i = 0; i < n; ++i) overflow(s[i]);
+    return n;
+  }
+
+ private:
+  void cut(std::string_view key, std::uint64_t& sum) {
+    const std::size_t at = line_.find(key);
+    if (at == std::string::npos) return;
+    std::size_t end = at + key.size();
+    std::uint64_t v = 0;
+    for (; end < line_.size() && line_[end] >= '0' && line_[end] <= '9'; ++end)
+      v = 10 * v + static_cast<std::uint64_t>(line_[end] - '0');
+    sum += v;
+    line_.erase(at, end - at);
+  }
+  void flush_line() {
+    cut(",\"polls\":", sched_.polls);
+    cut(",\"wakes\":", sched_.wakes);
+    fnv_.bytes(line_);
+    line_.clear();
+  }
+
+  Sched& sched_;
+  std::string line_;
+  Fnv fnv_;
+};
 
 /// Hashes every slot the engine reports done.
 class HookDigest final : public SlotHook {
@@ -83,9 +141,13 @@ void hash_span(const perf::SpanNode& s, Fnv& h) {
   for (const auto& c : s.children) hash_span(*c, h);
 }
 
-std::uint64_t profiler_digest(const perf::Profiler& p) {
+std::uint64_t profiler_digest(const perf::Profiler& p, Sched& sched) {
   Fnv h;
   for (const auto& [name, value] : p.counters()) {
+    if (std::string_view(name).ends_with(".polls")) {
+      sched.polls += value;
+      continue;
+    }
     h.bytes(name);
     h.word(value);
   }
@@ -111,14 +173,17 @@ FaultPlan churn_and_jam() {
 /// Everything a cell attaches, plus the digest of what it saw.
 struct Rig {
   TelemetryHub hub;
-  HashingBuf buf;
+  Sched sched;
+  StreamDigest buf{sched};
   std::ostream out{&buf};
   HookDigest hook;
   perf::Profiler prof;
 
-  Digest digest(RunStatus status, SlotTime slots, bool stream) const {
-    return {status,     slots,       telemetry_digest(hub),
-            stream ? buf.value() : 0, hook.value(), profiler_digest(prof)};
+  Digest digest(RunStatus status, SlotTime slots, bool stream) {
+    const std::uint64_t profiler = profiler_digest(prof, sched);
+    return {status,       slots,    telemetry_digest(hub),
+            stream ? buf.value() : 0, hook.value(), profiler,
+            sched.polls,  sched.wakes};
   }
 };
 
@@ -284,25 +349,25 @@ void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
 const Cell kCells[] = {
     // clang-format off
     {"setup", setup_cell, false,
-     {RunStatus::kOk, 15940, 0x34f43d924c281432ULL, 0xeeeb2b16c2a38528ULL, 0xecaeeca620bdfc9fULL, 0x614f001e7da9f130ULL}},
+     {RunStatus::kOk, 15940, 0x34f43d924c281432ULL, 0xeeeb2b16c2a38528ULL, 0xecaeeca620bdfc9fULL, 0x60024651fafd2ed6ULL, 7871, 0}},
     {"setup_faulted", setup_cell, true,
-     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0xfc865590fd487a30ULL}},
+     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0x20fb6fe08d25b783ULL, 33601, 0}},
     {"collection", collection_cell, false,
-     {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL}},
+     {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL, 3209, 0}},
     {"collection_faulted", collection_cell, true,
-     {RunStatus::kDegraded, 233, 0x8df450f2e9ac8f8dULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0xae91023007340315ULL}},
+     {RunStatus::kDegraded, 233, 0x8df450f2e9ac8f8dULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0xae91023007340315ULL, 3731, 0}},
     {"p2p", p2p_cell, false,
-     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL}},
+     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL, 1765, 0}},
     {"p2p_faulted", p2p_cell, true,
-     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x2c06aafac3ea095aULL}},
+     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x2c06aafac3ea095aULL, 4252, 0}},
     {"broadcast", broadcast_cell, false,
-     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xefaff40dd11ab568ULL}},
+     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xefaff40dd11ab568ULL, 62428, 0}},
     {"broadcast_faulted", broadcast_cell, true,
-     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xd3bfc835ccf75163ULL}},
+     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xd3bfc835ccf75163ULL, 19914, 0}},
     {"service_faulted", service_cell, true,
-     {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x36a2a514dd80eaebULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL}},
+     {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x16e8c1aca47c77b3ULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL, 6897, 6866}},
     {"ranking_faulted", ranking_cell, true,
-     {RunStatus::kDegraded, 4578, 0x9f77618f8ab9efbbULL, 0x0ULL, 0x0ULL, 0x0ULL}},
+     {RunStatus::kDegraded, 4578, 0x9f77618f8ab9efbbULL, 0x0ULL, 0x0ULL, 0x0ULL, 0, 0}},
     // clang-format on
 };
 
