@@ -28,19 +28,24 @@ void AckedHop::attach(Waker& w) {
 }
 
 std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {
-  // Duty check: stay scheduled while there is anything left to send (an
-  // owed ack, or a message mid-drain), even in slots where the phase clock
-  // or the Decay coin keeps us silent. A FIFO with nowhere to go never
-  // drains: the same dead end as always-active, minus the polls.
   const bool sending = may_send && !fifo_.empty();
-  if (owed_ack_ || sending) wake();
   const PhaseClock::SlotInfo info = clock_.decode(t);
 
-  if (info.is_ack) return std::exchange(owed_ack_, std::nullopt);
+  if (info.is_ack && owed_ack_) return std::exchange(owed_ack_, std::nullopt);
   // Data subslot: one Decay invocation per phase for the head (§4.1).
-  if (!sending || !clock_.level_may_send_data(info, level_) ||
-      !decay_.transmits_in(info.phase))
+  if (info.is_ack || !sending || !clock_.level_may_send_data(info, level_) ||
+      !decay_.transmits_in(info.phase)) {
+    // Silent: sleep until the next slot that can act (a transmitting
+    // station is polled in the next slot anyway). An owed ack wants the
+    // next slot; a message mid-drain, its next chance to fire. A FIFO
+    // with nowhere to go never drains and never wakes.
+    if (waker_ != nullptr && owed_ack_) {
+      waker_->wake();
+    } else if (waker_ != nullptr && sending) {
+      waker_->wake_at(decay_.next_transmit_slot(clock_, t, level_));
+    }
     return std::nullopt;
+  }
   Message m = fifo_.front();
   m.sender = me_;
   m.sender_parent = parent_;  // §4: appended so receivers can classify
@@ -48,7 +53,6 @@ std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {
 }
 
 bool AckedHop::receive(SlotTime t, const Message& m) {
-  wake();
   if (!clock_.decode(t).is_ack) return true;
   if (m.kind != MsgKind::kAck || m.dest != me_ || fifo_.empty()) return false;
   const Message& head = fifo_.front();
@@ -56,6 +60,7 @@ bool AckedHop::receive(SlotTime t, const Message& m) {
     // The next hop has the message; it now lives on exactly one buffer.
     fifo_.pop_front();
     decay_.stop();
+    wake();  // the next message, if any, re-arms from the next poll
   }
   return false;
 }
@@ -67,6 +72,7 @@ void AckedHop::acknowledge(const Message& m) {
   ack.origin = m.origin;
   ack.seq = m.seq;
   owed_ack_ = ack;
+  wake();  // due in the next ack subslot
 }
 
 void AckedHop::push(const Message& m) {

@@ -16,10 +16,15 @@
 // `acknowledge` for those), where an accepted message goes (`push` to send
 // it on, or a sink), and whether it may send at all (`poll`'s `may_send`).
 //
-// Sleeping (radio/waker.h), always: the hop keeps its station scheduled
-// while it owes an ack or holds a message it may send, and wakes it on
-// every reception and push; otherwise a poll is a pure no-op and the
-// engine may deschedule the station.
+// Sleeping (radio/waker.h), always, on timed duty wakes: a poll that does
+// not transmit wakes the station for the next slot if it owes an ack, and
+// otherwise, if it holds a message it may send, arms its timer for the
+// next slot in which that message can fire (the level's next data
+// subslot while this phase's Decay is alive, else the first one of the
+// next phase). Acknowledging a data message, popping the head and a push
+// wake the station; any other reception leaves it asleep. Every slot the
+// station sleeps through would have been a silent poll that draws no
+// randomness, so only the engine's poll count changes.
 
 #include <cstdint>
 #include <deque>
@@ -58,16 +63,16 @@ class AckedHop {
 
   /// Transmit decision for slot `t`: the owed ack in an ack subslot, the
   /// head message under this phase's Decay in a data subslot. `may_send`
-  /// is the owner's verdict on whether its FIFO has somewhere to go.
+  /// is the owner's verdict on whether its FIFO has somewhere to go. A
+  /// poll that sends nothing re-arms the station's next duty.
   std::optional<Message> poll(SlotTime t, bool may_send);
-  /// A reception in slot `t`. Wakes the station: any reception may create
-  /// duty, and receptions reach sleeping stations too. An ack-subslot
-  /// reception is the hop's own business (a matching ack pops the head)
-  /// and returns false; a data-subslot reception returns true for the
-  /// owner to classify.
+  /// A reception in slot `t` (receptions reach sleeping stations too). An
+  /// ack-subslot reception is the hop's own business: a matching ack pops
+  /// the head and wakes the station; it returns false. A data-subslot
+  /// reception returns true for the owner to classify.
   bool receive(SlotTime t, const Message& m);
   /// Owes the §3 acknowledgement of data message `m` in the next ack
-  /// subslot.
+  /// subslot, and wakes the station to send it.
   void acknowledge(const Message& m);
   /// Appends `m` to the FIFO and wakes the station: it is transmit duty
   /// for the next poll.

@@ -15,11 +15,13 @@
 // node accepts exactly the messages whose `sender_parent` field names
 // itself, i.e. messages from its own BFS children.
 //
-// The buffer, the per-phase Decay, the acks and the duty wake are the §3
-// hop core (acked_hop.h), shared with both halves of point-to-point.
-// Every CollectionStation sleeps (radio/waker.h) where the Waker reaches
-// it: with an empty buffer and no owed ack it waits for a reception or an
-// inject. An idle poll never reaches Decay or draws randomness, so only
+// The buffer, the per-phase Decay, the acks and the timed duty wakes are
+// the §3 hop core (acked_hop.h), shared with both halves of
+// point-to-point. Every CollectionStation sleeps (radio/waker.h) where the
+// Waker reaches it: it is polled only in the slots where it may send its
+// head or owes an ack, and with an empty buffer and no owed ack it waits
+// for a child's message or an inject. A skipped poll never reaches Decay
+// or draws randomness, so only
 // EngineStats::station_polls changes; tests/engine_diff_test.cpp proves it
 // against the always-polled reference engine.
 // CollectionStation adds only what is collection's own: it accepts

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "graph/graph.h"
+#include "radio/schedule.h"
 #include "support/rng.h"
 #include "support/util.h"
 
@@ -67,6 +68,25 @@ class DecayProcess {
     if (!wants_transmit()) return false;
     transmitted_ = true;
     return true;
+  }
+
+  /// True iff an opportunity in `phase` may still transmit: the first one
+  /// of a new phase begins a fresh invocation, and within the current
+  /// phase the invocation must still be live.
+  bool may_transmit_in(std::uint64_t phase) const noexcept {
+    return phase != phase_ || wants_transmit();
+  }
+
+  /// The first slot after `t` in which a node at BFS level `level` may
+  /// transmit under this process: its next data slot if the invocation
+  /// may still fire in that slot's phase, else the first data slot of the
+  /// following phase. A station with a message to send sleeps until then.
+  SlotTime next_transmit_slot(const PhaseClock& clock, SlotTime t,
+                              std::uint32_t level) const noexcept {
+    const SlotTime next = clock.next_data_slot(t, level);
+    const std::uint64_t phase = clock.decode(next).phase;
+    if (may_transmit_in(phase)) return next;
+    return clock.next_data_slot(clock.phase_start(phase + 1) - 1, level);
   }
 
   /// End of the slot: flips the coin iff the slot transmitted.

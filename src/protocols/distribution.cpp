@@ -1,5 +1,7 @@
 #include "protocols/distribution.h"
 
+#include <algorithm>
+
 namespace radiomc {
 
 namespace {
@@ -23,6 +25,8 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
       clock_(make_clock(cfg)),
       rng_(rng),
       decay_(cfg.decay_len) {
+  require(cfg_.nack_retry_superphases >= 1,
+          "distribution: nack_retry_superphases must be >= 1");
   // The era shares the 32-bit aux field with the hop level (16 bits each).
   require(!cfg_.epoch_tags || cfg_.window == 0 || tree.depth < 0x10000,
           "distribution: epoch tags pack the level into 16 bits; depth must "
@@ -188,21 +192,12 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
     on_superphase_boundary(sp);
   }
 
-  // Duty check: stay awake while any state machine owes future
-  // action. The root is pinned — its boundary reacts to mid-superphase
-  // root_enqueue() calls and to the idle-rebroadcast duty, so it may never
-  // fire late. A non-root owes action while a register holds a message or
-  // a NACK retry timer runs; with all three empty every skipped poll is a
-  // provable no-op.
-  if (waker_ &&
-      (is_root_ || forwarding_ || received_sp_ || !nack_last_sp_.empty()))
-    waker_->wake();
-
-  if (!forwarding_) return std::nullopt;
   const PhaseClock::SlotInfo info = clock_.decode(t);
-  if (!clock_.level_may_send_data(info, level_) ||
-      !decay_.transmits_in(info.phase))
+  if (!forwarding_ || !clock_.level_may_send_data(info, level_) ||
+      !decay_.transmits_in(info.phase)) {
+    if (waker_ != nullptr) arm_duty(t, sp);
     return std::nullopt;
+  }
 
   Message m = *forwarding_;
   m.sender = me_;
@@ -212,6 +207,26 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
   m.aux = cfg_.epoch_tags ? (level_ | (era_of(m.seq) << 16)) : level_;
   m.seq = wire_of(m.seq);  // window-bounded wire numbering
   return m;
+}
+
+void DistributionStation::arm_duty(SlotTime t, std::uint64_t sp) {
+  // The root is pinned: its boundary reacts to mid-superphase
+  // root_enqueue() calls and to the idle-rebroadcast duty, so it may never
+  // fire late.
+  if (is_root_) {
+    waker_->wake();
+    return;
+  }
+  // A non-root owes action at the next superphase start while a register
+  // holds a message (the shift) or a NACK retry timer runs (the retry),
+  // and, while forwarding, at its next transmit opportunity. With nothing
+  // owed, every skipped poll is a provable no-op: it sleeps until a
+  // reception fills its register.
+  if (!forwarding_ && !received_sp_ && nack_last_sp_.empty()) return;
+  SlotTime next = (sp + 1) * slots_per_superphase();
+  if (forwarding_)
+    next = std::min(next, decay_.next_transmit_slot(clock_, t, level_));
+  waker_->wake_at(next);
 }
 
 void DistributionStation::note_received(SlotTime t, std::uint32_t abs,
@@ -246,10 +261,10 @@ void DistributionStation::note_received(SlotTime t, std::uint32_t abs,
 }
 
 void DistributionStation::deliver(SlotTime t, const Message& m) {
-  // Wake unconditionally: receptions reach sleeping stations, and any of
-  // them may create forwarding or NACK duty. The next poll's duty check
-  // re-evaluates; a filtered-out copy just costs one polled slot.
-  if (waker_) waker_->wake();
+  // Receptions reach sleeping stations. Only the one that fills the
+  // register creates duty (the shift at the next superphase start); a NACK
+  // it reveals goes out at once through the control hook, and its retry
+  // comes due at a later superphase start, which that wake reaches first.
   if (m.kind != MsgKind::kBcastData) return;
   if (is_root_) return;
   // Accept only the level-(i-1) wave. Legacy wire format: aux is the bare
@@ -270,6 +285,8 @@ void DistributionStation::deliver(SlotTime t, const Message& m) {
   if (!received_sp_) {
     received_sp_ = stored;
     received_sp_at_ = t / slots_per_superphase();
+    if (waker_ != nullptr)
+      waker_->wake_at((received_sp_at_ + 1) * slots_per_superphase());
   }
   note_received(t, *abs, stored);
 }

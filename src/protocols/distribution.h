@@ -23,9 +23,15 @@
 // 3n^2" plus an acknowledged checkpoint every n^2 messages (we use 4W/2W/W
 // for a crisper uniqueness argument; see DESIGN.md).
 //
-// Every DistributionStation sleeps (radio/waker.h): a non-root station
-// with empty pipeline registers and NACK timers waits for a reception. The
-// root never sleeps: a superphase boundary it fired late could take a
+// Every DistributionStation sleeps (radio/waker.h) on timed duty wakes. A
+// non-root station that holds a message or runs a NACK retry timer arms
+// its next superphase start (the register shift and the retries), and
+// while forwarding also its next transmit opportunity (the level's next
+// data slot while this phase's Decay is alive, else the first one of the
+// next phase), whichever comes first. With empty registers and no NACK
+// timer it sleeps until the reception that fills its register, which arms
+// the next superphase start; other receptions leave it asleep. The root
+// never sleeps: a superphase boundary it fired late could take a
 // mid-superphase root_enqueue() a superphase early.
 
 #include <cstdint>
@@ -53,7 +59,7 @@ struct DistributionConfig {
   /// numbers grow unboundedly — fine for finite experiments).
   std::uint32_t window = 0;
   /// A node repeats a NACK for a still-missing message every this many
-  /// superphases (loss of the NACK itself is possible only while the
+  /// superphases (>= 1) (loss of the NACK itself is possible only while the
   /// collection channel is still climbing; repetition makes repair certain).
   std::uint32_t nack_retry_superphases = 8;
 
@@ -136,6 +142,9 @@ class DistributionStation final : public SubStation {
 
  private:
   void on_superphase_boundary(std::uint64_t sp);
+  /// After a poll of slot `t` (superphase `sp`) that sent nothing: wakes
+  /// or arms the station for the next slot in which it owes action.
+  void arm_duty(SlotTime t, std::uint64_t sp);
   std::uint32_t wire_of(std::uint32_t abs) const noexcept;
   std::optional<std::uint32_t> abs_of(std::uint32_t wire) const noexcept;
   /// 16-bit root era of an absolute sequence number: abs / 4W mod 2^16

@@ -35,9 +35,10 @@ namespace {
 /// channel 1 carries the always-on verification collection.
 ///
 /// Autosleep: the station forwards its Waker to every sub-station, so they
-/// share one membership bit (as ChannelMuxStation's coordinated mode does)
-/// and each keeps the Waker promise for itself, arming its own duties on
-/// its own clock through a `shifted` handle. At the epoch and attempt
+/// share one membership bit and one timer (as ChannelMuxStation's
+/// coordinated mode does) and each keeps the Waker promise for itself,
+/// re-arming its own duties on every poll, on its own clock through a
+/// `shifted` handle. At the epoch and attempt
 /// boundaries of the globally known schedule, where this station acts on
 /// its own (root hand-off, DFS start, final report, completion seed,
 /// attempt rollover), run_setup wakes every station.

@@ -31,6 +31,18 @@ bool PhaseClock::level_may_send_data(const SlotInfo& info,
   return info.residue == level % 3;
 }
 
+SlotTime PhaseClock::next_data_slot(SlotTime t,
+                                    std::uint32_t level) const noexcept {
+  // A level's data slots recur every A*R slots, at offset A*(level mod R)
+  // within each run of R residues (see the layout above).
+  const SlotTime a = s_.ack_subslots ? 2 : 1;
+  const SlotTime r = s_.mod3_gating ? 3 : 1;
+  const SlotTime period = a * r;
+  const SlotTime offset = a * (level % r);
+  const SlotTime from = t + 1;
+  return from + (offset + period - from % period) % period;
+}
+
 std::uint64_t PhaseClock::slots_per_phase() const noexcept {
   std::uint64_t per = s_.decay_len;
   if (s_.mod3_gating) per *= 3;

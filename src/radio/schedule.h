@@ -56,9 +56,18 @@ class PhaseClock {
   bool level_may_send_data(const SlotInfo& info,
                            std::uint32_t level) const noexcept;
 
+  /// The first slot after `t` in which a node at BFS level `level` may
+  /// transmit data (for timed wakes: a sender sleeps until then).
+  SlotTime next_data_slot(SlotTime t, std::uint32_t level) const noexcept;
+
   /// Number of slots spanned by one full phase (one Decay invocation of
   /// every level).
   std::uint64_t slots_per_phase() const noexcept;
+
+  /// The first slot of `phase`.
+  SlotTime phase_start(std::uint64_t phase) const noexcept {
+    return phase * slots_per_phase();
+  }
 
   const SlotStructure& structure() const noexcept { return s_; }
 

@@ -111,7 +111,9 @@ class ChannelMuxStation final : public Station {
   /// pending work, wakes on the deliveries that create work): the subs
   /// share one membership bit, so the node sleeps exactly when no sub
   /// transmitted or woke this slot — which the per-sub promises jointly
-  /// make safe. The p2p, ranking and k-broadcast drivers always coordinate.
+  /// make safe. The subs also share one timer: each re-arms its duty on
+  /// every poll that does not transmit (radio/waker.h, "One timer, many
+  /// subs"). The p2p, ranking and k-broadcast drivers always coordinate.
   /// TimeDivisionStation deliberately has no such mode: a sub's
   /// duty wake buys exactly one polled slot, so a time-sliced node could
   /// sleep through the *other* sub's dedicated slots and deadlock.

@@ -49,6 +49,20 @@
 // adapter that shifts that clock hands it a `shifted` handle so its
 // `wake_at` times land on the right engine slots.
 //
+// Timed duty wakes: a station with work that cannot act in the next slot
+// arms the first slot in which it can (the §3 hop its next data subslot,
+// distribution its next superphase start) instead of calling wake() on
+// every poll until the work is done.
+//
+// One timer, many subs: the SubStations of a coordinated
+// ChannelMuxStation, and setup's per-node station, share one handle and
+// so one timer, where an earlier arm overrides a later one. This is sound
+// because every sub re-arms (or wakes) its own duty on every poll that
+// does not transmit, and the owner polls every live sub whenever it is
+// polled: a sub whose later time was dropped is polled at the earlier one
+// and arms again there. An arm raised from a reception (distribution's
+// register fill) is covered the same way.
+//
 // Like the slot structure, wakes are model-legal bookkeeping: a station may
 // only call `wake()`/`wake_at()` from its own callbacks (or its driver
 // between slots), never from another station's state — the lint

@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "protocols/decay.h"
+#include "radio/schedule.h"
 #include "support/rng.h"
 #include "support/stats.h"
 
@@ -50,6 +51,54 @@ TEST(DecayProcess, StopAborts) {
   d.stop();
   EXPECT_FALSE(d.wants_transmit());
   EXPECT_FALSE(d.live());
+}
+
+TEST(DecayProcess, MayTransmitInFollowsThePhaseAndTheInvocation) {
+  Rng rng(5);
+  DecayProcess d(8);
+  EXPECT_TRUE(d.may_transmit_in(0));  // no phase begun: every one is new
+  ASSERT_TRUE(d.transmits_in(3));
+  EXPECT_TRUE(d.may_transmit_in(3));  // live invocation
+  EXPECT_TRUE(d.may_transmit_in(4));  // a phase change
+  for (int i = 0; i < 8 && d.transmits_in(3); ++i) d.end_slot(rng);
+  EXPECT_FALSE(d.may_transmit_in(3));  // dead (coin or length) in its phase
+  EXPECT_TRUE(d.may_transmit_in(4));   // the next phase starts afresh
+  ASSERT_TRUE(d.transmits_in(4));
+  d.stop();  // an ack arrived
+  EXPECT_FALSE(d.may_transmit_in(4));
+  EXPECT_TRUE(d.may_transmit_in(5));
+  d.reset();
+  EXPECT_TRUE(d.may_transmit_in(4));
+}
+
+TEST(DecayProcess, NextTransmitSlotSkipsToTheNextPhaseOnlyWhenDead) {
+  for (const bool acks : {false, true}) {
+    for (const bool gating : {false, true}) {
+      SlotStructure s;
+      s.decay_len = 3;
+      s.ack_subslots = acks;
+      s.mod3_gating = gating;
+      const PhaseClock c(s);
+      for (std::uint32_t level = 0; level <= 5; ++level) {
+        DecayProcess live(3);
+        DecayProcess dead(3);
+        ASSERT_TRUE(live.transmits_in(1));
+        ASSERT_TRUE(dead.transmits_in(1));
+        dead.stop();
+        for (SlotTime t = 0; t <= 120; ++t) {
+          for (const DecayProcess* d : {&live, &dead}) {
+            SlotTime want = t + 1;
+            while (!c.level_may_send_data(c.decode(want), level) ||
+                   !d->may_transmit_in(c.decode(want).phase))
+              ++want;
+            ASSERT_EQ(d->next_transmit_slot(c, t, level), want)
+                << "acks " << acks << " gating " << gating << " level "
+                << level << " t " << t << " live " << d->live();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DecayProcess, GeometricSurvival) {

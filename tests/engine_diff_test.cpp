@@ -946,13 +946,17 @@ TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
 /// Every third node broadcasts once; non-roots send their NACKs and
 /// checkpoint acks up the collection channel, and the root's collection
 /// handler feeds data, NACKs and acks to its distribution sender, so
-/// root_enqueue runs whenever a message reaches the root.
-void k_broadcast_mux(const std::string& gname, const Graph& g,
-                     const std::string& pname, const FaultPlan& plan) {
+/// root_enqueue runs whenever a message reaches the root. A node repeats
+/// a missing message's NACK every `nack_retry` superphases.
+void k_broadcast_mux(
+    const std::string& gname, const Graph& g, const std::string& pname,
+    const FaultPlan& plan,
+    std::uint32_t nack_retry = DistributionConfig{}.nack_retry_superphases) {
   const NodeId n = g.num_nodes();
   const BfsTree tree = oracle_bfs_tree(g, 0);
   BroadcastServiceConfig bc = BroadcastServiceConfig::for_graph(g);
   bc.distribution.window = 4;
+  bc.distribution.nack_retry_superphases = nack_retry;
   const std::uint64_t k = (n + 2) / 3;
   const SlotTime sps =
       DistributionStation(0, tree, bc.distribution, Rng(0))
@@ -1023,20 +1027,35 @@ TEST(AutosleepAB, BroadcastDeliveryLogsIdenticalSlotForSlot) {
   k_broadcast_mux("path18", gen::path(18), "nofault", FaultPlan{});
 }
 
+/// Long outages: a node whose parents stay down for two superphases
+/// misses two waves and sleeps with a NACK still due, so its retry timer
+/// alone must keep it polled (crash_plan's outages are too short).
+FaultPlan outage_plan() {
+  FaultPlan p;
+  p.crash_rate = 0.02;
+  p.recover_rate = 0.03;
+  p.epoch_slots = 16;
+  return p;
+}
+
 TEST(AutosleepAB, BroadcastIdenticalUnderFaultsToo) {
-  // Long outages: a node whose parents stay down for two superphases
-  // misses two waves and sleeps with a NACK still due, so its retry
-  // timer alone must keep it polled (crash_plan's outages are too short).
-  FaultPlan outage;
-  outage.crash_rate = 0.02;
-  outage.recover_rate = 0.03;
-  outage.epoch_slots = 16;
+  const FaultPlan outage = outage_plan();
   const Graph path18 = gen::path(18);
   const Graph grid5x5 = gen::grid(5, 5);
   k_broadcast_mux("path18", path18, "crash", crash_plan());
   k_broadcast_mux("path18", path18, "outage", outage);
   k_broadcast_mux("grid5x5", grid5x5, "crash", crash_plan());
   k_broadcast_mux("grid5x5", grid5x5, "outage", outage);
+}
+
+TEST(AutosleepAB, NackRetriesAtEverySuperphaseStartMatchUnderOutages) {
+  // Retry interval 1: a NACK still missing comes due again at the very
+  // next superphase start, so a node waiting on a repair is polled there
+  // by its own timer, and a boundary fired late or an arm missed would
+  // re-issue the NACK in another slot.
+  const FaultPlan outage = outage_plan();
+  k_broadcast_mux("path18", gen::path(18), "outage/retry1", outage, 1);
+  k_broadcast_mux("grid5x5", gen::grid(5, 5), "outage/retry1", outage, 1);
 }
 
 TEST(AutosleepAB, DistributionWithMidSuperphaseEnqueuesMatchesTheAlwaysPolledReference) {

@@ -302,5 +302,39 @@ TEST(PhaseClock, EveryLevelGetsEveryDecayStepOncePerPhase) {
   }
 }
 
+TEST(PhaseClock, NextDataSlotMatchesAScanOfLevelMaySendData) {
+  for (const bool acks : {false, true}) {
+    for (const bool gating : {false, true}) {
+      for (const std::uint32_t len : {2u, 3u, 8u}) {
+        SlotStructure s;
+        s.decay_len = len;
+        s.ack_subslots = acks;
+        s.mod3_gating = gating;
+        const PhaseClock c(s);
+        for (std::uint32_t level = 0; level <= 5; ++level) {
+          for (SlotTime t = 0; t <= 500; ++t) {
+            SlotTime want = t + 1;
+            while (!c.level_may_send_data(c.decode(want), level)) ++want;
+            ASSERT_EQ(c.next_data_slot(t, level), want)
+                << "acks " << acks << " gating " << gating << " len " << len
+                << " level " << level << " t " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PhaseClock, PhaseStartIsTheFirstSlotOfThePhase) {
+  SlotStructure s;
+  s.decay_len = 3;
+  const PhaseClock c(s);
+  EXPECT_EQ(c.phase_start(0), 0u);
+  for (std::uint64_t p = 1; p < 20; ++p) {
+    EXPECT_EQ(c.decode(c.phase_start(p)).phase, p);
+    EXPECT_EQ(c.decode(c.phase_start(p) - 1).phase, p - 1);
+  }
+}
+
 }  // namespace
 }  // namespace radiomc
