@@ -60,7 +60,6 @@ bool AckedHop::receive(SlotTime t, const Message& m) {
     // The next hop has the message; it now lives on exactly one buffer.
     fifo_.pop_front();
     decay_.stop();
-    wake();  // the next message, if any, re-arms from the next poll
   }
   return false;
 }

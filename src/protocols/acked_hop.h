@@ -21,10 +21,13 @@
 // otherwise, if it holds a message it may send, arms its timer for the
 // next slot in which that message can fire (the level's next data
 // subslot while this phase's Decay is alive, else the first one of the
-// next phase). Acknowledging a data message, popping the head and a push
-// wake the station; any other reception leaves it asleep. Every slot the
-// station sleeps through would have been a silent poll that draws no
-// randomness, so only the engine's poll count changes.
+// next phase). Acknowledging a data message and a push wake the station;
+// any other reception leaves it asleep. That includes the ack that pops
+// the head: the sender transmitted in the slot before, so it is polled in
+// the ack subslot and arms its next duty there (the stale arm's poll
+// re-arms into the next phase). Every slot the station sleeps through
+// would have been a silent poll that draws no randomness, so only the
+// engine's poll count changes.
 
 #include <cstdint>
 #include <deque>
@@ -68,8 +71,8 @@ class AckedHop {
   std::optional<Message> poll(SlotTime t, bool may_send);
   /// A reception in slot `t` (receptions reach sleeping stations too). An
   /// ack-subslot reception is the hop's own business: a matching ack pops
-  /// the head and wakes the station; it returns false. A data-subslot
-  /// reception returns true for the owner to classify.
+  /// the head; it returns false. A data-subslot reception returns true for
+  /// the owner to classify.
   bool receive(SlotTime t, const Message& m);
   /// Owes the §3 acknowledgement of data message `m` in the next ack
   /// subslot, and wakes the station to send it.

@@ -19,9 +19,9 @@
 // directions run concurrently on separate channels (§1.4), under a
 // coordinated ChannelMuxStation: a node sleeps (radio/waker.h) until the
 // next slot in which either half may send or owes an ack, and a reception
-// wakes it only when it accepts the message or pops its head. Both halves
-// keep the Waker promise and re-arm their shared timer on every poll, so
-// the joint one holds.
+// wakes it only when it accepts the message. Both halves keep the Waker
+// promise and re-arm their shared timer on every poll, so the joint one
+// holds.
 //
 // As in the paper, destinations are DFS addresses ("Henceforth, each node
 // uses its DFS number as its address"); the id->address directory is held
