@@ -25,6 +25,8 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
       clock_(make_clock(cfg)),
       rng_(rng),
       decay_(cfg.decay_len) {
+  // With 0 a late boundary would retry the NACKs its own superphase just
+  // sent, in whatever slot the sleeping station was next polled.
   require(cfg_.nack_retry_superphases >= 1,
           "distribution: nack_retry_superphases must be >= 1");
   // The era shares the 32-bit aux field with the hop level (16 bits each).

@@ -59,8 +59,9 @@ struct DistributionConfig {
   /// numbers grow unboundedly — fine for finite experiments).
   std::uint32_t window = 0;
   /// A node repeats a NACK for a still-missing message every this many
-  /// superphases (>= 1) (loss of the NACK itself is possible only while the
-  /// collection channel is still climbing; repetition makes repair certain).
+  /// superphases, at least 1 (loss of the NACK itself is possible only
+  /// while the collection channel is still climbing; repetition makes
+  /// repair certain).
   std::uint32_t nack_retry_superphases = 8;
 
   /// Sequence-number epoching for the windowed wire format. The mod-4W

@@ -70,6 +70,18 @@ TEST(ErrorPaths, DistributionRootOnlyCalls) {
   EXPECT_THROW(leaf.root_checkpoint_ack(1, 1), std::invalid_argument);
 }
 
+TEST(ErrorPaths, DistributionNackRetryIsAtLeastOneSuperphase) {
+  // 0 would re-issue a NACK at a boundary fired late in the superphase
+  // that revealed the gap, so the slot it went out in would depend on
+  // when the station happened to be polled.
+  const Graph g = gen::path(4);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  DistributionConfig cfg = DistributionConfig::for_graph(g);
+  cfg.nack_retry_superphases = 0;
+  EXPECT_THROW(DistributionStation(3, tree, cfg, Rng(1)),
+               std::invalid_argument);
+}
+
 TEST(ErrorPaths, CollectionInjectRequiresOwnOrigin) {
   const Graph g = gen::path(3);
   const BfsTree tree = oracle_bfs_tree(g, 0);
