@@ -16,14 +16,14 @@
 // itself, i.e. messages from its own BFS children.
 //
 // The buffer, the per-phase Decay, the acks and the timed duty wakes are
-// the §3 hop core (acked_hop.h), shared with both halves of
-// point-to-point. Every CollectionStation sleeps (radio/waker.h) where the
-// Waker reaches it: it is polled only in the slots where it may send its
-// head or owes an ack, and with an empty buffer and no owed ack it waits
-// for a child's message or an inject. A skipped poll never reaches Decay
-// or draws randomness, so only
-// EngineStats::station_polls changes; tests/engine_diff_test.cpp proves it
-// against the always-polled reference engine.
+// the §3 hop core (acked_hop.h), shared with both halves of point-to-point.
+// Every CollectionStation sleeps (radio/waker.h) where the Waker reaches
+// it: it is polled only in the slots where it may send its head or owes an
+// ack, and with an empty buffer and no owed ack it waits for a child's
+// message or an inject. A skipped poll never reaches Decay or draws
+// randomness, so only EngineStats::station_polls changes;
+// tests/engine_diff_test.cpp proves it against the always-polled reference
+// engine.
 // CollectionStation adds only what is collection's own: it accepts
 // upbound messages from its children, hands arrivals at the root to the
 // sink (with the Remark 3 dedup guard and the Theorem 4.1 accept log),

@@ -38,10 +38,10 @@ namespace {
 /// share one membership bit and one timer (as ChannelMuxStation's
 /// coordinated mode does) and each keeps the Waker promise for itself,
 /// re-arming its own duties on every poll, on its own clock through a
-/// `shifted` handle. At the epoch and attempt
-/// boundaries of the globally known schedule, where this station acts on
-/// its own (root hand-off, DFS start, final report, completion seed,
-/// attempt rollover), run_setup wakes every station.
+/// `shifted` handle. At the epoch and attempt boundaries of the globally
+/// known schedule, where this station acts on its own (root hand-off, DFS
+/// start, final report, completion seed, attempt rollover), run_setup wakes
+/// every station.
 class SetupStation final : public Station {
  public:
   SetupStation(NodeId me, const Graph& g, SetupTuning tuning, Rng rng)
