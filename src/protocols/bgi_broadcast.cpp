@@ -23,22 +23,30 @@ void FloodStation::seed(const Message& m) {
   if (waker_ != nullptr) waker_->wake();
 }
 
-void FloodStation::reset(Rng rng) {
+void FloodStation::reset(Rng rng, std::uint64_t relay_phases) {
   rng_ = rng;
+  relay_phases_ = relay_phases;
   informed_ = false;
   informed_at_ = 0;
   msg_ = Message{};
   decay_.reset();
 }
 
+bool FloodStation::relays_in(std::uint64_t phase) const noexcept {
+  return informed_ && (relay_phases_ == 0 ||
+                       phase < informed_at_ / decay_len_ + relay_phases_);
+}
+
 std::optional<Message> FloodStation::poll(SlotTime t) {
-  // An uninformed poll is a pure no-op, so an uninformed station may sleep
-  // until the front's delivery wakes it.
-  if (!informed_) return std::nullopt;
+  // A poll outside the relay window is a pure no-op: an uninformed station
+  // sleeps until the front's delivery wakes it, and one whose budget is
+  // spent arms nothing, so it sleeps for good.
   const std::uint64_t phase = t / decay_len_;
+  if (!relays_in(phase)) return std::nullopt;
   if (!decay_.transmits_in(phase)) {
-    // Silent until the next phase restarts Decay.
-    if (waker_ != nullptr) waker_->wake_at((phase + 1) * decay_len_);
+    // Silent until the next phase restarts Decay, if the budget covers it.
+    if (waker_ != nullptr && relays_in(phase + 1))
+      waker_->wake_at((phase + 1) * decay_len_);
     return std::nullopt;
   }
   return msg_;

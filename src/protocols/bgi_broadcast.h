@@ -6,6 +6,18 @@
 // that hears the message becomes informed. With a phase budget of
 // O(D + log(n/eps)) all nodes are informed with probability 1 - eps.
 //
+// Relay budget: in BGI a node relays for only k = O(log(n/eps)) Decay
+// invocations after it is informed, not until the run ends. A
+// FloodStation given a budget of K phases relays in the K phases counted
+// from the one in which it was informed (phase 0 for a seeded source; that
+// first, possibly partial, phase counts); then its poll returns nothing
+// and arms nothing, so it sleeps for good. Its neighbors then get at least
+// K-1 whole phases of its Decay, each of which informs a listener with
+// probability > 1/2 (Decay property (2)), so a node stays uninformed with
+// probability below 2^-(K-1) and the flood misses some node with
+// probability below n 2^-(K-1): K = log2(n/eps) + 1 gives 1 - eps, at
+// O(n K) transmissions instead of one Decay per informed node per phase.
+//
 // Used here as (a) the "success" floods inside the setup phase (§2),
 // (b) the naive k-broadcast baseline ("in principle the message can be
 // sent using the BFS protocol", §6), and (c) a test vehicle for Decay.
@@ -31,19 +43,22 @@ namespace radiomc {
 /// Decay invocation each; no acks, no level gating (the flood has no tree).
 class FloodStation final : public SubStation {
  public:
+  /// Relays until the run ends; reset() sets a relay budget.
   FloodStation(std::uint32_t decay_len, Rng rng);
 
   /// Makes this node the (or a) source: informed from the start.
   void seed(const Message& m);
 
-  /// Clears the flood state and re-seeds the randomness (setup attempts).
-  void reset(Rng rng);
+  /// Clears the flood state, re-seeds the randomness and sets the relay
+  /// budget K in phases, 0 = relay until the run ends (setup attempts).
+  void reset(Rng rng, std::uint64_t relay_phases);
 
   /// Opts into autosleep (directly via SingleStation, or through setup's
   /// forwarded Waker). Uninformed stations neither transmit nor mutate on
   /// poll, so they sleep until the message front's delivery wakes them; an
   /// informed station sleeps from the slot its Decay dies until the next
-  /// phase start, where the flood restarts Decay.
+  /// phase start, where the flood restarts Decay, and for good once its
+  /// relay budget is spent.
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
@@ -55,8 +70,12 @@ class FloodStation final : public SubStation {
   SlotTime informed_at() const noexcept { return informed_at_; }
 
  private:
+  /// True iff the station is informed and its budget covers `phase`.
+  bool relays_in(std::uint64_t phase) const noexcept;
+
   std::uint32_t decay_len_;
   Rng rng_;
+  std::uint64_t relay_phases_ = 0;
   bool informed_ = false;
   SlotTime informed_at_ = 0;
   Message msg_;
@@ -65,7 +84,9 @@ class FloodStation final : public SubStation {
 };
 
 /// Standalone driver: floods one message from `source` for `phases` phases;
-/// reports who was informed when.
+/// reports who was informed when. Every station relays until the run ends
+/// (no relay budget), so the naive k-broadcast baseline and
+/// `radiomc_sim flood` keep their stream.
 struct BgiOutcome {
   SlotTime slots = 0;
   std::uint32_t informed_count = 0;

@@ -52,8 +52,7 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
     initial.push_back(m);
   }
   CollectionConfig ccfg = CollectionConfig::for_graph(g);
-  ccfg.telemetry = observers.telemetry;
-  ccfg.profiler = observers.profiler;
+  static_cast<Observers&>(ccfg) = observers;
   ccfg.faults = faults;
   ccfg.stall_slots = stall_slots;
   perf::RunSpan collect_span(observers, "ranking", "collect", 0);
@@ -114,6 +113,10 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;
   RadioNetwork net(g, ncfg);
+  // The deliver network's clock restarts at 0; its events and slot pulses
+  // reach the observers on the collect stage's timeline, after it.
+  ShiftedObservers deliver_obs(observers, out.collect_slots);
+  net.observe(deliver_obs.observers());
   FaultSchedule fsch = FaultSchedule::for_run(g, faults, master);
   net.set_faults(&fsch);
   net.attach(std::move(ptrs));

@@ -37,7 +37,9 @@ struct RankingOutcome {
 /// separately, as in §7: "not including the setup costs of Section 2").
 /// `observers`: the hub and profiler get the "ranking" collect/deliver spans
 /// and pass on to the inner collection (its "collection.drain" nests under
-/// "ranking.collect"); the trace sink and slot hook go unused.
+/// "ranking.collect"). The trace sink and slot hook see both stages on one
+/// timeline: the collect stage's slots from 0, then the deliver stage's
+/// shifted by collect_slots (ShiftedObservers).
 /// `faults` / `stall_slots` mirror CollectionConfig's fields: the fault
 /// plan is applied to both phases (each phase's network compiles its own
 /// schedule off the phase seed) and the watchdog turns a stalled phase

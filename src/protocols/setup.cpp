@@ -15,7 +15,8 @@ SetupSchedule setup_schedule(NodeId n, std::uint32_t decay_len,
                              const SetupTuning& tuning,
                              std::uint32_t attempt) {
   const std::uint64_t dl = decay_len;
-  const std::uint64_t ln = ceil_log2(n < 2 ? 2 : n) + 2;
+  const std::uint64_t lg = ceil_log2(n < 2 ? 2 : n);
+  const std::uint64_t ln = lg + 2;
   const std::uint64_t boost = std::uint64_t{1} << std::min<std::uint32_t>(attempt, 20);
 
   SetupSchedule s;
@@ -25,6 +26,9 @@ SetupSchedule setup_schedule(NodeId n, std::uint32_t decay_len,
   s.dfs2 = 2 * static_cast<SlotTime>(n) + 2;
   s.fv = s.bv;
   s.gl = boost * tuning.flood_mult * (static_cast<std::uint64_t>(n) + 4) * dl;
+  // BGI's relay budget bounds attempt 0's flood only: a retry may follow
+  // a crash, and a bounded relay cannot outwait a crashed neighbor.
+  if (attempt == 0) s.relay = tuning.flood_relay_mult * (lg + 1);
   return s;
 }
 
@@ -222,7 +226,8 @@ class SetupStation final : public Station {
     bfs_.reset();
     dfs1_.reset();
     dfs2_.reset();
-    flood_g_.reset(rng_.split(rng_tags::kSetupFloodRetryBase + attempt_));
+    flood_g_.reset(rng_.split(rng_tags::kSetupFloodRetryBase + attempt_),
+                   sched_.relay);
     coll_.reset(rng_.split(rng_tags::kSetupCollRetryBase + attempt_));
     coll_bound_ = false;
     is_root_ = false;
@@ -374,13 +379,17 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
           {"final_verify", sched.fv},
           {"completion_flood", sched.gl}}) {
       perf::RunSpan span(tuning, "setup", name, epoch_start);
+      const std::uint64_t tx_before = net.metrics().transmissions;
       // Every station acts at an epoch or attempt boundary; the driver
       // knows them all, so it wakes the sleeping stations there.
       for (NodeId v = 0; v < n; ++v) net.wake_station(v);
       epoch_start += len;
       while (net.now() < epoch_start) net.step();
       span.close(epoch_start,
-                 {{"attempt", static_cast<std::int64_t>(attempt)}});
+                 {{"attempt", static_cast<std::int64_t>(attempt)},
+                  {"transmissions", static_cast<std::int64_t>(
+                                        net.metrics().transmissions -
+                                        tx_before)}});
     }
     if (tuning.profiler != nullptr) tuning.profiler->count("setup.attempts");
     attempt_start = attempt_end;

@@ -30,9 +30,18 @@
 //                             numbered) to the root over channel 1.
 //   G  completion flood       a root whose F-verification passed floods
 //                             "setup complete" (bgi_broadcast.h); a node is
-//                             done when it hears it. Any shortfall anywhere
-//                             simply lets the schedule roll into attempt
-//                             j+1, where every station resets.
+//                             done when it hears it. On attempt 0 each node
+//                             relays for BGI's budget of K = 2 ceil(log2 n)
+//                             + 2 phases after it hears, then sleeps for
+//                             good, so the flood costs O(n log n)
+//                             transmissions, not one Decay per node per
+//                             phase of the epoch; it misses some node with
+//                             probability below n 2^-(K-1) <= 1/(2n). A
+//                             retry relays for its whole epoch, since a
+//                             bounded relay cannot outwait a crashed
+//                             neighbor. Any shortfall anywhere simply lets
+//                             the schedule roll into attempt j+1, where
+//                             every station resets.
 //
 // The expected cost is dominated by the B/F collections, O(n log Delta),
 // plus the attempt doubling — within the paper's O((n + D log n) log Delta)
@@ -67,6 +76,10 @@ struct SetupTuning : Observers {
   std::uint32_t verify_mult = 96;
   /// Multiplier on the completion-flood budget (units of n*decay_len).
   std::uint32_t flood_mult = 4;
+  /// Multiplier on attempt 0's completion-flood relay budget (units of
+  /// ceil(log2 n) + 1 phases; 0 = relay for the whole epoch). Later
+  /// attempts always relay for the whole epoch.
+  std::uint32_t flood_relay_mult = 2;
   /// Phases per leader-election budget unit (units of (log2 n + 2)).
   std::uint32_t leader_mult = 8;
   /// §8 Remark 2: elect with random campaign values of this many bits
@@ -92,6 +105,8 @@ struct SetupSchedule {
   SlotTime dfs2 = 0;  ///< epoch E length
   SlotTime fv = 0;    ///< epoch F length
   SlotTime gl = 0;    ///< epoch G length
+  /// Epoch G's relay budget in phases (FloodStation; 0 = the whole epoch).
+  std::uint64_t relay = 0;
 
   SlotTime attempt_length() const noexcept {
     return le + bv + dfs1 + dfs2 + fv + gl;

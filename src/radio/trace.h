@@ -67,6 +67,50 @@ struct Observers {
   SlotHook* slot_hook = nullptr;
 };
 
+/// A run's observers for a later stage on its own network: every event and
+/// slot pulse reaches the run's trace sink and slot hook with `origin`
+/// added to its slot, so a driver that runs its stages one after another
+/// on separate networks (ranking's collect, then deliver) writes one
+/// timeline, and the later stage's events follow the earlier one's.
+class ShiftedObservers final : public TraceSink, public SlotHook {
+ public:
+  ShiftedObservers(const Observers& inner, SlotTime origin)
+      : inner_(inner), origin_(origin) {}
+
+  /// `inner` with its trace sink and slot hook, where set, routed through
+  /// this shift; the hub and the profiler pass unchanged.
+  Observers observers() noexcept {
+    Observers o = inner_;
+    if (o.trace != nullptr) o.trace = this;
+    if (o.slot_hook != nullptr) o.slot_hook = this;
+    return o;
+  }
+
+  void on_transmit(SlotTime t, NodeId sender, ChannelId ch,
+                   const Message& m) override {
+    if (inner_.trace != nullptr)
+      inner_.trace->on_transmit(t + origin_, sender, ch, m);
+  }
+  void on_deliver(SlotTime t, NodeId receiver, ChannelId ch,
+                  const Message& m) override {
+    if (inner_.trace != nullptr)
+      inner_.trace->on_deliver(t + origin_, receiver, ch, m);
+  }
+  void on_collision(SlotTime t, NodeId receiver, ChannelId ch,
+                    std::uint32_t tx_neighbors) override {
+    if (inner_.trace != nullptr)
+      inner_.trace->on_collision(t + origin_, receiver, ch, tx_neighbors);
+  }
+  void on_slot_done(SlotTime t) override {
+    if (inner_.slot_hook != nullptr)
+      inner_.slot_hook->on_slot_done(t + origin_);
+  }
+
+ private:
+  Observers inner_;
+  SlotTime origin_;
+};
+
 /// Counts per-node activity; the cheap always-on-able sink.
 class ActivityCounter final : public TraceSink {
  public:

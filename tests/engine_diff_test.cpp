@@ -737,7 +737,7 @@ TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
                    s.root_sink().size();
           });
 
-      expect_piece_matches(
+      const PieceRun flood = expect_piece_matches(
           cell + "/flood", g, plan, 40 * dl,
           [&](NodeId v) {
             auto s = std::make_unique<FloodStation>(dl, Rng(0xF1 + v));
@@ -745,6 +745,23 @@ TEST(AutosleepAB, SetupPiecesMatchTheAlwaysPolledReference) {
             return s;
           },
           [](const FloodStation& s) { return s.informed_at(); });
+
+      // Under BGI's relay budget a station that has relayed for its K
+      // phases sleeps for good.
+      const PieceRun budgeted = expect_piece_matches(
+          cell + "/flood_budgeted", g, plan, 40 * dl,
+          [&](NodeId v) {
+            auto s = std::make_unique<FloodStation>(dl, Rng(0xF1 + v));
+            s->reset(Rng(0xF1 + v), 2 * ceil_log2(n) + 2);
+            if (v == 0) s->seed(Message{});
+            return s;
+          },
+          [](const FloodStation& s) {
+            return (std::uint64_t{s.informed()} << 63) | s.informed_at();
+          });
+      EXPECT_LT(budgeted.metrics.transmissions, flood.metrics.transmissions)
+          << cell;
+      EXPECT_LT(budgeted.polls, flood.polls) << cell;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "protocols/ranking.h"
 #include "protocols/setup.h"
 #include "protocols/tree.h"
+#include "radio/trace.h"
 #include "support/rng.h"
 
 namespace radiomc {
@@ -97,6 +98,49 @@ TEST(Ranking, WorksOnRealSetupOutput) {
   const RankingOutcome out = run_ranking(g, prep, ids, rng.next());
   ASSERT_TRUE(out.completed);
   check_ranks(ids, out.rank);
+}
+
+/// Records every slot the engine reports done.
+class SlotLog final : public SlotHook {
+ public:
+  void on_slot_done(SlotTime t) override { slots.push_back(t); }
+  std::vector<SlotTime> slots;
+};
+
+TEST(Ranking, BothStagesReachTheTraceOnOneTimeline) {
+  const Graph g = gen::grid(6, 6);
+  const PreparationResult prep = run_preparation(g, oracle_bfs_tree(g, 0));
+  ASSERT_TRUE(prep.ok);
+  Rng rng(7);
+  std::vector<std::uint64_t> ids(g.num_nodes());
+  for (auto& id : ids) id = rng.next();
+  EventRecorder trace;
+  SlotLog hook;
+  Observers obs;
+  obs.trace = &trace;
+  obs.slot_hook = &hook;
+  const RankingOutcome out = run_ranking(g, prep, ids, 8, 200'000'000, obs);
+  ASSERT_TRUE(out.completed);
+  check_ranks(ids, out.rank);
+
+  // The deliver stage's events follow the collect stage's, shifted by
+  // collect_slots, so the two stages split the trace at that slot.
+  std::uint64_t collect_events = 0;
+  std::uint64_t deliver_events = 0;
+  for (const EventRecorder::Event& e : trace.events()) {
+    (e.slot < out.collect_slots ? collect_events : deliver_events) += 1;
+    EXPECT_LT(e.slot, out.total_slots());
+  }
+  EXPECT_GT(collect_events, 0u);
+  EXPECT_GT(deliver_events, 0u);
+  EXPECT_TRUE(std::is_sorted(
+      trace.events().begin(), trace.events().end(),
+      [](const auto& a, const auto& b) { return a.slot < b.slot; }));
+
+  // The slot hook sees every slot of both stages once, in order.
+  std::vector<SlotTime> want(out.total_slots());
+  std::iota(want.begin(), want.end(), SlotTime{1});
+  EXPECT_EQ(hook.slots, want);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Golden pins for the full setup phase: every value below was recorded on
-// the engine before setup stations learned to sleep (timed wakes), and must
-// never be re-recorded. Sleeping only changes which idle polls the engine
-// skips, so everything observable stays byte-identical: the outcome, the
-// tree, labels and routing, every NetMetrics field and the JSONL trace
-// bytes. Each cell runs exactly what
+// Golden pins for the full setup phase. The kCells values were recorded on
+// the engine before setup stations learned to sleep (timed wakes), with
+// the completion flood relaying for its whole epoch, and must never be
+// re-recorded: those cells run with flood_relay_mult = 0. Sleeping only
+// changes which idle polls the engine skips, so everything observable
+// stays byte-identical: the outcome, the tree, labels and routing, every
+// NetMetrics field and the JSONL trace bytes. Each cell runs exactly what
 //
 //   radiomc_sim setup --topology SPEC --seed SEED
 //
 // runs (graph and setup seed drawn from one Rng(SEED)), with telemetry and
 // a trace sink attached. The fault-free cells also bound the polls: setup
 // stations sleep through the idle bulk of their fixed schedule.
+//
+// The kBounded cells rerun the single-attempt cells under the default
+// relay budget (bgi_broadcast.h): the flood sends fewer messages, and
+// nothing but its radio counters and the trace may move.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -71,9 +77,12 @@ FaultPlan crash_churn() {
   return p;
 }
 
+/// The cell's tuning with the flood relaying for its whole epoch, as when
+/// the pins were recorded.
 SetupTuning tuning_for(const Cell& c) {
   SetupTuning t;
   t.random_id_bits = c.random_id_bits;
+  t.flood_relay_mult = 0;
   if (c.crashes) t.faults = crash_churn();
   return t;
 }
@@ -149,10 +158,9 @@ std::string row(const Golden& g) {
 /// from one process to the next.
 void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
 
-class SetupGolden : public ::testing::TestWithParam<Cell> {};
-
-TEST_P(SetupGolden, PinnedToThePreSleepEngine) {
-  const Cell& c = GetParam();
+/// Runs cell `c` with `relay_mult` as its flood relay budget and returns
+/// what it observed.
+Golden run_cell(const Cell& c, std::uint32_t relay_mult) {
   Rng rng(c.seed);
   const Graph g = gen::from_spec(c.spec, rng);
   const std::uint64_t setup_seed = rng.next();
@@ -165,6 +173,7 @@ TEST_P(SetupGolden, PinnedToThePreSleepEngine) {
     telemetry::JsonlTraceSink trace(trace_out);
     trace.set_protocol("setup");
     SetupTuning tuning = tuning_for(c);
+    tuning.flood_relay_mult = relay_mult;
     tuning.telemetry = &hub;
     tuning.trace = &trace;
     out = run_setup(g, setup_seed, tuning, c.max_attempts);
@@ -190,15 +199,20 @@ TEST_P(SetupGolden, PinnedToThePreSleepEngine) {
              net("engine.fault_link_blocked"),
              net("engine.fault_crashed_slots"),
              buf.value()};
-  const Golden& want = c.golden;
-  EXPECT_EQ(row(got), row(want)) << c.name;
-
   if (!c.crashes) {
     // Sleeping: at most 15 % of the station-slots are polled.
     EXPECT_LE(static_cast<double>(out.engine_polls),
               0.15 * static_cast<double>(out.slots) * g.num_nodes())
         << c.name;
   }
+  return got;
+}
+
+class SetupGolden : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(SetupGolden, PinnedToThePreSleepEngine) {
+  const Cell& c = GetParam();
+  EXPECT_EQ(row(run_cell(c, 0)), row(c.golden)) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Cells, SetupGolden, ::testing::ValuesIn(kCells),
@@ -211,6 +225,78 @@ const Cell& cell_named(std::string_view name) {
     if (name == c.name) return c;
   ADD_FAILURE() << "no cell " << name;
   return kCells[0];
+}
+
+/// A single-attempt cell of kCells under the default relay budget.
+struct BoundedCell {
+  const char* twin;  ///< the kCells cell it reruns
+  Golden golden;
+};
+
+void PrintTo(const BoundedCell& c, std::ostream* os) { *os << c.twin; }
+
+const BoundedCell kBounded[] = {
+    // clang-format off
+    {"grid16x16_s1",
+     {true, RunStatus::kOk, 205188, 109306, 1, 255, 0x5d1026c136b29541ULL, 52481, 90215, 24402, 0, 0, 0, 0, 0, 0x456948250630e5daULL}},
+    {"grid16x16_s2",
+     {true, RunStatus::kOk, 205188, 105976, 1, 255, 0x19948189e44394dULL, 51362, 88196, 23911, 0, 0, 0, 0, 0, 0x899a79f8dea4a84bULL}},
+    {"grid16x16_s3",
+     {true, RunStatus::kOk, 205188, 107362, 1, 255, 0xb4a57438e4e2090dULL, 52881, 90121, 25194, 0, 0, 0, 0, 0, 0x1adac39cb1cd70baULL}},
+    {"grid16x16_s4",
+     {true, RunStatus::kOk, 205188, 108994, 1, 255, 0x542a0367f860f83dULL, 52481, 89006, 24808, 0, 0, 0, 0, 0, 0x82dc6fffa1c4f5dfULL}},
+    {"udg128_s1",
+     {true, RunStatus::kOk, 311844, 166610, 1, 127, 0x24d4b1a8c1d11e5eULL, 28712, 103854, 108393, 0, 0, 0, 0, 0, 0x55f3e0cfdda2bc81ULL}},
+    {"udg128_s2",
+     {true, RunStatus::kOk, 311844, 165458, 1, 127, 0x8642fef55b85d4beULL, 24363, 91255, 89761, 0, 0, 0, 0, 0, 0xc296c931a1930ec8ULL}},
+    {"udg128_s3",
+     {true, RunStatus::kOk, 311844, 166106, 1, 127, 0x669ca8205cc471a2ULL, 27401, 102933, 111266, 0, 0, 0, 0, 0, 0x429941a26380d1cbULL}},
+    {"udg128_s4",
+     {true, RunStatus::kOk, 311844, 165098, 1, 127, 0xf39653f2305c7152ULL, 26138, 101292, 91329, 0, 0, 0, 0, 0, 0xdba1b202fa6e5c07ULL}},
+    {"gnp96_s1",
+     {true, RunStatus::kOk, 197108, 105242, 1, 95, 0x9af671b149516dd4ULL, 14590, 34667, 9572, 0, 0, 0, 0, 0, 0x2be6ee0d4d2a3bc9ULL}},
+    {"gnp96_s2",
+     {true, RunStatus::kOk, 157764, 83954, 1, 95, 0x9ed9928b8cbb95aULL, 16042, 37959, 14056, 0, 0, 0, 0, 0, 0x34a437ee86e01c92ULL}},
+    {"gnp96_s3",
+     {true, RunStatus::kOk, 157764, 84434, 1, 95, 0x95f195bacdc3932eULL, 14784, 33943, 10451, 0, 0, 0, 0, 0, 0x7b4adf80df205833ULL}},
+    {"gnp96_s4",
+     {true, RunStatus::kOk, 157764, 84530, 1, 95, 0x7fcb0ce1c0f3c9e8ULL, 15762, 37767, 12770, 0, 0, 0, 0, 0, 0xfc26a11dc594432fULL}},
+    // clang-format on
+};
+
+class BoundedFlood : public ::testing::TestWithParam<BoundedCell> {};
+
+TEST_P(BoundedFlood, MatchesItsUnboundedTwinWithFewerTransmissions) {
+  const BoundedCell& b = GetParam();
+  const Cell& twin = cell_named(b.twin);
+  const Golden got = run_cell(twin, SetupTuning{}.flood_relay_mult);
+  EXPECT_EQ(row(got), row(b.golden)) << b.twin;
+
+  // Epoch lengths do not change and attempt 0 still succeeds, so the run,
+  // its outcome and the structure it built are the twin's.
+  const Golden& u = twin.golden;
+  EXPECT_EQ(std::tie(got.ok, got.status, got.slots, got.work_slots,
+                     got.attempts, got.leader, got.structure),
+            std::tie(u.ok, u.status, u.slots, u.work_slots, u.attempts,
+                     u.leader, u.structure))
+      << b.twin;
+  EXPECT_LT(got.transmissions, u.transmissions) << b.twin;
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, BoundedFlood, ::testing::ValuesIn(kBounded),
+                         [](const ::testing::TestParamInfo<BoundedCell>& p) {
+                           return std::string(p.param.twin);
+                         });
+
+TEST(SetupGolden, TheRelayBudgetLeavesTheMultiAttemptCellsAlone) {
+  // Attempt 0 of these cells never floods (a campaign collision, a crash),
+  // and retries relay for the whole epoch, so the budget changes nothing.
+  for (const char* name : {"path6_random_ids", "grid6x6_crash_churn"}) {
+    const Cell& c = cell_named(name);
+    EXPECT_EQ(row(run_cell(c, SetupTuning{}.flood_relay_mult)),
+              row(c.golden))
+        << name;
+  }
 }
 
 TEST(SetupGolden, RandomIdCellRetriesAndCrashCellSpansAnEpochBoundary) {

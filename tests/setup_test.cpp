@@ -12,6 +12,7 @@
 #include "protocols/setup.h"
 #include "protocols/tree.h"
 #include "support/rng.h"
+#include "telemetry/telemetry.h"
 
 namespace radiomc {
 namespace {
@@ -71,6 +72,49 @@ TEST(Setup, ScheduleLengthsGrowWithAttempt) {
   EXPECT_EQ(s1.gl, 2 * s0.gl);
   EXPECT_EQ(s0.dfs1, s1.dfs1);  // token traversals are deterministic
   EXPECT_GT(s0.attempt_length(), 0u);
+}
+
+TEST(Setup, RelayBudgetBoundsAttemptZeroOnly) {
+  SetupTuning tuning;
+  EXPECT_EQ(setup_schedule(50, 6, tuning, 0).relay, 2u * (6 + 1));
+  EXPECT_EQ(setup_schedule(50, 6, tuning, 1).relay, 0u);
+  tuning.flood_relay_mult = 0;
+  EXPECT_EQ(setup_schedule(50, 6, tuning, 0).relay, 0u);
+}
+
+TEST(Setup, AFloodMissRollsIntoTheNextAttemptAndStillSucceeds) {
+  // A path of K_{2,2} links: each node hears the next hop from two
+  // synchronized Decays, which collide in a third of the phases. Under a
+  // relay budget of one unit (ceil(log2 32) + 1 = 6 phases), attempt 0's
+  // flood misses a node on this seed; the always-succeed schedule rolls
+  // into attempt 1, whose flood relays for its whole epoch.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId layer = 0; layer + 1 < 16; ++layer)
+    for (NodeId a = 0; a < 2; ++a)
+      for (NodeId b = 0; b < 2; ++b)
+        edges.emplace_back(2 * layer + a, 2 * (layer + 1) + b);
+  const Graph g(32, edges);
+  constexpr std::uint64_t kSeed = 19;
+
+  SetupTuning tiny;
+  tiny.flood_relay_mult = 1;
+  TelemetryHub hub;
+  tiny.telemetry = &hub;
+  const SetupOutcome missed = run_setup(g, kSeed, tiny);
+  ASSERT_TRUE(missed.ok);
+  EXPECT_GE(missed.attempts, 2u);
+  EXPECT_TRUE(is_bfs_tree_of(g, missed.tree));
+  // Attempt 0 got as far as its flood: the root verified and flooded.
+  std::int64_t flood0 = 0;
+  for (const telemetry::PhaseSpan& s : hub.timeline.spans())
+    if (s.name == "completion_flood" && s.attrs.at(0).second == 0)
+      flood0 = s.attrs.at(1).second;
+  EXPECT_GT(flood0, 0);
+
+  const SetupOutcome full = run_setup(g, kSeed);
+  ASSERT_TRUE(full.ok);
+  EXPECT_EQ(full.attempts, 1u);
+  EXPECT_TRUE(is_bfs_tree_of(g, full.tree));
 }
 
 TEST(Setup, DeterministicForSeed) {
