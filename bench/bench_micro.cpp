@@ -79,13 +79,12 @@ Measurement measure(double min_time_ms, F&& body) {
   return m;
 }
 
-/// Engine slot throughput with all nodes idle. Opts into autosleep, so
-/// after the first slot the whole population is descheduled and each slot
-/// costs O(active) ~ O(1) — this is the workload the active-set rewrite
-/// exists for, and the row the perf gate watches for the speedup.
+/// Engine slot throughput with all nodes idle. It never transmits or
+/// wakes, so after the first slot the whole population is descheduled and
+/// each slot costs O(active) ~ O(1) — this is the workload the active-set
+/// rewrite exists for, and the row the perf gate watches for the speedup.
 class IdleStation final : public Station {
  public:
-  void on_attach(Waker& w) override { w.set_autosleep(true); }
   void on_slot(SlotTime, std::span<std::optional<Message>>) override {}
   void on_receive(SlotTime, ChannelId, const Message&) override {}
 };
@@ -158,9 +157,10 @@ void engine_case(const std::string& topology, NodeId n,
 }
 
 /// Idle-heavy mixed cell: one permanently-active transmitter per 256
-/// stations (legacy, never touches its Waker), everyone else an autosleep
-/// IdleStation. Per-slot cost tracks the chatty 1/256th of the population —
-/// the shape of a large network where almost everything is quiet.
+/// stations (it transmits in every slot, which keeps it active), everyone
+/// else a sleeping IdleStation. Per-slot cost tracks the chatty 1/256th of
+/// the population — the shape of a large network where almost everything
+/// is quiet.
 void engine_sparse_case(const std::string& topology, NodeId n,
                         double min_time_ms, bench::Table* table,
                         bench::JsonEmitter* json) {

@@ -2,49 +2,11 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 
 #include "radio/network.h"
-#include "radio/station.h"
 #include "support/util.h"
 
 namespace radiomc::baselines {
-
-namespace {
-
-class RoundRobinStation final : public SubStation {
- public:
-  RoundRobinStation(NodeId me, NodeId n) : me_(me), n_(n) {}
-
-  void seed() {
-    informed_ = true;
-    informed_at_ = 0;
-  }
-  bool informed() const noexcept { return informed_; }
-  SlotTime informed_at() const noexcept { return informed_at_; }
-
-  std::optional<Message> poll(SlotTime t) override {
-    if (!informed_ || t % n_ != me_) return std::nullopt;
-    Message m;
-    m.kind = MsgKind::kBcastData;
-    m.origin = me_;
-    return m;
-  }
-  void deliver(SlotTime t, const Message&) override {
-    if (!informed_) {
-      informed_ = true;
-      informed_at_ = t;
-    }
-  }
-
- private:
-  NodeId me_;
-  NodeId n_;
-  bool informed_ = false;
-  SlotTime informed_at_ = 0;
-};
-
-}  // namespace
 
 RoundRobinBroadcastOutcome run_round_robin_broadcast(
     const Graph& g, NodeId source, std::uint64_t max_frames) {

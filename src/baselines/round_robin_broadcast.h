@@ -13,12 +13,51 @@
 // polylog for the randomized flood on D = 2 graphs.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
 #include "radio/message.h"
+#include "radio/station.h"
 
 namespace radiomc::baselines {
+
+/// A node of the round-robin frame: once informed it transmits in slot t
+/// with t mod n == its id. Polled in every slot: it wakes on each poll.
+class RoundRobinStation final : public SubStation {
+ public:
+  RoundRobinStation(NodeId me, NodeId n) : me_(me), n_(n) {}
+
+  void seed() {
+    informed_ = true;
+    informed_at_ = 0;
+  }
+  bool informed() const noexcept { return informed_; }
+  SlotTime informed_at() const noexcept { return informed_at_; }
+
+  void on_attach(Waker& w) override { waker_ = w; }
+  std::optional<Message> poll(SlotTime t) override {
+    waker_.wake();
+    if (!informed_ || t % n_ != me_) return std::nullopt;
+    Message m;
+    m.kind = MsgKind::kBcastData;
+    m.origin = me_;
+    return m;
+  }
+  void deliver(SlotTime t, const Message&) override {
+    if (!informed_) {
+      informed_ = true;
+      informed_at_ = t;
+    }
+  }
+
+ private:
+  NodeId me_;
+  NodeId n_;
+  bool informed_ = false;
+  SlotTime informed_at_ = 0;
+  Waker waker_;
+};
 
 struct RoundRobinBroadcastOutcome {
   bool completed = false;

@@ -2,52 +2,10 @@
 
 #include <deque>
 #include <memory>
-#include <optional>
 
-#include "radio/station.h"
 #include "support/util.h"
 
 namespace radiomc::baselines {
-
-namespace {
-
-class TdmaStation final : public SubStation {
- public:
-  TdmaStation(NodeId me, NodeId n, NodeId parent, bool is_root)
-      : me_(me), n_(n), parent_(parent), is_root_(is_root) {}
-
-  void enqueue(const Message& m) { buffer_.push_back(m); }
-  std::size_t delivered() const noexcept { return delivered_; }
-
-  std::optional<Message> poll(SlotTime t) override {
-    if (is_root_ || buffer_.empty()) return std::nullopt;
-    if (t % n_ != me_) return std::nullopt;  // my frame slot
-    Message m = buffer_.front();
-    buffer_.pop_front();  // single global transmitter: reception is certain
-    m.sender = me_;
-    m.sender_parent = parent_;
-    return m;
-  }
-
-  void deliver(SlotTime, const Message& m) override {
-    if (m.sender_parent != me_) return;  // not from one of my children
-    if (is_root_) {
-      ++delivered_;
-    } else {
-      buffer_.push_back(m);
-    }
-  }
-
- private:
-  NodeId me_;
-  NodeId n_;
-  NodeId parent_;
-  bool is_root_;
-  std::deque<Message> buffer_;
-  std::size_t delivered_ = 0;
-};
-
-}  // namespace
 
 TdmaOutcome run_tdma_collection(const Graph& g, const BfsTree& tree,
                                 const std::vector<NodeId>& sources,

@@ -8,12 +8,57 @@
 // O((k + D) log Delta). Experiment E11 measures the crossover.
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "protocols/tree.h"
 #include "radio/network.h"
+#include "radio/station.h"
 
 namespace radiomc::baselines {
+
+/// A node of the TDMA frame: in slot t with t mod n == its id it forwards
+/// its buffer's head to its BFS parent. Polled in every slot: it wakes on
+/// each poll.
+class TdmaStation final : public SubStation {
+ public:
+  TdmaStation(NodeId me, NodeId n, NodeId parent, bool is_root)
+      : me_(me), n_(n), parent_(parent), is_root_(is_root) {}
+
+  void enqueue(const Message& m) { buffer_.push_back(m); }
+  std::size_t delivered() const noexcept { return delivered_; }
+
+  void on_attach(Waker& w) override { waker_ = w; }
+  std::optional<Message> poll(SlotTime t) override {
+    waker_.wake();
+    if (is_root_ || buffer_.empty()) return std::nullopt;
+    if (t % n_ != me_) return std::nullopt;  // my frame slot
+    Message m = buffer_.front();
+    buffer_.pop_front();  // single global transmitter: reception is certain
+    m.sender = me_;
+    m.sender_parent = parent_;
+    return m;
+  }
+
+  void deliver(SlotTime, const Message& m) override {
+    if (m.sender_parent != me_) return;  // not from one of my children
+    if (is_root_) {
+      ++delivered_;
+    } else {
+      buffer_.push_back(m);
+    }
+  }
+
+ private:
+  NodeId me_;
+  NodeId n_;
+  NodeId parent_;
+  bool is_root_;
+  std::deque<Message> buffer_;
+  std::size_t delivered_ = 0;
+  Waker waker_;
+};
 
 struct TdmaOutcome {
   bool completed = false;

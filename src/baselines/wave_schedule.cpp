@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <optional>
 
 #include "radio/network.h"
-#include "radio/station.h"
 #include "support/util.h"
 
 namespace radiomc::baselines {
@@ -66,32 +64,6 @@ WaveSchedule compute_wave_schedule(const Graph& g, NodeId source) {
   }
   return sched;
 }
-
-namespace {
-
-class ScriptedStation final : public SubStation {
- public:
-  ScriptedStation(NodeId me, const std::vector<bool>& my_slots)
-      : me_(me), my_slots_(my_slots) {}
-
-  std::optional<Message> poll(SlotTime t) override {
-    if (t >= my_slots_.size() || !my_slots_[t]) return std::nullopt;
-    Message m;
-    m.kind = MsgKind::kBcastData;
-    m.origin = me_;
-    return m;
-  }
-  void deliver(SlotTime, const Message&) override { informed_ = true; }
-  bool informed() const noexcept { return informed_; }
-  void force_informed() noexcept { informed_ = true; }
-
- private:
-  NodeId me_;
-  std::vector<bool> my_slots_;
-  bool informed_ = false;
-};
-
-}  // namespace
 
 WaveOutcome execute_wave_schedule(const Graph& g, const WaveSchedule& s) {
   const NodeId n = g.num_nodes();

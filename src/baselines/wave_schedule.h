@@ -13,12 +13,41 @@
 // Omega(log^2 n) rounds are necessary for D = 2, so the shape is tight.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.h"
 #include "radio/message.h"
+#include "radio/station.h"
 
 namespace radiomc::baselines {
+
+/// A node replaying a schedule: it transmits in slot t iff my_slots[t].
+/// Polled in every slot: it wakes on each poll.
+class ScriptedStation final : public SubStation {
+ public:
+  ScriptedStation(NodeId me, const std::vector<bool>& my_slots)
+      : me_(me), my_slots_(my_slots) {}
+
+  void on_attach(Waker& w) override { waker_ = w; }
+  std::optional<Message> poll(SlotTime t) override {
+    waker_.wake();
+    if (t >= my_slots_.size() || !my_slots_[t]) return std::nullopt;
+    Message m;
+    m.kind = MsgKind::kBcastData;
+    m.origin = me_;
+    return m;
+  }
+  void deliver(SlotTime, const Message&) override { informed_ = true; }
+  bool informed() const noexcept { return informed_; }
+  void force_informed() noexcept { informed_ = true; }
+
+ private:
+  NodeId me_;
+  std::vector<bool> my_slots_;
+  bool informed_ = false;
+  Waker waker_;
+};
 
 struct WaveSchedule {
   NodeId source = 0;

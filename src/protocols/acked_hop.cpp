@@ -24,7 +24,6 @@ void AckedHop::reset(Rng rng) {
 
 void AckedHop::attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {

@@ -58,7 +58,7 @@ class AckedHop {
   /// with fresh randomness.
   void reset(Rng rng);
 
-  /// The owner's on_attach: keeps the Waker and opts in.
+  /// The owner's on_attach: keeps the Waker.
   void attach(Waker& w);
   void wake() {
     if (waker_ != nullptr) waker_->wake();

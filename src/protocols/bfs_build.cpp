@@ -29,7 +29,6 @@ void BfsBuildStation::reset() {
 
 void BfsBuildStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 std::optional<Message> BfsBuildStation::poll(SlotTime t) {

@@ -44,7 +44,7 @@ class BfsBuildStation final : public SubStation {
   /// Restores the initial (unjoined) state.
   void reset();
 
-  /// Opts into autosleep: a node is polled only during its own stage
+  /// Keeps the Waker: a node is polled only during its own stage
   /// (level s announces in stage s) while its Decay is live. Joining wakes
   /// it, and a poll before that stage arms the stage start; a dead Decay
   /// arms the next phase in it.

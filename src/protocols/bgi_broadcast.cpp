@@ -3,6 +3,7 @@
 #include <deque>
 #include <memory>
 
+#include "perf/profiler.h"
 #include "radio/network.h"
 #include "support/util.h"
 
@@ -13,7 +14,6 @@ FloodStation::FloodStation(std::uint32_t decay_len, Rng rng)
 
 void FloodStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 void FloodStation::seed(const Message& m) {
@@ -66,7 +66,8 @@ void FloodStation::tick(SlotTime) { decay_.end_slot(rng_); }
 
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
                              std::uint64_t phases, std::uint64_t seed,
-                             const FaultPlan& faults) {
+                             const FaultPlan& faults,
+                             const Observers& observers) {
   const NodeId n = g.num_nodes();
   require(source < n, "run_bgi_broadcast: source out of range");
   const std::uint32_t dl = decay_length(g.max_degree());
@@ -88,10 +89,16 @@ BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
   for (auto& a : adapters) ptrs.push_back(&a);
 
   RadioNetwork net(g);
+  net.observe(observers);
   FaultSchedule fsch = FaultSchedule::for_run(g, faults, master);
   net.set_faults(&fsch);
   net.attach(std::move(ptrs));
   net.run(phases * dl);
+  if (observers.profiler != nullptr) {
+    observers.profiler->count("flood.slots", net.now());
+    observers.profiler->count("flood.polls",
+                              net.engine_stats().station_polls);
+  }
 
   BgiOutcome out;
   out.slots = net.now();

@@ -35,6 +35,7 @@
 #include "protocols/decay.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
+#include "radio/trace.h"
 #include "support/rng.h"
 
 namespace radiomc {
@@ -53,8 +54,8 @@ class FloodStation final : public SubStation {
   /// budget K in phases, 0 = relay until the run ends (setup attempts).
   void reset(Rng rng, std::uint64_t relay_phases);
 
-  /// Opts into autosleep (directly via SingleStation, or through setup's
-  /// forwarded Waker). Uninformed stations neither transmit nor mutate on
+  /// Keeps the Waker (directly via SingleStation, or through setup's
+  /// forwarded handle). Uninformed stations neither transmit nor mutate on
   /// poll, so they sleep until the message front's delivery wakes them; an
   /// informed station sleeps from the slot its Decay dies until the next
   /// phase start, where the flood restarts Decay, and for good once its
@@ -95,9 +96,12 @@ struct BgiOutcome {
 };
 /// `faults`: optional fault plan compiled against the flood network (the
 /// phase budget bounds the run, so no watchdog is needed; under faults the
-/// informed count simply reports the partial coverage).
+/// informed count simply reports the partial coverage). `observers`: the
+/// trace sink and slot hook go on the flood network, and the profiler gets
+/// the "flood.slots" and "flood.polls" counters.
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
                              std::uint64_t phases, std::uint64_t seed,
-                             const FaultPlan& faults = {});
+                             const FaultPlan& faults = {},
+                             const Observers& observers = {});
 
 }  // namespace radiomc

@@ -80,12 +80,9 @@ BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
   RadioNetwork::Config ncfg = cfg.engine;
   if (cfg.mode == BroadcastServiceConfig::ChannelMode::kSeparate) {
     ncfg.num_channels = 2;
-    // Coordinated: both subs keep the Waker promise, so the node may share
-    // one membership bit (see ChannelMuxStation).
     for (NodeId v = 0; v < n; ++v)
       muxes_.push_back(std::make_unique<ChannelMuxStation>(
-          std::vector<SubStation*>{coll_[v].get(), dist_[v].get()},
-          /*coordinated_autosleep=*/true));
+          std::vector<SubStation*>{coll_[v].get(), dist_[v].get()}));
   } else {
     ncfg.num_channels = 1;
     for (NodeId v = 0; v < n; ++v)

@@ -15,12 +15,11 @@ class DecayTrialStation final : public Station {
   DecayTrialStation(std::uint32_t decay_len, bool transmits, Rng rng)
       : decay_(decay_len), rng_(rng), transmits_(transmits) {}
 
-  // The Waker promise holds trivially here: a live Decay process transmits
-  // on every polled slot (transmitting retains active-set membership), and
-  // once the coin kills it — or for pure listeners from the start — on_slot
-  // returns no intent and on_slot_end is a no-op, so skipping both changes
-  // nothing. No event ever re-creates transmit desire, hence no wake().
-  void on_attach(Waker& w) override { w.set_autosleep(true); }
+  // Needs no Waker: a live Decay process transmits on every polled slot
+  // (transmitting retains active-set membership), and once the coin kills
+  // it — or for pure listeners from the start — on_slot returns no intent
+  // and on_slot_end is a no-op, so skipping both changes nothing. No event
+  // ever re-creates transmit desire, hence no wake().
 
   // The whole trial is one phase: a transmitter's first poll begins its
   // invocation.

@@ -123,7 +123,7 @@ class DecayProcess {
 /// be neighbors of `receiver` for property (2) to apply, but the function
 /// does not require it (multi-hop interference studies use non-neighbors).
 ///
-/// Every station autosleeps: listeners never transmit, and a live Decay
+/// Every station sleeps: listeners never transmit, and a live Decay
 /// process transmits on every polled slot, which keeps its active-set
 /// membership with no wake(). Only live processes are polled.
 bool decay_single_trial(const Graph& g, NodeId receiver,

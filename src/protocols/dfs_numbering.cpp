@@ -35,7 +35,6 @@ void GraphDfsStation::set_local(std::uint32_t level, NodeId bfs_parent,
 
 void GraphDfsStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 void GraphDfsStation::reset() {
@@ -154,7 +153,6 @@ void TreeDfsStation::set_local(NodeId bfs_parent, std::vector<NodeId> children,
 
 void TreeDfsStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 void TreeDfsStation::reset() {

@@ -66,7 +66,7 @@ class GraphDfsStation final : public SubStation {
   void set_local(std::uint32_t level, NodeId bfs_parent, bool initiator);
   void reset();
 
-  /// Opts into autosleep: only the token holder acts, so the station
+  /// Keeps the Waker: only the token holder acts, so the station
   /// sleeps until the token arrives.
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;
@@ -112,7 +112,7 @@ class TreeDfsStation final : public SubStation {
                  bool is_root);
   void reset();
 
-  /// Opts into autosleep: only the token holder acts, so the station
+  /// Keeps the Waker: only the token holder acts, so the station
   /// sleeps until the token arrives.
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;

@@ -37,7 +37,6 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
 
 void DistributionStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 std::uint32_t DistributionStation::wire_of(std::uint32_t abs) const noexcept {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "perf/profiler.h"
 #include "support/util.h"
 
 namespace radiomc {
@@ -78,6 +79,7 @@ VirtualEthernet::VirtualEthernet(const Graph& g, const BfsTree& tree,
   faults_ = std::make_unique<FaultSchedule>(
       FaultSchedule::for_run(g, cfg_.faults, master));
   net_ = std::make_unique<RadioNetwork>(g, ncfg);
+  net_->observe(cfg_);
   net_->set_faults(faults_.get());
   net_->attach(std::move(ptrs));
 }
@@ -86,6 +88,10 @@ SlotTime VirtualEthernet::now() const { return net_->now(); }
 
 const NetMetrics& VirtualEthernet::bus_metrics() const {
   return net_->metrics();
+}
+
+std::uint64_t VirtualEthernet::engine_polls() const {
+  return net_->engine_stats().station_polls;
 }
 
 void VirtualEthernet::start_round(NodeId v, std::uint32_t round) {
@@ -169,13 +175,15 @@ std::vector<VirtualEthernet::RoundOutcome> VirtualEthernet::run_rounds(
 BackoffOutcome run_ethernet_backoff(
     const Graph& g, const BfsTree& tree,
     const std::vector<std::uint32_t>& backlog_per_node, std::uint64_t seed,
-    std::uint32_t max_rounds, const FaultPlan& faults) {
+    std::uint32_t max_rounds, const FaultPlan& faults,
+    const Observers& observers) {
   const NodeId n = g.num_nodes();
   require(backlog_per_node.size() == n,
           "run_ethernet_backoff: one backlog per node");
   Rng master(seed);
 
   VirtualEthernet::Config cfg = VirtualEthernet::Config::for_graph(g);
+  static_cast<Observers&>(cfg) = observers;
   cfg.faults = faults;
   VirtualEthernet bus(g, tree, cfg, master.next());
 
@@ -249,6 +257,10 @@ BackoffOutcome run_ethernet_backoff(
                                   : static_cast<std::uint32_t>(outcomes.size());
   out.slots = bus.now();
   out.net = bus.bus_metrics();
+  if (observers.profiler != nullptr) {
+    observers.profiler->count("ethernet.slots", out.slots);
+    observers.profiler->count("ethernet.polls", bus.engine_polls());
+  }
   return out;
 }
 

@@ -42,13 +42,15 @@
 // RadioNetwork that plays the single-hop ethernet segment.
 // radiomc-lint: allow(layer-dag) reason=emulation owns the virtual bus engine
 #include "radio/network.h"
+#include "radio/trace.h"
 #include "support/rng.h"
 
 namespace radiomc {
 
 class VirtualEthernet {
  public:
-  struct Config {
+  /// The observers' trace sink and slot hook go on the bus's network.
+  struct Config : Observers {
     CollectionConfig collection;
     DistributionConfig distribution;
     /// Faults injected into the virtual bus's own radio layer. The §3/§6
@@ -106,6 +108,8 @@ class VirtualEthernet {
   /// Radio-layer counters of the virtual bus (fault_jams / fault_drops
   /// show how much noise the emulation absorbed).
   const NetMetrics& bus_metrics() const;
+  /// Station polls the bus's engine spent so far.
+  std::uint64_t engine_polls() const;
 
  private:
   void start_round(NodeId v, std::uint32_t round);
@@ -145,10 +149,13 @@ struct BackoffOutcome {
 /// `faults` is injected into the bus's radio layer (see
 /// VirtualEthernet::Config::faults); the default disabled plan leaves the
 /// run byte-identical to the historical fault-free signature.
+/// `observers` watch the bus (VirtualEthernet::Config), and the profiler
+/// gets the "ethernet.slots" and "ethernet.polls" counters.
 BackoffOutcome run_ethernet_backoff(const Graph& g, const BfsTree& tree,
                                     const std::vector<std::uint32_t>& backlog_per_node,
                                     std::uint64_t seed,
                                     std::uint32_t max_rounds = 4096,
-                                    const FaultPlan& faults = {});
+                                    const FaultPlan& faults = {},
+                                    const Observers& observers = {});
 
 }  // namespace radiomc

@@ -36,7 +36,6 @@ void MaxFloodStation::reset() {
 
 void MaxFloodStation::on_attach(Waker& w) {
   waker_ = &w;
-  w.set_autosleep(true);
 }
 
 bool MaxFloodStation::advertises(std::uint64_t phase) const noexcept {

@@ -45,7 +45,7 @@ class MaxFloodStation final : public SubStation {
  public:
   MaxFloodStation(NodeId me, LeaderConfig cfg, Rng rng);
 
-  /// Opts into autosleep: the station is polled only in phases where it
+  /// Keeps the Waker: the station is polled only in phases where it
   /// advertises (fresh or heartbeat) while its Decay is live; it arms the
   /// start of its next such phase and wakes when a better value arrives.
   void on_attach(Waker& w) override;

@@ -138,8 +138,7 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   std::deque<ChannelMuxStation> muxes;
   std::vector<Station*> ptrs;
   for (NodeId v = 0; v < n; ++v)
-    muxes.emplace_back(std::vector<SubStation*>{ups[v].get(), downs[v].get()},
-                       /*coordinated_autosleep=*/true);
+    muxes.emplace_back(std::vector<SubStation*>{ups[v].get(), downs[v].get()});
   for (auto& m : muxes) ptrs.push_back(&m);
 
   RadioNetwork::Config ncfg;

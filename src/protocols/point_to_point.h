@@ -17,9 +17,9 @@
 // for its subtree going down), where they go (the LCA turn, or the final
 // delivery) and whether it may send (up: only with a parent). The two
 // directions run concurrently on separate channels (§1.4), under a
-// coordinated ChannelMuxStation: a node sleeps (radio/waker.h) until the
-// next slot in which either half may send or owes an ack, and a reception
-// wakes it only when it accepts the message. Both halves keep the Waker
+// ChannelMuxStation: a node sleeps (radio/waker.h) until the next slot in
+// which either half may send or owes an ack, and a reception wakes it
+// only when it accepts the message. Both halves keep the Waker
 // promise and re-arm their shared timer on every poll, so the joint one
 // holds.
 //

@@ -107,8 +107,7 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   std::deque<ChannelMuxStation> muxes;
   std::vector<Station*> ptrs;
   for (NodeId v = 0; v < n; ++v)
-    muxes.emplace_back(std::vector<SubStation*>{ups[v].get(), downs[v].get()},
-                       /*coordinated_autosleep=*/true);
+    muxes.emplace_back(std::vector<SubStation*>{ups[v].get(), downs[v].get()});
   for (auto& m : muxes) ptrs.push_back(&m);
   RadioNetwork::Config ncfg;
   ncfg.num_channels = 2;

@@ -38,14 +38,13 @@ namespace {
 /// the epoch-specific protocol (election / announcements / floods / token),
 /// channel 1 carries the always-on verification collection.
 ///
-/// Autosleep: the station forwards its Waker to every sub-station, so they
-/// share one membership bit and one timer (as ChannelMuxStation's
-/// coordinated mode does) and each keeps the Waker promise for itself,
-/// re-arming its own duties on every poll, on its own clock through a
-/// `shifted` handle. At the epoch and attempt boundaries of the globally
-/// known schedule, where this station acts on its own (root hand-off, DFS
-/// start, final report, completion seed, attempt rollover), run_setup wakes
-/// every station.
+/// Sleeping: the station forwards its Waker to every sub-station, so they
+/// share one membership bit and one timer (as ChannelMuxStation's subs do)
+/// and each keeps the Waker promise for itself, re-arming its own duties
+/// on every poll, on its own clock through a `shifted` handle. At the
+/// epoch and attempt boundaries of the globally known schedule, where this
+/// station acts on its own (root hand-off, DFS start, final report,
+/// completion seed, attempt rollover), run_setup wakes every station.
 class SetupStation final : public Station {
  public:
   SetupStation(NodeId me, const Graph& g, SetupTuning tuning, Rng rng)
@@ -76,7 +75,6 @@ class SetupStation final : public Station {
 
   void on_attach(Waker& w) override {
     waker_ = w;
-    w.set_autosleep(true);
     rebase_wakers();
     le_.on_attach(attempt_waker_);
     bfs_.on_attach(b_waker_);

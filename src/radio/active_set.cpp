@@ -9,7 +9,6 @@ void ActiveSet::reset(NodeId n) {
   active_.resize(n);
   for (NodeId v = 0; v < n; ++v) active_[v] = v;
   in_active_.assign(n, 1);
-  autosleep_.assign(n, 0);
   woke_flag_.assign(n, 0);
   pending_flag_.assign(n, 0);
   slot_woken_.clear();
@@ -20,7 +19,6 @@ void ActiveSet::reset(NodeId n) {
   bucket_.clear();
   armed_ = 0;
   horizon_ = 0;
-  any_autosleep_ = false;
   wake_events_ = 0;
 }
 
@@ -90,17 +88,6 @@ void ActiveSet::fire_timers(SlotTime now) {
   }
 }
 
-void ActiveSet::set_autosleep(NodeId v, bool on) {
-  autosleep_[v] = on ? 1 : 0;
-  if (on) {
-    any_autosleep_ = true;
-  } else {
-    // Opting out must pin the station active again; a plain flag flip
-    // would strand a currently-sleeping station forever.
-    wake(v);
-  }
-}
-
 void ActiveSet::begin_slot(SlotTime now) {
   // From here on, wake_at(now + 1) means "poll next slot", i.e. wake().
   horizon_ = now + 1;
@@ -127,17 +114,15 @@ void ActiveSet::begin_slot(SlotTime now) {
 }
 
 void ActiveSet::end_slot(const std::uint8_t* keep) {
-  if (any_autosleep_) {
-    std::size_t w = 0;
-    for (const NodeId v : active_) {
-      if (!autosleep_[v] || keep[v] || woke_flag_[v]) {
-        active_[w++] = v;
-      } else {
-        in_active_[v] = 0;
-      }
+  std::size_t w = 0;
+  for (const NodeId v : active_) {
+    if (keep[v] || woke_flag_[v]) {
+      active_[w++] = v;
+    } else {
+      in_active_[v] = 0;
     }
-    active_.resize(w);
   }
+  active_.resize(w);
   // Wake marks are per-slot; pending_ persists so wakes raised late in the
   // slot (or between slots) still admit the station next begin_slot.
   for (const NodeId v : slot_woken_) woke_flag_[v] = 0;
@@ -154,10 +139,6 @@ void Waker::wake() noexcept {
 
 void Waker::wake_at(SlotTime t) noexcept {
   if (set_ != nullptr) set_->wake_at(node_, origin_ + t);
-}
-
-void Waker::set_autosleep(bool on) noexcept {
-  if (set_ != nullptr) set_->set_autosleep(node_, on);
 }
 
 }  // namespace radiomc

@@ -10,10 +10,8 @@
 // streams and capture-RNG draws byte-identical to the pre-rewrite engine.
 //
 // Cost model: `begin_slot` is O(wakes since last slot) plus, when any
-// timer is armed, one timer-wheel bucket; `end_slot` is O(1) when no
-// station has autosleep enabled and no wake was raised (the all-legacy
-// fast path), O(active + wakes) otherwise. A sort is paid only on slots
-// where a sleeping station actually joined.
+// timer is armed, one timer-wheel bucket; `end_slot` is O(active + wakes).
+// A sort is paid only on slots where a sleeping station actually joined.
 //
 // Timers: each station has at most one armed time, kept in a hashed
 // timer wheel (bucket = time mod kWheel) as an intrusive doubly linked
@@ -37,8 +35,7 @@ namespace radiomc {
 
 class ActiveSet {
  public:
-  /// Resets to n stations, all active, none autosleep, no pending wakes or
-  /// timers.
+  /// Resets to n stations, all active, no pending wakes or timers.
   void reset(NodeId n);
 
   NodeId size() const noexcept { return n_; }
@@ -48,9 +45,6 @@ class ActiveSet {
     return {active_.data(), active_.size()};
   }
   bool contains(NodeId v) const noexcept { return in_active_[v] != 0; }
-  bool autosleep(NodeId v) const noexcept { return autosleep_[v] != 0; }
-  /// True iff any station ever enabled autosleep (engine fast-path gate).
-  bool any_autosleep() const noexcept { return any_autosleep_; }
 
   /// Raises a wake for `v`: guarantees membership in the next slot and
   /// counts as "woken this slot" for the retention rule. Idempotent.
@@ -58,7 +52,6 @@ class ActiveSet {
   /// Arms `v`'s timer for slot `t` (earliest pending time wins). A time no
   /// later than the next slot is wake(v).
   void wake_at(NodeId v, SlotTime t);
-  void set_autosleep(NodeId v, bool on);
 
   /// Fires the timers due at `now`, then admits them and the stations
   /// woken since the previous slot (sorting only if a non-member actually
@@ -66,10 +59,10 @@ class ActiveSet {
   void begin_slot(SlotTime now);
 
   /// Applies the retention rule after all of a slot's callbacks ran:
-  /// an autosleep member leaves unless `keep[v]` is set (it returned a
-  /// transmit intent, or is crashed with membership frozen) or a wake was
-  /// raised for it during the slot. `keep` is indexed by node id and read
-  /// only at member indices. Consumes this slot's wake marks.
+  /// a member leaves unless `keep[v]` is set (it returned a transmit
+  /// intent, or is crashed with membership frozen) or a wake was raised
+  /// for it during the slot. `keep` is indexed by node id and read only at
+  /// member indices. Consumes this slot's wake marks.
   void end_slot(const std::uint8_t* keep);
 
   /// Total wake() calls that raised a new mark (telemetry for tests and
@@ -94,7 +87,6 @@ class ActiveSet {
   NodeId n_ = 0;
   std::vector<NodeId> active_;            // sorted member ids
   std::vector<std::uint8_t> in_active_;   // membership flag, by node
-  std::vector<std::uint8_t> autosleep_;   // opt-in flag, by node
   std::vector<std::uint8_t> woke_flag_;   // wake raised this slot, by node
   std::vector<std::uint8_t> pending_flag_;  // queued for admission, by node
   std::vector<NodeId> slot_woken_;        // nodes with woke_flag_ set
@@ -105,7 +97,6 @@ class ActiveSet {
   std::vector<NodeId> bucket_;       // list head per bucket
   std::size_t armed_ = 0;            // stations with a timer
   SlotTime horizon_ = 0;  // next slot to run; wake_at(t <= horizon_) is wake()
-  bool any_autosleep_ = false;
   std::uint64_t wake_events_ = 0;
 };
 

@@ -19,13 +19,12 @@
 // multiplexing is expressed by TimeDivisionStation (see station.h).
 //
 // Active-set hot path: per-slot cost is proportional to the stations that
-// are *doing* something, not to n. Phase 1 polls only the active set
-// (stations sleep via the Waker contract of radio/waker.h; stations that
-// never touch their Waker stay permanently active, the legacy behavior).
-// Phase 2 scatters each transmission over a flat CSR adjacency copy
-// (radio/csr.h) into epoch-stamped struct-of-arrays receiver cells,
-// recording each newly-touched cell; Phase 3 visits only the touched
-// cells, in (node, channel) order. The delivery stream, NetMetrics,
+// are *doing* something, not to n. Phase 1 polls only the active set:
+// every station sleeps unless it transmitted or was woken (the Waker
+// contract of radio/waker.h). Phase 2 scatters each transmission over a
+// flat CSR adjacency copy (radio/csr.h) into epoch-stamped
+// struct-of-arrays receiver cells, recording each newly-touched cell;
+// Phase 3 visits only the touched cells, in (node, channel) order. The delivery stream, NetMetrics,
 // traces, and capture-RNG consumption are byte-identical to the pre-
 // rewrite full-scan engine — proven over a randomized matrix by
 // tests/engine_diff_test.cpp against the frozen reference implementation

@@ -36,12 +36,11 @@ class Station {
   Station& operator=(const Station&) = delete;
 
   /// Called once when the engine adopts the station, before the first
-  /// slot. `w` stays valid for the station's attached lifetime. The
-  /// default ignores it, leaving the station permanently active (the
-  /// legacy contract — always correct). Stations whose idle slots are
-  /// provably side-effect-free may keep the handle, `w.set_autosleep(true)`
-  /// and `w.wake()` on the events that make them want to transmit; see
-  /// radio/waker.h for the exact promise this makes to the engine.
+  /// slot. `w` stays valid for the station's attached lifetime. A station
+  /// is polled in slot 0 and then only while it transmits or wakes (see
+  /// radio/waker.h), so one that acts later keeps the handle and wakes on
+  /// the events that make it want to act. The default ignores the handle:
+  /// the station is polled for as long as it transmits in every slot.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Decide this slot's action: `tx` has one entry per channel; set
@@ -67,14 +66,11 @@ class SubStation {
   SubStation(const SubStation&) = delete;
   SubStation& operator=(const SubStation&) = delete;
 
-  /// Engine adoption, forwarded by SingleStation, by setup's per-node
-  /// station (with a `Waker::shifted` handle on the sub-station's clock),
-  /// and by ChannelMuxStation only in coordinated mode. TimeDivisionStation
-  /// never forwards, and a non-coordinated ChannelMuxStation doesn't
-  /// either: their SubStations share one membership bit, so no single
-  /// SubStation can promise the whole node's idleness. Every protocol
-  /// SubStation opts in here, unconditionally, via `w.set_autosleep(true)`,
-  /// making the Waker contract's promise (radio/waker.h) for itself alone.
+  /// Engine adoption, forwarded by SingleStation, by ChannelMuxStation and
+  /// by setup's per-node station (with a `Waker::shifted` handle on the
+  /// sub-station's clock); each SubStation keeps the Waker contract
+  /// (radio/waker.h) for itself. TimeDivisionStation never forwards: it
+  /// wakes itself in every slot instead.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Transmit decision for the SubStation's slot `t` (nullopt = listen).
@@ -105,24 +101,14 @@ class SingleStation final : public Station {
 /// SubStation i <-> channel i; all advance every slot (separate channels).
 class ChannelMuxStation final : public Station {
  public:
-  /// `coordinated_autosleep` opts the whole node into the engine's active
-  /// set and forwards the Waker to every SubStation. Sound only when EVERY
-  /// sub independently keeps the Waker promise (duty-wakes while it holds
-  /// pending work, wakes on the deliveries that create work): the subs
-  /// share one membership bit, so the node sleeps exactly when no sub
-  /// transmitted or woke this slot — which the per-sub promises jointly
-  /// make safe. The subs also share one timer: each re-arms its duty on
-  /// every poll that does not transmit (radio/waker.h, "One timer, many
-  /// subs"). The p2p, ranking and k-broadcast drivers always coordinate.
-  /// TimeDivisionStation deliberately has no such mode: a sub's
-  /// duty wake buys exactly one polled slot, so a time-sliced node could
-  /// sleep through the *other* sub's dedicated slots and deadlock.
-  explicit ChannelMuxStation(std::vector<SubStation*> subs,
-                             bool coordinated_autosleep = false)
-      : subs_(std::move(subs)), autosleep_(coordinated_autosleep) {}
+  /// Forwards the Waker to every SubStation. The subs share one
+  /// membership bit, so the node sleeps exactly when no sub transmitted or
+  /// woke this slot, which each sub's own Waker promise makes safe. They
+  /// also share one timer: each re-arms its duty on every poll that does
+  /// not transmit (radio/waker.h, "One timer, many subs").
+  explicit ChannelMuxStation(std::vector<SubStation*> subs)
+      : subs_(std::move(subs)) {}
   void on_attach(Waker& w) override {
-    if (!autosleep_) return;
-    w.set_autosleep(true);
     for (auto* s : subs_) s->on_attach(w);
   }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
@@ -137,26 +123,33 @@ class ChannelMuxStation final : public Station {
 
  private:
   std::vector<SubStation*> subs_;
-  bool autosleep_;
 };
 
 /// SubStation i active in physical slots t with t % k == i, on channel 0,
 /// seeing virtual time t / k. The paper's single-channel multiplexing.
+/// Always polled: a sub's duty wake buys exactly one polled slot, so a
+/// node that slept on its subs' wakes could sleep through the *other*
+/// sub's dedicated slots; the subs never see the Waker.
 class TimeDivisionStation final : public Station {
  public:
   explicit TimeDivisionStation(std::vector<SubStation*> subs)
       : subs_(std::move(subs)) {}
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     tx[0] = active(t)->poll(t / subs_.size());
   }
   void on_receive(SlotTime t, ChannelId, const Message& m) override {
     active(t)->deliver(t / subs_.size(), m);
   }
-  void on_slot_end(SlotTime t) override { active(t)->tick(t / subs_.size()); }
+  void on_slot_end(SlotTime t) override {
+    active(t)->tick(t / subs_.size());
+    waker_.wake();
+  }
 
  private:
   SubStation* active(SlotTime t) const { return subs_[t % subs_.size()]; }
   std::vector<SubStation*> subs_;
+  Waker waker_;
 };
 
 }  // namespace radiomc

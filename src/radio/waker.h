@@ -9,25 +9,14 @@
 // half and DESIGN.md §"Engine architecture" for the full contract).
 //
 // A `Waker` is the handle through which a station participates. The engine
-// passes one to `Station::on_attach`; the default `on_attach` ignores it,
-// which leaves the station permanently active — the legacy behavior, and
-// always correct. A station that opts in via `set_autosleep(true)` promises:
-//
-//   * while it is not in the active set, its `on_slot` would have returned
-//     no transmit intent, and skipping its `on_slot` / `on_slot_end`
-//     callbacks does not change any decision it will ever make (i.e. its
-//     behavior is a function of absolute slot time and received messages,
-//     not of how often it was polled);
-//   * whenever an event makes it want to transmit (typically inside
-//     `on_receive`), it calls `wake()`.
-//
-// Scheduling rules (the membership invariant, property-tested by
+// passes one to `Station::on_attach`. One scheduling rule covers every
+// station (the membership invariant, property-tested by
 // tests/engine_invariants_test.cpp):
 //
-//   * every station starts active at attach;
-//   * an active autosleep station stays active for the next slot iff it
-//     returned a transmit intent this slot or `wake()` was called for it
-//     during this slot;
+//   * every station starts active at attach, so it is polled in slot 0;
+//   * an active station stays active for the next slot iff it returned a
+//     transmit intent this slot or `wake()` was called for it during this
+//     slot;
 //   * `wake()` on a sleeping station guarantees it is polled in the next
 //     slot (wakes raised between slots are merged before the next poll);
 //   * `wake_at(t)` arms a per-station timer: the station is admitted at the
@@ -38,10 +27,22 @@
 //     later than the next slot is plain `wake()`;
 //   * a crashed station (fault injection) keeps its membership frozen — it
 //     is not polled while down, and resumes exactly where it was on
-//     recovery, matching the legacy engine's "state frozen until recovery".
-//     A timer that fires while the station is down admits it like a wake
-//     does: it stays frozen in the set and is polled on recovery;
-//   * `set_autosleep(false)` re-wakes the station and pins it active.
+//     recovery. A timer that fires while the station is down admits it
+//     like a wake does: it stays frozen in the set and is polled on
+//     recovery.
+//
+// What a station promises in return:
+//
+//   * while it is not in the active set, its `on_slot` would have returned
+//     no transmit intent, and skipping its `on_slot` / `on_slot_end`
+//     callbacks does not change any decision it will ever make (i.e. its
+//     behavior is a function of absolute slot time and received messages,
+//     not of how often it was polled);
+//   * whenever an event makes it want to act (typically inside
+//     `on_receive`), it calls `wake()` or arms `wake_at`.
+//
+// A station that wants to be polled in every slot keeps the handle and
+// calls `wake()` on each poll (the baselines and TimeDivisionStation do).
 //
 // Time: stations know the globally known slot clock (the paper's model
 // gives every node the slot number), so a station may schedule its own
@@ -54,14 +55,16 @@
 // distribution its next superphase start) instead of calling wake() on
 // every poll until the work is done.
 //
-// One timer, many subs: the SubStations of a coordinated
-// ChannelMuxStation, and setup's per-node station, share one handle and
-// so one timer, where an earlier arm overrides a later one. This is sound
-// because every sub re-arms (or wakes) its own duty on every poll that
-// does not transmit, and the owner polls every live sub whenever it is
-// polled: a sub whose later time was dropped is polled at the earlier one
-// and arms again there. An arm raised from a reception (distribution's
-// register fill) is covered the same way.
+// One timer, many subs: the SubStations of a ChannelMuxStation, and
+// setup's per-node station, share one handle and so one timer, where an
+// earlier arm overrides a later one. This is sound because every sub
+// re-arms (or wakes) its own duty on every poll that does not transmit,
+// and the owner polls every live sub whenever it is polled: a sub whose
+// later time was dropped is polled at the earlier one and arms again
+// there. An arm raised from a reception (distribution's
+// register fill) is covered the same way. A time-division frame polls one
+// sub per slot, so there a dropped arm would never be re-armed:
+// TimeDivisionStation keeps its subs unattached and stays always-polled.
 //
 // Like the slot structure, wakes are model-legal bookkeeping: a station may
 // only call `wake()`/`wake_at()` from its own callbacks (or its driver
@@ -88,10 +91,6 @@ class Waker {
   /// time wins. A time no later than the next slot behaves like wake().
   void wake_at(SlotTime t) noexcept;
 
-  /// Opts the station in (true) or out (false) of descheduling. Opting
-  /// out re-wakes the station and pins it active from the next slot on.
-  void set_autosleep(bool on) noexcept;
-
   /// The node this handle belongs to.
   NodeId node() const noexcept { return node_; }
 
@@ -101,7 +100,7 @@ class Waker {
 
   /// A handle for the same station whose clock starts at slot `origin` of
   /// this handle's clock: for adapters that run a SubStation on a shifted
-  /// local time (setup epochs). wake() and set_autosleep are unaffected.
+  /// local time (setup epochs). wake() is unaffected.
   Waker shifted(SlotTime origin) const noexcept {
     Waker w = *this;
     w.origin_ += origin;

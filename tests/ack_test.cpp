@@ -44,7 +44,9 @@ class AckProbe final : public Station {
   NodeId data_from = kNoNode;
   bool got_ack = false;
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t == 0 && sends) {
       Message m;
       m.kind = MsgKind::kData;
@@ -67,6 +69,9 @@ class AckProbe final : public Station {
       got_ack = true;
     }
   }
+
+ private:
+  Waker waker_;
 };
 
 struct AckWorld {

@@ -33,7 +33,9 @@ class CountingStation final : public Station {
   std::uint64_t payload = 0;
   std::map<std::uint64_t, int> received;  // payload -> count
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t == 0 && sends) {
       Message m;
       m.payload = payload;
@@ -43,6 +45,9 @@ class CountingStation final : public Station {
   void on_receive(SlotTime, ChannelId, const Message& m) override {
     ++received[m.payload];
   }
+
+ private:
+  Waker waker_;
 };
 
 TEST(Capture, OffMeansSilenceOnCollision) {
@@ -110,7 +115,9 @@ class AckProbe final : public Station {
   NodeId data_from = kNoNode;
   bool got_ack = false;
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t == 0 && sends) {
       Message m;
       m.kind = MsgKind::kData;
@@ -132,6 +139,9 @@ class AckProbe final : public Station {
       got_ack = true;
     }
   }
+
+ private:
+  Waker waker_;
 };
 
 TEST(Capture, AckTheoremFailsUnderCapture) {

@@ -11,17 +11,17 @@
 // plus invariance of all of the above across `run_trials --jobs 1` vs
 // `--jobs 8` when the matrix is evaluated on the thread pool.
 //
-// The station population mixes three behaviors so both the legacy
-// always-active path and the Waker contract are exercised:
+// The station population mixes three behaviors so both stations that stay
+// polled in every slot and stations that sleep are exercised:
 //
-//   * RandomChatter (legacy, never touches its Waker): transmits from a
-//     private Rng stream, so its behavior is trivially engine-independent
-//     and it keeps the channel busy;
-//   * SleepyResponder (autosleep): silent until it receives a message,
-//     then wakes and transmits a short burst; its transmissions depend only
-//     on (absolute slot, receptions), honoring the waker promise that
-//     skipped idle polls are unobservable;
-//   * PeriodicBeacon (autosleep, self-waking): transmits every k-th slot.
+//   * RandomChatter (wakes on every poll): transmits from a private Rng
+//     stream, so its behavior is trivially engine-independent and it keeps
+//     the channel busy;
+//   * SleepyResponder: silent until it receives a message, then wakes and
+//     transmits a short burst; its transmissions depend only on (absolute
+//     slot, receptions), honoring the waker promise that skipped idle
+//     polls are unobservable;
+//   * PeriodicBeacon (self-waking): transmits every k-th slot.
 //     One variant re-arms wake() every poll (kept awake by wakes); the
 //     timed variant arms wake_at(its next beacon slot) and sleeps between
 //     beacons, so timers meet crashes, link churn and capture too.
@@ -39,6 +39,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "baselines/round_robin_broadcast.h"
+#include "baselines/tdma_collection.h"
+#include "baselines/wave_schedule.h"
 #include "faults/fault_plan.h"
 #include "faults/fault_schedule.h"
 #include "graph/generators.h"
@@ -48,6 +51,7 @@
 #include "protocols/collection.h"
 #include "protocols/decay.h"
 #include "protocols/dfs_numbering.h"
+#include "protocols/ethernet_emulation.h"
 #include "protocols/leader_election.h"
 #include "protocols/point_to_point.h"
 #include "protocols/tree.h"
@@ -64,14 +68,16 @@ namespace {
 using Delivery = std::tuple<SlotTime, ChannelId, NodeId, std::uint32_t,
                             std::uint64_t, NodeId>;
 
-/// Legacy station: random transmissions from a private stream; records
-/// deliveries. Never touches its Waker, so it stays permanently active.
+/// Random transmissions from a private stream; records deliveries. Wakes
+/// on every poll, so it stays permanently active.
 class RandomChatter : public Station {
  public:
   RandomChatter(NodeId self, ChannelId channels, double tx_prob, Rng rng)
       : self_(self), channels_(channels), tx_prob_(tx_prob), rng_(rng) {}
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (!rng_.bernoulli(tx_prob_)) return;
     Message m;
     m.kind = MsgKind::kData;
@@ -93,19 +99,17 @@ class RandomChatter : public Station {
   double tx_prob_;
   Rng rng_;
   std::uint32_t seq_ = 0;
+  Waker waker_;
 };
 
-/// Autosleep station: wakes on reception and transmits for `burst` slots
+/// Sleeping station: wakes on reception and transmits for `burst` slots
 /// (computed from the reception slot, never from poll counts).
 class SleepyResponder : public Station {
  public:
   SleepyResponder(NodeId self, std::uint32_t burst)
       : self_(self), burst_(burst) {}
 
-  void on_attach(Waker& w) override {
-    waker_ = &w;
-    w.set_autosleep(true);
-  }
+  void on_attach(Waker& w) override { waker_ = &w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     if (t >= burst_from_ && t < burst_from_ + burst_) {
       Message m;
@@ -133,7 +137,7 @@ class SleepyResponder : public Station {
   Waker* waker_ = nullptr;  // null under the reference engine
 };
 
-/// Autosleep station transmitting every `period`-th slot, re-arming its own
+/// Station transmitting every `period`-th slot, re-arming its own
 /// wake. Under the reference engine (no wakers) it is polled every slot and
 /// behaves identically because the transmit test is on absolute slot time.
 class PeriodicBeacon : public Station {
@@ -141,10 +145,7 @@ class PeriodicBeacon : public Station {
   PeriodicBeacon(NodeId self, SlotTime period, bool timed)
       : self_(self), period_(period), timed_(timed) {}
 
-  void on_attach(Waker& w) override {
-    waker_ = &w;
-    w.set_autosleep(true);
-  }
+  void on_attach(Waker& w) override { waker_ = &w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     const SlotTime phase = self_ % period_;
     if (t % period_ == phase) {
@@ -444,8 +445,8 @@ TEST(EngineDiff, MatrixIsJobCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol-level A/B: every production station sleeps, and none can be
-// told not to. The reference engine never hands out a Waker, so it polls
+// Protocol-level A/B: every protocol station sleeps, and none can be told
+// not to. The reference engine never hands out a Waker, so it polls
 // every station every slot: that is the always-polled side of each A/B.
 // The only thing sleeping may change is how many polls the engine spends.
 // ---------------------------------------------------------------------------
@@ -465,14 +466,16 @@ std::vector<Message> one_data_message_each(const Graph& g) {
 
 /// The paper's Decay procedure as an always-polled station: transmit at
 /// every opportunity while the DecayProcess lives, flip the coin after each
-/// transmission. It takes no Waker, so it never sleeps.
+/// transmission. It wakes on every poll, so it never sleeps.
 class DecayReference final : public Station {
  public:
   DecayReference(std::uint32_t len, bool transmits, Rng rng)
       : decay_(len), rng_(rng) {
     if (transmits) decay_.start();
   }
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (!decay_.wants_transmit()) return;
     Message m;
     m.kind = MsgKind::kData;
@@ -493,6 +496,7 @@ class DecayReference final : public Station {
   Rng rng_;
   bool transmitted_ = false;
   bool received_ = false;
+  Waker waker_;
 };
 
 TEST(AutosleepAB, DecayTrialMatchesTheAlwaysPolledReference) {
@@ -547,11 +551,20 @@ struct PieceRun {
   std::uint64_t polls = 0;  ///< active-set engine only
 };
 
-/// A node whose two SubStations share it as the p2p and k-broadcast
-/// drivers compose them: `a` on channel 0, `b` on channel 1, under a
-/// coordinated ChannelMuxStation.
+/// A node whose two SubStations share it as the p2p, k-broadcast and
+/// ethernet drivers compose them: `a` on channel 0, `b` on channel 1, under
+/// a ChannelMuxStation.
 template <typename A, typename B>
 struct Muxed {
+  std::unique_ptr<A> a;
+  std::unique_ptr<B> b;
+};
+
+/// The same two SubStations interleaved on one channel, as
+/// BroadcastService's time-division mode composes them: `a` in even
+/// slots, `b` in odd ones, under a TimeDivisionStation.
+template <typename A, typename B>
+struct TimeDivided {
   std::unique_ptr<A> a;
   std::unique_ptr<B> b;
 };
@@ -564,8 +577,12 @@ std::unique_ptr<Station> station_of(std::unique_ptr<S>& s) {
 template <typename A, typename B>
 std::unique_ptr<Station> station_of(Muxed<A, B>& m) {
   return std::make_unique<ChannelMuxStation>(
-      std::vector<SubStation*>{m.a.get(), m.b.get()},
-      /*coordinated_autosleep=*/true);
+      std::vector<SubStation*>{m.a.get(), m.b.get()});
+}
+template <typename A, typename B>
+std::unique_ptr<Station> station_of(TimeDivided<A, B>& m) {
+  return std::make_unique<TimeDivisionStation>(
+      std::vector<SubStation*>{m.a.get(), m.b.get()});
 }
 
 /// What a piece's `state` sees of a node: the SubStation, or both halves.
@@ -575,6 +592,10 @@ const S& parts_of(const std::unique_ptr<S>& s) {
 }
 template <typename A, typename B>
 const Muxed<A, B>& parts_of(const Muxed<A, B>& m) {
+  return m;
+}
+template <typename A, typename B>
+const TimeDivided<A, B>& parts_of(const TimeDivided<A, B>& m) {
   return m;
 }
 
@@ -623,13 +644,14 @@ PieceRun run_piece(const Graph& g, const FaultPlan& plan, SlotTime slots,
   return r;
 }
 
-/// Runs the piece on both engines and checks the sleeping one against the
-/// always-polled reference; returns the sleeping engine's run.
+/// Runs the piece on both engines and checks the active-set one against
+/// the always-polled reference; returns the active-set engine's run.
 template <typename Make, typename State, typename Drive = NoDriver>
-PieceRun expect_piece_matches(const std::string& what, const Graph& g,
-                          const FaultPlan& plan, SlotTime slots, Make make,
-                          State state, const RadioNetwork::Config& engine = {},
-                          Drive drive = {}) {
+PieceRun expect_same_as_reference(const std::string& what, const Graph& g,
+                                  const FaultPlan& plan, SlotTime slots,
+                                  Make make, State state,
+                                  const RadioNetwork::Config& engine = {},
+                                  Drive drive = {}) {
   const PieceRun a =
       run_piece<RadioNetwork>(g, plan, slots, make, state, engine, drive);
   const PieceRun b = run_piece<radiomc::testing::ReferenceNetwork>(
@@ -638,8 +660,35 @@ PieceRun expect_piece_matches(const std::string& what, const Graph& g,
   EXPECT_TRUE(same_metrics(a.metrics, b.metrics)) << what;
   EXPECT_EQ(a.state, b.state) << what;
   EXPECT_GT(a.metrics.transmissions, 0u) << what << " was vacuous";
+  return a;
+}
+
+/// expect_same_as_reference for a piece that sleeps: it must spend fewer
+/// polls than the always-polled reference.
+template <typename Make, typename State, typename Drive = NoDriver>
+PieceRun expect_piece_matches(const std::string& what, const Graph& g,
+                          const FaultPlan& plan, SlotTime slots, Make make,
+                          State state, const RadioNetwork::Config& engine = {},
+                          Drive drive = {}) {
+  const PieceRun a = expect_same_as_reference(what, g, plan, slots, make,
+                                              state, engine, drive);
   EXPECT_LT(a.polls, static_cast<std::uint64_t>(g.num_nodes()) * slots)
       << what << ": the piece did not sleep";
+  return a;
+}
+
+/// expect_same_as_reference for a piece that wakes itself in every slot:
+/// every live node is polled in every slot.
+template <typename Make, typename State>
+PieceRun expect_always_polled_piece_matches(
+    const std::string& what, const Graph& g, const FaultPlan& plan,
+    SlotTime slots, Make make, State state,
+    const RadioNetwork::Config& engine = {}) {
+  const PieceRun a =
+      expect_same_as_reference(what, g, plan, slots, make, state, engine);
+  EXPECT_EQ(a.polls + a.metrics.fault_crashed_slots,
+            static_cast<std::uint64_t>(g.num_nodes()) * slots)
+      << what << ": the piece slept";
   return a;
 }
 
@@ -785,9 +834,10 @@ TEST(AutosleepAB, FloodOnALongPathMatchesTheAlwaysPolledReference) {
 }
 
 // ---------------------------------------------------------------------------
-// The protocol drivers' compositions: collection as serve runs it, the p2p
-// and k-broadcast muxes, and distribution alone. Arrivals enter between
-// slots, as the drivers inject them.
+// The protocol drivers' compositions: collection as serve runs it, the p2p,
+// k-broadcast and ethernet muxes, the time-division composition, and
+// distribution alone. Arrivals enter between slots, as the drivers inject
+// them.
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over 64-bit words: a node's logs folded into one word.
@@ -898,7 +948,7 @@ TEST(AutosleepAB, CollectionIdenticalUnderFaultsToo) {
 
 TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
   // run_point_to_point's and run_ranking's composition: P2pUpStation on
-  // channel 0 and P2pDownStation on channel 1 under one coordinated mux,
+  // channel 0 and P2pDownStation on channel 1 under one mux,
   // requests addressed by run_preparation's DFS labels and sent between
   // slots on phase boundaries.
   Rng topo(0x929);
@@ -959,16 +1009,21 @@ TEST(AutosleepAB, PointToPointIsByteIdenticalAndPollsLess) {
 }
 
 /// BroadcastService's composition: CollectionStation on channel 0 and
-/// DistributionStation on channel 1 under one coordinated mux, window 4.
-/// Every third node broadcasts once; non-roots send their NACKs and
-/// checkpoint acks up the collection channel, and the root's collection
-/// handler feeds data, NACKs and acks to its distribution sender, so
-/// root_enqueue runs whenever a message reaches the root. A node repeats
+/// DistributionStation on channel 1 under one mux, window 4 (or, with
+/// `Pair` = TimeDivided, both on one channel in alternate slots, given
+/// twice the slots). Every third node broadcasts once; non-roots send
+/// their NACKs and checkpoint acks up the collection channel, and the
+/// root's collection handler feeds data, NACKs and acks to its
+/// distribution sender, so root_enqueue runs whenever a message reaches
+/// the root. A node repeats
 /// a missing message's NACK every `nack_retry` superphases.
+template <template <typename, typename> class Pair = Muxed>
 void k_broadcast_mux(
     const std::string& gname, const Graph& g, const std::string& pname,
     const FaultPlan& plan,
     std::uint32_t nack_retry = DistributionConfig{}.nack_retry_superphases) {
+  constexpr bool kTimeDivided =
+      std::is_same_v<Pair<int, int>, TimeDivided<int, int>>;
   const NodeId n = g.num_nodes();
   const BfsTree tree = oracle_bfs_tree(g, 0);
   BroadcastServiceConfig bc = BroadcastServiceConfig::for_graph(g);
@@ -978,12 +1033,22 @@ void k_broadcast_mux(
   const SlotTime sps =
       DistributionStation(0, tree, bc.distribution, Rng(0))
           .slots_per_superphase();
-  const SlotTime slots = 3 * (tree.depth + 3 * k + 16) * sps;
-  RadioNetwork::Config two_channels;
-  two_channels.num_channels = 2;
-  using Node = Muxed<CollectionStation, DistributionStation>;
-  const PieceRun run = expect_piece_matches(
-      gname + "/" + pname, g, plan, slots,
+  const SlotTime slots =
+      (kTimeDivided ? 2 : 1) * 3 * (tree.depth + 3 * k + 16) * sps;
+  RadioNetwork::Config engine;
+  engine.num_channels = kTimeDivided ? 1 : 2;
+  using Node = Pair<CollectionStation, DistributionStation>;
+  // The mux sleeps; a time-division node is polled in every slot.
+  const auto expect_matches = [&](auto make, auto state) {
+    if constexpr (kTimeDivided) {
+      return expect_always_polled_piece_matches(gname + "/" + pname, g, plan,
+                                                slots, make, state, engine);
+    } else {
+      return expect_piece_matches(gname + "/" + pname, g, plan, slots, make,
+                                  state, engine);
+    }
+  };
+  const PieceRun run = expect_matches(
       [&](NodeId v) {
         Node node{std::make_unique<CollectionStation>(
                       v, tree, bc.collection, Rng(0xB5).split(2 * v)),
@@ -1026,8 +1091,7 @@ void k_broadcast_mux(
           << dist.root_idle_rebroadcasts();
         for (const auto& [slot, seq] : dist.delivery_log()) d << slot << seq;
         return d.with_count(dist.delivered_prefix());
-      },
-      two_channels);
+      });
   if (plan.any()) return;
   for (NodeId v = 0; v < n; ++v) {
     if (v == tree.root) continue;
@@ -1126,6 +1190,186 @@ TEST(AutosleepAB, DistributionWithMidSuperphaseEnqueuesMatchesTheAlwaysPolledRef
         EXPECT_EQ(count_of(run.state[v]), enqueue_at.size())
             << gname << " node " << v;
       }
+    }
+  }
+}
+
+TEST(AutosleepAB, TimeDivisionBroadcastMatchesTheAlwaysPolledReference) {
+  // BroadcastService's time-division mode: the node wakes itself in every
+  // slot and never hands its subs the Waker, so nothing sleeps.
+  const Graph path18 = gen::path(18);
+  const Graph grid5x5 = gen::grid(5, 5);
+  for (const auto& [pname, plan] : piece_plans()) {
+    k_broadcast_mux<TimeDivided>("path18", path18, pname, plan);
+    k_broadcast_mux<TimeDivided>("grid5x5", grid5x5, pname, plan);
+  }
+}
+
+/// VirtualEthernet's driver, between slots: a node reports round r up the
+/// collection channel (an offer or an idle report; the root counts its own
+/// at once) once it has observed r outcomes; when the root holds all n
+/// reports of the next round it publishes the round's offer count on the
+/// distribution channel, observing it itself at once. Every report and
+/// outcome lands on a node that has slept since its last one. Each engine
+/// runs its own copy, so the bookkeeping starts afresh.
+struct EthernetRounds {
+  NodeId root = 0;
+  std::uint32_t rounds = 0;
+  std::vector<std::uint32_t> started;  ///< rounds started, by node
+  std::vector<std::uint32_t> reports, offers;  ///< by round, at the root
+  std::size_t arrivals = 0;                    ///< root_sink entries read
+  std::uint32_t published = 0;
+
+  static bool offers_in(NodeId v, std::uint32_t r) { return (v + r) % 3 == 0; }
+
+  template <typename Nodes>
+  void operator()(SlotTime, Nodes& nodes) {
+    const auto count = [this](std::uint32_t r, bool offer) {
+      ++reports[r];
+      offers[r] += offer ? 1 : 0;
+    };
+    const auto& sink = nodes[root].a->root_sink();
+    for (; arrivals < sink.size(); ++arrivals)
+      count(sink[arrivals].msg.aux, sink[arrivals].msg.payload != 0);
+    while (published < rounds && reports[published] == nodes.size()) {
+      Message out;
+      out.origin = root;
+      out.payload = offers[published];
+      nodes[root].b->root_enqueue(out);
+      ++published;
+    }
+    for (NodeId v = 0; v < nodes.size(); ++v) {
+      const std::uint32_t seen =
+          v == root ? published : nodes[v].b->delivered_prefix();
+      for (; started[v] < rounds && started[v] <= seen; ++started[v]) {
+        const std::uint32_t r = started[v];
+        if (v == root) {
+          count(r, offers_in(v, r));
+          continue;
+        }
+        Message m;
+        m.kind = MsgKind::kData;
+        m.origin = v;
+        m.seq = r;
+        m.aux = r;
+        m.payload = offers_in(v, r) ? 1 : 0;
+        nodes[v].a->inject(m);
+      }
+    }
+  }
+};
+
+TEST(AutosleepAB, EthernetBusSleepsAndMatchesTheAlwaysPolledReference) {
+  // The ethernet bus's collection + distribution mux now sleeps like the
+  // k-broadcast one: between its report and the round's outcome a node
+  // has nothing to do.
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("grid4x4", gen::grid(4, 4));
+  graphs.emplace_back("path10", gen::path(10));
+  constexpr std::uint32_t kRounds = 6;
+  for (const auto& [gname, g] : graphs) {
+    const NodeId n = g.num_nodes();
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    const VirtualEthernet::Config ec = VirtualEthernet::Config::for_graph(g);
+    const SlotTime sps =
+        DistributionStation(0, tree, ec.distribution, Rng(0))
+            .slots_per_superphase();
+    const SlotTime slots = kRounds * (2 * tree.depth + 12) * sps;
+    RadioNetwork::Config two_channels;
+    two_channels.num_channels = 2;
+    using Node = Muxed<CollectionStation, DistributionStation>;
+    EthernetRounds drive;
+    drive.root = tree.root;
+    drive.rounds = kRounds;
+    drive.started.assign(n, 0);
+    drive.reports.assign(kRounds, 0);
+    drive.offers.assign(kRounds, 0);
+    for (const auto& [pname, plan] : piece_plans()) {
+      const PieceRun run = expect_piece_matches(
+          gname + "/" + pname, g, plan, slots,
+          [&](NodeId v) {
+            return Node{std::make_unique<CollectionStation>(
+                            v, tree, ec.collection, Rng(0xE7).split(2 * v)),
+                        std::make_unique<DistributionStation>(
+                            v, tree, ec.distribution,
+                            Rng(0xE7).split(2 * v + 1))};
+          },
+          [](const Node& node) {
+            const DistributionStation& dist = *node.b;
+            Digest d;
+            d << node.a->buffer_size() << node.a->root_sink()
+              << dist.root_sent_fresh();
+            for (const auto& [slot, seq] : dist.delivery_log())
+              d << slot << seq;
+            return d.with_count(dist.delivered_prefix());
+          },
+          two_channels, drive);
+      if (plan.any()) continue;
+      for (NodeId v = 0; v < n; ++v) {
+        if (v == tree.root) continue;
+        EXPECT_EQ(count_of(run.state[v]), kRounds) << gname << " node " << v;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The baselines wake themselves in every slot: always polled, and still
+// byte-identical to the reference.
+// ---------------------------------------------------------------------------
+
+TEST(AutosleepAB, BaselinesStayPolledAndMatchTheReference) {
+  Rng topo(0xBA5E);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("grid5x5", gen::grid(5, 5));
+  graphs.emplace_back("udg30", gen::unit_disk_connected(
+                                   30, gen::udg_connect_radius(30), topo));
+  for (const auto& [gname, g] : graphs) {
+    const NodeId n = g.num_nodes();
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    const baselines::WaveSchedule wave =
+        baselines::compute_wave_schedule(g, 0);
+    for (const auto& [pname, plan] : piece_plans()) {
+      const std::string cell = gname + "/" + pname;
+
+      const PieceRun tdma = expect_always_polled_piece_matches(
+          cell + "/tdma", g, plan, 2 * SlotTime{n} * (n + tree.depth),
+          [&](NodeId v) {
+            auto s = std::make_unique<baselines::TdmaStation>(
+                v, n, tree.parent[v], v == tree.root);
+            if (v != tree.root) s->enqueue(one_data_message_each(g)[v - 1]);
+            return s;
+          },
+          [](const baselines::TdmaStation& s) { return s.delivered(); });
+      if (!plan.any()) {
+        EXPECT_EQ(tdma.state[tree.root], n - 1u) << cell;
+      }
+
+      expect_always_polled_piece_matches(
+          cell + "/round_robin", g, plan, SlotTime{n} * (tree.depth + 2),
+          [&](NodeId v) {
+            auto s = std::make_unique<baselines::RoundRobinStation>(v, n);
+            if (v == 0) s->seed();
+            return s;
+          },
+          [](const baselines::RoundRobinStation& s) {
+            return (std::uint64_t{s.informed()} << 63) | s.informed_at();
+          });
+
+      std::vector<std::vector<bool>> script(
+          n, std::vector<bool>(wave.rounds.size(), false));
+      for (std::size_t t = 0; t < wave.rounds.size(); ++t)
+        for (const NodeId u : wave.rounds[t]) script[u][t] = true;
+      expect_always_polled_piece_matches(
+          cell + "/wave", g, plan, wave.rounds.size() + 4,
+          [&](NodeId v) {
+            auto s = std::make_unique<baselines::ScriptedStation>(v, script[v]);
+            if (v == 0) s->force_informed();
+            return s;
+          },
+          [](const baselines::ScriptedStation& s) {
+            return std::uint64_t{s.informed()};
+          });
     }
   }
 }

@@ -17,9 +17,9 @@
 //   * crashed stations never transmit and never receive, checked against
 //     the fault schedule's per-slot alive view;
 //   * active-set membership is exactly "transmitted last slot, or woken,
-//     or its timer came due, or not autosleeping", frozen while crashed —
-//     predicted by an independent model in the test and compared against
-//     both the stations' observed polls and RadioNetwork::station_active.
+//     or its timer came due", frozen while crashed — predicted by an
+//     independent model in the test and compared against both the
+//     stations' observed polls and RadioNetwork::station_active.
 
 #include <gtest/gtest.h>
 
@@ -40,13 +40,15 @@
 namespace radiomc {
 namespace {
 
-/// Legacy random transmitter (never touches its Waker).
+/// Random transmitter, polled in every slot (it wakes on each poll).
 class Chatter : public Station {
  public:
   Chatter(NodeId self, ChannelId channels, double tx_prob, Rng rng)
       : self_(self), channels_(channels), tx_prob_(tx_prob), rng_(rng) {}
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (!rng_.bernoulli(tx_prob_)) return;
     Message m;
     m.origin = self_;
@@ -65,6 +67,7 @@ class Chatter : public Station {
   double tx_prob_;
   Rng rng_;
   std::uint32_t seq_ = 0;
+  Waker waker_;
 };
 
 Graph make_graph(int which, Rng& rng) {
@@ -206,13 +209,13 @@ TEST(EngineInvariants, CrashedStationsNeverTransmitOrReceive) {
     EXPECT_GT(crashed_slot_pairs, 0u) << "round " << round << " was vacuous";
 
     // Crash freezes active-set membership; recovery must find the station
-    // runnable again (all-Chatter population: everyone is legacy-active).
+    // runnable again (all-Chatter population: everyone wakes on each poll).
     for (NodeId v = 0; v < g.num_nodes(); ++v)
       EXPECT_TRUE(net.station_active(v));
   }
 }
 
-/// Autosleep station with a scripted behavior: transmits at slots in
+/// Station with a scripted behavior: transmits at slots in
 /// `tx_slots`, calls wake() at slots in `wake_slots` and wake_at(target) at
 /// the slots keyed in `arms` (all tested only when actually polled).
 /// Records every poll.
@@ -223,10 +226,7 @@ class Scripted : public Station {
       : self_(self), tx_slots_(std::move(tx_slots)),
         wake_slots_(std::move(wake_slots)), arms_(std::move(arms)) {}
 
-  void on_attach(Waker& w) override {
-    waker_ = &w;
-    w.set_autosleep(true);
-  }
+  void on_attach(Waker& w) override { waker_ = &w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     polls.push_back(t);
     if (tx_slots_.count(t) != 0) {
@@ -270,8 +270,7 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     const Graph g = gen::path(24);
     const NodeId n = g.num_nodes();
     // Every third round arms aligned "phase start" timers, so crowds of
-    // stations join at once and the engine rebuilds its members from the
-    // flags instead of sorting them.
+    // stations join at once.
     const bool aligned = round % 3 == 2;
     std::deque<Scripted> stations;
     std::vector<Station*> ptrs;
@@ -395,7 +394,7 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     EXPECT_LE(net.engine_stats().peak_active,
               static_cast<std::uint64_t>(n));
     EXPECT_GT(net.engine_stats().peak_active, 0u);
-    // Autosleep everywhere: the engine must actually have slept somebody.
+    // The engine must actually have slept somebody.
     EXPECT_LT(total_polls, static_cast<std::uint64_t>(n) * kSlots);
   }
   // Every timer case occurred: a timer admitted a station at its slot, an
@@ -416,7 +415,9 @@ TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {
   class OneShot : public Station {
    public:
     explicit OneShot(NodeId self) : self_(self) {}
+    void on_attach(Waker& w) override { waker_ = w; }
     void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+      waker_.wake();
       if (t == 3 && self_ == 0) {  // only the hub fires
         Message m;
         m.origin = self_;
@@ -431,6 +432,7 @@ TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {
 
    private:
     NodeId self_;
+    Waker waker_;
   };
 
   const Graph g = gen::star(12);

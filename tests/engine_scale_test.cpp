@@ -40,10 +40,7 @@ class DecayRelay : public Station {
     if (source) informed_list_->push_back(self);
   }
 
-  void on_attach(Waker& w) override {
-    waker_ = &w;
-    w.set_autosleep(true);
-  }
+  void on_attach(Waker& w) override { waker_ = &w; }
 
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     if (!informed_) return;  // nothing to relay; fall asleep again

@@ -30,7 +30,9 @@ class Chatterbox final : public Station {
   std::uint64_t payload = 0;
   std::vector<std::pair<SlotTime, std::uint64_t>> received;
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     Message m;
     m.payload = payload;
     tx[0] = m;
@@ -38,6 +40,9 @@ class Chatterbox final : public Station {
   void on_receive(SlotTime t, ChannelId, const Message& m) override {
     received.emplace_back(t, m.payload);
   }
+
+ private:
+  Waker waker_;
 };
 
 /// Station 0 transmits every slot; everyone else only listens.

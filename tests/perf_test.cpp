@@ -14,8 +14,10 @@
 //    documents must be rejected — the radiomc_perf CI gate in miniature;
 //  * determinism: a collection run instrumented with a profiler and a
 //    snapshot hook produces the same simulated outcome as a bare run
-//    (measurement must never steer the model).
+//    (measurement must never steer the model), and so do the flood and
+//    the ethernet bus, whose traces and snapshots show their own run.
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,9 +31,12 @@
 #include "perf/regression.h"
 #include "perf/report.h"
 #include "perf/snapshot.h"
+#include "protocols/bgi_broadcast.h"
 #include "protocols/collection.h"
+#include "protocols/ethernet_emulation.h"
 #include "protocols/tree.h"
 #include "telemetry/json_value.h"
+#include "telemetry/jsonl_sink.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 
@@ -533,6 +538,61 @@ TEST(PerfDeterminism, ProfiledRunMatchesBareRun) {
   EXPECT_GE(prof.root().children.size(), 1u);
   EXPECT_EQ(prof.counters().at("collection.slots"), instrumented.slots);
   EXPECT_GT(snap.snapshots_written(), 0u);
+}
+
+/// Every observer of one run: a trace, a snapshot stream and a profiler.
+struct RunObservers {
+  std::ostringstream trace_out;
+  radiomc::telemetry::JsonlTraceSink trace{trace_out};
+  Profiler prof;
+  std::ostringstream snap_out;
+  SnapshotStreamer snap{snap_out, 100, nullptr, &prof};
+
+  radiomc::Observers observers() { return {nullptr, &trace, &prof, &snap}; }
+  /// Lines of the finished trace: the schema header plus the events.
+  std::size_t trace_lines() {
+    trace.finish();
+    const std::string t = trace_out.str();
+    return static_cast<std::size_t>(std::count(t.begin(), t.end(), '\n'));
+  }
+};
+
+TEST(PerfDeterminism, FloodTracesItsRunAndMatchesBareRun) {
+  const radiomc::Graph g = radiomc::gen::grid(4, 4);
+  const radiomc::BgiOutcome bare = radiomc::run_bgi_broadcast(g, 0, 40, 7);
+  RunObservers obs;
+  const radiomc::BgiOutcome seen =
+      radiomc::run_bgi_broadcast(g, 0, 40, 7, {}, obs.observers());
+  EXPECT_EQ(bare.slots, seen.slots);
+  EXPECT_EQ(bare.informed_at, seen.informed_at);
+
+  EXPECT_GT(obs.trace_lines(), 1u);
+  EXPECT_GT(obs.snap.snapshots_written(), 0u);
+  EXPECT_EQ(obs.prof.counters().at("flood.slots"), seen.slots);
+  const std::uint64_t polls = obs.prof.counters().at("flood.polls");
+  EXPECT_GT(polls, 0u);
+  EXPECT_LT(polls, g.num_nodes() * seen.slots);  // the flood sleeps
+}
+
+TEST(PerfDeterminism, EthernetTracesItsBusAndMatchesBareRun) {
+  const radiomc::Graph g = radiomc::gen::grid(4, 4);
+  const radiomc::BfsTree tree = radiomc::oracle_bfs_tree(g, 0);
+  const std::vector<std::uint32_t> backlog(g.num_nodes(), 1);
+  const radiomc::BackoffOutcome bare =
+      radiomc::run_ethernet_backoff(g, tree, backlog, 11);
+  RunObservers obs;
+  const radiomc::BackoffOutcome seen = radiomc::run_ethernet_backoff(
+      g, tree, backlog, 11, 4096, {}, obs.observers());
+  EXPECT_TRUE(seen.completed);
+  EXPECT_EQ(bare.slots, seen.slots);
+  EXPECT_EQ(bare.delivered_frames, seen.delivered_frames);
+
+  EXPECT_GT(obs.trace_lines(), 1u);
+  EXPECT_GT(obs.snap.snapshots_written(), 0u);
+  EXPECT_EQ(obs.prof.counters().at("ethernet.slots"), seen.slots);
+  const std::uint64_t polls = obs.prof.counters().at("ethernet.polls");
+  EXPECT_GT(polls, 0u);
+  EXPECT_LT(polls, g.num_nodes() * seen.slots);  // the bus's mux sleeps
 }
 
 }  // namespace

@@ -25,7 +25,9 @@ class Scripted final : public Station {
   std::uint64_t payload = 0;
   std::vector<std::tuple<SlotTime, ChannelId, std::uint64_t>> received;
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t < tx_slots.size() && tx_slots[t]) {
       Message m;
       m.payload = payload;
@@ -35,6 +37,9 @@ class Scripted final : public Station {
   void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
     received.emplace_back(t, ch, m.payload);
   }
+
+ private:
+  Waker waker_;
 };
 
 struct Net {
@@ -107,7 +112,9 @@ TEST(RadioEngine, SenderFieldIsStamped) {
    public:
     bool sends = false;
     std::vector<Message> got;
+    void on_attach(Waker& w) override { waker_ = w; }
     void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+      waker_.wake();
       if (t == 0 && sends) {
         Message m;
         m.sender = 999;
@@ -117,6 +124,9 @@ TEST(RadioEngine, SenderFieldIsStamped) {
     void on_receive(SlotTime, ChannelId, const Message& m) override {
       got.push_back(m);
     }
+
+   private:
+    Waker waker_;
   };
   std::deque<Liar> liars(2);
   liars[0].sends = true;

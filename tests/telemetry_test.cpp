@@ -312,7 +312,9 @@ class ScriptedTalker final : public Station {
   NodeId id = 0;
   std::vector<int> schedule;  // value = seq to send (on channel 0)
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t < schedule.size() && schedule[t] >= 0) {
       Message m;
       m.kind = MsgKind::kData;
@@ -322,6 +324,9 @@ class ScriptedTalker final : public Station {
     }
   }
   void on_receive(SlotTime, ChannelId, const Message&) override {}
+
+ private:
+  Waker waker_;
 };
 
 TEST(JsonlTraceSink, GoldenEventStream) {

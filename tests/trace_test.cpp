@@ -26,7 +26,9 @@ class RandomTalker final : public Station {
   std::vector<int> schedule;
   std::vector<std::tuple<SlotTime, ChannelId, NodeId>> heard;
 
+  void on_attach(Waker& w) override { waker_ = w; }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    waker_.wake();
     if (t < schedule.size() && schedule[t] >= 0) {
       Message m;
       tx[schedule[t]] = m;
@@ -35,6 +37,9 @@ class RandomTalker final : public Station {
   void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
     heard.emplace_back(t, ch, m.sender);
   }
+
+ private:
+  Waker waker_;
 };
 
 class EngineReference : public ::testing::TestWithParam<int> {};

@@ -539,10 +539,11 @@ TrialOut flood_core(const Args& a, std::uint64_t seed, const Observers& obs) {
   const FaultPlan faults = faults_from_args(a);
   const std::uint64_t phases =
       4 * (diameter(g) + 2 * ceil_log2(g.num_nodes()) + 4);
-  // run_bgi_broadcast takes no observers (the E11a baseline runs it bare);
-  // the command records its span and telemetry around the call.
+  if (telemetry::JsonlTraceSink* trace = jsonl_trace(obs))
+    trace->set_protocol("flood");
   perf::RunSpan span(obs, "flood", "run", 0);
-  const auto out = run_bgi_broadcast(g, source, phases, rng.next(), faults);
+  const auto out =
+      run_bgi_broadcast(g, source, phases, rng.next(), faults, obs);
   span.close(out.slots,
              {{"informed", static_cast<std::int64_t>(out.informed_count)},
               {"n", static_cast<std::int64_t>(g.num_nodes())}});
@@ -868,10 +869,11 @@ int cmd_ethernet(const Args& a) {
   const std::uint32_t frames =
       static_cast<std::uint32_t>(a.get_u64("frames", 1, kU32Max));
   std::vector<std::uint32_t> backlog(w.g.num_nodes(), frames);
-  // run_ethernet_backoff takes no observers; record the run here.
+  if (obs.sink) obs.sink->set_protocol("ethernet");
   perf::RunSpan span(obs.observers(), "ethernet", "run", 0);
-  const auto out =
-      run_ethernet_backoff(w.g, w.setup.tree, backlog, rng.next());
+  const auto out = run_ethernet_backoff(w.g, w.setup.tree, backlog,
+                                        rng.next(), 4096, FaultPlan{},
+                                        obs.observers());
   const auto sent = static_cast<std::int64_t>(out.delivered_frames.size());
   span.close(out.slots, {{"frames", sent},
                          {"rounds", static_cast<std::int64_t>(out.rounds_used)},
