@@ -31,7 +31,7 @@ void CollectionStation::reset(Rng rng) {
   bound_ = false;
   sink_.clear();
   accept_log_.clear();
-  seen_.clear();
+  last_key_.clear();
 }
 
 std::optional<Message> CollectionStation::poll(SlotTime t) {
@@ -46,11 +46,14 @@ void CollectionStation::deliver(SlotTime t, const Message& m) {
   hop_.acknowledge(m);
 
   if (dedup_guard_) {
-    // Remark 3 mode: a lost ack makes the child retransmit; acknowledge
-    // the duplicate again (or it retries forever) but deliver it once.
+    // Remark 3 mode: a lost ack makes the child retransmit its head;
+    // acknowledge the duplicate again (or it retries forever) but deliver
+    // it once. A repeat is always of the child's last accepted key.
     const std::uint64_t key =
         (static_cast<std::uint64_t>(m.origin) << 32) | m.seq;
-    if (!seen_.insert(key).second) return;
+    const auto [it, fresh] = last_key_.try_emplace(m.sender, key);
+    if (!fresh && it->second == key) return;
+    it->second = key;
   }
 
   if (record_accepts_)

@@ -34,8 +34,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "faults/fault_plan.h"
@@ -58,9 +58,14 @@ struct CollectionConfig : Observers {
   /// §8 Remark 3: under the capture conflict model an acknowledgement can
   /// be lost (the deterministic Theorem 3.1 argument needs collisions to
   /// be silent), so a sender may retransmit a message its parent already
-  /// has. With the guard on, receivers remember accepted (origin, seq)
-  /// pairs, re-acknowledge duplicates, and deliver each message once —
-  /// the paper's "more complicated, less reliable and slower protocol".
+  /// has. With the guard on, receivers remember the (origin, seq) key they
+  /// last accepted from each child, re-acknowledge a message that repeats
+  /// it, and deliver each message once — the paper's "more complicated,
+  /// less reliable and slower protocol". One key per child is exact: a
+  /// child sends only its FIFO head and pops it only on the ack for that
+  /// key, and its own guard keeps duplicates out of its FIFO, so the only
+  /// message it can send again is the one it sent last. The guard's
+  /// memory is O(children), not O(messages ever relayed).
   /// Off by default: the main model needs no duplicate state.
   bool dedup_guard = false;
 
@@ -118,6 +123,13 @@ class CollectionStation final : public SubStation {
 
   /// Root only: everything delivered so far, in arrival order.
   const std::vector<Delivery>& root_sink() const noexcept { return sink_; }
+  /// Root only: moves the deliveries since the last take into `out`
+  /// (replacing its contents) and empties the sink, so a driver that runs
+  /// indefinitely holds only what arrived since its last harvest.
+  void take_root_sink(std::vector<Delivery>& out) noexcept {
+    out.clear();
+    out.swap(sink_);
+  }
   /// Root only: hook invoked on each arrival (used by BroadcastService to
   /// feed the distribution pipeline). Set once before the run.
   void set_root_handler(std::function<void(SlotTime, const Message&)> h) {
@@ -147,7 +159,9 @@ class CollectionStation final : public SubStation {
   bool record_accepts_ = false;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> accept_log_;
   bool dedup_guard_ = false;
-  std::set<std::uint64_t> seen_;  ///< (origin << 32) | seq, guard mode only
+  /// Guard mode only: child -> (origin << 32) | seq of the message last
+  /// accepted from it (see CollectionConfig::dedup_guard).
+  std::map<NodeId, std::uint64_t> last_key_;
 };
 
 /// Standalone driver: places `initial` messages on their origins' buffers,

@@ -382,7 +382,7 @@ SetupOutcome run_setup(const Graph& g, std::uint64_t seed, SetupTuning tuning,
       // knows them all, so it wakes the sleeping stations there.
       for (NodeId v = 0; v < n; ++v) net.wake_station(v);
       epoch_start += len;
-      while (net.now() < epoch_start) net.step();
+      net.run(epoch_start - net.now());
       span.close(epoch_start,
                  {{"attempt", static_cast<std::int64_t>(attempt)},
                   {"transmissions", static_cast<std::int64_t>(

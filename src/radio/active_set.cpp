@@ -88,6 +88,22 @@ void ActiveSet::fire_timers(SlotTime now) {
   }
 }
 
+SlotTime ActiveSet::skip_idle(SlotTime now, SlotTime end) {
+  if (!active_.empty() || !pending_.empty()) return now;
+  SlotTime t = now;
+  if (armed_ == 0) {
+    t = end;
+  } else {
+    for (; t < end; ++t) {
+      NodeId v = bucket_[t & (kWheel - 1)];
+      while (v != kNoNode && timer_[v] != t) v = next_[v];  // later turns
+      if (v != kNoNode) break;
+    }
+  }
+  horizon_ = t;
+  return t;
+}
+
 void ActiveSet::begin_slot(SlotTime now) {
   // From here on, wake_at(now + 1) means "poll next slot", i.e. wake().
   horizon_ = now + 1;

@@ -12,6 +12,9 @@
 // Cost model: `begin_slot` is O(wakes since last slot) plus, when any
 // timer is armed, one timer-wheel bucket; `end_slot` is O(active + wakes).
 // A sort is paid only on slots where a sleeping station actually joined.
+// An idle slot (no member, no pending wake, no timer due) needs neither:
+// `skip_idle` finds the end of an idle span by looking at one bucket per
+// slot, or at nothing when no timer is armed.
 //
 // Timers: each station has at most one armed time, kept in a hashed
 // timer wheel (bucket = time mod kWheel) as an intrusive doubly linked
@@ -64,6 +67,16 @@ class ActiveSet {
   /// for it during the slot. `keep` is indexed by node id and read only at
   /// member indices. Consumes this slot's wake marks.
   void end_slot(const std::uint8_t* keep);
+
+  /// Passes over the idle slots from `now` (the next slot to run) and
+  /// returns the first slot in [now, end) that is not idle, or `end`.
+  /// Slot t is idle iff there are no members, no pending wakes and no
+  /// timer due at t; running it would change nothing here but the
+  /// horizon, so that is all a skip moves (a wake_at between slots then
+  /// files against the right next slot). Looks at the wheel bucket of
+  /// each skipped slot, and at none when no timer is armed. Call between
+  /// slots.
+  SlotTime skip_idle(SlotTime now, SlotTime end);
 
   /// Total wake() calls that raised a new mark (telemetry for tests and
   /// the engine's debug stats).

@@ -24,11 +24,14 @@
 // contract of radio/waker.h). Phase 2 scatters each transmission over a
 // flat CSR adjacency copy (radio/csr.h) into epoch-stamped
 // struct-of-arrays receiver cells, recording each newly-touched cell;
-// Phase 3 visits only the touched cells, in (node, channel) order. The delivery stream, NetMetrics,
-// traces, and capture-RNG consumption are byte-identical to the pre-
-// rewrite full-scan engine — proven over a randomized matrix by
-// tests/engine_diff_test.cpp against the frozen reference implementation
-// in tests/reference_engine.{h,cpp}.
+// Phase 3 visits only the touched cells, in (node, channel) order. A slot
+// with nobody to poll is not run at all: `run` skips idle spans (see its
+// comment), so a driver that runs whole spans pays for its traffic, not
+// for its length. The delivery stream, NetMetrics, traces, and
+// capture-RNG consumption are byte-identical to the pre-rewrite full-scan
+// engine — proven over a randomized matrix by tests/engine_diff_test.cpp
+// against the frozen reference implementation in
+// tests/reference_engine.{h,cpp}.
 
 #include <cstdint>
 #include <optional>
@@ -110,7 +113,14 @@ class RadioNetwork {
   /// Runs one synchronous slot.
   void step();
 
-  /// Runs `count` slots.
+  /// Runs `count` slots, with the same result as `count` calls of step().
+  /// Idle slots are skipped rather than run: a slot is idle when the
+  /// active set is empty, no wake is pending and no timer is due at it, so
+  /// nobody would be polled, transmit or receive. Skipping one advances
+  /// only now(), `metrics().slots` and the active set's horizon. A slot
+  /// hook or an enabled fault schedule turns the skip off (the hook must
+  /// be pulsed and the schedule advanced in every slot); a trace sink
+  /// does not, since an idle slot emits no events.
   void run(SlotTime count);
 
   SlotTime now() const noexcept { return now_; }

@@ -44,6 +44,14 @@
 // A station that wants to be polled in every slot keeps the handle and
 // calls `wake()` on each poll (the baselines and TimeDivisionStation do).
 //
+// Idle spans: a slot with no member, no pending wake and no timer due at
+// it polls nobody, so `RadioNetwork::run` skips it instead of running it
+// (unless a slot hook or an enabled fault schedule is installed). The
+// promise above is what makes that exact: a sleeping station is never
+// called back, so passing over the span changes only the slot counter.
+// Wakes and `wake_at` raised between slots keep working, since the skip
+// advances the horizon that `wake_at` compares against.
+//
 // Time: stations know the globally known slot clock (the paper's model
 // gives every node the slot number), so a station may schedule its own
 // future duties with `wake_at`. A SubStation sees its own clock; the

@@ -152,7 +152,7 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   std::deque<Message> held;  // defer policy's ingress queue, FIFO
   std::vector<std::uint32_t> next_seq(n, 0);
   std::vector<std::uint64_t> depth(tree.depth + 1, 0);
-  std::size_t harvested = 0;
+  std::vector<CollectionStation::Delivery> arrived;  // this phase's, drained
   std::uint64_t in_system = 0;
   std::uint64_t arrivals_total = 0;
   std::uint64_t delivered_total = 0;
@@ -232,9 +232,9 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
 
     net.run(slots_per_phase);
 
-    const auto& sink = st[tree.root]->root_sink();
-    for (; harvested < sink.size(); ++harvested) {
-      const Message& m = sink[harvested].msg;
+    st[tree.root]->take_root_sink(arrived);
+    for (const CollectionStation::Delivery& d : arrived) {
+      const Message& m = d.msg;
       const auto it = birth_phase.find(tag_of(m));
       if (it == birth_phase.end()) {
         // Root delivery of a tag never admitted or already delivered: an

@@ -19,7 +19,10 @@
 //   * active-set membership is exactly "transmitted last slot, or woken,
 //     or its timer came due", frozen while crashed — predicted by an
 //     independent model in the test and compared against both the
-//     stations' observed polls and RadioNetwork::station_active.
+//     stations' observed polls and RadioNetwork::station_active;
+//   * run(k), which skips idle slots, equals k calls of step() in
+//     NetMetrics, EngineStats, trace and end state, and a slot hook is
+//     still pulsed in every slot.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +31,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -239,9 +243,14 @@ class Scripted : public Station {
     if (const auto it = arms_.find(t); it != arms_.end())
       waker_->wake_at(it->second);
   }
-  void on_receive(SlotTime, ChannelId, const Message&) override {}
+  void on_receive(SlotTime t, ChannelId, const Message& m) override {
+    received.emplace_back(t, m.origin, m.seq);
+  }
+  /// The station's handle, for driver-level wakes between slots.
+  Waker& waker() { return *waker_; }
 
   std::vector<SlotTime> polls;
+  std::vector<std::tuple<SlotTime, NodeId, std::uint32_t>> received;
 
  private:
   NodeId self_;
@@ -406,6 +415,184 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
   EXPECT_GT(dropped_later, 0u);
   EXPECT_GT(immediate, 0u);
   EXPECT_GT(fired_on_crashed, 0u);
+}
+
+/// Records the slot hook's pulses: a hook must see every slot.
+class PulseLog final : public SlotHook {
+ public:
+  void on_slot_done(SlotTime t) override { pulses.push_back(t); }
+  std::vector<SlotTime> pulses;
+};
+
+auto metrics_tuple(const NetMetrics& m) {
+  return std::make_tuple(m.slots, m.transmissions, m.deliveries,
+                         m.collision_events, m.capture_deliveries,
+                         m.fault_jams, m.fault_drops, m.fault_link_blocked,
+                         m.fault_crashed_slots);
+}
+
+auto event_tuple(const EventRecorder::Event& e) {
+  return std::make_tuple(e.kind, e.slot, e.node, e.channel, e.has_msg,
+                         e.msg_kind, e.origin, e.seq, e.tx_neighbors);
+}
+
+TEST(EngineInvariants, RunEqualsThatManySteps) {
+  // run(k) skips idle slots; it must still equal k calls of step() in
+  // NetMetrics, EngineStats, the trace and the end state. Twin networks
+  // run the same idle-heavy scripts, one by step() alone and one by run()
+  // over random spans; between spans the driver wakes stations and arms
+  // their timers (past, current, near and whole wheel turns ahead) on
+  // both. Each station's arms form a chain from slot 0 whose gaps range
+  // from one slot to several turns of the 1024-bucket timer wheel, so
+  // skipped spans pass buckets holding timers due on later turns. Cells:
+  // fault-free, a crash plan (the skip is off), and a slot hook (the skip
+  // is off; the hook is pulsed in every slot).
+  struct Cell {
+    const char* name;
+    bool crash;
+    bool hook;
+  };
+  const Cell cells[] = {{"fault-free", false, false},
+                        {"crash plan", true, false},
+                        {"slot hook", false, true}};
+  const SlotTime kSlots = 12'000;
+  Rng rng(0x5E1D);
+  std::uint64_t driver_ops = 0;
+  for (const Cell& cell : cells) {
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE(std::string(cell.name) + " round " +
+                   std::to_string(round));
+      const Graph g = round == 1 ? gen::star(16) : gen::path(20);
+      const NodeId n = g.num_nodes();
+      std::deque<Scripted> stepped, skipped;
+      std::vector<Station*> p_step, p_skip;
+      for (NodeId v = 0; v < n; ++v) {
+        std::set<SlotTime> tx, wake;
+        std::map<SlotTime, SlotTime> arms;
+        for (SlotTime cur = 0; cur < kSlots;) {
+          const std::uint64_t r = rng.next_below(10);
+          const SlotTime gap = r < 4    ? 1 + rng.next_below(30)
+                               : r < 6  ? 1024
+                               : r == 6 ? 2048 + rng.next_below(3)
+                               : r < 9  ? 200 + rng.next_below(900)
+                                        : 3000 + rng.next_below(2000);
+          arms[cur] = cur + gap;
+          if (rng.bernoulli(0.3)) tx.insert(cur);
+          if (rng.bernoulli(0.05)) wake.insert(cur);
+          cur += gap;
+        }
+        stepped.emplace_back(v, tx, wake, arms);
+        skipped.emplace_back(v, tx, wake, arms);
+        p_step.push_back(&stepped.back());
+        p_skip.push_back(&skipped.back());
+      }
+
+      FaultPlan plan;
+      if (cell.crash) {
+        plan.crash_rate = 0.05;
+        plan.recover_rate = 0.3;
+        plan.epoch_slots = 16;
+      }
+      FaultSchedule f_step(g, plan, 0xC4A5 + round);
+      FaultSchedule f_skip(g, plan, 0xC4A5 + round);
+      EventRecorder t_step, t_skip;
+      PulseLog h_step, h_skip;
+      RadioNetwork a(g), b(g);
+      a.observe({nullptr, &t_step, nullptr, cell.hook ? &h_step : nullptr});
+      b.observe({nullptr, &t_skip, nullptr, cell.hook ? &h_skip : nullptr});
+      a.set_faults(&f_step);
+      b.set_faults(&f_skip);
+      a.attach(p_step);
+      b.attach(p_skip);
+
+      while (b.now() < kSlots) {
+        const SlotTime span = std::min<SlotTime>(
+            kSlots - b.now(), rng.bernoulli(0.1) ? 0 : 1 + rng.next_below(1500));
+        b.run(span);
+        for (SlotTime i = 0; i < span; ++i) a.step();
+        ASSERT_EQ(a.now(), b.now());
+        for (NodeId v = 0; v < n; ++v)
+          ASSERT_EQ(a.station_active(v), b.station_active(v)) << "node " << v;
+        // Driver work between spans, mirrored on both networks.
+        for (int k = 0; k < 2; ++k) {
+          const NodeId v = static_cast<NodeId>(rng.next_below(n));
+          const SlotTime now = b.now();
+          const std::uint64_t op = rng.next_below(4);
+          if (op == 0) {
+            a.wake_station(v);
+            b.wake_station(v);
+          } else {
+            const SlotTime ahead[] = {0, 1, 5, 1024, 1500};
+            const SlotTime at =
+                op == 1 ? now - std::min<SlotTime>(now, 3)
+                        : now + ahead[rng.next_below(5)];
+            stepped[v].waker().wake_at(at);
+            skipped[v].waker().wake_at(at);
+          }
+          ++driver_ops;
+        }
+      }
+
+      EXPECT_EQ(metrics_tuple(a.metrics()), metrics_tuple(b.metrics()));
+      EXPECT_EQ(a.metrics().slots, kSlots);
+      EXPECT_EQ(a.engine_stats().station_polls, b.engine_stats().station_polls);
+      EXPECT_EQ(a.engine_stats().wake_events, b.engine_stats().wake_events);
+      EXPECT_EQ(a.engine_stats().peak_active, b.engine_stats().peak_active);
+      ASSERT_EQ(t_step.events().size(), t_skip.events().size());
+      for (std::size_t i = 0; i < t_step.events().size(); ++i)
+        ASSERT_EQ(event_tuple(t_step.events()[i]),
+                  event_tuple(t_skip.events()[i]))
+            << "event " << i;
+      EXPECT_GT(t_skip.events().size(), 0u);
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(stepped[v].polls, skipped[v].polls) << "node " << v;
+        EXPECT_EQ(stepped[v].received, skipped[v].received) << "node " << v;
+      }
+      if (cell.hook) {
+        ASSERT_EQ(h_skip.pulses.size(), kSlots);
+        for (SlotTime t = 0; t < kSlots; ++t)
+          ASSERT_EQ(h_skip.pulses[t], t + 1);
+        EXPECT_EQ(h_step.pulses, h_skip.pulses);
+      }
+      if (cell.crash) {
+        EXPECT_GT(b.metrics().fault_crashed_slots, 0u);
+      }
+      // Idle-heavy: most station-slots polled nobody.
+      EXPECT_LT(b.engine_stats().station_polls, n * kSlots / 10);
+    }
+  }
+  EXPECT_GT(driver_ops, 0u);
+}
+
+TEST(EngineInvariants, RunPassesIdleSpansWithoutSteppingThem) {
+  // A timer in the same wheel bucket as a later-turn timer fires at its
+  // own slot, and neither fires early; with no timer armed, an idle span
+  // of 10^12 slots (hours if stepped) passes at once.
+  const Graph g = gen::path(3);
+  std::deque<Scripted> st;
+  st.emplace_back(0, std::set<SlotTime>{}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{{0, 3000}});
+  st.emplace_back(1, std::set<SlotTime>{}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{{0, 1976}});  // 1976 = 952 + 1024
+  st.emplace_back(2, std::set<SlotTime>{}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{});
+  RadioNetwork net(g);
+  net.attach({&st[0], &st[1], &st[2]});
+  net.run(5000);
+  EXPECT_EQ(st[0].polls, (std::vector<SlotTime>{0, 3000}));
+  EXPECT_EQ(st[1].polls, (std::vector<SlotTime>{0, 1976}));
+  EXPECT_EQ(st[2].polls, (std::vector<SlotTime>{0}));
+  EXPECT_EQ(net.engine_stats().station_polls, 5u);
+
+  const SlotTime kHuge = 1'000'000'000'000;
+  net.run(kHuge);
+  EXPECT_EQ(net.now(), 5000 + kHuge);
+  EXPECT_EQ(net.metrics().slots, 5000 + kHuge);
+  // The horizon moved with the skip: an arm for a slot the skip passed
+  // over is a wake, so the station is polled in the next slot.
+  st[2].waker().wake_at(10);
+  net.run(1);
+  EXPECT_EQ(st[2].polls, (std::vector<SlotTime>{0, 5000 + kHuge}));
 }
 
 TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {

@@ -18,6 +18,8 @@
 //   --metrics-out FILE   write a JSON document with engine counters, phase
 //                        spans and per-level histograms after the run
 //   --trace-out FILE     stream physical events as JSONL during the run
+//                        (ethernet needs --trace-max with it; serve refuses
+//                        it: both traces would be unbounded)
 //   --trace-agg N        add per-N-slot aggregate lines to the trace
 //   --trace-max N        cap event lines at N; a capped trace ends with an
 //                        explicit "truncated" record and publishes the
@@ -178,7 +180,8 @@ int usage() {
       "\n"
       "common options: --seed S (default 1)\n"
       "                --metrics-out FILE  (JSON metrics + phase timeline)\n"
-      "                --trace-out FILE    (JSONL physical-event trace)\n"
+      "                --trace-out FILE    (JSONL physical-event trace; "
+      "ethernet needs --trace-max, serve refuses it)\n"
       "                --trace-agg N       (per-N-slot aggregate lines)\n"
       "                --trace-max N       (cap event lines; emits a "
       "'truncated' record)\n"
@@ -862,6 +865,11 @@ int cmd_ranking(const Args& a) {
 }
 
 int cmd_ethernet(const Args& a) {
+  // A bus run is long: one frame on grid:8x8 traces ~24M events (~1.6 GB).
+  // Refuse an uncapped trace rather than silently fill the disk.
+  require(!a.has("trace-out") || a.has("trace-max"),
+          "--trace-out for the ethernet command needs --trace-max: a bus "
+          "run's event trace is unbounded");
   Obs obs = Obs::from_args(a);
   World w = make_world(a, a.get_u64("seed", 1), true,
                        setup_observers(obs.observers()));
