@@ -38,7 +38,7 @@ int main() {
     const NodeId publisher =
         static_cast<NodeId>(rng.next_below(g.num_nodes()));
     feed.broadcast(publisher, 0xAA00 + i);
-    for (int s = 0; s < 400; ++s) feed.step();  // time passes between posts
+    feed.run(400);  // time passes between posts
   }
   if (!feed.run_until_delivered(100'000'000)) {
     std::printf("feed failed to converge\n");

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "baselines/frame.h"
 #include "graph/graph.h"
 #include "radio/message.h"
 #include "radio/station.h"
@@ -23,7 +24,9 @@
 namespace radiomc::baselines {
 
 /// A node of the round-robin frame: once informed it transmits in slot t
-/// with t mod n == its id. Polled in every slot: it wakes on each poll.
+/// with t mod n == its id, and sleeps until its next frame slot
+/// (`wake_at`) in between. Uninformed, it sleeps until the message
+/// arrives.
 class RoundRobinStation final : public SubStation {
  public:
   RoundRobinStation(NodeId me, NodeId n) : me_(me), n_(n) {}
@@ -37,8 +40,11 @@ class RoundRobinStation final : public SubStation {
 
   void on_attach(Waker& w) override { waker_ = w; }
   std::optional<Message> poll(SlotTime t) override {
-    waker_.wake();
-    if (!informed_ || t % n_ != me_) return std::nullopt;
+    if (!informed_) return std::nullopt;
+    if (t % n_ != me_) {
+      waker_.wake_at(next_frame_slot(t, me_, n_));
+      return std::nullopt;
+    }
     Message m;
     m.kind = MsgKind::kBcastData;
     m.origin = me_;
@@ -48,6 +54,7 @@ class RoundRobinStation final : public SubStation {
     if (!informed_) {
       informed_ = true;
       informed_at_ = t;
+      waker_.wake_at(next_frame_slot(t, me_, n_));
     }
   }
 

@@ -37,10 +37,10 @@ TdmaOutcome run_tdma_collection(const Graph& g, const BfsTree& tree,
   net.attach(std::move(ptrs));
 
   TdmaOutcome out;
-  while (stations[tree.root]->delivered() < expected &&
-         net.now() < max_slots)
-    net.step();
-  out.completed = stations[tree.root]->delivered() >= expected;
+  StallWatchdog never(0, 0);
+  const auto delivered = [&] { return stations[tree.root]->delivered(); };
+  out.completed = net.run_until(expected, delivered, max_slots, never) ==
+                  RunStatus::kOk;
   out.slots = net.now();
   out.collisions = net.metrics().collision_events;
   return out;

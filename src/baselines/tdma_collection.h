@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "baselines/frame.h"
 #include "protocols/tree.h"
 #include "radio/network.h"
 #include "radio/station.h"
@@ -19,8 +20,9 @@
 namespace radiomc::baselines {
 
 /// A node of the TDMA frame: in slot t with t mod n == its id it forwards
-/// its buffer's head to its BFS parent. Polled in every slot: it wakes on
-/// each poll.
+/// its buffer's head to its BFS parent. While its buffer holds a message
+/// it sleeps until its next frame slot (`wake_at`); an empty buffer sleeps
+/// until a child's message arrives.
 class TdmaStation final : public SubStation {
  public:
   TdmaStation(NodeId me, NodeId n, NodeId parent, bool is_root)
@@ -31,9 +33,11 @@ class TdmaStation final : public SubStation {
 
   void on_attach(Waker& w) override { waker_ = w; }
   std::optional<Message> poll(SlotTime t) override {
-    waker_.wake();
     if (is_root_ || buffer_.empty()) return std::nullopt;
-    if (t % n_ != me_) return std::nullopt;  // my frame slot
+    if (t % n_ != me_) {  // not my frame slot
+      waker_.wake_at(next_frame_slot(t, me_, n_));
+      return std::nullopt;
+    }
     Message m = buffer_.front();
     buffer_.pop_front();  // single global transmitter: reception is certain
     m.sender = me_;
@@ -41,12 +45,13 @@ class TdmaStation final : public SubStation {
     return m;
   }
 
-  void deliver(SlotTime, const Message& m) override {
+  void deliver(SlotTime t, const Message& m) override {
     if (m.sender_parent != me_) return;  // not from one of my children
     if (is_root_) {
       ++delivered_;
     } else {
       buffer_.push_back(m);
+      waker_.wake_at(next_frame_slot(t, me_, n_));
     }
   }
 

@@ -88,27 +88,33 @@ enum class RunStatus : std::uint8_t { kOk, kDegraded, kFailed };
 const char* to_string(RunStatus s) noexcept;
 
 /// The progress watchdog a run driver arms with its `stall_slots`. After
-/// each slot the driver asks `stalled(now, progress)`, where `progress`
-/// returns a measure that only grows (messages at the root, requests
-/// served); the watchdog fires once it has not grown for `limit` slots. A
-/// zero limit never fires and never evaluates `progress`.
+/// each slot `RadioNetwork::run_until` passes it `stalled(now, progress)`,
+/// where `progress` is a measure that only grows (messages at the root,
+/// requests served); the watchdog fires once it has not grown for `limit`
+/// slots. A zero limit never fires.
 class StallWatchdog {
  public:
   StallWatchdog(std::uint64_t limit, std::uint64_t progress,
                 std::uint64_t now = 0) noexcept
       : limit_(limit), progress_(progress), since_(now) {}
 
-  template <typename Progress>
-  bool stalled(std::uint64_t now, Progress&& progress) {
+  bool stalled(std::uint64_t now, std::uint64_t progress) noexcept {
     if (limit_ == 0) return false;
-    const std::uint64_t p = progress();
-    if (p > progress_) {
-      progress_ = p;
+    if (progress > progress_) {
+      progress_ = progress;
       since_ = now;
       return false;
     }
     fired_ = now - since_ >= limit_;
     return fired_;
+  }
+
+  /// The slot count at which stalled() fires unless progress grows first:
+  /// a run may pass idle slots up to it but not beyond. Never, for a zero
+  /// limit.
+  std::uint64_t deadline() const noexcept {
+    return limit_ == 0 || limit_ > kNoSlotLimit - since_ ? kNoSlotLimit
+                                                         : since_ + limit_;
   }
 
   /// The run's outcome: kOk when it completed, kDegraded when the

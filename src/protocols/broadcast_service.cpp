@@ -108,7 +108,7 @@ void BroadcastService::broadcast(NodeId src, std::uint64_t payload) {
   ++originated_;
 }
 
-void BroadcastService::step() { net_->step(); }
+void BroadcastService::run(SlotTime count) { net_->run(count); }
 
 SlotTime BroadcastService::now() const { return net_->now(); }
 
@@ -128,17 +128,8 @@ std::uint32_t BroadcastService::min_delivered_prefix() const {
 bool BroadcastService::run_until_delivered(SlotTime max_slots) {
   const auto prefix = [this] { return min_delivered_prefix(); };
   StallWatchdog watchdog(cfg_.stall_slots, prefix(), net_->now());
-  while (net_->now() < max_slots) {
-    if (prefix() >= originated_) {
-      status_ = RunStatus::kOk;
-      return true;
-    }
-    net_->step();
-    if (watchdog.stalled(net_->now(), prefix)) break;
-  }
-  const bool done = prefix() >= originated_;
-  status_ = watchdog.status(done);
-  return done;
+  status_ = net_->run_until(originated_, prefix, max_slots, watchdog);
+  return status_ == RunStatus::kOk;
 }
 
 KBroadcastOutcome run_k_broadcast(const Graph& g, const BfsTree& tree,

@@ -60,7 +60,7 @@ struct BroadcastServiceConfig : Observers {
 };
 
 /// Owns the full per-node protocol stack and the network; the driver calls
-/// `broadcast` to originate messages and `step`/`run_until_delivered` to
+/// `broadcast` to originate messages and `run`/`run_until_delivered` to
 /// advance time.
 class BroadcastService {
  public:
@@ -72,7 +72,8 @@ class BroadcastService {
   /// directly, as the root is its own collection sink).
   void broadcast(NodeId src, std::uint64_t payload);
 
-  void step();
+  /// Lets `count` slots pass (RadioNetwork::run).
+  void run(SlotTime count);
   /// Runs until every node has delivered (in order) all broadcasts
   /// originated so far, or `max_slots` pass, or the configured stall
   /// watchdog fires. Returns success; `status()` has the structured

@@ -155,14 +155,15 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   const auto arrived = [root] { return root->root_sink().size(); };
   StallWatchdog watchdog(cfg.stall_slots, arrived());
   perf::RunSpan drain_span(cfg, "collection", "drain", 0);
-  while (arrived() < expected && net.now() < max_slots) {
-    if (net.now() % slots_per_phase == 0)
-      snapshot_occupancy(net.now() / slots_per_phase);
-    net.step();
-    if (watchdog.stalled(net.now(), arrived)) break;
+  // One run_until per phase, so every phase boundary is snapshotted;
+  // kFailed (not done, watchdog quiet) means "run the next phase".
+  out.status = watchdog.status(arrived() >= expected);
+  while (out.status == RunStatus::kFailed && net.now() < max_slots) {
+    snapshot_occupancy(net.now() / slots_per_phase);
+    const SlotTime end = std::min(net.now() + slots_per_phase, max_slots);
+    out.status = net.run_until(expected, arrived, end, watchdog);
   }
-  out.completed = arrived() >= expected;
-  out.status = watchdog.status(out.completed);
+  out.completed = out.status == RunStatus::kOk;
   out.slots = net.now();
   out.phases = (net.now() + slots_per_phase - 1) / slots_per_phase;
   drain_span.close(out.slots,

@@ -179,18 +179,14 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
           ++delivered;
         }
       }
+    return delivered;
   };
 
-  harvest();  // self-addressed requests complete instantly
-  StallWatchdog watchdog(cfg.stall_slots, delivered);
+  // Self-addressed requests complete instantly.
+  StallWatchdog watchdog(cfg.stall_slots, harvest());
   perf::RunSpan run_span(cfg, "point_to_point", "run", 0);
-  while (delivered < requests.size() && net.now() < max_slots) {
-    net.step();
-    harvest();
-    if (watchdog.stalled(net.now(), [&] { return delivered; })) break;
-  }
-  out.completed = delivered >= requests.size();
-  out.status = watchdog.status(out.completed);
+  out.status = net.run_until(requests.size(), harvest, max_slots, watchdog);
+  out.completed = out.status == RunStatus::kOk;
   out.slots = net.now();
   run_span.close(out.slots,
                  {{"k", static_cast<std::int64_t>(requests.size())},

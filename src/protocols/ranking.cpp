@@ -131,24 +131,18 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   StallWatchdog watchdog(stall_slots, delivered());
   perf::RunSpan deliver_span(observers, "ranking", "deliver",
                              out.collect_slots);
-  while (delivered() < expected_downs && net.now() < max_slots) {
-    net.step();
-    if (watchdog.stalled(net.now(), delivered)) break;
-  }
+  out.status = net.run_until(expected_downs, delivered, max_slots, watchdog);
   out.deliver_slots = net.now();
   deliver_span.close(out.collect_slots + out.deliver_slots,
                      {{"ranks", static_cast<std::int64_t>(expected_downs)},
-                      {"completed", delivered() >= expected_downs ? 1 : 0}});
+                      {"completed", out.status == RunStatus::kOk ? 1 : 0}});
   if (observers.telemetry != nullptr) {
     telemetry::MetricsRegistry& reg = observers.telemetry->metrics;
     telemetry::publish_net_metrics(net.metrics(), reg, "ranking_deliver");
     telemetry::publish_fault_metrics(fsch, net.metrics(), reg,
                                      "ranking_deliver");
   }
-  if (delivered() < expected_downs) {
-    out.status = watchdog.status(false);
-    return out;
-  }
+  if (out.status != RunStatus::kOk) return out;
 
   for (NodeId v = 0; v < n; ++v)
     for (const auto& d : downs[v]->sink())

@@ -191,22 +191,24 @@ void RadioNetwork::run(SlotTime count) {
   require(count == 0 || !stations_.empty(),
           "RadioNetwork::run: no stations attached");
   const SlotTime end = now_ + count;
+  while (pass_idle(end)) step();
+}
+
+bool RadioNetwork::pass_idle(SlotTime limit) {
   // A slot hook must see every slot, and an enabled fault schedule
   // changes state (and counts crashed slots) in every slot: both keep the
   // plain loop. A trace sink does not: an idle slot emits no events.
-  const bool may_skip =
-      slot_hook_ == nullptr && (faults_ == nullptr || !faults_->enabled());
-  while (now_ < end) {
-    if (may_skip) {
-      // An idle slot polls nobody, so all it would do is advance the
-      // clocks: do that for the whole idle span at once.
-      const SlotTime busy = active_set_.skip_idle(now_, end);
-      metrics_.slots += busy - now_;
-      now_ = busy;
-      if (now_ == end) break;
-    }
-    step();
+  // The `now_ < limit` test keeps time from running backwards when a
+  // caller's limit (a watchdog deadline) is already behind it.
+  if (now_ < limit && slot_hook_ == nullptr &&
+      (faults_ == nullptr || !faults_->enabled())) {
+    // An idle slot polls nobody, so all it would do is advance the
+    // clocks: do that for the whole idle span at once.
+    const SlotTime busy = active_set_.skip_idle(now_, limit);
+    metrics_.slots += busy - now_;
+    now_ = busy;
   }
+  return now_ < limit;
 }
 
 }  // namespace radiomc

@@ -25,18 +25,21 @@
 // flat CSR adjacency copy (radio/csr.h) into epoch-stamped
 // struct-of-arrays receiver cells, recording each newly-touched cell;
 // Phase 3 visits only the touched cells, in (node, channel) order. A slot
-// with nobody to poll is not run at all: `run` skips idle spans (see its
-// comment), so a driver that runs whole spans pays for its traffic, not
-// for its length. The delivery stream, NetMetrics, traces, and
-// capture-RNG consumption are byte-identical to the pre-rewrite full-scan
-// engine — proven over a randomized matrix by tests/engine_diff_test.cpp
-// against the frozen reference implementation in
-// tests/reference_engine.{h,cpp}.
+// with nobody to poll is not run at all: `run` and `run_until` skip idle
+// spans (see their comments), and every driver advances time through one
+// of them, so a run pays for its traffic, not for its length. `step` is
+// the bare primitive, for tests and microbenchmarks. The delivery stream,
+// NetMetrics, traces, and capture-RNG consumption are byte-identical to
+// the pre-rewrite full-scan engine — proven over a randomized matrix by
+// tests/engine_diff_test.cpp against the frozen reference implementation
+// in tests/reference_engine.{h,cpp}.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "faults/fault_plan.h"
 #include "faults/fault_schedule.h"
 #include "graph/graph.h"
 #include "radio/active_set.h"
@@ -123,6 +126,28 @@ class RadioNetwork {
   /// does not, since an idle slot emits no events.
   void run(SlotTime count);
 
+  /// Runs slots until `progress()` reaches `target`, now() reaches `end`,
+  /// or `watchdog` fires, and returns `watchdog.status` of the run: every
+  /// protocol driver's "run until the k-th message is in". It stops on the
+  /// same slot, with the same watchdog state, as a step() loop that tests
+  /// all three after every slot. `progress` is a count only a slot can
+  /// raise, read before the first slot and after each slot run; an idle
+  /// slot touches no station, so skipping it (as run() does) cannot change
+  /// it, and a skip never passes the watchdog's deadline.
+  template <typename Progress>
+  RunStatus run_until(std::uint64_t target, Progress&& progress, SlotTime end,
+                      StallWatchdog& watchdog) {
+    std::uint64_t p = progress();
+    while (p < target && now_ < end) {
+      if (pass_idle(std::min(end, watchdog.deadline()))) {
+        step();
+        p = progress();
+      }
+      if (watchdog.stalled(now_, p)) break;
+    }
+    return watchdog.status(p >= target);
+  }
+
   SlotTime now() const noexcept { return now_; }
   const Graph& graph() const noexcept { return *graph_; }
   const Config& config() const noexcept { return cfg_; }
@@ -176,6 +201,11 @@ class RadioNetwork {
   SlotHook* slot_hook_ = nullptr;
   FaultSchedule* faults_ = nullptr;
   Rng capture_rng_;
+
+  // Passes the idle span that starts at now(), up to `limit`, unless a
+  // slot hook or an enabled fault schedule forbids the skip. Returns
+  // whether a slot before `limit` is left to run.
+  bool pass_idle(SlotTime limit);
 
   // Scheduling state.
   ActiveSet active_set_;

@@ -42,12 +42,13 @@
 //     `on_receive`), it calls `wake()` or arms `wake_at`.
 //
 // A station that wants to be polled in every slot keeps the handle and
-// calls `wake()` on each poll (the baselines and TimeDivisionStation do).
+// calls `wake()` on each poll (TimeDivisionStation and the scripted wave
+// baseline do).
 //
 // Idle spans: a slot with no member, no pending wake and no timer due at
-// it polls nobody, so `RadioNetwork::run` skips it instead of running it
-// (unless a slot hook or an enabled fault schedule is installed). The
-// promise above is what makes that exact: a sleeping station is never
+// it polls nobody, so `RadioNetwork::run` and `run_until` skip it instead
+// of running it (unless a slot hook or an enabled fault schedule is
+// installed). The promise above is what makes that exact: a sleeping station is never
 // called back, so passing over the span changes only the slot counter.
 // Wakes and `wake_at` raised between slots keep working, since the skip
 // advances the horizon that `wake_at` compares against.

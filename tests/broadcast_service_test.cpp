@@ -40,7 +40,7 @@ TEST(KBroadcast, ReactiveStaggeredOrigination) {
   while (injected < 15) {
     svc.broadcast(static_cast<NodeId>(rng.next_below(12)), injected);
     ++injected;
-    for (int s = 0; s < 500; ++s) svc.step();
+    svc.run(500);
   }
   ASSERT_TRUE(svc.run_until_delivered(50'000'000));
   for (NodeId v = 1; v < 12; ++v)

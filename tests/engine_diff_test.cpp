@@ -1314,11 +1314,12 @@ TEST(AutosleepAB, EthernetBusSleepsAndMatchesTheAlwaysPolledReference) {
 }
 
 // ---------------------------------------------------------------------------
-// The baselines wake themselves in every slot: always polled, and still
-// byte-identical to the reference.
+// The TDMA and round-robin frame stations sleep until their frame slot; the
+// scripted wave station wakes itself in every slot. All stay byte-identical
+// to the reference.
 // ---------------------------------------------------------------------------
 
-TEST(AutosleepAB, BaselinesStayPolledAndMatchTheReference) {
+TEST(AutosleepAB, BaselinesMatchTheReference) {
   Rng topo(0xBA5E);
   std::vector<std::pair<std::string, Graph>> graphs;
   graphs.emplace_back("grid5x5", gen::grid(5, 5));
@@ -1332,7 +1333,7 @@ TEST(AutosleepAB, BaselinesStayPolledAndMatchTheReference) {
     for (const auto& [pname, plan] : piece_plans()) {
       const std::string cell = gname + "/" + pname;
 
-      const PieceRun tdma = expect_always_polled_piece_matches(
+      const PieceRun tdma = expect_piece_matches(
           cell + "/tdma", g, plan, 2 * SlotTime{n} * (n + tree.depth),
           [&](NodeId v) {
             auto s = std::make_unique<baselines::TdmaStation>(
@@ -1345,7 +1346,7 @@ TEST(AutosleepAB, BaselinesStayPolledAndMatchTheReference) {
         EXPECT_EQ(tdma.state[tree.root], n - 1u) << cell;
       }
 
-      expect_always_polled_piece_matches(
+      expect_piece_matches(
           cell + "/round_robin", g, plan, SlotTime{n} * (tree.depth + 2),
           [&](NodeId v) {
             auto s = std::make_unique<baselines::RoundRobinStation>(v, n);

@@ -22,7 +22,8 @@
 //     stations' observed polls and RadioNetwork::station_active;
 //   * run(k), which skips idle slots, equals k calls of step() in
 //     NetMetrics, EngineStats, trace and end state, and a slot hook is
-//     still pulsed in every slot.
+//     still pulsed in every slot; run_until stops where a step() loop
+//     testing its target, end and watchdog after every slot stops.
 
 #include <gtest/gtest.h>
 
@@ -593,6 +594,108 @@ TEST(EngineInvariants, RunPassesIdleSpansWithoutSteppingThem) {
   st[2].waker().wake_at(10);
   net.run(1);
   EXPECT_EQ(st[2].polls, (std::vector<SlotTime>{0, 5000 + kHuge}));
+}
+
+/// A run_until case on the script of drive_until: stop at `target`
+/// deliveries, at slot `end`, or after `limit` slots without one.
+struct UntilCell {
+  const char* name;
+  std::uint64_t target;
+  SlotTime end;
+  std::uint64_t limit;
+  bool hook;
+  bool crash;
+  RunStatus status;  ///< expected outcome (fault-free cells)
+  SlotTime stop;     ///< expected now() at the end (fault-free cells)
+};
+
+struct UntilRun {
+  SlotTime now;
+  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+             std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+             std::uint64_t>
+      metrics;
+  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> stats;
+  RunStatus status;
+  std::vector<SlotTime> pulses;
+};
+
+/// Runs `c` on a three-station path whose sender transmits at slots 0, 100
+/// and 2000 and sleeps in between (idle spans 2..99, 102..1999 and from
+/// 2002 on), counting deliveries as progress: by run_until, or by the
+/// step() loop that run_until replaces.
+UntilRun drive_until(const UntilCell& c, bool by_run_until) {
+  const Graph g = gen::path(3);
+  std::deque<Scripted> st;
+  st.emplace_back(0, std::set<SlotTime>{0, 100, 2000}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{{0, 100}, {100, 2000}});
+  for (NodeId v = 1; v < 3; ++v)
+    st.emplace_back(v, std::set<SlotTime>{}, std::set<SlotTime>{},
+                    std::map<SlotTime, SlotTime>{});
+  FaultPlan plan;
+  if (c.crash) {
+    plan.crash_rate = 0.05;
+    plan.recover_rate = 0.3;
+    plan.epoch_slots = 16;
+  }
+  FaultSchedule faults(g, plan, 0x0171);
+  PulseLog hook;
+  RadioNetwork net(g);
+  net.observe({nullptr, nullptr, nullptr, c.hook ? &hook : nullptr});
+  net.set_faults(&faults);
+  net.attach({&st[0], &st[1], &st[2]});
+  const auto delivered = [&net] { return net.metrics().deliveries; };
+  StallWatchdog watchdog(c.limit, 0);
+  UntilRun r;
+  if (by_run_until) {
+    r.status = net.run_until(c.target, delivered, c.end, watchdog);
+  } else {
+    while (delivered() < c.target && net.now() < c.end) {
+      net.step();
+      if (watchdog.stalled(net.now(), delivered())) break;
+    }
+    r.status = watchdog.status(delivered() >= c.target);
+  }
+  r.now = net.now();
+  r.metrics = metrics_tuple(net.metrics());
+  const EngineStats& e = net.engine_stats();
+  r.stats = {e.station_polls, e.wake_events, e.peak_active};
+  r.pulses = hook.pulses;
+  return r;
+}
+
+TEST(EngineInvariants, RunUntilEqualsAStepLoop) {
+  // run_until skips idle spans; it must stop on the same slot, with the
+  // same status, NetMetrics and EngineStats, as a loop of step() that
+  // tests the target, the end and the watchdog after every slot. The
+  // deadline cell pins the cap on the skip: progress last grows at slot
+  // 100 (now() = 101), so a 500-slot watchdog fires at 601, inside the idle
+  // span 102..1999, and an uncapped skip would overshoot it.
+  const UntilCell cells[] = {
+      {"target mid-span", 2, 5000, 0, false, false, RunStatus::kOk, 101},
+      {"end reached", 9, 1500, 0, false, false, RunStatus::kFailed, 1500},
+      {"deadline in an idle span", 9, 5000, 500, false, false,
+       RunStatus::kDegraded, 601},
+      {"slot hook", 9, 5000, 500, true, false, RunStatus::kDegraded, 601},
+      {"fault plan", 9, 5000, 500, false, true, RunStatus::kOk, 0},
+  };
+  for (const UntilCell& c : cells) {
+    SCOPED_TRACE(c.name);
+    const UntilRun stepped = drive_until(c, false);
+    const UntilRun skipped = drive_until(c, true);
+    EXPECT_EQ(stepped.now, skipped.now);
+    EXPECT_EQ(stepped.status, skipped.status);
+    EXPECT_EQ(stepped.metrics, skipped.metrics);
+    EXPECT_EQ(stepped.stats, skipped.stats);
+    EXPECT_EQ(stepped.pulses, skipped.pulses);
+    if (c.hook) {
+      EXPECT_EQ(skipped.pulses.size(), skipped.now);
+    }
+    if (!c.crash) {
+      EXPECT_EQ(skipped.now, c.stop);
+      EXPECT_EQ(skipped.status, c.status);
+    }
+  }
 }
 
 TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {

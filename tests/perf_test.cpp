@@ -15,12 +15,17 @@
 //  * determinism: a collection run instrumented with a profiler and a
 //    snapshot hook produces the same simulated outcome as a bare run
 //    (measurement must never steer the model), and so do the flood and
-//    the ethernet bus, whose traces and snapshots show their own run.
+//    the ethernet bus, whose traces and snapshots show their own run;
+//  * idle skip: collection, p2p, ranking, k-broadcast and TDMA reach the
+//    same outcome with a no-op slot hook (every slot stepped) as bare
+//    (idle spans skipped), fault-free, with a short watchdog and faulted.
 
 #include <algorithm>
+#include <deque>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,10 +36,16 @@
 #include "perf/regression.h"
 #include "perf/report.h"
 #include "perf/snapshot.h"
+#include "baselines/tdma_collection.h"
 #include "protocols/bgi_broadcast.h"
+#include "protocols/broadcast_service.h"
 #include "protocols/collection.h"
+#include "protocols/dfs_numbering.h"
 #include "protocols/ethernet_emulation.h"
+#include "protocols/point_to_point.h"
+#include "protocols/ranking.h"
 #include "protocols/tree.h"
+#include "radio/network.h"
 #include "telemetry/json_value.h"
 #include "telemetry/jsonl_sink.h"
 #include "telemetry/metrics.h"
@@ -594,5 +605,155 @@ TEST(PerfDeterminism, EthernetTracesItsBusAndMatchesBareRun) {
   EXPECT_GT(polls, 0u);
   EXPECT_LT(polls, g.num_nodes() * seen.slots);  // the bus's mux sleeps
 }
+
+// ---------------------------------------------------------------------------
+// Idle skip: a slot hook turns RadioNetwork's idle-span skip off, so a
+// driver run with a no-op hook steps every slot. Its outcome must equal
+// the bare run's, which passes idle spans and, with stall_slots, stops at
+// the watchdog's deadline even when it falls inside one.
+// ---------------------------------------------------------------------------
+
+class NoOpHook final : public radiomc::SlotHook {
+ public:
+  void on_slot_done(radiomc::SlotTime) override {}
+};
+
+std::vector<std::tuple<radiomc::SlotTime, radiomc::NodeId, std::uint32_t>>
+DeliveryKeys(const std::vector<radiomc::AckedHop::Delivery>& ds) {
+  std::vector<std::tuple<radiomc::SlotTime, radiomc::NodeId, std::uint32_t>>
+      keys;
+  for (const auto& d : ds) keys.emplace_back(d.slot, d.msg.origin, d.msg.seq);
+  return keys;
+}
+
+enum class DriveMode { kClean, kStall, kFaulted };
+using DriveParam = std::tuple<int /*udg nodes*/, int /*seed*/, DriveMode>;
+
+class DriveSkip : public ::testing::TestWithParam<DriveParam> {};
+
+TEST_P(DriveSkip, HookedRunMatchesBareRun) {
+  using namespace radiomc;
+  const auto [nodes, seed, mode] = GetParam();
+  Rng rng(seed);
+  const Graph g = gen::unit_disk_connected(
+      nodes, gen::udg_connect_radius(nodes), rng);
+  const NodeId n = g.num_nodes();
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const PreparationResult prep = run_preparation(g, tree);
+  ASSERT_TRUE(prep.ok);
+  FaultPlan plan;
+  if (mode == DriveMode::kFaulted) {
+    plan.jam_prob = 0.1;
+    plan.drop_prob = 0.05;
+    plan.crash_rate = 0.01;
+    plan.recover_rate = 0.3;
+  }
+  // A short watchdog on a fault-free run fires inside idle spans.
+  const SlotTime stall = mode == DriveMode::kClean   ? 0
+                         : mode == DriveMode::kStall ? 150
+                                                     : 500;
+  NoOpHook noop;
+
+  std::vector<Message> initial(n);
+  for (NodeId v = 0; v < n; ++v) {
+    initial[v].kind = MsgKind::kData;
+    initial[v].origin = v;
+  }
+  const auto collect = [&](SlotHook* hook) {
+    CollectionConfig cfg = CollectionConfig::for_graph(g);
+    cfg.faults = plan;
+    cfg.stall_slots = stall;
+    cfg.slot_hook = hook;
+    return run_collection(g, tree, initial, cfg, seed);
+  };
+  const CollectionOutcome cb = collect(nullptr);
+  const CollectionOutcome ch = collect(&noop);
+  EXPECT_EQ(cb.status, ch.status);
+  EXPECT_EQ(cb.slots, ch.slots);
+  EXPECT_EQ(cb.occupied_phases, ch.occupied_phases);
+  EXPECT_EQ(cb.advance_phases, ch.advance_phases);
+  EXPECT_EQ(DeliveryKeys(cb.deliveries), DeliveryKeys(ch.deliveries));
+
+  std::vector<P2pRequest> requests(n);
+  for (P2pRequest& r : requests) {
+    r.src = static_cast<NodeId>(rng.next_below(n));
+    r.dst = static_cast<NodeId>(rng.next_below(n));
+  }
+  const auto p2p = [&](SlotHook* hook) {
+    P2pConfig cfg = P2pConfig::for_graph(g);
+    cfg.faults = plan;
+    cfg.stall_slots = stall;
+    cfg.slot_hook = hook;
+    return run_point_to_point(g, prep, requests, cfg, seed);
+  };
+  const P2pOutcome pb = p2p(nullptr);
+  const P2pOutcome ph = p2p(&noop);
+  EXPECT_EQ(pb.status, ph.status);
+  EXPECT_EQ(pb.slots, ph.slots);
+  EXPECT_EQ(pb.delivery_slot, ph.delivery_slot);
+
+  std::vector<std::uint64_t> ids(n);
+  for (NodeId v = 0; v < n; ++v) ids[v] = 1000 * (n - v) + seed;
+  const auto rank = [&](SlotHook* hook) {
+    Observers obs;
+    obs.slot_hook = hook;
+    return run_ranking(g, prep, ids, seed, 200'000'000, obs, plan, stall);
+  };
+  const RankingOutcome rb = rank(nullptr);
+  const RankingOutcome rh = rank(&noop);
+  EXPECT_EQ(rb.status, rh.status);
+  EXPECT_EQ(rb.collect_slots, rh.collect_slots);
+  EXPECT_EQ(rb.deliver_slots, rh.deliver_slots);
+  EXPECT_EQ(rb.rank, rh.rank);
+
+  std::vector<NodeId> sources(6);
+  for (NodeId& s : sources) s = static_cast<NodeId>(rng.next_below(n));
+  const auto broadcast = [&](SlotHook* hook) {
+    BroadcastServiceConfig cfg = BroadcastServiceConfig::for_graph(g);
+    cfg.faults = plan;
+    cfg.stall_slots = stall;
+    cfg.slot_hook = hook;
+    return run_k_broadcast(g, tree, sources, cfg, seed);
+  };
+  const KBroadcastOutcome bb = broadcast(nullptr);
+  const KBroadcastOutcome bh = broadcast(&noop);
+  EXPECT_EQ(bb.status, bh.status);
+  EXPECT_EQ(bb.slots, bh.slots);
+  EXPECT_EQ(bb.delivered_prefix, bh.delivered_prefix);
+  EXPECT_EQ(bb.root_resends, bh.root_resends);
+
+  // TDMA takes no observers and no faults: its driver (which skips the
+  // frame slots of empty buffers) against a hooked step() loop.
+  if (mode != DriveMode::kClean) return;
+  std::vector<NodeId> senders;
+  for (NodeId v = 0; v < n; ++v)
+    if (v != tree.root) senders.push_back(v);
+  const baselines::TdmaOutcome tb =
+      baselines::run_tdma_collection(g, tree, senders);
+  std::deque<baselines::TdmaStation> tdma;
+  std::deque<SingleStation> adapters;
+  std::vector<Station*> ptrs;
+  for (NodeId v = 0; v < n; ++v) {
+    tdma.emplace_back(v, n, tree.parent[v], v == tree.root);
+    Message m;
+    m.kind = MsgKind::kData;
+    m.origin = v;
+    if (v != tree.root) tdma.back().enqueue(m);
+    ptrs.push_back(&adapters.emplace_back(tdma.back()));
+  }
+  RadioNetwork net(g);
+  net.observe({nullptr, nullptr, nullptr, &noop});
+  net.attach(ptrs);
+  while (tdma[tree.root].delivered() < senders.size()) net.step();
+  EXPECT_TRUE(tb.completed);
+  EXPECT_EQ(tb.slots, net.now());
+  EXPECT_EQ(tb.collisions, net.metrics().collision_events);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Udg, DriveSkip,
+    ::testing::Combine(::testing::Values(24, 48), ::testing::Values(1, 2, 3),
+                       ::testing::Values(DriveMode::kClean, DriveMode::kStall,
+                                         DriveMode::kFaulted)));
 
 }  // namespace

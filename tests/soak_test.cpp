@@ -34,7 +34,7 @@ TEST(Soak, BroadcastHundredsThroughTinyWindow) {
   while (injected < k) {
     for (int burst = 0; burst < 5 && injected < k; ++burst)
       svc.broadcast(static_cast<NodeId>(rng.next_below(12)), injected++);
-    for (int s = 0; s < 1500; ++s) svc.step();
+    svc.run(1500);
   }
   ASSERT_TRUE(svc.run_until_delivered(500'000'000));
   for (NodeId v = 1; v < 12; ++v) {
