@@ -156,21 +156,24 @@ void engine_case(const std::string& topology, NodeId n,
              {"node_slots_per_sec", node_slots_per_sec}});
 }
 
-/// Idle-heavy mixed cell: one permanently-active transmitter per 256
-/// stations (it transmits in every slot, which keeps it active), everyone
-/// else a sleeping IdleStation. Per-slot cost tracks the chatty 1/256th of
-/// the population — the shape of a large network where almost everything
-/// is quiet.
-void engine_sparse_case(const std::string& topology, NodeId n,
-                        double min_time_ms, bench::Table* table,
-                        bench::JsonEmitter* json) {
+/// Mixed cell: one permanently-active transmitter per `stride` stations
+/// (it transmits in every slot, which keeps it active), everyone else a
+/// sleeping IdleStation. "sparse" (stride 256) is the shape of a large
+/// network where almost everything is quiet: per-slot cost tracks the
+/// chatty 1/256th of the population. "dense" (stride 8) is a busy slot
+/// with real deliveries, where the cost is the scatter and the ordered
+/// walk over the touched receiver cells, unlike "busy"'s collision storm
+/// in which nobody listens.
+void engine_mixed_case(const std::string& topology, NodeId n, NodeId stride,
+                       const std::string& workload, double min_time_ms,
+                       bench::Table* table, bench::JsonEmitter* json) {
   const Graph g = make_topology(topology, n);
   std::deque<IdleStation> idle;
   std::deque<ChattyStation> chatty;
   std::vector<Station*> ptrs;
   ptrs.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (v % 256 == 0) {
+    if (v % stride == 0) {
       chatty.emplace_back();
       ptrs.push_back(&chatty.back());
     } else {
@@ -189,13 +192,13 @@ void engine_sparse_case(const std::string& topology, NodeId n,
   const double slots_per_sec = m.per_sec();
   const double node_slots_per_sec =
       slots_per_sec * static_cast<double>(g.num_nodes());
-  table->row({topology, "sparse",
+  table->row({topology, workload,
               bench::num(static_cast<std::uint64_t>(g.num_nodes())),
               bench::num(m.units), bench::num(slots_per_sec, 0),
               bench::num(node_slots_per_sec, 0)});
   json->row({{"case", "engine_slots"},
              {"topology", topology},
-             {"workload", "sparse"},
+             {"workload", workload},
              {"n", static_cast<int>(g.num_nodes())},
              {"slots", m.units},
              {"slots_per_sec", slots_per_sec},
@@ -256,7 +259,10 @@ int run(int argc, char** argv) {
                                &json);
       engine_case<ChattyStation>(topology, n, "busy", min_time_ms, &engine,
                                  &json);
-      engine_sparse_case(topology, n, min_time_ms, &engine, &json);
+      engine_mixed_case(topology, n, 256, "sparse", min_time_ms, &engine,
+                        &json);
+      engine_mixed_case(topology, n, 8, "dense", min_time_ms, &engine,
+                        &json);
     }
   }
   // Million-node cells (O(n + m) samplers; the engine only ever touches
@@ -268,7 +274,8 @@ int run(int argc, char** argv) {
     const NodeId big = 1000000;
     engine_case<IdleStation>(topology, big, "idle", min_time_ms, &engine,
                              &json);
-    engine_sparse_case(topology, big, min_time_ms, &engine, &json);
+    engine_mixed_case(topology, big, 256, "sparse", min_time_ms, &engine,
+                      &json);
   }
   engine.print();
 

@@ -8,18 +8,28 @@ AckedHop::AckedHop(NodeId me, const SlotStructure& slots, Rng rng)
     : me_(me), clock_(slots), rng_(rng), decay_(slots.decay_len) {}
 
 void AckedHop::place(NodeId parent, std::uint32_t level) {
+  if (per_level_ != nullptr) {
+    (*per_level_)[level_] -= fifo_.size();
+    (*per_level_)[level] += fifo_.size();
+  }
   parent_ = parent;
   level_ = level;
   wake();
 }
 
 void AckedHop::reset(Rng rng) {
+  if (per_level_ != nullptr) (*per_level_)[level_] -= fifo_.size();
   parent_ = kNoNode;
   level_ = 0;
   rng_ = rng;
   fifo_.clear();
   decay_.reset();
   owed_ack_.reset();
+}
+
+void AckedHop::count_into(std::vector<std::uint64_t>& per_level) {
+  per_level_ = &per_level;
+  per_level[level_] += fifo_.size();
 }
 
 void AckedHop::attach(Waker& w) {
@@ -58,6 +68,7 @@ bool AckedHop::receive(SlotTime t, const Message& m) {
   if (m.origin == head.origin && m.seq == head.seq) {
     // The next hop has the message; it now lives on exactly one buffer.
     fifo_.pop_front();
+    if (per_level_ != nullptr) --(*per_level_)[level_];
     decay_.stop();
   }
   return false;
@@ -75,6 +86,7 @@ void AckedHop::acknowledge(const Message& m) {
 
 void AckedHop::push(const Message& m) {
   fifo_.push_back(m);
+  if (per_level_ != nullptr) ++(*per_level_)[level_];
   wake();
 }
 

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <vector>
 
 #include "protocols/decay.h"
 #include "radio/schedule.h"
@@ -57,6 +58,13 @@ class AckedHop {
   /// Back to the unplaced, empty state (no FIFO, no owed ack, no Decay)
   /// with fresh randomness.
   void reset(Rng rng);
+
+  /// Makes `per_level[level()]` count this hop's FIFO from now on: push,
+  /// pop, place and reset move the count with the messages, so a driver
+  /// reads the messages queued per BFS level without visiting the
+  /// stations. `per_level` is the driver's; it must outlive the hop and
+  /// have an entry for every level the hop is placed at.
+  void count_into(std::vector<std::uint64_t>& per_level);
 
   /// The owner's on_attach: keeps the Waker.
   void attach(Waker& w);
@@ -98,6 +106,7 @@ class AckedHop {
   DecayProcess decay_;
   std::optional<Message> owed_ack_;
   Waker* waker_ = nullptr;  ///< set by attach
+  std::vector<std::uint64_t>* per_level_ = nullptr;  ///< set by count_into
 };
 
 }  // namespace radiomc

@@ -1,7 +1,5 @@
 #include "protocols/broadcast_service.h"
 
-#include <algorithm>
-
 #include "perf/profiler.h"
 #include "support/util.h"
 
@@ -10,7 +8,7 @@ namespace radiomc {
 BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
                                    BroadcastServiceConfig cfg,
                                    std::uint64_t seed)
-    : g_(g), tree_(tree), cfg_(cfg) {
+    : cfg_(cfg) {
   const NodeId n = g.num_nodes();
   require(tree.num_nodes() == n, "BroadcastService: tree/graph mismatch");
   Rng master(seed);
@@ -23,6 +21,7 @@ BroadcastService::BroadcastService(const Graph& g, const BfsTree& tree,
         v, tree, cfg.collection, master.split(2 * v)));
     dist_.push_back(std::make_unique<DistributionStation>(
         v, tree, cfg.distribution, master.split(2 * v + 1)));
+    if (v != tree.root) dist_[v]->count_prefix_into(prefix_tally_);
   }
 
   // Control plane: a node's distribution half emits NACKs / checkpoint
@@ -114,15 +113,6 @@ SlotTime BroadcastService::now() const { return net_->now(); }
 
 const NetMetrics& BroadcastService::metrics() const {
   return net_->metrics();
-}
-
-std::uint32_t BroadcastService::min_delivered_prefix() const {
-  std::uint32_t best = static_cast<std::uint32_t>(-1);
-  for (NodeId v = 0; v < g_.num_nodes(); ++v) {
-    if (v == tree_.root) continue;
-    best = std::min(best, dist_[v]->delivered_prefix());
-  }
-  return best;  // n == 1: no other nodes, so UINT32_MAX = "all delivered"
 }
 
 bool BroadcastService::run_until_delivered(SlotTime max_slots) {

@@ -66,6 +66,9 @@ class BroadcastService {
  public:
   BroadcastService(const Graph& g, const BfsTree& tree,
                    BroadcastServiceConfig cfg, std::uint64_t seed);
+  /// Pinned: the stations point at the service's prefix tally.
+  BroadcastService(const BroadcastService&) = delete;
+  BroadcastService& operator=(const BroadcastService&) = delete;
 
   /// Originates a broadcast of `payload` at node `src` (enters the
   /// collection buffer; at the root it is queued for distribution
@@ -85,8 +88,12 @@ class BroadcastService {
 
   SlotTime now() const;
   std::uint64_t originated() const noexcept { return originated_; }
-  /// Smallest in-order delivered prefix over all non-root nodes.
-  std::uint32_t min_delivered_prefix() const;
+  /// Smallest in-order delivered prefix over all non-root nodes
+  /// (UINT32_MAX when there are none); O(1), read from a tally the
+  /// stations keep.
+  std::uint32_t min_delivered_prefix() const noexcept {
+    return prefix_tally_.min();
+  }
   const DistributionStation& distribution(NodeId v) const {
     return *dist_[v];
   }
@@ -99,14 +106,13 @@ class BroadcastService {
   const EngineStats& engine_stats() const { return net_->engine_stats(); }
 
  private:
-  const Graph& g_;
-  const BfsTree& tree_;
   BroadcastServiceConfig cfg_;
   std::vector<std::unique_ptr<CollectionStation>> coll_;
   std::vector<std::unique_ptr<DistributionStation>> dist_;
   std::vector<std::unique_ptr<Station>> muxes_;
   std::unique_ptr<RadioNetwork> net_;
   std::unique_ptr<FaultSchedule> faults_;
+  PrefixTally prefix_tally_;  ///< over the non-root distribution stations
   std::vector<std::uint32_t> next_up_seq_;
   std::uint64_t originated_ = 0;
   RunStatus status_ = RunStatus::kOk;

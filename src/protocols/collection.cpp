@@ -91,10 +91,14 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   Rng master(seed);
   std::vector<std::unique_ptr<CollectionStation>> stations;
   stations.reserve(n);
+  // Messages queued per BFS level, kept exact by the stations' hops: every
+  // in-network message sits on exactly one buffer (§4.1).
+  std::vector<std::uint64_t> queued(tree.depth + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
     stations.push_back(std::make_unique<CollectionStation>(
         v, tree, cfg, master.split(v)));
     stations.back()->record_accepts(true);
+    stations.back()->count_buffer_into(queued);
   }
   const std::size_t expected = initial.size();
   for (const Message& m : initial) {
@@ -119,23 +123,15 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   out.occupied_phases.assign(tree.depth + 1, 0);
   out.advance_phases.assign(tree.depth + 1, 0);
 
-  // Messages counted into occupancy at the phase boundary; advances read
-  // from the accept logs afterwards and conditioned on start-of-phase
-  // occupancy, matching Theorem 4.1's hypothesis ("a level containing
-  // messages at the beginning of a phase").
-  std::vector<bool> occupied_now(tree.depth + 1, false);
-  std::vector<std::uint64_t> depth_now(tree.depth + 1, 0);
+  // Messages counted into occupancy at the phase boundary, O(depth) from
+  // the per-level tally; advances read from the accept logs afterwards and
+  // conditioned on start-of-phase occupancy, matching Theorem 4.1's
+  // hypothesis ("a level containing messages at the beginning of a
+  // phase").
   std::vector<std::vector<std::uint64_t>> occupied_list(tree.depth + 1);
   auto snapshot_occupancy = [&](std::uint64_t phase) {
-    std::fill(occupied_now.begin(), occupied_now.end(), false);
-    std::fill(depth_now.begin(), depth_now.end(), 0);
-    for (NodeId v = 0; v < n; ++v)
-      if (stations[v]->buffer_size() > 0) {
-        occupied_now[tree.level[v]] = true;
-        depth_now[tree.level[v]] += stations[v]->buffer_size();
-      }
     for (std::uint32_t l = 1; l <= tree.depth; ++l)
-      if (occupied_now[l]) {
+      if (queued[l] > 0) {
         ++out.occupied_phases[l];
         occupied_list[l].push_back(phase);
       }
@@ -147,7 +143,7 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
         cfg.telemetry->metrics
             .distribution("collection.queue_depth",
                           {{"level", std::to_string(l)}})
-            .add(static_cast<std::int64_t>(depth_now[l]));
+            .add(static_cast<std::int64_t>(queued[l]));
     }
   };
 

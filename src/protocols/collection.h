@@ -120,6 +120,11 @@ class CollectionStation final : public SubStation {
   std::uint32_t level() const noexcept { return hop_.level(); }
   bool is_root() const noexcept { return is_root_; }
   std::size_t buffer_size() const noexcept { return hop_.size(); }
+  /// Counts this station's buffer into `per_level[level()]` from now on
+  /// (AckedHop::count_into).
+  void count_buffer_into(std::vector<std::uint64_t>& per_level) {
+    hop_.count_into(per_level);
+  }
 
   /// Root only: everything delivered so far, in arrival order.
   const std::vector<Delivery>& root_sink() const noexcept { return sink_; }

@@ -251,6 +251,7 @@ void DistributionStation::note_received(SlotTime t, std::uint32_t abs,
     delivery_log_.emplace_back(t, next_expected_);
     if (delivery_handler_) delivery_handler_(t, it->second);
     out_of_order_.erase(it);
+    if (prefix_tally_ != nullptr) prefix_tally_->advance(next_expected_);
     ++next_expected_;
   }
   // Checkpoint acknowledgements (window mode); never skip an index, the

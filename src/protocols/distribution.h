@@ -89,6 +89,39 @@ struct DistributionConfig {
   }
 };
 
+/// Driver-owned count of stations per delivered prefix, and its minimum.
+/// A station joins at prefix 0 and reports each step of its prefix; since
+/// prefixes only grow, the minimum only moves up, and keeping it costs
+/// amortized O(1) per step.
+class PrefixTally {
+ public:
+  /// A station joins at prefix 0.
+  void join() {
+    bump(0);
+    ++members_;
+  }
+  /// A member's prefix grew from `from` to `from + 1`.
+  void advance(std::uint32_t from) {
+    --count_[from];
+    bump(from + 1);
+    while (count_[min_] == 0) ++min_;
+  }
+  /// Smallest prefix over the members; UINT32_MAX with none.
+  std::uint32_t min() const noexcept {
+    return members_ == 0 ? static_cast<std::uint32_t>(-1) : min_;
+  }
+
+ private:
+  void bump(std::uint32_t p) {
+    if (p >= count_.size()) count_.resize(p + 1, 0);
+    ++count_[p];
+  }
+
+  std::vector<std::uint64_t> count_;  ///< members per prefix
+  std::uint32_t min_ = 0;
+  std::uint64_t members_ = 0;
+};
+
 class DistributionStation final : public SubStation {
  public:
   DistributionStation(NodeId me, const BfsTree& tree, DistributionConfig cfg,
@@ -119,6 +152,15 @@ class DistributionStation final : public SubStation {
 
   /// Number of messages delivered in order to the application.
   std::uint32_t delivered_prefix() const noexcept { return next_expected_; }
+  /// Joins `tally` and reports every later step of delivered_prefix() to
+  /// it. Call before the first delivery; the tally must outlive the
+  /// station.
+  void count_prefix_into(PrefixTally& tally) {
+    require(next_expected_ == 0,
+            "distribution: join a prefix tally before the first delivery");
+    tally.join();
+    prefix_tally_ = &tally;
+  }
   /// (slot, absolute seq) per in-order application delivery.
   const std::vector<std::pair<SlotTime, std::uint32_t>>& delivery_log()
       const noexcept {
@@ -194,6 +236,7 @@ class DistributionStation final : public SubStation {
 
   // Receiver state.
   std::uint32_t next_expected_ = 0;
+  PrefixTally* prefix_tally_ = nullptr;  ///< set by count_prefix_into
   std::map<std::uint32_t, Message> out_of_order_;
   std::map<std::uint32_t, std::uint64_t> nack_last_sp_;  ///< missing seq -> sp
   std::vector<std::pair<SlotTime, std::uint32_t>> delivery_log_;

@@ -37,6 +37,7 @@ std::uint32_t P2pUpStation::send(std::uint32_t dest_addr,
 void P2pUpStation::route(SlotTime t, const Message& m) {
   if (m.dest == info_.number) {
     sink_.push_back({t, m});  // addressed to this node
+    if (feed_ != nullptr) feed_->push_back(sink_.back());
   } else if (info_.subtree_contains(m.dest)) {
     require(down_ != nullptr, "P2pUpStation: downward half not wired");
     down_->enqueue(m);  // LCA reached: turn downwards (§5.2)
@@ -82,10 +83,12 @@ void P2pDownStation::deliver(SlotTime t, const Message& m) {
       !info_.subtree_contains(m.dest))
     return;
   hop_.acknowledge(m);
-  if (m.dest == info_.number)
+  if (m.dest == info_.number) {
     sink_.push_back({t, m});  // final delivery
-  else
+    if (feed_ != nullptr) feed_->push_back(sink_.back());
+  } else {
     hop_.push(m);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -104,12 +107,16 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   std::vector<std::unique_ptr<P2pDownStation>> downs;
   ups.reserve(n);
   downs.reserve(n);
+  // Every sink entry since the driver's last read, from all 2n sinks.
+  std::vector<AckedHop::Delivery> fresh;
   for (NodeId v = 0; v < n; ++v) {
     ups.push_back(std::make_unique<P2pUpStation>(v, prep.routing[v], cfg,
                                                  master.split(2 * v)));
     downs.push_back(std::make_unique<P2pDownStation>(v, prep.routing[v], cfg,
                                                      master.split(2 * v + 1)));
     ups.back()->set_down(downs.back().get());
+    ups.back()->feed_into(fresh);
+    downs.back()->feed_into(fresh);
   }
 
   // Inject the requests; remember (origin, seq) -> request index so the
@@ -152,33 +159,24 @@ P2pOutcome run_point_to_point(const Graph& g, const PreparationResult& prep,
   P2pOutcome out;
   out.delivery_slot.assign(requests.size(), static_cast<SlotTime>(-1));
   std::uint64_t delivered = 0;
-  // Every node's up and down sink, with how far the driver has read it.
-  struct Cursor {
-    const std::vector<AckedHop::Delivery>* sink;
-    std::size_t seen = 0;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(2 * n);
-  for (NodeId v = 0; v < n; ++v) {
-    cursors.push_back({&ups[v]->sink()});
-    cursors.push_back({&downs[v]->sink()});
-  }
+  // Reads only the arrivals since the last read: all from the slot just
+  // run (or, before the first slot, the self-addressed sends of slot 0),
+  // so their order within one read cannot change a delivery slot.
   auto harvest = [&] {
-    for (Cursor& c : cursors)
-      for (; c.seen < c.sink->size(); ++c.seen) {
-        const AckedHop::Delivery& d = (*c.sink)[c.seen];
-        const std::uint64_t tag =
-            (static_cast<std::uint64_t>(d.msg.origin) << 32) | d.msg.seq;
-        // First copy only: a lost ack (fault injection) makes the sender
-        // retransmit an already-delivered message, and the radio level
-        // cannot deduplicate that — the end-to-end count must.
-        const std::size_t* req = find_request(tag);
-        if (req != nullptr &&
-            out.delivery_slot[*req] == static_cast<SlotTime>(-1)) {
-          out.delivery_slot[*req] = d.slot;
-          ++delivered;
-        }
+    for (const AckedHop::Delivery& d : fresh) {
+      const std::uint64_t tag =
+          (static_cast<std::uint64_t>(d.msg.origin) << 32) | d.msg.seq;
+      // First copy only: a lost ack (fault injection) makes the sender
+      // retransmit an already-delivered message, and the radio level
+      // cannot deduplicate that — the end-to-end count must.
+      const std::size_t* req = find_request(tag);
+      if (req != nullptr &&
+          out.delivery_slot[*req] == static_cast<SlotTime>(-1)) {
+        out.delivery_slot[*req] = d.slot;
+        ++delivered;
       }
+    }
+    fresh.clear();
     return delivered;
   };
 

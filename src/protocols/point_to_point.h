@@ -84,6 +84,9 @@ class P2pUpStation final : public SubStation {
 
   std::size_t buffer_size() const noexcept { return hop_.size(); }
   const std::vector<Delivery>& sink() const noexcept { return sink_; }
+  /// Also appends every later sink entry to `feed`, the driver's list of
+  /// arrivals since its last read (it must outlive the station).
+  void feed_into(std::vector<Delivery>& feed) noexcept { feed_ = &feed; }
 
  private:
   void route(SlotTime t, const Message& m);
@@ -93,6 +96,7 @@ class P2pUpStation final : public SubStation {
   P2pDownStation* down_ = nullptr;
   std::uint32_t next_seq_ = 0;
   std::vector<Delivery> sink_;
+  std::vector<Delivery>* feed_ = nullptr;
 };
 
 /// Downward subprotocol (§5.3): descent by DFS-interval containment.
@@ -114,11 +118,14 @@ class P2pDownStation final : public SubStation {
 
   std::size_t buffer_size() const noexcept { return hop_.size(); }
   const std::vector<Delivery>& sink() const noexcept { return sink_; }
+  /// Also appends every later sink entry to `feed` (see P2pUpStation).
+  void feed_into(std::vector<Delivery>& feed) noexcept { feed_ = &feed; }
 
  private:
   RoutingInfo info_;
   AckedHop hop_;
   std::vector<Delivery> sink_;
+  std::vector<Delivery>* feed_ = nullptr;
 };
 
 /// One transmission request for the driver: node `src` sends `payload` to

@@ -4,6 +4,7 @@
 #include <deque>
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "perf/profiler.h"
 #include "protocols/tree.h"
@@ -86,12 +87,14 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   Rng master(seed ^ 0x9e3779b97f4a7c15ULL);
   std::vector<std::unique_ptr<P2pUpStation>> ups;
   std::vector<std::unique_ptr<P2pDownStation>> downs;
+  std::vector<AckedHop::Delivery> fresh;  // down-sink entries since last read
   for (NodeId v = 0; v < n; ++v) {
     ups.push_back(std::make_unique<P2pUpStation>(v, prep.routing[v], pcfg,
                                                  master.split(2 * v)));
     downs.push_back(std::make_unique<P2pDownStation>(
         v, prep.routing[v], pcfg, master.split(2 * v + 1)));
     ups.back()->set_down(downs.back().get());
+    downs.back()->feed_into(fresh);
   }
   std::uint64_t expected_downs = 0;
   for (std::uint32_t r = 0; r < entries.size(); ++r) {
@@ -120,13 +123,17 @@ RankingOutcome run_ranking(const Graph& g, const PreparationResult& prep,
   net.set_faults(&fsch);
   net.attach(std::move(ptrs));
 
+  // Each node awaits exactly one rank message; count nodes served, by
+  // their DFS addresses 0..n-1 (a down sink takes only its own), not sink
+  // entries — a lost ack (fault injection) duplicates a delivery, and raw
+  // entry counts would declare completion while a node starves.
+  std::vector<std::uint8_t> served(n, 0);
+  std::uint64_t served_count = 0;
   auto delivered = [&] {
-    // Each node awaits exactly one rank message; count nodes served, not
-    // sink entries — a lost ack (fault injection) duplicates a delivery,
-    // and raw entry counts would declare completion while a node starves.
-    std::uint64_t c = 0;
-    for (NodeId v = 0; v < n; ++v) c += downs[v]->sink().empty() ? 0 : 1;
-    return c;
+    for (const AckedHop::Delivery& d : fresh)
+      if (!std::exchange(served.at(d.msg.dest), 1)) ++served_count;
+    fresh.clear();
+    return served_count;
   };
   StallWatchdog watchdog(stall_slots, delivered());
   perf::RunSpan deliver_span(observers, "ranking", "deliver",

@@ -1,14 +1,15 @@
 #include "radio/active_set.h"
 
-#include <algorithm>
-
 namespace radiomc {
 
 void ActiveSet::reset(NodeId n) {
   n_ = n;
   active_.resize(n);
-  for (NodeId v = 0; v < n; ++v) active_[v] = v;
-  in_active_.assign(n, 1);
+  members_.reset(n);
+  for (NodeId v = 0; v < n; ++v) {
+    active_[v] = v;
+    members_.insert(v);
+  }
   woke_flag_.assign(n, 0);
   pending_flag_.assign(n, 0);
   slot_woken_.clear();
@@ -117,16 +118,17 @@ void ActiveSet::begin_slot(SlotTime now) {
     // bonus slot of membership. (Marks raised *during* the slot come after
     // this drain and are consumed by end_slot, as the retention rule says.)
     woke_flag_[v] = 0;
-    if (!in_active_[v]) {
-      in_active_[v] = 1;
-      active_.push_back(v);
-      joined = true;
-    }
+    joined |= members_.insert(v);
   }
   pending_.clear();
   // Members must stay ascending: the slot loop's iteration order is what
   // keeps the rewritten engine byte-identical to the legacy full scan.
-  if (joined) std::sort(active_.begin(), active_.end());
+  if (joined) {
+    active_.clear();
+    members_.for_each([this](std::size_t v) {
+      active_.push_back(static_cast<NodeId>(v));
+    });
+  }
 }
 
 void ActiveSet::end_slot(const std::uint8_t* keep) {
@@ -135,7 +137,7 @@ void ActiveSet::end_slot(const std::uint8_t* keep) {
     if (keep[v] || woke_flag_[v]) {
       active_[w++] = v;
     } else {
-      in_active_[v] = 0;
+      members_.erase(v);
     }
   }
   active_.resize(w);

@@ -4,14 +4,17 @@
 // task/notifier idiom: stations sleep until something wakes them, the
 // engine polls only the awake ones).
 //
-// Membership is a sorted vector of node ids plus flat flag arrays, so the
-// slot loop iterates members in ascending id order — the same order the
-// legacy full-scan engine used, which is what keeps transmit lists, trace
-// streams and capture-RNG draws byte-identical to the pre-rewrite engine.
+// Membership is an ordered bitset (radio/ordered_bits.h) plus the
+// ascending vector of its members, so the slot loop iterates members in
+// ascending id order — the same order the legacy full-scan engine used,
+// which is what keeps transmit lists, trace streams and capture-RNG draws
+// byte-identical to the pre-rewrite engine.
 //
 // Cost model: `begin_slot` is O(wakes since last slot) plus, when any
 // timer is armed, one timer-wheel bucket; `end_slot` is O(active + wakes).
-// A sort is paid only on slots where a sleeping station actually joined.
+// On slots where a sleeping station actually joined, `begin_slot` also
+// rebuilds the member vector from a walk of the bitset, O(active) plus
+// the summary words between the lowest and highest member; no sort.
 // An idle slot (no member, no pending wake, no timer due) needs neither:
 // `skip_idle` finds the end of an idle span by looking at one bucket per
 // slot, or at nothing when no timer is armed.
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "radio/ordered_bits.h"
 #include "radio/waker.h"
 
 namespace radiomc {
@@ -47,7 +51,7 @@ class ActiveSet {
   std::span<const NodeId> active() const noexcept {
     return {active_.data(), active_.size()};
   }
-  bool contains(NodeId v) const noexcept { return in_active_[v] != 0; }
+  bool contains(NodeId v) const noexcept { return members_.contains(v); }
 
   /// Raises a wake for `v`: guarantees membership in the next slot and
   /// counts as "woken this slot" for the retention rule. Idempotent.
@@ -57,8 +61,8 @@ class ActiveSet {
   void wake_at(NodeId v, SlotTime t);
 
   /// Fires the timers due at `now`, then admits them and the stations
-  /// woken since the previous slot (sorting only if a non-member actually
-  /// joined). Call at the top of every slot.
+  /// woken since the previous slot (rebuilding the member list only if a
+  /// non-member actually joined). Call at the top of every slot.
   void begin_slot(SlotTime now);
 
   /// Applies the retention rule after all of a slot's callbacks ran:
@@ -98,8 +102,8 @@ class ActiveSet {
   void fire_timers(SlotTime now);
 
   NodeId n_ = 0;
-  std::vector<NodeId> active_;            // sorted member ids
-  std::vector<std::uint8_t> in_active_;   // membership flag, by node
+  std::vector<NodeId> active_;            // members_, ascending
+  OrderedBits members_;
   std::vector<std::uint8_t> woke_flag_;   // wake raised this slot, by node
   std::vector<std::uint8_t> pending_flag_;  // queued for admission, by node
   std::vector<NodeId> slot_woken_;        // nodes with woke_flag_ set

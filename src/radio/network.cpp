@@ -1,6 +1,5 @@
 #include "radio/network.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "support/rng_tags.h"
@@ -19,7 +18,7 @@ RadioNetwork::RadioNetwork(const Graph& g, Config cfg)
       static_cast<std::size_t>(g.num_nodes()) * cfg_.num_channels;
   act_epoch_.assign(cells, 0);
   act_msg_.assign(cells, Message{});
-  rx_epoch_.assign(cells, 0);
+  rx_touched_.reset(cells);
   rx_count_.assign(cells, 0);
   rx_msg_.assign(cells, nullptr);
   keep_.assign(g.num_nodes(), 0);
@@ -54,7 +53,6 @@ void RadioNetwork::step() {
   active_set_.begin_slot(now_);
   ++epoch_;
   tx_list_.clear();
-  touched_.clear();
 
   // Phase 1: collect transmit intents (one optional message per channel)
   // from the active set, in ascending node order — the same order the
@@ -89,12 +87,13 @@ void RadioNetwork::step() {
   }
 
   // Phase 2: superpose transmissions at each potential receiver — a CSR
-  // scatter over the flat adjacency copy into epoch-stamped counters;
-  // newly-touched cells are recorded so Phase 3 never scans the full
-  // (node, channel) space. In the capture model the surviving message is a
-  // uniform choice among the transmitting neighbors (reservoir sampling);
-  // in the main model only a lone transmitter's message matters, so the
-  // kept pointer is arbitrary beyond count 1.
+  // scatter over the flat adjacency copy into per-cell counters; a cell's
+  // first touch marks it in rx_touched_ (and zeroes its counter), so
+  // Phase 3 never scans the full (node, channel) space. In the capture
+  // model the surviving message is a uniform choice among the
+  // transmitting neighbors (reservoir sampling); in the main model only a
+  // lone transmitter's message matters, so the kept pointer is arbitrary
+  // beyond count 1.
   const bool capture = cfg_.capture_prob > 0.0;
   for (const auto& [u, c] : tx_list_) {
     const Message& m = act_msg_[static_cast<std::size_t>(u) * channels + c];
@@ -110,11 +109,7 @@ void RadioNetwork::step() {
         }
       }
       const std::size_t cell = static_cast<std::size_t>(v) * channels + c;
-      if (rx_epoch_[cell] != epoch_) {
-        rx_epoch_[cell] = epoch_;
-        rx_count_[cell] = 0;
-        touched_.push_back(cell);
-      }
+      if (rx_touched_.insert(cell)) rx_count_[cell] = 0;
       const std::uint32_t cnt = ++rx_count_[cell];
       if (cnt == 1) {
         rx_msg_[cell] = &m;
@@ -125,12 +120,12 @@ void RadioNetwork::step() {
   }
 
   // Phase 3: deliver where exactly one neighbor transmitted and the
-  // receiver was listening on that channel. Touched cells sorted by index
-  // reproduce the legacy engine's (node asc, channel asc) visit order,
-  // which keeps delivery callbacks, trace events and capture-probability
-  // draws in the identical sequence.
-  std::sort(touched_.begin(), touched_.end());
-  for (const std::size_t cell : touched_) {
+  // receiver was listening on that channel. Draining the touched cells in
+  // ascending index order reproduces the legacy engine's (node asc,
+  // channel asc) visit order, which keeps delivery callbacks, trace events
+  // and capture-probability draws in the identical sequence. The drain
+  // leaves rx_touched_ empty for the next slot.
+  rx_touched_.drain([&](const std::size_t cell) {
     const NodeId v = static_cast<NodeId>(cell / channels);
     const ChannelId c = static_cast<ChannelId>(cell % channels);
     const std::size_t base = cell - c;
@@ -140,7 +135,7 @@ void RadioNetwork::step() {
         transmitted_any |= act_epoch_[base + c2] == epoch_;
     }
     const bool listening = act_epoch_[cell] != epoch_ && !transmitted_any;
-    if (!listening) continue;
+    if (!listening) return;
     const std::uint32_t cnt = rx_count_[cell];
     if (cnt == 1) {
       if (fs && fs->jammed(now_, v, c)) {
@@ -148,11 +143,11 @@ void RadioNetwork::step() {
         // observes silence indistinguishable from a collision.
         ++metrics_.fault_jams;
         if (trace_) trace_->on_collision(now_, v, c, cnt);
-        continue;
+        return;
       }
       if (fs && fs->dropped(now_, v, c)) {
         ++metrics_.fault_drops;
-        continue;
+        return;
       }
       ++metrics_.deliveries;
       if (trace_) trace_->on_deliver(now_, v, c, *rx_msg_[cell]);
@@ -161,7 +156,7 @@ void RadioNetwork::step() {
       // Remark 3: the conflict resolves to one of the messages.
       if (fs && fs->dropped(now_, v, c)) {
         ++metrics_.fault_drops;
-        continue;
+        return;
       }
       ++metrics_.deliveries;
       ++metrics_.capture_deliveries;
@@ -172,7 +167,7 @@ void RadioNetwork::step() {
       if (trace_) trace_->on_collision(now_, v, c, cnt);
       // No collision detection: the station is not told anything.
     }
-  }
+  });
 
   for (const NodeId v : active) {
     if (fs && !fs->node_alive(v)) continue;

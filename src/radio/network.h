@@ -22,9 +22,10 @@
 // are *doing* something, not to n. Phase 1 polls only the active set:
 // every station sleeps unless it transmitted or was woken (the Waker
 // contract of radio/waker.h). Phase 2 scatters each transmission over a
-// flat CSR adjacency copy (radio/csr.h) into epoch-stamped
-// struct-of-arrays receiver cells, recording each newly-touched cell;
-// Phase 3 visits only the touched cells, in (node, channel) order. A slot
+// flat CSR adjacency copy (radio/csr.h) into struct-of-arrays receiver
+// cells, marking each newly-touched cell in an ordered bitset
+// (radio/ordered_bits.h); Phase 3 drains the marks, which visits only the
+// touched cells, in (node, channel) order, with no sort. A slot
 // with nobody to poll is not run at all: `run` and `run_until` skip idle
 // spans (see their comments), and every driver advances time through one
 // of them, so a run pays for its traffic, not for its length. `step` is
@@ -45,6 +46,7 @@
 #include "radio/active_set.h"
 #include "radio/csr.h"
 #include "radio/message.h"
+#include "radio/ordered_bits.h"
 #include "radio/station.h"
 #include "radio/trace.h"
 #include "support/rng.h"
@@ -212,19 +214,18 @@ class RadioNetwork {
   std::vector<Waker> wakers_;        // one per node, stable after attach
   CsrAdjacency adj_;                 // flat scatter structure
 
-  // Per-slot state, all epoch-stamped so nothing is cleared per slot.
-  // Struct-of-arrays: the hot loops touch one narrow array each instead of
-  // striding over fat records.
+  // Per-slot state, epoch-stamped or drained so nothing is cleared per
+  // slot. Struct-of-arrays: the hot loops touch one narrow array each
+  // instead of striding over fat records.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> act_epoch_;  // cell transmitted this slot iff == epoch_
   std::vector<Message> act_msg_;          // valid iff act_epoch_ matches
-  std::vector<std::uint64_t> rx_epoch_;   // cell touched this slot iff == epoch_
-  std::vector<std::uint32_t> rx_count_;   // transmitting neighbors, iff epoch matches
-  std::vector<const Message*> rx_msg_;    // surviving message, iff epoch matches
+  OrderedBits rx_touched_;                // rx cells touched this slot
+  std::vector<std::uint32_t> rx_count_;   // transmitting neighbors, iff touched
+  std::vector<const Message*> rx_msg_;    // surviving message, iff touched
   std::vector<std::uint8_t> keep_;        // ActiveSet retention flag, by node
   std::vector<std::optional<Message>> row_;  // per-poll scratch, num_channels wide
   std::vector<std::pair<NodeId, ChannelId>> tx_list_;  // this slot's transmissions
-  std::vector<std::size_t> touched_;      // rx cells stamped this slot
 };
 
 }  // namespace radiomc

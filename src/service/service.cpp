@@ -88,9 +88,15 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   CollectionConfig ccfg = CollectionConfig::for_graph(g);
   ccfg.dedup_guard = cfg.dedup_guard;
   std::vector<std::unique_ptr<CollectionStation>> st;
-  for (NodeId v = 0; v < n; ++v)
+  // Queue depth per BFS level, kept exact by the stations' hops: every
+  // in-network message sits on exactly one buffer (§4.1), and an inject
+  // counts at once, so admission sees the depth its own admits made.
+  std::vector<std::uint64_t> depth(tree.depth + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
     st.push_back(
         std::make_unique<CollectionStation>(v, tree, ccfg, master.split(v)));
+    st.back()->count_buffer_into(depth);
+  }
   std::deque<SingleStation> adapters;
   std::vector<Station*> ptrs;
   for (auto& s : st) adapters.emplace_back(*s);
@@ -151,7 +157,6 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
   std::map<std::uint64_t, std::uint64_t> birth_phase;  // tag -> arrival phase
   std::deque<Message> held;  // defer policy's ingress queue, FIFO
   std::vector<std::uint32_t> next_seq(n, 0);
-  std::vector<std::uint64_t> depth(tree.depth + 1, 0);
   std::vector<CollectionStation::Delivery> arrived;  // this phase's, drained
   std::uint64_t in_system = 0;
   std::uint64_t arrivals_total = 0;
@@ -172,14 +177,7 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
       shed0 = admit.shed();
     }
 
-    // Ground-truth start-of-phase queue depths: every in-network message
-    // sits on exactly one buffer (§4.1), so summing buffers by BFS level
-    // is exact. O(n) per phase against slots_per_phase engine work.
-    std::fill(depth.begin(), depth.end(), 0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v == tree.root) continue;
-      depth[tree.level[v]] += st[v]->buffer_size();
-    }
+    // Ground-truth start-of-phase queue depths, O(depth) from the tally.
     for (std::uint32_t lv = 1; lv <= tree.depth; ++lv) {
       out.peak_level_depth = std::max(out.peak_level_depth, depth[lv]);
       if (measured && d_depth != nullptr)
@@ -196,7 +194,6 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
       if (admit.decide(depth[lv]) != AdmissionController::Decision::kAdmit)
         break;
       st[held.front().origin]->inject(held.front());
-      ++depth[lv];
       ++in_system;
       held.pop_front();
     }
@@ -216,7 +213,6 @@ ServeOutcome run_service(const Graph& g, const BfsTree& tree,
         case AdmissionController::Decision::kAdmit:
           st[v]->inject(m);
           birth_phase[tag_of(m)] = phase;
-          ++depth[lv];
           ++in_system;
           break;
         case AdmissionController::Decision::kDefer:

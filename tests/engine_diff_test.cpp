@@ -33,6 +33,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -441,6 +442,137 @@ TEST(EngineDiff, MatrixIsJobCountInvariant) {
     EXPECT_TRUE(serial[i].first) << "engine divergence in cell " << i;
     EXPECT_TRUE(serial[i].second == parallel[i].second)
         << "job-count divergence in cell " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dense slots: thousands of stations join in one slot and thousands of
+// receiver cells are touched, the case the engine's ordered bitsets (the
+// active set's members, the touched cells) exist for.
+// ---------------------------------------------------------------------------
+
+/// One engine callback, in the global order the engine made it: a poll
+/// (channel = the one it transmitted on, or kSilent) or a reception.
+struct Call {
+  SlotTime slot;
+  NodeId node;
+  bool receive;
+  ChannelId channel;
+  NodeId origin;
+  bool operator==(const Call&) const = default;
+};
+constexpr ChannelId kSilent = ~ChannelId{0};
+
+/// Sleeps on a timer between bursts: every `period`-th slot the whole
+/// population is due at once and each station transmits with probability
+/// 0.4 on a random channel, drawn from a private stream in burst slots
+/// only. It logs its burst-slot polls and all its receptions to one list
+/// shared by the population.
+class BurstStation : public Station {
+ public:
+  BurstStation(NodeId self, ChannelId channels, SlotTime period, Rng rng,
+               std::vector<Call>* calls)
+      : self_(self), channels_(channels), period_(period), rng_(rng),
+        calls_(calls) {}
+
+  void on_attach(Waker& w) override { waker_ = &w; }
+  void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    if (t % period_ == 0) {
+      ChannelId ch = kSilent;
+      if (rng_.bernoulli(0.4)) {
+        ch = static_cast<ChannelId>(rng_.next_below(channels_));
+        Message m;
+        m.kind = MsgKind::kData;
+        m.origin = self_;
+        m.seq = static_cast<std::uint32_t>(t);
+        m.payload = rng_.next();
+        tx[ch] = m;
+      }
+      calls_->push_back({t, self_, false, ch, kNoNode});
+    }
+    if (waker_ != nullptr) waker_->wake_at(t - t % period_ + period_);
+  }
+  void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
+    calls_->push_back({t, self_, true, ch, m.origin});
+  }
+
+ private:
+  NodeId self_;
+  ChannelId channels_;
+  SlotTime period_;
+  Rng rng_;
+  std::vector<Call>* calls_;
+  Waker* waker_ = nullptr;  // null under the reference engine
+};
+
+struct BurstRun {
+  std::vector<Call> calls;
+  NetMetrics metrics;
+  std::string trace;
+};
+
+template <typename Engine>
+BurstRun run_bursts(const Graph& g, const FaultPlan& plan, SlotTime period,
+                    SlotTime slots) {
+  constexpr ChannelId kChannels = 2;
+  BurstRun out;
+  Rng master(0xB0257);
+  std::deque<BurstStation> stations;
+  std::vector<Station*> ptrs;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    stations.emplace_back(v, kChannels, period, master.split(v), &out.calls);
+    ptrs.push_back(&stations.back());
+  }
+  RadioNetwork::Config cfg;
+  cfg.num_channels = kChannels;
+  cfg.capture_prob = 0.5;  // capture draws in Phase 2 and Phase 3
+  cfg.capture_stream = Rng(0xCA97);
+  std::ostringstream trace_out;
+  telemetry::JsonlTraceSink trace(trace_out);
+  Engine net(g, cfg);
+  FaultSchedule faults(g, plan, 0xFA17);
+  net.set_faults(&faults);
+  net.set_trace(&trace);
+  net.attach(ptrs);
+  net.run(slots);
+  trace.finish();
+  out.metrics = net.metrics();
+  out.trace = trace_out.str();
+  return out;
+}
+
+TEST(EngineDiff, DenseSlotsMatchTheReferenceCallForCall) {
+  Rng topo_rng(0xDE05E);
+  const NodeId n = 3000;
+  const Graph g =
+      gen::unit_disk_fast(n, gen::udg_degree_radius(n, 16.0), topo_rng);
+  const SlotTime period = 8;
+  FaultPlan crash_jam = crash_plan();
+  crash_jam.jam_prob = 0.08;
+  for (const auto& [name, plan] :
+       std::vector<std::pair<std::string, FaultPlan>>{
+           {"nofault", FaultPlan{}}, {"crash+jam", crash_jam}}) {
+    const BurstRun a = run_bursts<RadioNetwork>(g, plan, period, 5 * period);
+    const BurstRun r = run_bursts<radiomc::testing::ReferenceNetwork>(
+        g, plan, period, 5 * period);
+    EXPECT_TRUE(a.calls == r.calls) << name;
+    EXPECT_TRUE(same_metrics(a.metrics, r.metrics)) << name;
+    EXPECT_TRUE(a.trace == r.trace) << name;
+    EXPECT_GT(a.metrics.capture_deliveries, 0u) << name;
+
+    // The slot the test is about: every station asleep since slot 1 is
+    // due at `period`, and the cells its transmissions touch, counted from
+    // the logged polls, number in the thousands.
+    std::size_t joined = 0;
+    std::set<std::pair<NodeId, ChannelId>> touched;
+    for (const Call& c : a.calls) {
+      if (c.slot != period || c.receive) continue;
+      ++joined;
+      if (c.channel == kSilent) continue;
+      for (const NodeId v : g.neighbors(c.node)) touched.emplace(v, c.channel);
+    }
+    EXPECT_GE(joined, 1024u) << name;
+    EXPECT_GE(touched.size(), 4096u) << name;
   }
 }
 

@@ -7,8 +7,8 @@
 //   * every delivery is explained by exactly one transmitting neighbor of
 //     the receiver, on that channel, in that same slot, carrying that very
 //     message (which also rules out any cross-slot leakage of the
-//     epoch-stamped rx cells: a stale cell would surface as a delivery
-//     with no same-slot transmitter);
+//     per-slot rx cells: a stale cell would surface as a delivery with
+//     no same-slot transmitter);
 //   * every collision event has >= 2 transmitting neighbors (fault-free
 //     runs; jams are the txn == 1 case and only exist under a plan);
 //   * deliveries are bounded by the transmitters' degrees (the radio
@@ -699,7 +699,8 @@ TEST(EngineInvariants, RunUntilEqualsAStepLoop) {
 }
 
 TEST(EngineInvariants, EpochStampedCellsNeverLeakAcrossSlots) {
-  // A single transmitter fires exactly once; with epoch-stamped rx cells a
+  // A single transmitter fires exactly once; the rx cells are never
+  // cleared (a drained touched-cell bitset says which are live), so a
   // stale-state bug would re-deliver (or re-collide) in later slots. Run
   // long after the burst and demand total silence.
   class OneShot : public Station {
