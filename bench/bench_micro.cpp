@@ -90,13 +90,19 @@ class IdleStation final : public Station {
 };
 
 /// Engine slot throughput with every node transmitting (dense
-/// superposition: every slot is a collision storm).
+/// superposition: every slot is a collision storm). Transmitting buys no
+/// poll, so it wakes for the next slot on every poll.
 class ChattyStation final : public Station {
  public:
+  void on_attach(Waker& w) override { waker_ = &w; }
   void on_slot(SlotTime, std::span<std::optional<Message>> tx) override {
+    waker_->wake();
     tx[0] = Message{};
   }
   void on_receive(SlotTime, ChannelId, const Message&) override {}
+
+ private:
+  Waker* waker_ = nullptr;
 };
 
 Graph make_topology(const std::string& topology, NodeId n) {
@@ -157,7 +163,7 @@ void engine_case(const std::string& topology, NodeId n,
 }
 
 /// Mixed cell: one permanently-active transmitter per `stride` stations
-/// (it transmits in every slot, which keeps it active), everyone else a
+/// (it transmits and wakes in every slot), everyone else a
 /// sleeping IdleStation. "sparse" (stride 256) is the shape of a large
 /// network where almost everything is quiet: per-slot cost tracks the
 /// chatty 1/256th of the population. "dense" (stride 8) is a busy slot

@@ -40,11 +40,7 @@ class RoundRobinStation final : public SubStation {
 
   void on_attach(Waker& w) override { waker_ = w; }
   std::optional<Message> poll(SlotTime t) override {
-    if (!informed_) return std::nullopt;
-    if (t % n_ != me_) {
-      waker_.wake_at(next_frame_slot(t, me_, n_));
-      return std::nullopt;
-    }
+    if (!informed_ || t % n_ != me_) return std::nullopt;
     Message m;
     m.kind = MsgKind::kBcastData;
     m.origin = me_;
@@ -56,6 +52,9 @@ class RoundRobinStation final : public SubStation {
       informed_at_ = t;
       waker_.wake_at(next_frame_slot(t, me_, n_));
     }
+  }
+  void tick(SlotTime t) override {
+    if (informed_) waker_.wake_at(next_frame_slot(t, me_, n_));
   }
 
  private:

@@ -33,11 +33,7 @@ class TdmaStation final : public SubStation {
 
   void on_attach(Waker& w) override { waker_ = w; }
   std::optional<Message> poll(SlotTime t) override {
-    if (is_root_ || buffer_.empty()) return std::nullopt;
-    if (t % n_ != me_) {  // not my frame slot
-      waker_.wake_at(next_frame_slot(t, me_, n_));
-      return std::nullopt;
-    }
+    if (is_root_ || buffer_.empty() || t % n_ != me_) return std::nullopt;
     Message m = buffer_.front();
     buffer_.pop_front();  // single global transmitter: reception is certain
     m.sender = me_;
@@ -53,6 +49,10 @@ class TdmaStation final : public SubStation {
       buffer_.push_back(m);
       waker_.wake_at(next_frame_slot(t, me_, n_));
     }
+  }
+  void tick(SlotTime t) override {
+    if (!is_root_ && !buffer_.empty())
+      waker_.wake_at(next_frame_slot(t, me_, n_));
   }
 
  private:

@@ -43,18 +43,8 @@ std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {
   if (info.is_ack && owed_ack_) return std::exchange(owed_ack_, std::nullopt);
   // Data subslot: one Decay invocation per phase for the head (§4.1).
   if (info.is_ack || !sending || !clock_.level_may_send_data(info, level_) ||
-      !decay_.transmits_in(info.phase)) {
-    // Silent: sleep until the next slot that can act (a transmitting
-    // station is polled in the next slot anyway). An owed ack wants the
-    // next slot; a message mid-drain, its next chance to fire. A FIFO
-    // with nowhere to go never drains and never wakes.
-    if (waker_ != nullptr && owed_ack_) {
-      waker_->wake();
-    } else if (waker_ != nullptr && sending) {
-      waker_->wake_at(decay_.next_transmit_slot(clock_, t, level_));
-    }
+      !decay_.transmits_in(info.phase))
     return std::nullopt;
-  }
   Message m = fifo_.front();
   m.sender = me_;
   m.sender_parent = parent_;  // §4: appended so receivers can classify
@@ -72,6 +62,20 @@ bool AckedHop::receive(SlotTime t, const Message& m) {
     decay_.stop();
   }
   return false;
+}
+
+void AckedHop::tick(SlotTime t, bool may_send) {
+  decay_.end_slot(rng_);
+  // Sleep until the next slot that can act, judged after this slot's coin
+  // and receptions: an owed ack wants the next slot; a message mid-drain,
+  // its next chance to fire (a popped head's successor waits for the next
+  // phase). A FIFO with nowhere to go never drains and never wakes.
+  if (waker_ == nullptr) return;
+  if (owed_ack_) {
+    waker_->wake();
+  } else if (may_send && !fifo_.empty()) {
+    waker_->wake_at(decay_.next_transmit_slot(clock_, t, level_));
+  }
 }
 
 void AckedHop::acknowledge(const Message& m) {

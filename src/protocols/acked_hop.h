@@ -16,18 +16,18 @@
 // `acknowledge` for those), where an accepted message goes (`push` to send
 // it on, or a sink), and whether it may send at all (`poll`'s `may_send`).
 //
-// Sleeping (radio/waker.h), always, on timed duty wakes: a poll that does
-// not transmit wakes the station for the next slot if it owes an ack, and
+// Sleeping (radio/waker.h), always, on timed duty wakes: at the end of
+// every slot it is polled in, after the Decay coin and the slot's
+// receptions, the station wakes for the next slot if it owes an ack, and
 // otherwise, if it holds a message it may send, arms its timer for the
 // next slot in which that message can fire (the level's next data
 // subslot while this phase's Decay is alive, else the first one of the
 // next phase). Acknowledging a data message and a push wake the station;
 // any other reception leaves it asleep. That includes the ack that pops
-// the head: the sender transmitted in the slot before, so it is polled in
-// the ack subslot and arms its next duty there (the stale arm's poll
-// re-arms into the next phase). Every slot the station sleeps through
-// would have been a silent poll that draws no randomness, so only the
-// engine's poll count changes.
+// the head: a sender that transmitted data arms its next data subslot,
+// not the ack subslot, and the ack needs no poll to land. Every slot the
+// station sleeps through would have been a silent poll that draws no
+// randomness, so only the engine's poll count changes.
 
 #include <cstdint>
 #include <deque>
@@ -74,8 +74,7 @@ class AckedHop {
 
   /// Transmit decision for slot `t`: the owed ack in an ack subslot, the
   /// head message under this phase's Decay in a data subslot. `may_send`
-  /// is the owner's verdict on whether its FIFO has somewhere to go. A
-  /// poll that sends nothing re-arms the station's next duty.
+  /// is the owner's verdict on whether its FIFO has somewhere to go.
   std::optional<Message> poll(SlotTime t, bool may_send);
   /// A reception in slot `t` (receptions reach sleeping stations too). An
   /// ack-subslot reception is the hop's own business: a matching ack pops
@@ -88,8 +87,10 @@ class AckedHop {
   /// Appends `m` to the FIFO and wakes the station: it is transmit duty
   /// for the next poll.
   void push(const Message& m);
-  /// The owner's tick: flips the Decay coin after a transmitting slot.
-  void tick() { decay_.end_slot(rng_); }
+  /// The owner's tick for slot `t`, with poll's `may_send`: flips the
+  /// Decay coin after a transmitting slot, then arms the station's next
+  /// duty.
+  void tick(SlotTime t, bool may_send);
 
   NodeId id() const noexcept { return me_; }
   std::uint32_t level() const noexcept { return level_; }

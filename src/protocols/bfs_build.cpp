@@ -1,5 +1,6 @@
 #include "protocols/bfs_build.h"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 
@@ -32,20 +33,9 @@ void BfsBuildStation::on_attach(Waker& w) {
 }
 
 std::optional<Message> BfsBuildStation::poll(SlotTime t) {
-  if (level_ == kNoLevel) return std::nullopt;
-  const std::uint64_t stage = stage_of(t);
-  if (stage != level_) {
-    if (waker_ != nullptr && stage < level_)
-      waker_->wake_at(level_ * stage_slots());
+  if (level_ == kNoLevel || stage_of(t) != level_ ||
+      !decay_.transmits_in(t / cfg_.decay_len))
     return std::nullopt;
-  }
-  const std::uint64_t phase = t / cfg_.decay_len;
-  if (!decay_.transmits_in(phase)) {
-    // Silent until the next phase of the stage restarts Decay.
-    const SlotTime next = (phase + 1) * cfg_.decay_len;
-    if (waker_ != nullptr && stage_of(next) == level_) waker_->wake_at(next);
-    return std::nullopt;
-  }
   Message m;
   m.kind = MsgKind::kBfsAnnounce;
   m.origin = me_;
@@ -61,8 +51,8 @@ void BfsBuildStation::deliver(SlotTime t, const Message& m) {
     parent_ = m.sender;
     root_id_ = static_cast<NodeId>(m.payload);
     joined_at_ = t;
-    // The next poll arms the start of the stage this node announces in.
-    if (waker_ != nullptr) waker_->wake();
+    // Its own stage, level_, starts after the one it heard level_-1 in.
+    if (waker_ != nullptr) waker_->wake_at(level_ * stage_slots());
   } else if (m.aux + 1 < level_) {
     // A neighbor sits at level m.aux <= level_-2: our own level is too
     // large, i.e. we missed an earlier stage. Report it so the setup
@@ -71,7 +61,17 @@ void BfsBuildStation::deliver(SlotTime t, const Message& m) {
   }
 }
 
-void BfsBuildStation::tick(SlotTime) { decay_.end_slot(rng_); }
+void BfsBuildStation::tick(SlotTime t) {
+  decay_.end_slot(rng_);
+  if (waker_ == nullptr || level_ == kNoLevel) return;
+  // The next slot while this phase's Decay lives, else the next phase
+  // start, but never before its own stage starts nor after it ends.
+  SlotTime next = t + 1;
+  if (!decay_.may_transmit_in(next / cfg_.decay_len))
+    next = (t / cfg_.decay_len + 1) * cfg_.decay_len;
+  next = std::max<SlotTime>(next, level_ * stage_slots());
+  if (stage_of(next) == level_) waker_->wake_at(next);
+}
 
 BfsBuildOutcome run_bfs_build(const Graph& g, NodeId root,
                               const BfsBuildConfig& cfg, std::uint64_t seed,

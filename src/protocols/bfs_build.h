@@ -39,14 +39,15 @@ class BfsBuildStation final : public SubStation {
 
   /// Makes this node a root (level 0) announcing `root_id` (normally its
   /// own id; setup passes the elected leader's id). It does not wake the
-  /// station: call it before attach or from the poll that follows.
+  /// station: call it before attach or from the poll that follows, whose
+  /// tick arms the rest of the stage.
   void make_root(NodeId root_id);
   /// Restores the initial (unjoined) state.
   void reset();
 
   /// Keeps the Waker: a node is polled only during its own stage
-  /// (level s announces in stage s) while its Decay is live. Joining wakes
-  /// it, and a poll before that stage arms the stage start; a dead Decay
+  /// (level s announces in stage s) while its Decay is live. Joining arms
+  /// the stage start, and so does a tick before that stage; a dead Decay
   /// arms the next phase in it.
   void on_attach(Waker& w) override;
   std::optional<Message> poll(SlotTime t) override;

@@ -38,17 +38,8 @@ bool FloodStation::relays_in(std::uint64_t phase) const noexcept {
 }
 
 std::optional<Message> FloodStation::poll(SlotTime t) {
-  // A poll outside the relay window is a pure no-op: an uninformed station
-  // sleeps until the front's delivery wakes it, and one whose budget is
-  // spent arms nothing, so it sleeps for good.
   const std::uint64_t phase = t / decay_len_;
-  if (!relays_in(phase)) return std::nullopt;
-  if (!decay_.transmits_in(phase)) {
-    // Silent until the next phase restarts Decay, if the budget covers it.
-    if (waker_ != nullptr && relays_in(phase + 1))
-      waker_->wake_at((phase + 1) * decay_len_);
-    return std::nullopt;
-  }
+  if (!relays_in(phase) || !decay_.transmits_in(phase)) return std::nullopt;
   return msg_;
 }
 
@@ -62,7 +53,19 @@ void FloodStation::deliver(SlotTime t, const Message& m) {
   // so a fresh invocation starts on the very next slot, even mid-phase.
 }
 
-void FloodStation::tick(SlotTime) { decay_.end_slot(rng_); }
+void FloodStation::tick(SlotTime t) {
+  decay_.end_slot(rng_);
+  if (waker_ == nullptr) return;
+  // The next slot while this phase's Decay lives (or a phase starts
+  // there), else the next phase start, where the flood restarts Decay. A
+  // station outside its relay window arms nothing: an uninformed one
+  // sleeps until the front's delivery wakes it, and one whose budget is
+  // spent sleeps for good.
+  SlotTime next = t + 1;
+  if (!decay_.may_transmit_in(next / decay_len_))
+    next = (t / decay_len_ + 1) * decay_len_;
+  if (relays_in(next / decay_len_)) waker_->wake_at(next);
+}
 
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,
                              std::uint64_t phases, std::uint64_t seed,

@@ -10,8 +10,8 @@
 // invocations after it is informed, not until the run ends. A
 // FloodStation given a budget of K phases relays in the K phases counted
 // from the one in which it was informed (phase 0 for a seeded source; that
-// first, possibly partial, phase counts); then its poll returns nothing
-// and arms nothing, so it sleeps for good. Its neighbors then get at least
+// first, possibly partial, phase counts); then it arms nothing, so it
+// sleeps for good. Its neighbors then get at least
 // K-1 whole phases of its Decay, each of which informs a listener with
 // probability > 1/2 (Decay property (2)), so a node stays uninformed with
 // probability below 2^-(K-1) and the flood misses some node with

@@ -108,7 +108,9 @@ class CollectionStation final : public SubStation {
   void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime) override { hop_.tick(); }
+  void tick(SlotTime t) override {
+    hop_.tick(t, /*may_send=*/bound_ && !is_root_);
+  }
 
   /// Application-level origination: enqueue a message for the root. The
   /// caller provides origin == this node's id and a per-origin-unique seq.

@@ -15,11 +15,12 @@ class DecayTrialStation final : public Station {
   DecayTrialStation(std::uint32_t decay_len, bool transmits, Rng rng)
       : decay_(decay_len), rng_(rng), transmits_(transmits) {}
 
-  // Needs no Waker: a live Decay process transmits on every polled slot
-  // (transmitting retains active-set membership), and once the coin kills
-  // it — or for pure listeners from the start — on_slot returns no intent
-  // and on_slot_end is a no-op, so skipping both changes nothing. No event
-  // ever re-creates transmit desire, hence no wake().
+  // Everyone is polled in slot 0. A live Decay process transmits in every
+  // slot, so it wakes for the next one while its coin keeps it alive;
+  // once the coin kills it, or for pure listeners from the start, on_slot
+  // returns no intent and on_slot_end is a no-op, so it sleeps for good.
+  // No reception ever re-creates transmit desire.
+  void on_attach(Waker& w) override { waker_ = &w; }
 
   // The whole trial is one phase: a transmitter's first poll begins its
   // invocation.
@@ -34,7 +35,10 @@ class DecayTrialStation final : public Station {
     received_ = true;
   }
 
-  void on_slot_end(SlotTime) override { decay_.end_slot(rng_); }
+  void on_slot_end(SlotTime) override {
+    decay_.end_slot(rng_);
+    if (decay_.wants_transmit()) waker_->wake();
+  }
 
   bool received() const noexcept { return received_; }
 
@@ -43,6 +47,7 @@ class DecayTrialStation final : public Station {
   Rng rng_;
   bool transmits_;
   bool received_ = false;
+  Waker* waker_ = nullptr;
 };
 
 }  // namespace

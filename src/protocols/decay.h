@@ -124,8 +124,8 @@ class DecayProcess {
 /// does not require it (multi-hop interference studies use non-neighbors).
 ///
 /// Every station sleeps: listeners never transmit, and a live Decay
-/// process transmits on every polled slot, which keeps its active-set
-/// membership with no wake(). Only live processes are polled.
+/// process transmits in every slot, so it wakes for the next one until its
+/// coin ends it. Only live processes are polled.
 bool decay_single_trial(const Graph& g, NodeId receiver,
                         const std::vector<NodeId>& transmitters,
                         std::uint32_t decay_len, Rng& rng);

@@ -67,7 +67,6 @@ std::optional<std::uint32_t> DistributionStation::abs_of(
 
 std::uint32_t DistributionStation::root_enqueue(const Message& app) {
   require(is_root_, "root_enqueue on a non-root station");
-  if (waker_) waker_->wake();  // defensive; the duty check pins the root
   Message m = app;
   m.kind = MsgKind::kBcastData;
   m.dest = kAllNodes;
@@ -79,7 +78,6 @@ std::uint32_t DistributionStation::root_enqueue(const Message& app) {
 
 void DistributionStation::root_request_resend(std::uint32_t seq) {
   require(is_root_, "root_request_resend on a non-root station");
-  if (waker_) waker_->wake();
   // Only sequence numbers actually transmitted can be legitimately missing;
   // anything else is a spurious request (e.g. a decode gone stale).
   if (seq >= sent_hi_ || seq < base_) return;
@@ -88,7 +86,6 @@ void DistributionStation::root_request_resend(std::uint32_t seq) {
 
 void DistributionStation::root_checkpoint_ack(NodeId who, std::uint32_t cp) {
   require(is_root_, "root_checkpoint_ack on a non-root station");
-  if (waker_) waker_->wake();
   if (cfg_.window == 0 || who == me_) return;
   checkpoint_acks_[cp].insert(who);
 }
@@ -195,10 +192,8 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
 
   const PhaseClock::SlotInfo info = clock_.decode(t);
   if (!forwarding_ || !clock_.level_may_send_data(info, level_) ||
-      !decay_.transmits_in(info.phase)) {
-    if (waker_ != nullptr) arm_duty(t, sp);
+      !decay_.transmits_in(info.phase))
     return std::nullopt;
-  }
 
   Message m = *forwarding_;
   m.sender = me_;
@@ -211,19 +206,16 @@ std::optional<Message> DistributionStation::poll(SlotTime t) {
 }
 
 void DistributionStation::arm_duty(SlotTime t, std::uint64_t sp) {
-  // The root is pinned: its boundary reacts to mid-superphase
-  // root_enqueue() calls and to the idle-rebroadcast duty, so it may never
-  // fire late.
-  if (is_root_) {
-    waker_->wake();
+  // The root owes action at every superphase start: its boundary picks
+  // the superphase's message from what root_enqueue(), resend requests and
+  // checkpoint acks left since the last one, so it arms every start and
+  // its boundary never fires late. A non-root owes action there while a
+  // register holds a message (the shift) or a NACK retry timer runs (the
+  // retry). Both owe, while forwarding, their next transmit opportunity.
+  // With nothing owed, every skipped poll of a non-root is a provable
+  // no-op: it sleeps until a reception fills its register.
+  if (!is_root_ && !forwarding_ && !received_sp_ && nack_last_sp_.empty())
     return;
-  }
-  // A non-root owes action at the next superphase start while a register
-  // holds a message (the shift) or a NACK retry timer runs (the retry),
-  // and, while forwarding, at its next transmit opportunity. With nothing
-  // owed, every skipped poll is a provable no-op: it sleeps until a
-  // reception fills its register.
-  if (!forwarding_ && !received_sp_ && nack_last_sp_.empty()) return;
   SlotTime next = (sp + 1) * slots_per_superphase();
   if (forwarding_)
     next = std::min(next, decay_.next_transmit_slot(clock_, t, level_));
@@ -293,6 +285,9 @@ void DistributionStation::deliver(SlotTime t, const Message& m) {
   note_received(t, *abs, stored);
 }
 
-void DistributionStation::tick(SlotTime) { decay_.end_slot(rng_); }
+void DistributionStation::tick(SlotTime t) {
+  decay_.end_slot(rng_);
+  if (waker_ != nullptr) arm_duty(t, t / slots_per_superphase());
+}
 
 }  // namespace radiomc

@@ -23,16 +23,19 @@
 // 3n^2" plus an acknowledged checkpoint every n^2 messages (we use 4W/2W/W
 // for a crisper uniqueness argument; see DESIGN.md).
 //
-// Every DistributionStation sleeps (radio/waker.h) on timed duty wakes. A
-// non-root station that holds a message or runs a NACK retry timer arms
-// its next superphase start (the register shift and the retries), and
-// while forwarding also its next transmit opportunity (the level's next
-// data slot while this phase's Decay is alive, else the first one of the
-// next phase), whichever comes first. With empty registers and no NACK
-// timer it sleeps until the reception that fills its register, which arms
-// the next superphase start; other receptions leave it asleep. The root
-// never sleeps: a superphase boundary it fired late could take a
-// mid-superphase root_enqueue() a superphase early.
+// Every DistributionStation sleeps (radio/waker.h) on timed duty wakes. At
+// the end of each slot it is polled in, a non-root station that holds a
+// message or runs a NACK retry timer arms its next superphase start (the
+// register shift and the retries), and while forwarding also its next
+// transmit opportunity (the level's next data slot while this phase's
+// Decay is alive, else the first one of the next phase), whichever comes
+// first. With empty registers and no NACK timer it sleeps until the
+// reception that fills its register, which arms the next superphase
+// start; other receptions leave it asleep. The root arms every
+// superphase start, so its boundary is never late (a late one could take
+// a mid-superphase root_enqueue() a superphase early). Between boundaries
+// it sleeps like any forwarder: enqueues, resend requests and checkpoint
+// acks need no wake, since only the next boundary reads them.
 
 #include <cstdint>
 #include <deque>
@@ -185,8 +188,8 @@ class DistributionStation final : public SubStation {
 
  private:
   void on_superphase_boundary(std::uint64_t sp);
-  /// After a poll of slot `t` (superphase `sp`) that sent nothing: wakes
-  /// or arms the station for the next slot in which it owes action.
+  /// At the end of slot `t` (superphase `sp`): wakes or arms the station
+  /// for the next slot in which it owes action.
   void arm_duty(SlotTime t, std::uint64_t sp);
   std::uint32_t wire_of(std::uint32_t abs) const noexcept;
   std::optional<std::uint32_t> abs_of(std::uint32_t wire) const noexcept;

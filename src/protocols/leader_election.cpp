@@ -46,21 +46,19 @@ bool MaxFloodStation::advertises(std::uint64_t phase) const noexcept {
          (phase % cfg_.heartbeat) == (me_ % cfg_.heartbeat);
 }
 
-std::optional<Message> MaxFloodStation::idle(std::uint64_t phase) {
-  if (waker_ != nullptr) {
-    std::uint64_t next = phase + 1;
-    if (next > fresh_until_) {
-      const std::uint64_t hb = cfg_.heartbeat;
-      next += (me_ % hb + hb - next % hb) % hb;
-    }
-    waker_->wake_at(next * cfg_.decay_len);
+std::uint64_t MaxFloodStation::next_advertising(
+    std::uint64_t phase) const noexcept {
+  std::uint64_t next = phase + 1;
+  if (next > fresh_until_) {
+    const std::uint64_t hb = cfg_.heartbeat;
+    next += (me_ % hb + hb - next % hb) % hb;
   }
-  return std::nullopt;
+  return next;
 }
 
 std::optional<Message> MaxFloodStation::poll(SlotTime t) {
   const std::uint64_t phase = t / cfg_.decay_len;
-  if (!advertises(phase) || !decay_.transmits_in(phase)) return idle(phase);
+  if (!advertises(phase) || !decay_.transmits_in(phase)) return std::nullopt;
   Message m;
   m.kind = MsgKind::kLeader;
   m.origin = me_;
@@ -79,7 +77,18 @@ void MaxFloodStation::deliver(SlotTime t, const Message& m) {
   }
 }
 
-void MaxFloodStation::tick(SlotTime) { decay_.end_slot(rng_); }
+void MaxFloodStation::tick(SlotTime t) {
+  decay_.end_slot(rng_);
+  if (waker_ == nullptr) return;
+  // The next slot if it may advertise there, else the start of the next
+  // phase in which it advertises.
+  const std::uint64_t phase = (t + 1) / cfg_.decay_len;
+  if (advertises(phase) && decay_.may_transmit_in(phase)) {
+    waker_->wake();
+  } else {
+    waker_->wake_at(next_advertising(phase) * cfg_.decay_len);
+  }
+}
 
 LeaderOutcome run_leader_election(const Graph& g, std::uint64_t phases,
                                   std::uint64_t seed) {

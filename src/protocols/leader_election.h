@@ -64,8 +64,8 @@ class MaxFloodStation final : public SubStation {
   std::uint64_t draw_value();
   /// True iff the node advertises in `phase` (fresh or its heartbeat).
   bool advertises(std::uint64_t phase) const noexcept;
-  /// Silent poll in `phase`: arms the start of the next advertising phase.
-  std::optional<Message> idle(std::uint64_t phase);
+  /// The first phase after `phase` in which the node advertises.
+  std::uint64_t next_advertising(std::uint64_t phase) const noexcept;
 
   NodeId me_;
   LeaderConfig cfg_;

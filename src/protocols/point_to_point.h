@@ -20,8 +20,8 @@
 // ChannelMuxStation: a node sleeps (radio/waker.h) until the next slot in
 // which either half may send or owes an ack, and a reception wakes it
 // only when it accepts the message. Both halves keep the Waker
-// promise and re-arm their shared timer on every poll, so the joint one
-// holds.
+// promise and re-arm their shared timer at the end of every polled slot,
+// so the joint one holds.
 //
 // As in the paper, destinations are DFS addresses ("Henceforth, each node
 // uses its DFS number as its address"); the id->address directory is held
@@ -76,7 +76,9 @@ class P2pUpStation final : public SubStation {
   void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime) override { hop_.tick(); }
+  void tick(SlotTime t) override {
+    hop_.tick(t, /*may_send=*/info_.parent != kNoNode);
+  }
 
   /// Originates a transmission to DFS address `dest_addr`. Returns the
   /// per-origin sequence number assigned to it.
@@ -109,7 +111,7 @@ class P2pDownStation final : public SubStation {
   void on_attach(Waker& w) override { hop_.attach(w); }
   std::optional<Message> poll(SlotTime t) override;
   void deliver(SlotTime t, const Message& m) override;
-  void tick(SlotTime) override { hop_.tick(); }
+  void tick(SlotTime t) override { hop_.tick(t, /*may_send=*/true); }
 
   /// LCA handoff from the upward half (or from local origination). Wakes
   /// the station: the handoff happens inside the upward half's deliver,

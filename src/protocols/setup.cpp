@@ -41,10 +41,12 @@ namespace {
 /// Sleeping: the station forwards its Waker to every sub-station, so they
 /// share one membership bit and one timer (as ChannelMuxStation's subs do)
 /// and each keeps the Waker promise for itself, re-arming its own duties
-/// on every poll, on its own clock through a `shifted` handle. At the
-/// epoch and attempt boundaries of the globally known schedule, where this
-/// station acts on its own (root hand-off, DFS start, final report,
-/// completion seed, attempt rollover), run_setup wakes every station.
+/// in its tick, on its own clock through a `shifted` handle. The DFS
+/// stations have no tick and arm nothing: only a token holder acts, and
+/// the token's arrival wakes it. At the epoch and attempt boundaries of
+/// the globally known schedule, where this station acts on its own (root
+/// hand-off, DFS start, final report, completion seed, attempt rollover),
+/// run_setup wakes every station.
 class SetupStation final : public Station {
  public:
   SetupStation(NodeId me, const Graph& g, SetupTuning tuning, Rng rng)

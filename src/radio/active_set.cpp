@@ -10,9 +10,9 @@ void ActiveSet::reset(NodeId n) {
     active_[v] = v;
     members_.insert(v);
   }
-  woke_flag_.assign(n, 0);
+  kept_flag_.assign(n, 0);
   pending_flag_.assign(n, 0);
-  slot_woken_.clear();
+  slot_kept_.clear();
   pending_.clear();
   timer_.clear();
   next_.clear();
@@ -24,12 +24,16 @@ void ActiveSet::reset(NodeId n) {
 }
 
 void ActiveSet::wake(NodeId v) {
-  if (!woke_flag_[v]) {
-    woke_flag_[v] = 1;
-    slot_woken_.push_back(v);
-    ++wake_events_;
-  }
+  if (!kept_flag_[v]) ++wake_events_;
+  freeze(v);
   queue(v);
+}
+
+void ActiveSet::freeze(NodeId v) {
+  if (!kept_flag_[v]) {
+    kept_flag_[v] = 1;
+    slot_kept_.push_back(v);
+  }
 }
 
 void ActiveSet::queue(NodeId v) {
@@ -117,7 +121,7 @@ void ActiveSet::begin_slot(SlotTime now) {
     // its mark here or end_slot would honor it a second time and grant a
     // bonus slot of membership. (Marks raised *during* the slot come after
     // this drain and are consumed by end_slot, as the retention rule says.)
-    woke_flag_[v] = 0;
+    kept_flag_[v] = 0;
     joined |= members_.insert(v);
   }
   pending_.clear();
@@ -131,10 +135,10 @@ void ActiveSet::begin_slot(SlotTime now) {
   }
 }
 
-void ActiveSet::end_slot(const std::uint8_t* keep) {
+void ActiveSet::end_slot() {
   std::size_t w = 0;
   for (const NodeId v : active_) {
-    if (keep[v] || woke_flag_[v]) {
+    if (kept_flag_[v]) {
       active_[w++] = v;
     } else {
       members_.erase(v);
@@ -143,8 +147,8 @@ void ActiveSet::end_slot(const std::uint8_t* keep) {
   active_.resize(w);
   // Wake marks are per-slot; pending_ persists so wakes raised late in the
   // slot (or between slots) still admit the station next begin_slot.
-  for (const NodeId v : slot_woken_) woke_flag_[v] = 0;
-  slot_woken_.clear();
+  for (const NodeId v : slot_kept_) kept_flag_[v] = 0;
+  slot_kept_.clear();
 }
 
 // --- Waker -----------------------------------------------------------------

@@ -56,6 +56,9 @@ class ActiveSet {
   /// Raises a wake for `v`: guarantees membership in the next slot and
   /// counts as "woken this slot" for the retention rule. Idempotent.
   void wake(NodeId v);
+  /// Keeps member `v` through this slot's end_slot without a wake: a
+  /// crashed station's frozen membership. Counts no wake event.
+  void freeze(NodeId v);
   /// Arms `v`'s timer for slot `t` (earliest pending time wins). A time no
   /// later than the next slot is wake(v).
   void wake_at(NodeId v, SlotTime t);
@@ -66,11 +69,9 @@ class ActiveSet {
   void begin_slot(SlotTime now);
 
   /// Applies the retention rule after all of a slot's callbacks ran:
-  /// a member leaves unless `keep[v]` is set (it returned a transmit
-  /// intent, or is crashed with membership frozen) or a wake was raised
-  /// for it during the slot. `keep` is indexed by node id and read only at
-  /// member indices. Consumes this slot's wake marks.
-  void end_slot(const std::uint8_t* keep);
+  /// a member stays only if a wake was raised for it during the slot or
+  /// it was frozen. Transmitting keeps nobody. Consumes this slot's marks.
+  void end_slot();
 
   /// Passes over the idle slots from `now` (the next slot to run) and
   /// returns the first slot in [now, end) that is not idle, or `end`.
@@ -104,9 +105,9 @@ class ActiveSet {
   NodeId n_ = 0;
   std::vector<NodeId> active_;            // members_, ascending
   OrderedBits members_;
-  std::vector<std::uint8_t> woke_flag_;   // wake raised this slot, by node
+  std::vector<std::uint8_t> kept_flag_;   // woken or frozen this slot, by node
   std::vector<std::uint8_t> pending_flag_;  // queued for admission, by node
-  std::vector<NodeId> slot_woken_;        // nodes with woke_flag_ set
+  std::vector<NodeId> slot_kept_;         // nodes with kept_flag_ set
   std::vector<NodeId> pending_;           // nodes with pending_flag_ set
   // Timer wheel, allocated on the first wake_at.
   std::vector<SlotTime> timer_;      // armed time or kNoTimer, by node

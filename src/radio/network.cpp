@@ -21,7 +21,6 @@ RadioNetwork::RadioNetwork(const Graph& g, Config cfg)
   rx_touched_.reset(cells);
   rx_count_.assign(cells, 0);
   rx_msg_.assign(cells, nullptr);
-  keep_.assign(g.num_nodes(), 0);
   row_.assign(cfg_.num_channels, std::nullopt);
 }
 
@@ -59,23 +58,22 @@ void RadioNetwork::step() {
   // legacy full scan produced, so the transmit stream is byte-identical.
   // Crashed stations are not polled: they neither transmit nor advance
   // their protocol state (it stays frozen until recovery), and their
-  // active-set membership is frozen with it.
+  // active-set membership is frozen with it. A polled station stays a
+  // member only if it was woken for the next slot (radio/waker.h).
   if (fs) metrics_.fault_crashed_slots += fs->num_crashed();
   const std::span<const NodeId> active = active_set_.active();
   if (active.size() > stats_.peak_active) stats_.peak_active = active.size();
   for (const NodeId v : active) {
     if (fs && !fs->node_alive(v)) {
-      keep_[v] = 1;
+      active_set_.freeze(v);
       continue;
     }
     ++stats_.station_polls;
     for (auto& a : row_) a.reset();
     stations_[v]->on_slot(now_, std::span<std::optional<Message>>(row_));
-    std::uint8_t sent = 0;
     const std::size_t base = static_cast<std::size_t>(v) * channels;
     for (ChannelId c = 0; c < channels; ++c) {
       if (!row_[c]) continue;
-      sent = 1;
       row_[c]->sender = v;  // the radio layer stamps the physical sender
       act_epoch_[base + c] = epoch_;
       act_msg_[base + c] = *row_[c];
@@ -83,7 +81,6 @@ void RadioNetwork::step() {
       ++metrics_.transmissions;
       if (trace_) trace_->on_transmit(now_, v, c, act_msg_[base + c]);
     }
-    keep_[v] = sent;
   }
 
   // Phase 2: superpose transmissions at each potential receiver — a CSR
@@ -173,7 +170,7 @@ void RadioNetwork::step() {
     if (fs && !fs->node_alive(v)) continue;
     stations_[v]->on_slot_end(now_);
   }
-  active_set_.end_slot(keep_.data());
+  active_set_.end_slot();
   stats_.wake_events = active_set_.wake_events();
   ++now_;
   ++metrics_.slots;

@@ -20,8 +20,9 @@
 //
 // Active-set hot path: per-slot cost is proportional to the stations that
 // are *doing* something, not to n. Phase 1 polls only the active set:
-// every station sleeps unless it transmitted or was woken (the Waker
-// contract of radio/waker.h). Phase 2 scatters each transmission over a
+// a station is polled in a slot only if it was woken for it, by a wake
+// or a timer (the Waker contract of radio/waker.h); transmitting buys
+// nothing. Phase 2 scatters each transmission over a
 // flat CSR adjacency copy (radio/csr.h) into struct-of-arrays receiver
 // cells, marking each newly-touched cell in an ordered bitset
 // (radio/ordered_bits.h); Phase 3 drains the marks, which visits only the
@@ -223,7 +224,6 @@ class RadioNetwork {
   OrderedBits rx_touched_;                // rx cells touched this slot
   std::vector<std::uint32_t> rx_count_;   // transmitting neighbors, iff touched
   std::vector<const Message*> rx_msg_;    // surviving message, iff touched
-  std::vector<std::uint8_t> keep_;        // ActiveSet retention flag, by node
   std::vector<std::optional<Message>> row_;  // per-poll scratch, num_channels wide
   std::vector<std::pair<NodeId, ChannelId>> tx_list_;  // this slot's transmissions
 };

@@ -37,10 +37,11 @@ class Station {
 
   /// Called once when the engine adopts the station, before the first
   /// slot. `w` stays valid for the station's attached lifetime. A station
-  /// is polled in slot 0 and then only while it transmits or wakes (see
-  /// radio/waker.h), so one that acts later keeps the handle and wakes on
-  /// the events that make it want to act. The default ignores the handle:
-  /// the station is polled for as long as it transmits in every slot.
+  /// is polled in slot 0 and then only in the slots it was woken for (see
+  /// radio/waker.h), so one that acts later keeps the handle, arms its
+  /// next duty at the end of each polled slot and wakes on the events that
+  /// make it want to act. The default ignores the handle: the station is
+  /// polled in slot 0 only.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Decide this slot's action: `tx` has one entry per channel; set
@@ -102,10 +103,10 @@ class SingleStation final : public Station {
 class ChannelMuxStation final : public Station {
  public:
   /// Forwards the Waker to every SubStation. The subs share one
-  /// membership bit, so the node sleeps exactly when no sub transmitted or
-  /// woke this slot, which each sub's own Waker promise makes safe. They
-  /// also share one timer: each re-arms its duty on every poll that does
-  /// not transmit (radio/waker.h, "One timer, many subs").
+  /// membership bit, so the node sleeps exactly when no sub woke for the
+  /// next slot, which each sub's own Waker promise makes safe. They also
+  /// share one timer: each re-arms its duty at the end of every polled
+  /// slot (radio/waker.h, "One timer, many subs").
   explicit ChannelMuxStation(std::vector<SubStation*> subs)
       : subs_(std::move(subs)) {}
   void on_attach(Waker& w) override {

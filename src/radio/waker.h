@@ -14,17 +14,18 @@
 // tests/engine_invariants_test.cpp):
 //
 //   * every station starts active at attach, so it is polled in slot 0;
-//   * an active station stays active for the next slot iff it returned a
-//     transmit intent this slot or `wake()` was called for it during this
-//     slot;
+//   * a station is polled in slot t+1 only if it was woken for it: by
+//     `wake()` during slot t (or between slots t and t+1), or by a timer
+//     due at t+1. Transmitting buys no poll: a station that transmits
+//     again in the next slot wakes for it like any other;
 //   * `wake()` on a sleeping station guarantees it is polled in the next
 //     slot (wakes raised between slots are merged before the next poll);
 //   * `wake_at(t)` arms a per-station timer: the station is admitted at the
 //     top of slot t, exactly as if `wake()` had been raised between slots
 //     t-1 and t. A station has one timer and the earliest armed time wins
 //     (a later arm while an earlier one is pending is dropped, so a
-//     station re-arms its next duty on every poll). `wake_at(t)` with t no
-//     later than the next slot is plain `wake()`;
+//     station re-arms its next duty in every polled slot). `wake_at(t)`
+//     with t no later than the next slot is plain `wake()`;
 //   * a crashed station (fault injection) keeps its membership frozen — it
 //     is not polled while down, and resumes exactly where it was on
 //     recovery. A timer that fires while the station is down admits it
@@ -39,7 +40,10 @@
 //     behavior is a function of absolute slot time and received messages,
 //     not of how often it was polled);
 //   * whenever an event makes it want to act (typically inside
-//     `on_receive`), it calls `wake()` or arms `wake_at`.
+//     `on_receive`), it calls `wake()` or arms `wake_at`;
+//   * in every slot in which it is polled it arms its own next duty, once,
+//     at the end of the slot (`on_slot_end` / `tick`), after the slot's
+//     coin flips and receptions, whether it transmitted or not.
 //
 // A station that wants to be polled in every slot keeps the handle and
 // calls `wake()` on each poll (TimeDivisionStation and the scripted wave
@@ -67,10 +71,10 @@
 // One timer, many subs: the SubStations of a ChannelMuxStation, and
 // setup's per-node station, share one handle and so one timer, where an
 // earlier arm overrides a later one. This is sound because every sub
-// re-arms (or wakes) its own duty on every poll that does not transmit,
-// and the owner polls every live sub whenever it is polled: a sub whose
-// later time was dropped is polled at the earlier one and arms again
-// there. An arm raised from a reception (distribution's
+// re-arms (or wakes) its own duty at the end of every slot it is polled
+// in, and the owner polls and ticks every live sub whenever it is
+// polled: a sub whose later time was dropped is polled at the earlier one
+// and arms again there. An arm raised from a reception (distribution's
 // register fill) is covered the same way. A time-division frame polls one
 // sub per slot, so there a dropped arm would never be re-armed:
 // TimeDivisionStation keeps its subs unattached and stays always-polled.

@@ -104,7 +104,8 @@ class RandomChatter : public Station {
 };
 
 /// Sleeping station: wakes on reception and transmits for `burst` slots
-/// (computed from the reception slot, never from poll counts).
+/// (computed from the reception slot, never from poll counts), waking for
+/// each next slot of the burst.
 class SleepyResponder : public Station {
  public:
   SleepyResponder(NodeId self, std::uint32_t burst)
@@ -119,6 +120,7 @@ class SleepyResponder : public Station {
       m.seq = static_cast<std::uint32_t>(t - burst_from_);
       m.payload = echo_;
       tx[0] = m;
+      if (waker_ != nullptr && t + 1 < burst_from_ + burst_) waker_->wake();
     }
   }
   void on_receive(SlotTime t, ChannelId ch, const Message& m) override {

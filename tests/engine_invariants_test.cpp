@@ -16,10 +16,10 @@
 //     heard by at most deg(sender) stations);
 //   * crashed stations never transmit and never receive, checked against
 //     the fault schedule's per-slot alive view;
-//   * active-set membership is exactly "transmitted last slot, or woken,
-//     or its timer came due", frozen while crashed — predicted by an
-//     independent model in the test and compared against both the
-//     stations' observed polls and RadioNetwork::station_active;
+//   * active-set membership is exactly "woken for this slot, or its timer
+//     came due", frozen while crashed; transmitting buys no poll —
+//     predicted by an independent model in the test and compared against
+//     both the stations' observed polls and RadioNetwork::station_active;
 //   * run(k), which skips idle slots, equals k calls of step() in
 //     NetMetrics, EngineStats, trace and end state, and a slot hook is
 //     still pulsed in every slot; run_until stops where a step() loop
@@ -260,13 +260,14 @@ class Scripted : public Station {
   Waker* waker_ = nullptr;
 };
 
-TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
+TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
   // Randomized scripts on a path graph; the test predicts the poll
   // schedule of every station with an independent model of the contract:
   //   polled at 0 (everyone starts active); polled at t+1 iff polled at t
-  //   and (transmitted at t or woke at t, where wake_at(t' <= t+1) is a
-  //   wake), or an external wake arrived during slot t; admitted at t by
-  //   its timer, which holds the earliest time armed since it last fired.
+  //   and woke at t (wake_at(t' <= t+1) is a wake; transmitting at t
+  //   counts for nothing), or an external wake arrived during slot t;
+  //   admitted at t by its timer, which holds the earliest time armed
+  //   since it last fired.
   // Odd rounds add crash churn: a crashed member is not polled and stays a
   // member (frozen), and a timer firing on a crashed station admits it
   // into that frozen membership, so it is polled on recovery.
@@ -336,8 +337,7 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
     net.attach(ptrs);
 
     // Independent prediction: polled at t iff active at t and alive;
-    // retained after slot t iff it transmitted or self-woke at t, or is
-    // crashed; active at t+1 = retained union driver wakes delivered
+    // retained after slot t iff it self-woke at t, or is crashed; active at t+1 = retained union driver wakes delivered
     // between t and t+1 union timers due at t+1. (Pending wakes and timers
     // are admitted at the next begin_slot, so station_active right after
     // step(t) reflects `retained`, not yet them.)
@@ -362,7 +362,7 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
             continue;
           }
           expected[v].push_back(t);
-          bool keep = tx_of[v].count(t) != 0 || wake_of[v].count(t) != 0;
+          bool keep = wake_of[v].count(t) != 0;
           if (const auto it = arms_of[v].find(t); it != arms_of[v].end()) {
             const SlotTime at = it->second;
             if (at <= t + 1) {
@@ -416,6 +416,48 @@ TEST(EngineInvariants, ActiveSetMembershipIsIntentOrWakeExactly) {
   EXPECT_GT(dropped_later, 0u);
   EXPECT_GT(immediate, 0u);
   EXPECT_GT(fired_on_crashed, 0u);
+}
+
+TEST(EngineInvariants, TransmittingBuysNoPoll) {
+  // Three stations on a path, all crashed in slots [4, 8) (every node
+  // crashes at the one onset epoch and recovers at the next). All three
+  // transmit. Station 0 arms nothing, so it is polled in slot 0 only.
+  // Station 1 arms wake_at(3), so it is polled at 0 and at exactly 3.
+  // Station 2 wakes itself through slot 3, so it is a member when the
+  // crash strikes; the crash freezes that membership, and it is polled
+  // again on recovery at slot 8.
+  const Graph g = gen::path(3);
+  std::deque<Scripted> st;
+  st.emplace_back(0, std::set<SlotTime>{0}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{});
+  st.emplace_back(1, std::set<SlotTime>{0}, std::set<SlotTime>{},
+                  std::map<SlotTime, SlotTime>{{0, 3}});
+  st.emplace_back(2, std::set<SlotTime>{3}, std::set<SlotTime>{0, 1, 2, 3},
+                  std::map<SlotTime, SlotTime>{});
+  FaultPlan plan;
+  plan.crash_rate = 1.0;
+  plan.recover_rate = 1.0;
+  plan.epoch_slots = 4;
+  plan.window_start = 4;
+  plan.window_end = 5;
+  FaultSchedule faults(g, plan, 0xF2E);
+  RadioNetwork net(g);
+  net.set_faults(&faults);
+  net.attach({&st[0], &st[1], &st[2]});
+
+  net.step();  // slot 0: everyone polled, stations 0 and 1 transmit
+  EXPECT_FALSE(net.station_active(0));
+  EXPECT_FALSE(net.station_active(1));
+  EXPECT_TRUE(net.station_active(2));
+  for (SlotTime t = 1; t < 12; ++t) {
+    net.step();
+    EXPECT_EQ(net.station_active(2), t < 8) << "after slot " << t;
+  }
+  EXPECT_EQ(st[0].polls, (std::vector<SlotTime>{0}));
+  EXPECT_EQ(st[1].polls, (std::vector<SlotTime>{0, 3}));
+  EXPECT_EQ(st[2].polls, (std::vector<SlotTime>{0, 1, 2, 3, 8}));
+  EXPECT_EQ(net.metrics().transmissions, 3u);
+  EXPECT_EQ(net.metrics().fault_crashed_slots, 3u * 4);
 }
 
 /// Records the slot hook's pulses: a hook must see every slot.

@@ -184,13 +184,17 @@ TEST(RadioEngine, MetricsCount) {
 
 // --- SubStation adapters ---------------------------------------------------
 
+/// Records its callbacks; with `transmit_always` it transmits in every
+/// slot, waking for the next one where a Waker reaches it.
 class EchoSub final : public SubStation {
  public:
   std::vector<SlotTime> polled, delivered_at, ticked;
   bool transmit_always = false;
+  void on_attach(Waker& w) override { waker_ = &w; }
   std::optional<Message> poll(SlotTime t) override {
     polled.push_back(t);
     if (!transmit_always) return std::nullopt;
+    if (waker_ != nullptr) waker_->wake();
     Message m;
     m.payload = 1;
     return m;
@@ -199,6 +203,9 @@ class EchoSub final : public SubStation {
     delivered_at.push_back(t);
   }
   void tick(SlotTime t) override { ticked.push_back(t); }
+
+ private:
+  Waker* waker_ = nullptr;
 };
 
 TEST(Adapters, TimeDivisionSplitsSlots) {
