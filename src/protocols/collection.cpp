@@ -9,6 +9,13 @@
 
 namespace radiomc {
 
+namespace {
+/// A message's identity, (origin, seq), as one sortable key.
+std::uint64_t message_key(const Message& m) {
+  return (static_cast<std::uint64_t>(m.origin) << 32) | m.seq;
+}
+}  // namespace
+
 CollectionStation::CollectionStation(NodeId me, const BfsTree& tree,
                                      CollectionConfig cfg, Rng rng)
     : CollectionStation(me, cfg, rng) {
@@ -49,8 +56,7 @@ void CollectionStation::deliver(SlotTime t, const Message& m) {
     // Remark 3 mode: a lost ack makes the child retransmit its head;
     // acknowledge the duplicate again (or it retries forever) but deliver
     // it once. A repeat is always of the child's last accepted key.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(m.origin) << 32) | m.seq;
+    const std::uint64_t key = message_key(m);
     const auto [it, fresh] = last_key_.try_emplace(m.sender, key);
     if (!fresh && it->second == key) return;
     it->second = key;
@@ -101,10 +107,17 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
     stations.back()->count_buffer_into(queued);
   }
   const std::size_t expected = initial.size();
+  // The messages to collect, by sorted key, for the first-copy count below.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(expected);
   for (const Message& m : initial) {
     require(m.origin < n, "run_collection: origin out of range");
+    keys.push_back(message_key(m));
     stations[m.origin]->inject(m);
   }
+  std::sort(keys.begin(), keys.end());
+  require(std::adjacent_find(keys.begin(), keys.end()) == keys.end(),
+          "run_collection: (origin, seq) must be unique");
 
   std::deque<SingleStation> adapters;
   std::vector<Station*> ptrs;
@@ -147,8 +160,26 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
     }
   };
 
+  // Progress is the first copy of each message at the root. Without the
+  // dedup guard a lost ack (fault injection) makes a child resend a
+  // message the root already took, and the root takes it again; counting
+  // raw arrivals would then end the run with messages missing.
   const CollectionStation* root = stations[tree.root].get();
-  const auto arrived = [root] { return root->root_sink().size(); };
+  std::vector<bool> got(keys.size(), false);
+  std::size_t read = 0;  // root sink entries already counted
+  const auto arrived = [&] {
+    const std::vector<CollectionStation::Delivery>& sink = root->root_sink();
+    for (; read < sink.size(); ++read) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(),
+                                       message_key(sink[read].msg));
+      const std::size_t i = static_cast<std::size_t>(it - keys.begin());
+      if (it == keys.end() || *it != message_key(sink[read].msg) || got[i])
+        continue;
+      got[i] = true;
+      out.deliveries.push_back(sink[read]);
+    }
+    return out.deliveries.size();
+  };
   StallWatchdog watchdog(cfg.stall_slots, arrived());
   perf::RunSpan drain_span(cfg, "collection", "drain", 0);
   // One run_until per phase, so every phase boundary is snapshotted;
@@ -167,7 +198,6 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
                     {"phases", static_cast<std::int64_t>(out.phases)},
                     {"depth", static_cast<std::int64_t>(tree.depth)},
                     {"completed", out.completed ? 1 : 0}});
-  out.deliveries = root->root_sink();
   out.engine_polls = net.engine_stats().station_polls;
 
   // An "advance of level i in phase p" = some level-(i-1) node accepted a

@@ -171,10 +171,10 @@ class CollectionStation final : public SubStation {
   std::map<NodeId, std::uint64_t> last_key_;
 };
 
-/// Standalone driver: places `initial` messages on their origins' buffers,
-/// runs the protocol until the root has received all of them (or max_slots
-/// elapses), and reports timing plus the per-level phase statistics used by
-/// the Theorem 4.1 experiment.
+/// Standalone driver: places `initial` messages (each (origin, seq) once)
+/// on their origins' buffers, runs the protocol until the root has
+/// received all of them (or max_slots elapses), and reports timing plus the
+/// per-level phase statistics used by the Theorem 4.1 experiment.
 struct CollectionOutcome {
   bool completed = false;
   /// kOk iff completed; kDegraded when the stall watchdog fired;
@@ -182,6 +182,8 @@ struct CollectionOutcome {
   RunStatus status = RunStatus::kOk;
   SlotTime slots = 0;
   std::uint64_t phases = 0;
+  /// The first copy of each message to reach the root, in arrival order
+  /// (a copy resent after a lost ack is not counted again).
   std::vector<CollectionStation::Delivery> deliveries;
 
   /// Per level i >= 1: phases at whose start level i held >= 1 message, and

@@ -169,6 +169,28 @@ TEST(Collection, HeavyLoadStillExactlyOnce) {
   for (auto& [k, c] : seen) EXPECT_EQ(c, 1);
 }
 
+// Under faults without the dedup guard a jammed ack makes a child resend a
+// message the root already took, and the root takes it again. Only the
+// first copy of each message counts: this cell used to end kOk at slot 1419
+// with 35 arrivals from 18 distinct origins.
+TEST(Collection, ResentCopiesDoNotCountTowardCompletion) {
+  const Graph g = gen::grid(6, 6);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const std::vector<Message> init = one_message_each(g, 0);
+  ASSERT_EQ(init.size(), 35u);
+  CollectionConfig cfg = CollectionConfig::for_graph(g);
+  cfg.faults.crash_rate = 0.02;
+  cfg.faults.recover_rate = 0.5;
+  cfg.faults.jam_prob = 0.15;
+  cfg.faults.epoch_slots = 128;
+  const auto out = run_collection(g, tree, init, cfg, 14);
+  std::map<std::pair<NodeId, std::uint32_t>, int> seen;
+  for (const auto& d : out.deliveries) ++seen[{d.msg.origin, d.msg.seq}];
+  for (const auto& [key, copies] : seen) EXPECT_EQ(copies, 1);
+  EXPECT_EQ(out.status, RunStatus::kOk);
+  EXPECT_EQ(seen.size(), init.size());
+}
+
 // Disabling mod-3 gating (ablation) must not break correctness — only the
 // Theorem 4.1 analysis depends on it.
 TEST(Collection, WorksWithoutMod3Gating) {

@@ -376,7 +376,7 @@ const Cell kCells[] = {
     {"collection", collection_cell, false,
      {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL, 469, 0}},
     {"collection_faulted", collection_cell, true,
-     {RunStatus::kDegraded, 233, 0x8df450f2e9ac8f8dULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0xae91023007340315ULL, 474, 0}},
+     {RunStatus::kDegraded, 233, 0xf93c764f91afdda3ULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0x902c413f2989328fULL, 474, 0}},
     {"p2p", p2p_cell, false,
      {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL, 360, 0}},
     {"p2p_faulted", p2p_cell, true,
@@ -388,7 +388,7 @@ const Cell kCells[] = {
     {"service_faulted", service_cell, true,
      {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x16e8c1aca47c77b3ULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL, 1421, 452}},
     {"ranking_faulted", ranking_cell, true,
-     {RunStatus::kDegraded, 4578, 0x9f77618f8ab9efbbULL, 0x0ULL, 0x0ULL, 0x0ULL, 0, 0}},
+     {RunStatus::kOk, 4998, 0xbb92f50e64500283ULL, 0x0ULL, 0x0ULL, 0x0ULL, 0, 0}},
     // clang-format on
 };
 
