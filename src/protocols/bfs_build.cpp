@@ -64,12 +64,10 @@ void BfsBuildStation::deliver(SlotTime t, const Message& m) {
 void BfsBuildStation::tick(SlotTime t) {
   decay_.end_slot(rng_);
   if (waker_ == nullptr || level_ == kNoLevel) return;
-  // The next slot while this phase's Decay lives, else the next phase
-  // start, but never before its own stage starts nor after it ends.
-  SlotTime next = t + 1;
-  if (!decay_.may_transmit_in(next / cfg_.decay_len))
-    next = (t / cfg_.decay_len + 1) * cfg_.decay_len;
-  next = std::max<SlotTime>(next, level_ * stage_slots());
+  // Its next Decay slot, but never before its own stage starts nor after
+  // it ends.
+  const SlotTime next = std::max<SlotTime>(decay_.next_ungated_slot(t),
+                                           level_ * stage_slots());
   if (stage_of(next) == level_) waker_->wake_at(next);
 }
 

@@ -56,14 +56,10 @@ void FloodStation::deliver(SlotTime t, const Message& m) {
 void FloodStation::tick(SlotTime t) {
   decay_.end_slot(rng_);
   if (waker_ == nullptr) return;
-  // The next slot while this phase's Decay lives (or a phase starts
-  // there), else the next phase start, where the flood restarts Decay. A
-  // station outside its relay window arms nothing: an uninformed one
+  // A station outside its relay window arms nothing: an uninformed one
   // sleeps until the front's delivery wakes it, and one whose budget is
   // spent sleeps for good.
-  SlotTime next = t + 1;
-  if (!decay_.may_transmit_in(next / decay_len_))
-    next = (t / decay_len_ + 1) * decay_len_;
+  const SlotTime next = decay_.next_ungated_slot(t);
   if (relays_in(next / decay_len_)) waker_->wake_at(next);
 }
 

@@ -89,6 +89,15 @@ class DecayProcess {
     return clock.next_data_slot(clock.phase_start(phase + 1) - 1, level);
   }
 
+  /// The same for a process whose phases are `length()` consecutive
+  /// slots with no gating (BGI's flood, leader election, BFS
+  /// construction): the next slot if the invocation may still fire in its
+  /// phase, else the first slot of the following phase.
+  SlotTime next_ungated_slot(SlotTime t) const noexcept {
+    if (may_transmit_in((t + 1) / length_)) return t + 1;
+    return (t / length_ + 1) * length_;
+  }
+
   /// End of the slot: flips the coin iff the slot transmitted.
   void end_slot(Rng& rng) noexcept {
     if (!transmitted_) return;

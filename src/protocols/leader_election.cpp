@@ -80,14 +80,12 @@ void MaxFloodStation::deliver(SlotTime t, const Message& m) {
 void MaxFloodStation::tick(SlotTime t) {
   decay_.end_slot(rng_);
   if (waker_ == nullptr) return;
-  // The next slot if it may advertise there, else the start of the next
-  // phase in which it advertises.
-  const std::uint64_t phase = (t + 1) / cfg_.decay_len;
-  if (advertises(phase) && decay_.may_transmit_in(phase)) {
-    waker_->wake();
-  } else {
-    waker_->wake_at(next_advertising(phase) * cfg_.decay_len);
-  }
+  // Its next Decay slot if that phase advertises, else the start of the
+  // next phase that does.
+  const SlotTime next = decay_.next_ungated_slot(t);
+  const std::uint64_t phase = next / cfg_.decay_len;
+  waker_->wake_at(advertises(phase) ? next
+                                    : next_advertising(phase) * cfg_.decay_len);
 }
 
 LeaderOutcome run_leader_election(const Graph& g, std::uint64_t phases,
