@@ -20,11 +20,11 @@
 //
 // Active-set hot path: per-slot cost is proportional to the stations that
 // are *doing* something, not to n. Phase 1 polls only the active set:
-// a station is polled in a slot only if it was woken for it, by a wake
-// or a timer (the Waker contract of radio/waker.h); transmitting buys
-// nothing. Phase 2 scatters each transmission over a
-// flat CSR adjacency copy (radio/csr.h) into struct-of-arrays receiver
-// cells, marking each newly-touched cell in an ordered bitset
+// a station is polled in a slot only if it was woken for it, by a wake or
+// a timer (the Waker contract of radio/waker.h); transmitting buys
+// nothing. Phase 2 scatters each transmission over a flat CSR adjacency
+// copy (radio/csr.h) into struct-of-arrays receiver cells, marking each
+// newly-touched cell in an ordered bitset
 // (radio/ordered_bits.h); Phase 3 drains the marks, which visits only the
 // touched cells, in (node, channel) order, with no sort. A slot
 // with nobody to poll is not run at all: `run` and `run_until` skip idle

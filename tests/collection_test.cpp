@@ -171,8 +171,8 @@ TEST(Collection, HeavyLoadStillExactlyOnce) {
 
 // Under faults without the dedup guard a jammed ack makes a child resend a
 // message the root already took, and the root takes it again. Only the
-// first copy of each message counts: this cell used to end kOk at slot 1419
-// with 35 arrivals from 18 distinct origins.
+// first copy of each message counts: counting raw arrivals, this cell ends
+// kOk at slot 1419 with 35 arrivals from 18 distinct origins.
 TEST(Collection, ResentCopiesDoNotCountTowardCompletion) {
   const Graph g = gen::grid(6, 6);
   const BfsTree tree = oracle_bfs_tree(g, 0);

@@ -337,10 +337,11 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
     net.attach(ptrs);
 
     // Independent prediction: polled at t iff active at t and alive;
-    // retained after slot t iff it self-woke at t, or is crashed; active at t+1 = retained union driver wakes delivered
-    // between t and t+1 union timers due at t+1. (Pending wakes and timers
-    // are admitted at the next begin_slot, so station_active right after
-    // step(t) reflects `retained`, not yet them.)
+    // retained after slot t iff it self-woke at t, or is crashed; active
+    // at t+1 = retained union driver wakes delivered between t and t+1
+    // union timers due at t+1. (Pending wakes and timers are admitted at
+    // the next begin_slot, so station_active right after step(t) reflects
+    // `retained`, not yet them.)
     std::vector<std::vector<SlotTime>> expected(n);
     std::vector<std::vector<std::uint8_t>> retained_at(kSlots);
     {
