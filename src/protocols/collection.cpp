@@ -170,12 +170,10 @@ CollectionOutcome run_collection(const Graph& g, const BfsTree& tree,
   const auto arrived = [&] {
     const std::vector<CollectionStation::Delivery>& sink = root->root_sink();
     for (; read < sink.size(); ++read) {
-      const auto it = std::lower_bound(keys.begin(), keys.end(),
-                                       message_key(sink[read].msg));
-      const std::size_t i = static_cast<std::size_t>(it - keys.begin());
-      if (it == keys.end() || *it != message_key(sink[read].msg) || got[i])
-        continue;
-      got[i] = true;
+      const std::uint64_t key = message_key(sink[read].msg);
+      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      if (it == keys.end() || *it != key || got[it - keys.begin()]) continue;
+      got[it - keys.begin()] = true;
       out.deliveries.push_back(sink[read]);
     }
     return out.deliveries.size();
