@@ -138,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CollectionCase{"nofault", FaultPlan{}},
                       CollectionCase{"crash", crash_plan()},
                       CollectionCase{"drop", drop_plan()},
-                      CollectionCase{"jam", jam_plan()},
+                      CollectionCase{"jam_nocapture", jam_plan()},
                       CollectionCase{"jam_capture_dedup", jam_plan(), true,
                                      0.3},
                       CollectionCase{"crash_capture", crash_plan(), false,
