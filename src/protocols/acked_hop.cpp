@@ -38,6 +38,7 @@ void AckedHop::attach(Waker& w) {
 
 std::optional<Message> AckedHop::poll(SlotTime t, bool may_send) {
   const bool sending = may_send && !fifo_.empty();
+  if (!sending && !owed_ack_) return std::nullopt;
   const PhaseClock::SlotInfo info = clock_.decode(t);
 
   if (info.is_ack && owed_ack_) return std::exchange(owed_ack_, std::nullopt);
@@ -60,6 +61,13 @@ bool AckedHop::receive(SlotTime t, const Message& m) {
     fifo_.pop_front();
     if (per_level_ != nullptr) --(*per_level_)[level_];
     decay_.stop();
+    // The data slot armed for the popped head would be a silent poll:
+    // disarm it, and arm what that poll's tick would have armed.
+    if (waker_ != nullptr) {
+      waker_->cancel();
+      if (!fifo_.empty())
+        waker_->wake_at(decay_.next_transmit_slot(clock_, t, level_));
+    }
   }
   return false;
 }

@@ -25,9 +25,13 @@
 // next phase). Acknowledging a data message and a push wake the station;
 // any other reception leaves it asleep. That includes the ack that pops
 // the head: a sender that transmitted data arms its next data subslot,
-// not the ack subslot, and the ack needs no poll to land. Every slot the
-// station sleeps through would have been a silent poll that draws no
-// randomness, so only the engine's poll count changes.
+// not the ack subslot, and the ack needs no poll to land. The pop cancels
+// that arm, which would only buy a silent poll, and re-arms the slot the
+// silent poll's tick would have armed when the FIFO still holds a
+// message. The hop may cancel because its handle's timer is its own
+// (radio/waker.h, "One timer per handle"). Every slot the station sleeps
+// through would have been a silent poll that draws no randomness, so
+// only the engine's poll count changes.
 
 #include <cstdint>
 #include <deque>
@@ -66,7 +70,8 @@ class AckedHop {
   /// have an entry for every level the hop is placed at.
   void count_into(std::vector<std::uint64_t>& per_level);
 
-  /// The owner's on_attach: keeps the Waker.
+  /// The owner's on_attach: keeps the Waker, whose timer must be the
+  /// hop's alone (a pop cancels it).
   void attach(Waker& w);
   void wake() {
     if (waker_ != nullptr) waker_->wake();
@@ -78,8 +83,9 @@ class AckedHop {
   std::optional<Message> poll(SlotTime t, bool may_send);
   /// A reception in slot `t` (receptions reach sleeping stations too). An
   /// ack-subslot reception is the hop's own business: a matching ack pops
-  /// the head; it returns false. A data-subslot reception returns true for
-  /// the owner to classify.
+  /// the head and moves the timer to the next message's first chance; it
+  /// returns false. A data-subslot reception returns true for the owner
+  /// to classify.
   bool receive(SlotTime t, const Message& m);
   /// Owes the §3 acknowledgement of data message `m` in the next ack
   /// subslot, and wakes the station to send it.

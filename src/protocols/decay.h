@@ -32,7 +32,8 @@ class DecayProcess {
  public:
   /// `length` is the maximum number of transmissions per invocation,
   /// normally decay_length(Delta) = 2*ceil(log2 Delta).
-  explicit DecayProcess(std::uint32_t length) : length_(length) {
+  explicit DecayProcess(std::uint32_t length)
+      : length_(length), phase_len_(length) {
     require(length >= 1, "DecayProcess: length >= 1");
   }
 
@@ -94,8 +95,8 @@ class DecayProcess {
   /// construction): the next slot if the invocation may still fire in its
   /// phase, else the first slot of the following phase.
   SlotTime next_ungated_slot(SlotTime t) const noexcept {
-    if (may_transmit_in((t + 1) / length_)) return t + 1;
-    return (t / length_ + 1) * length_;
+    if (may_transmit_in(phase_len_.div(t + 1))) return t + 1;
+    return (phase_len_.div(t) + 1) * length_;
   }
 
   /// End of the slot: flips the coin iff the slot transmitted.
@@ -120,6 +121,7 @@ class DecayProcess {
   static constexpr std::uint64_t kNoPhase = static_cast<std::uint64_t>(-1);
 
   std::uint32_t length_;
+  FixedDivisor phase_len_;  ///< length_, for next_ungated_slot
   std::uint32_t used_ = 0;
   bool live_ = false;
   bool transmitted_ = false;

@@ -23,6 +23,8 @@ DistributionStation::DistributionStation(NodeId me, const BfsTree& tree,
       depth_(tree.depth),
       cfg_(cfg),
       clock_(make_clock(cfg)),
+      superphase_(std::uint64_t{cfg.phases_per_superphase} *
+                  clock_.slots_per_phase()),
       rng_(rng),
       decay_(cfg.decay_len) {
   // With 0 a late boundary would retry the NACKs its own superphase just
@@ -184,7 +186,7 @@ void DistributionStation::on_superphase_boundary(std::uint64_t sp) {
 }
 
 std::optional<Message> DistributionStation::poll(SlotTime t) {
-  const std::uint64_t sp = t / slots_per_superphase();
+  const std::uint64_t sp = superphase_.div(t);
   if (sp != last_superphase_) {
     last_superphase_ = sp;
     on_superphase_boundary(sp);
@@ -228,7 +230,7 @@ void DistributionStation::note_received(SlotTime t, std::uint32_t abs,
 
   out_of_order_.emplace(abs, stored);
   // NACK everything the gap reveals as missing (once; retried on a timer).
-  const std::uint64_t sp = t / slots_per_superphase();
+  const std::uint64_t sp = superphase_.div(t);
   for (std::uint32_t miss = next_expected_; miss < abs; ++miss) {
     if (!out_of_order_.contains(miss) && !nack_last_sp_.contains(miss)) {
       nack_last_sp_.emplace(miss, sp);
@@ -278,7 +280,7 @@ void DistributionStation::deliver(SlotTime t, const Message& m) {
   stored.seq = *abs;  // keep absolute numbering internally
   if (!received_sp_) {
     received_sp_ = stored;
-    received_sp_at_ = t / slots_per_superphase();
+    received_sp_at_ = superphase_.div(t);
     if (waker_ != nullptr)
       waker_->wake_at((received_sp_at_ + 1) * slots_per_superphase());
   }
@@ -287,7 +289,7 @@ void DistributionStation::deliver(SlotTime t, const Message& m) {
 
 void DistributionStation::tick(SlotTime t) {
   decay_.end_slot(rng_);
-  if (waker_ != nullptr) arm_duty(t, t / slots_per_superphase());
+  if (waker_ != nullptr) arm_duty(t, superphase_.div(t));
 }
 
 }  // namespace radiomc

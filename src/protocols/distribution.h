@@ -182,8 +182,7 @@ class DistributionStation final : public SubStation {
   }
 
   std::uint64_t slots_per_superphase() const noexcept {
-    return static_cast<std::uint64_t>(cfg_.phases_per_superphase) *
-           clock_.slots_per_phase();
+    return superphase_.divisor();
   }
 
  private:
@@ -205,6 +204,7 @@ class DistributionStation final : public SubStation {
   std::uint32_t depth_;
   DistributionConfig cfg_;
   PhaseClock clock_;
+  FixedDivisor superphase_;  ///< slots_per_superphase()
   Rng rng_;
 
   Waker* waker_ = nullptr;  ///< set by on_attach

@@ -39,14 +39,18 @@ namespace {
 /// channel 1 carries the always-on verification collection.
 ///
 /// Sleeping: the station forwards its Waker to every sub-station, so they
-/// share one membership bit and one timer (as ChannelMuxStation's subs do)
-/// and each keeps the Waker promise for itself, re-arming its own duties
-/// in its tick, on its own clock through a `shifted` handle. The DFS
-/// stations have no tick and arm nothing: only a token holder acts, and
-/// the token's arrival wakes it. At the epoch and attempt boundaries of
-/// the globally known schedule, where this station acts on its own (root
-/// hand-off, DFS start, final report, completion seed, attempt rollover),
-/// run_setup wakes every station.
+/// share one membership bit (as ChannelMuxStation's subs do) and each
+/// keeps the Waker promise for itself, re-arming its own duties in its
+/// tick, on its own clock through a `shifted` handle. The epoch protocols
+/// run one at a time and share the node's timer; the verification
+/// collection runs beside them and has a timer of its own, taken once at
+/// attach, so its hop may cancel a popped head's slot (radio/waker.h,
+/// "One timer per handle"). The DFS stations have no tick and arm
+/// nothing: only a token holder acts, and the token's arrival wakes it.
+/// At the epoch and attempt boundaries of the globally known schedule,
+/// where this station acts on its own (root hand-off, DFS start, final
+/// report, completion seed, attempt rollover), run_setup wakes every
+/// station.
 class SetupStation final : public Station {
  public:
   SetupStation(NodeId me, const Graph& g, SetupTuning tuning, Rng rng)
@@ -77,10 +81,11 @@ class SetupStation final : public Station {
 
   void on_attach(Waker& w) override {
     waker_ = w;
+    coll_timer_ = w.own_timer();
     rebase_wakers();
     le_.on_attach(attempt_waker_);
     bfs_.on_attach(b_waker_);
-    coll_.on_attach(b_waker_);
+    coll_.on_attach(coll_waker_);
     dfs1_.on_attach(attempt_waker_);
     dfs2_.on_attach(attempt_waker_);
     flood_g_.on_attach(g_waker_);
@@ -217,6 +222,7 @@ class SetupStation final : public Station {
   void rebase_wakers() {
     attempt_waker_ = waker_.shifted(attempt_start_);
     b_waker_ = waker_.shifted(attempt_start_ + b_start());
+    coll_waker_ = coll_timer_.shifted(attempt_start_ + b_start());
     g_waker_ = waker_.shifted(attempt_start_ + g_start());
   }
 
@@ -301,10 +307,13 @@ class SetupStation final : public Station {
 
   // Engine handle (unattached until on_attach) and its shifted copies, one
   // per sub-station clock: attempt-relative (election, DFS tokens), epoch B
-  // onwards (BFS, verification collection) and epoch G (completion flood).
+  // onwards (BFS; the verification collection on its own timer) and epoch
+  // G (completion flood).
   Waker waker_;
+  Waker coll_timer_;
   Waker attempt_waker_;
   Waker b_waker_;
+  Waker coll_waker_;
   Waker g_waker_;
 
   MaxFloodStation le_;

@@ -14,6 +14,7 @@ void ActiveSet::reset(NodeId n) {
   pending_flag_.assign(n, 0);
   slot_kept_.clear();
   pending_.clear();
+  owner_.clear();
   timer_.clear();
   next_.clear();
   prev_.clear();
@@ -43,53 +44,71 @@ void ActiveSet::queue(NodeId v) {
   }
 }
 
-void ActiveSet::wake_at(NodeId v, SlotTime t) {
+void ActiveSet::wake_at(TimerId id, SlotTime t) {
   if (t <= horizon_) {
-    wake(v);
+    wake(node_of(id));
     return;
   }
   if (timer_.empty()) {
-    timer_.assign(n_, kNoTimer);
-    next_.assign(n_, kNoNode);
-    prev_.assign(n_, kNoNode);
-    bucket_.assign(kWheel, kNoNode);
+    const std::size_t timers = n_ + owner_.size();
+    timer_.assign(timers, kNoTimer);
+    next_.assign(timers, kNoLink);
+    prev_.assign(timers, kNoLink);
+    bucket_.assign(kWheel, kNoLink);
   }
-  if (t >= timer_[v]) return;  // the earliest armed time wins
-  if (timer_[v] == kNoTimer) {
+  if (t >= timer_[id]) return;  // the earliest armed time wins
+  if (timer_[id] == kNoTimer) {
     ++armed_;
   } else {
-    unlink(v);
+    unlink(id);
   }
-  timer_[v] = t;
-  NodeId& head = bucket_[t & (kWheel - 1)];
-  prev_[v] = kNoNode;
-  next_[v] = head;
-  if (head != kNoNode) prev_[head] = v;
-  head = v;
+  timer_[id] = t;
+  TimerId& head = bucket_[t & (kWheel - 1)];
+  prev_[id] = kNoLink;
+  next_[id] = head;
+  if (head != kNoLink) prev_[head] = id;
+  head = id;
 }
 
-void ActiveSet::unlink(NodeId v) {
-  if (prev_[v] != kNoNode) {
-    next_[prev_[v]] = next_[v];
-  } else {
-    bucket_[timer_[v] & (kWheel - 1)] = next_[v];
+void ActiveSet::cancel(TimerId id) {
+  if (timer_.empty() || timer_[id] == kNoTimer) return;
+  unlink(id);
+  timer_[id] = kNoTimer;
+  --armed_;
+}
+
+TimerId ActiveSet::add_timer(NodeId v) {
+  owner_.push_back(v);
+  if (!timer_.empty()) {
+    timer_.push_back(kNoTimer);
+    next_.push_back(kNoLink);
+    prev_.push_back(kNoLink);
   }
-  if (next_[v] != kNoNode) prev_[next_[v]] = prev_[v];
+  return static_cast<TimerId>(n_ + owner_.size() - 1);
+}
+
+void ActiveSet::unlink(TimerId id) {
+  if (prev_[id] != kNoLink) {
+    next_[prev_[id]] = next_[id];
+  } else {
+    bucket_[timer_[id] & (kWheel - 1)] = next_[id];
+  }
+  if (next_[id] != kNoLink) prev_[next_[id]] = prev_[id];
 }
 
 void ActiveSet::fire_timers(SlotTime now) {
-  for (NodeId v = bucket_[now & (kWheel - 1)]; v != kNoNode;) {
-    const NodeId next = next_[v];
-    if (timer_[v] == now) {  // else due on a later turn of the wheel
-      unlink(v);
-      timer_[v] = kNoTimer;
+  for (TimerId id = bucket_[now & (kWheel - 1)]; id != kNoLink;) {
+    const TimerId next = next_[id];
+    if (timer_[id] == now) {  // else due on a later turn of the wheel
+      unlink(id);
+      timer_[id] = kNoTimer;
       --armed_;
       // Admission only, like a wake raised between slots: it buys this
       // slot's poll and no retention mark. A crashed station admitted
       // here is kept frozen by the engine and polled on recovery.
-      queue(v);
+      queue(node_of(id));
     }
-    v = next;
+    id = next;
   }
 }
 
@@ -100,9 +119,9 @@ SlotTime ActiveSet::skip_idle(SlotTime now, SlotTime end) {
     t = end;
   } else {
     for (; t < end; ++t) {
-      NodeId v = bucket_[t & (kWheel - 1)];
-      while (v != kNoNode && timer_[v] != t) v = next_[v];  // later turns
-      if (v != kNoNode) break;
+      TimerId id = bucket_[t & (kWheel - 1)];
+      while (id != kNoLink && timer_[id] != t) id = next_[id];  // later turns
+      if (id != kNoLink) break;
     }
   }
   horizon_ = t;
@@ -160,7 +179,17 @@ void Waker::wake() noexcept {
 }
 
 void Waker::wake_at(SlotTime t) noexcept {
-  if (set_ != nullptr) set_->wake_at(node_, origin_ + t);
+  if (set_ != nullptr) set_->wake_at(timer_, origin_ + t);
+}
+
+void Waker::cancel() noexcept {
+  if (set_ != nullptr) set_->cancel(timer_);
+}
+
+Waker Waker::own_timer() const {
+  Waker w = *this;
+  if (set_ != nullptr) w.timer_ = set_->add_timer(node_);
+  return w;
 }
 
 }  // namespace radiomc

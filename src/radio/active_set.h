@@ -19,12 +19,14 @@
 // `skip_idle` finds the end of an idle span by looking at one bucket per
 // slot, or at nothing when no timer is armed.
 //
-// Timers: each station has at most one armed time, kept in a hashed
-// timer wheel (bucket = time mod kWheel) as an intrusive doubly linked
-// list, so arming, re-arming and firing are O(1) and memory stays O(n)
-// however often stations re-arm. A bucket holds the stations due at that
-// slot and those due whole turns later; a far timer is passed over once
-// per turn.
+// Timers: each timer has at most one armed time, kept in a hashed timer
+// wheel (bucket = time mod kWheel) as an intrusive doubly linked list, so
+// arming, re-arming, cancelling and firing are O(1) and memory stays
+// O(timers) however often stations re-arm. A bucket holds the timers due
+// at that slot and those due whole turns later; a far timer is passed
+// over once per turn. Timer ids [0, n) are the nodes' own; `add_timer`
+// appends more, each admitting one node when it fires (a sub-station's
+// own timer, radio/waker.h).
 //
 // All state is plain data owned by one engine; nothing here is
 // thread-safe (one RadioNetwork = one trial = one thread, as everywhere
@@ -59,9 +61,13 @@ class ActiveSet {
   /// Keeps member `v` through this slot's end_slot without a wake: a
   /// crashed station's frozen membership. Counts no wake event.
   void freeze(NodeId v);
-  /// Arms `v`'s timer for slot `t` (earliest pending time wins). A time no
-  /// later than the next slot is wake(v).
-  void wake_at(NodeId v, SlotTime t);
+  /// Arms timer `id` for slot `t` (earliest pending time wins). A time no
+  /// later than the next slot is a wake of the timer's node.
+  void wake_at(TimerId id, SlotTime t);
+  /// Disarms timer `id`; a no-op when it is not armed.
+  void cancel(TimerId id);
+  /// Appends a timer that admits node `v`; returns its id (>= size()).
+  TimerId add_timer(NodeId v);
 
   /// Fires the timers due at `now`, then admits them and the stations
   /// woken since the previous slot (rebuilding the member list only if a
@@ -87,20 +93,26 @@ class ActiveSet {
   /// the engine's debug stats).
   std::uint64_t wake_events() const noexcept { return wake_events_; }
 
-  /// Binds `w` to (this, v) so Station::on_attach can hand out handles.
+  /// Binds `w` to (this, v, v's own timer) so Station::on_attach can hand
+  /// out handles.
   void bind(Waker* w, NodeId v) noexcept {
     w->set_ = this;
     w->node_ = v;
+    w->timer_ = v;
     w->origin_ = 0;
   }
 
  private:
   static constexpr SlotTime kNoTimer = ~SlotTime{0};
+  static constexpr TimerId kNoLink = ~TimerId{0};
   static constexpr SlotTime kWheel = 1024;  // buckets, a power of two
 
   void queue(NodeId v);
-  void unlink(NodeId v);
+  void unlink(TimerId id);
   void fire_timers(SlotTime now);
+  NodeId node_of(TimerId id) const noexcept {
+    return id < n_ ? id : owner_[id - n_];
+  }
 
   NodeId n_ = 0;
   std::vector<NodeId> active_;            // members_, ascending
@@ -109,11 +121,12 @@ class ActiveSet {
   std::vector<std::uint8_t> pending_flag_;  // queued for admission, by node
   std::vector<NodeId> slot_kept_;         // nodes with kept_flag_ set
   std::vector<NodeId> pending_;           // nodes with pending_flag_ set
+  std::vector<NodeId> owner_;  // node of timer n_ + i, by i
   // Timer wheel, allocated on the first wake_at.
-  std::vector<SlotTime> timer_;      // armed time or kNoTimer, by node
-  std::vector<NodeId> next_, prev_;  // bucket list links, by node
-  std::vector<NodeId> bucket_;       // list head per bucket
-  std::size_t armed_ = 0;            // stations with a timer
+  std::vector<SlotTime> timer_;       // armed time or kNoTimer, by timer
+  std::vector<TimerId> next_, prev_;  // bucket list links, by timer
+  std::vector<TimerId> bucket_;       // list head per bucket
+  std::size_t armed_ = 0;             // armed timers
   SlotTime horizon_ = 0;  // next slot to run; wake_at(t <= horizon_) is wake()
   std::uint64_t wake_events_ = 0;
 };

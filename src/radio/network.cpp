@@ -22,6 +22,7 @@ RadioNetwork::RadioNetwork(const Graph& g, Config cfg)
   rx_count_.assign(cells, 0);
   rx_msg_.assign(cells, nullptr);
   row_.assign(cfg_.num_channels, std::nullopt);
+  channel_div_ = FixedDivisor(cfg_.num_channels);
 }
 
 void RadioNetwork::attach(std::vector<Station*> stations) {
@@ -123,9 +124,9 @@ void RadioNetwork::step() {
   // and capture-probability draws in the identical sequence. The drain
   // leaves rx_touched_ empty for the next slot.
   rx_touched_.drain([&](const std::size_t cell) {
-    const NodeId v = static_cast<NodeId>(cell / channels);
-    const ChannelId c = static_cast<ChannelId>(cell % channels);
-    const std::size_t base = cell - c;
+    const NodeId v = static_cast<NodeId>(channel_div_.div(cell));
+    const std::size_t base = static_cast<std::size_t>(v) * channels;
+    const ChannelId c = static_cast<ChannelId>(cell - base);
     bool transmitted_any = false;
     if (!cfg_.rx_while_tx_other) {
       for (ChannelId c2 = 0; c2 < channels; ++c2)

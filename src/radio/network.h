@@ -48,6 +48,7 @@
 #include "radio/csr.h"
 #include "radio/message.h"
 #include "radio/ordered_bits.h"
+#include "radio/schedule.h"
 #include "radio/station.h"
 #include "radio/trace.h"
 #include "support/rng.h"
@@ -225,6 +226,7 @@ class RadioNetwork {
   std::vector<std::uint32_t> rx_count_;   // transmitting neighbors, iff touched
   std::vector<const Message*> rx_msg_;    // surviving message, iff touched
   std::vector<std::optional<Message>> row_;  // per-poll scratch, num_channels wide
+  FixedDivisor channel_div_;  // num_channels, splits a cell into (node, channel)
   std::vector<std::pair<NodeId, ChannelId>> tx_list_;  // this slot's transmissions
 };
 

@@ -67,11 +67,12 @@ class SubStation {
   SubStation(const SubStation&) = delete;
   SubStation& operator=(const SubStation&) = delete;
 
-  /// Engine adoption, forwarded by SingleStation, by ChannelMuxStation and
-  /// by setup's per-node station (with a `Waker::shifted` handle on the
-  /// sub-station's clock); each SubStation keeps the Waker contract
-  /// (radio/waker.h) for itself. TimeDivisionStation never forwards: it
-  /// wakes itself in every slot instead.
+  /// Engine adoption, forwarded by SingleStation, by ChannelMuxStation
+  /// (a handle with its own timer per sub) and by setup's per-node station
+  /// (with a `Waker::shifted` handle on the sub-station's clock); each
+  /// SubStation keeps the Waker contract (radio/waker.h) for itself.
+  /// TimeDivisionStation never forwards: it wakes itself in every slot
+  /// instead.
   virtual void on_attach(Waker& /*w*/) {}
 
   /// Transmit decision for the SubStation's slot `t` (nullopt = listen).
@@ -102,15 +103,20 @@ class SingleStation final : public Station {
 /// SubStation i <-> channel i; all advance every slot (separate channels).
 class ChannelMuxStation final : public Station {
  public:
-  /// Forwards the Waker to every SubStation. The subs share one
-  /// membership bit, so the node sleeps exactly when no sub woke for the
-  /// next slot, which each sub's own Waker promise makes safe. They also
-  /// share one timer: each re-arms its duty at the end of every polled
-  /// slot (radio/waker.h, "One timer, many subs").
+  /// Hands every SubStation a handle of its own (`Waker::own_timer`),
+  /// kept here. The subs share one membership bit, so the node sleeps
+  /// exactly when no sub woke for the next slot, which each sub's own
+  /// Waker promise makes safe; each sub's timer is its own, so a sub's
+  /// arm or cancel leaves the others' duties alone (radio/waker.h, "One
+  /// timer per handle").
   explicit ChannelMuxStation(std::vector<SubStation*> subs)
       : subs_(std::move(subs)) {}
   void on_attach(Waker& w) override {
-    for (auto* s : subs_) s->on_attach(w);
+    wakers_.assign(subs_.size(), Waker{});
+    for (std::size_t c = 0; c < subs_.size(); ++c) {
+      wakers_[c] = w.own_timer();
+      subs_[c]->on_attach(wakers_[c]);
+    }
   }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     for (std::size_t c = 0; c < subs_.size(); ++c) tx[c] = subs_[c]->poll(t);
@@ -124,6 +130,7 @@ class ChannelMuxStation final : public Station {
 
  private:
   std::vector<SubStation*> subs_;
+  std::vector<Waker> wakers_;  ///< one per sub; stable after on_attach
 };
 
 /// SubStation i active in physical slots t with t % k == i, on channel 0,

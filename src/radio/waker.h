@@ -20,12 +20,13 @@
 //     again in the next slot wakes for it like any other;
 //   * `wake()` on a sleeping station guarantees it is polled in the next
 //     slot (wakes raised between slots are merged before the next poll);
-//   * `wake_at(t)` arms a per-station timer: the station is admitted at the
+//   * `wake_at(t)` arms the handle's timer: the station is admitted at the
 //     top of slot t, exactly as if `wake()` had been raised between slots
-//     t-1 and t. A station has one timer and the earliest armed time wins
+//     t-1 and t. A timer holds one time and the earliest armed time wins
 //     (a later arm while an earlier one is pending is dropped, so a
-//     station re-arms its next duty in every polled slot). `wake_at(t)`
-//     with t no later than the next slot is plain `wake()`;
+//     station re-arms its next duty in every polled slot). `cancel()`
+//     disarms it. `wake_at(t)` with t no later than the next slot is
+//     plain `wake()`;
 //   * a crashed station (fault injection) keeps its membership frozen — it
 //     is not polled while down, and resumes exactly where it was on
 //     recovery. A timer that fires while the station is down admits it
@@ -68,21 +69,25 @@
 // distribution its next superphase start) instead of calling wake() on
 // every poll until the work is done.
 //
-// One timer, many subs: the SubStations of a ChannelMuxStation, and
-// setup's per-node station, share one handle and so one timer, where an
-// earlier arm overrides a later one. This is sound because every sub
-// re-arms (or wakes) its own duty at the end of every slot it is polled
-// in, and the owner polls and ticks every live sub whenever it is
-// polled: a sub whose later time was dropped is polled at the earlier one
-// and arms again there. An arm raised from a reception (distribution's
-// register fill) is covered the same way. A time-division frame polls one
-// sub per slot, so there a dropped arm would never be re-armed:
-// TimeDivisionStation keeps its subs unattached and stays always-polled.
+// One timer per handle: the engine's handle carries the node's own timer,
+// and `own_timer()` derives a handle with the same node and clock and a
+// fresh timer. Sub-stations that run side by side on one node get a
+// handle each (ChannelMuxStation's subs; setup's verification
+// collection, which runs beside every later epoch's protocol), so one
+// sub's arm or `cancel()` never moves another's, and a sub may cancel a
+// duty it no longer owes (the §3 hop, when the ack pops its head) without
+// losing a sibling's arm. The subs still share the node's membership bit:
+// whenever the node is polled, every live sub is polled. A time-division
+// frame polls one sub per slot, so TimeDivisionStation keeps its subs
+// unattached and stays always-polled; a handle per sub on a strided
+// clock would let it sleep.
 //
 // Like the slot structure, wakes are model-legal bookkeeping: a station may
 // only call `wake()`/`wake_at()` from its own callbacks (or its driver
 // between slots), never from another station's state — the lint
 // determinism rules apply.
+
+#include <cstdint>
 
 #include "graph/graph.h"
 #include "radio/message.h"
@@ -90,6 +95,10 @@
 namespace radiomc {
 
 class ActiveSet;
+
+/// An engine timer: ids [0, n) are the nodes' own, later ones belong to
+/// sub-station handles (Waker::own_timer).
+using TimerId = std::uint32_t;
 
 class Waker {
  public:
@@ -100,9 +109,18 @@ class Waker {
   void wake() noexcept;
 
   /// Ensures this station is polled in slot `t` of this handle's clock
-  /// (engine slot `t + origin`). One timer per station; the earliest armed
+  /// (engine slot `t + origin`). One timer per handle; the earliest armed
   /// time wins. A time no later than the next slot behaves like wake().
   void wake_at(SlotTime t) noexcept;
+
+  /// Disarms this handle's timer (pending wakes stand). A no-op when the
+  /// timer is not armed.
+  void cancel() noexcept;
+
+  /// A handle for the same station and clock with a fresh timer of its
+  /// own: for adapters that host several sub-stations on one node.
+  /// Unattached when this handle is.
+  Waker own_timer() const;
 
   /// The node this handle belongs to.
   NodeId node() const noexcept { return node_; }
@@ -122,8 +140,13 @@ class Waker {
 
  private:
   friend class ActiveSet;
+
+/// An engine timer: ids [0, n) are the nodes' own, later ones belong to
+/// sub-station handles (Waker::own_timer).
+using TimerId = std::uint32_t;
   ActiveSet* set_ = nullptr;
   NodeId node_ = kNoNode;
+  TimerId timer_ = 0;
   SlotTime origin_ = 0;  ///< engine slot of this handle's local slot 0
 };
 

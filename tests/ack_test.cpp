@@ -13,6 +13,9 @@
 //  3. end-to-end through the collection protocol: messages are never lost
 //     and never duplicated (exactly-once), which is precisely what the
 //     theorem buys (§4.1: "messages exist on exactly one buffer").
+//
+// Apart from the theorem, the sender's sleep across the ack is checked:
+// the pop of its head leaves no poll behind at the slot it had armed.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +23,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "protocols/collection.h"
 #include "protocols/tree.h"
 #include "radio/network.h"
+#include "radio/station.h"
 #include "support/rng.h"
 
 namespace radiomc {
@@ -208,6 +213,71 @@ TEST_P(CollectionExactlyOnce, NoLossNoDuplication) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CollectionExactlyOnce, ::testing::Range(0, 6));
+
+// Sleeping (protocols/acked_hop.h): the ack that pops the head reaches a
+// sleeping sender, and the data slot the sender armed at the end of its
+// sending slot would then be a silent poll. The pop cancels that arm.
+
+/// SingleStation that logs its polls and data transmissions.
+class LoggedStation final : public Station {
+ public:
+  explicit LoggedStation(SubStation& sub) : inner_(sub) {}
+  void on_attach(Waker& w) override { inner_.on_attach(w); }
+  void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
+    polls.push_back(t);
+    inner_.on_slot(t, tx);
+    if (tx[0] && tx[0]->kind == MsgKind::kData) data_tx.push_back(t);
+  }
+  void on_receive(SlotTime t, ChannelId ch, const Message& m) override {
+    inner_.on_receive(t, ch, m);
+  }
+  void on_slot_end(SlotTime t) override { inner_.on_slot_end(t); }
+
+  std::vector<SlotTime> polls, data_tx;
+
+ private:
+  SingleStation inner_;
+};
+
+TEST(AckedHopSleep, PoppedHeadBuysNoPollAtItsArmedSlot) {
+  // A 2-node path: the leaf holds eight messages for the root. It is the
+  // only data sender, so every copy is heard the first time and acked in
+  // the next subslot, which pops the head while the leaf sleeps. The leaf
+  // is then polled only where it transmits: never at the data slot it
+  // armed for the popped head (where its coin let the Decay live on), and
+  // next at the first data slot of the following phase, where the next
+  // head begins its invocation.
+  const Graph g = gen::path(2);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const CollectionConfig cfg = CollectionConfig::for_graph(g);
+  CollectionStation root(0, tree, cfg, Rng(1));
+  CollectionStation leaf(1, tree, cfg, Rng(2));
+  constexpr std::uint32_t kMessages = 8;
+  for (std::uint32_t s = 0; s < kMessages; ++s) {
+    Message m;
+    m.kind = MsgKind::kData;
+    m.origin = 1;
+    m.seq = s;
+    leaf.inject(m);
+  }
+  LoggedStation a(root), b(leaf);
+  RadioNetwork net(g);
+  net.attach({&a, &b});
+  const PhaseClock& c = leaf.clock();
+  net.run((kMessages + 2) * c.slots_per_phase());
+
+  ASSERT_EQ(root.root_sink().size(), kMessages);
+  ASSERT_EQ(b.data_tx.size(), kMessages);
+  std::vector<SlotTime> want{0};
+  want.insert(want.end(), b.data_tx.begin(), b.data_tx.end());
+  EXPECT_EQ(b.polls, want);
+  for (std::size_t i = 0; i + 1 < b.data_tx.size(); ++i) {
+    const std::uint64_t phase = c.decode(b.data_tx[i]).phase;
+    EXPECT_EQ(b.data_tx[i + 1],
+              c.next_data_slot(c.phase_start(phase + 1) - 1, /*level=*/1))
+        << "message " << i + 1;
+  }
+}
 
 }  // namespace
 }  // namespace radiomc

@@ -16,8 +16,9 @@
 //     heard by at most deg(sender) stations);
 //   * crashed stations never transmit and never receive, checked against
 //     the fault schedule's per-slot alive view;
-//   * active-set membership is exactly "woken for this slot, or its timer
-//     came due", frozen while crashed; transmitting buys no poll —
+//   * active-set membership is exactly "woken for this slot, or one of
+//     its handles' timers came due", frozen while crashed; a cancel
+//     disarms one handle's timer only; transmitting buys no poll —
 //     predicted by an independent model in the test and compared against
 //     both the stations' observed polls and RadioNetwork::station_active;
 //   * run(k), which skips idle slots, equals k calls of step() in
@@ -28,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -221,17 +223,26 @@ TEST(EngineInvariants, CrashedStationsNeverTransmitOrReceive) {
 }
 
 /// Station with a scripted behavior: transmits at slots in
-/// `tx_slots`, calls wake() at slots in `wake_slots` and wake_at(target) at
-/// the slots keyed in `arms` (all tested only when actually polled).
+/// `tx_slots`, calls wake() at slots in `wake_slots`, cancels the timers
+/// of the handles in the mask keyed in `cancels` (1: the engine's handle,
+/// 2: a second handle with its own timer, taken at attach), then arms
+/// wake_at(target) at the slots keyed in `arms` (engine's handle) and
+/// `aux_arms` (the second handle); all tested only when actually polled.
 /// Records every poll.
 class Scripted : public Station {
  public:
   Scripted(NodeId self, std::set<SlotTime> tx_slots,
-           std::set<SlotTime> wake_slots, std::map<SlotTime, SlotTime> arms)
+           std::set<SlotTime> wake_slots, std::map<SlotTime, SlotTime> arms,
+           std::map<SlotTime, SlotTime> aux_arms = {},
+           std::map<SlotTime, int> cancels = {})
       : self_(self), tx_slots_(std::move(tx_slots)),
-        wake_slots_(std::move(wake_slots)), arms_(std::move(arms)) {}
+        wake_slots_(std::move(wake_slots)), arms_(std::move(arms)),
+        aux_arms_(std::move(aux_arms)), cancels_(std::move(cancels)) {}
 
-  void on_attach(Waker& w) override { waker_ = &w; }
+  void on_attach(Waker& w) override {
+    waker_ = &w;
+    aux_ = w.own_timer();
+  }
   void on_slot(SlotTime t, std::span<std::optional<Message>> tx) override {
     polls.push_back(t);
     if (tx_slots_.count(t) != 0) {
@@ -241,8 +252,14 @@ class Scripted : public Station {
       tx[0] = m;
     }
     if (wake_slots_.count(t) != 0) waker_->wake();
+    if (const auto it = cancels_.find(t); it != cancels_.end()) {
+      if (it->second & 1) waker_->cancel();
+      if (it->second & 2) aux_.cancel();
+    }
     if (const auto it = arms_.find(t); it != arms_.end())
       waker_->wake_at(it->second);
+    if (const auto it = aux_arms_.find(t); it != aux_arms_.end())
+      aux_.wake_at(it->second);
   }
   void on_receive(SlotTime t, ChannelId, const Message& m) override {
     received.emplace_back(t, m.origin, m.seq);
@@ -256,8 +273,10 @@ class Scripted : public Station {
  private:
   NodeId self_;
   std::set<SlotTime> tx_slots_, wake_slots_;
-  std::map<SlotTime, SlotTime> arms_;
+  std::map<SlotTime, SlotTime> arms_, aux_arms_;
+  std::map<SlotTime, int> cancels_;
   Waker* waker_ = nullptr;
+  Waker aux_;
 };
 
 TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
@@ -266,17 +285,20 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
   //   polled at 0 (everyone starts active); polled at t+1 iff polled at t
   //   and woke at t (wake_at(t' <= t+1) is a wake; transmitting at t
   //   counts for nothing), or an external wake arrived during slot t;
-  //   admitted at t by its timer, which holds the earliest time armed
-  //   since it last fired.
+  //   admitted at t by either of its two handles' timers, each of which
+  //   holds the earliest time armed on that handle since it last fired or
+  //   was cancelled; a cancel on one handle leaves the other's timer.
   // Odd rounds add crash churn: a crashed member is not polled and stays a
   // member (frozen), and a timer firing on a crashed station admits it
   // into that frozen membership, so it is polled on recovery.
   Rng rng(0x5C21);
+  Rng aux_rng(0x5C22);  // second-handle arms and cancels
   const SlotTime kSlots = 120;
   constexpr SlotTime kNone = ~SlotTime{0};
   // Coverage of the timer cases, summed over all rounds.
   std::uint64_t fired = 0, fired_on_crashed = 0, dropped_later = 0,
-                lowered = 0, immediate = 0;
+                lowered = 0, immediate = 0, aux_fired = 0, cancelled = 0,
+                cancel_spared = 0;
   for (int round = 0; round < 10; ++round) {
     const Graph g = gen::path(24);
     const NodeId n = g.num_nodes();
@@ -286,10 +308,12 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
     std::deque<Scripted> stations;
     std::vector<Station*> ptrs;
     std::vector<std::set<SlotTime>> tx_of(n), wake_of(n);
-    std::vector<std::map<SlotTime, SlotTime>> arms_of(n);
+    std::vector<std::array<std::map<SlotTime, SlotTime>, 2>> arms_of(n);
+    std::vector<std::map<SlotTime, int>> cancels_of(n);
     for (NodeId v = 0; v < n; ++v) {
       std::set<SlotTime> tx, wake;
-      std::map<SlotTime, SlotTime> arms;
+      std::map<SlotTime, SlotTime> arms, aux_arms;
+      std::map<SlotTime, int> cancels;
       for (SlotTime t = 0; t < kSlots; ++t) {
         if (rng.bernoulli(0.25)) tx.insert(t);
         if (rng.bernoulli(0.15)) wake.insert(t);
@@ -300,11 +324,16 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
         } else if (rng.bernoulli(0.3)) {
           arms[t] = t + rng.next_below(17) - (t > 0);
         }
+        if (aux_rng.bernoulli(0.3))
+          aux_arms[t] = t + aux_rng.next_below(17) - (t > 0);
+        if (aux_rng.bernoulli(0.15))
+          cancels[t] = 1 + static_cast<int>(aux_rng.next_below(3));
       }
       tx_of[v] = tx;
       wake_of[v] = wake;
-      arms_of[v] = arms;
-      stations.emplace_back(v, tx, wake, arms);
+      arms_of[v] = {arms, aux_arms};
+      cancels_of[v] = cancels;
+      stations.emplace_back(v, tx, wake, arms, aux_arms, cancels);
       ptrs.push_back(&stations.back());
     }
     // A few driver-level wakes, exercising wake_station between slots.
@@ -346,14 +375,16 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
     std::vector<std::vector<std::uint8_t>> retained_at(kSlots);
     {
       std::vector<std::uint8_t> active(n, 1);
-      std::vector<SlotTime> timer(n, kNone);
+      std::vector<std::array<SlotTime, 2>> timer(n, {kNone, kNone});
       for (SlotTime t = 0; t < kSlots; ++t) {
         for (NodeId v = 0; v < n; ++v) {
-          if (timer[v] != t) continue;
-          timer[v] = kNone;
-          active[v] = 1;
-          ++fired;
-          fired_on_crashed += alive[t][v] ? 0 : 1;
+          for (int h = 0; h < 2; ++h) {
+            if (timer[v][h] != t) continue;
+            timer[v][h] = kNone;
+            active[v] = 1;
+            ++(h == 0 ? fired : aux_fired);
+            fired_on_crashed += alive[t][v] ? 0 : 1;
+          }
         }
         retained_at[t].assign(n, 0);
         for (NodeId v = 0; v < n; ++v) {
@@ -364,14 +395,27 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
           }
           expected[v].push_back(t);
           bool keep = wake_of[v].count(t) != 0;
-          if (const auto it = arms_of[v].find(t); it != arms_of[v].end()) {
+          if (const auto it = cancels_of[v].find(t);
+              it != cancels_of[v].end()) {
+            for (int h = 0; h < 2; ++h) {
+              if ((it->second & (1 << h)) == 0) {
+                cancel_spared += timer[v][h] != kNone ? 1 : 0;
+                continue;
+              }
+              cancelled += timer[v][h] != kNone ? 1 : 0;
+              timer[v][h] = kNone;
+            }
+          }
+          for (int h = 0; h < 2; ++h) {
+            const auto it = arms_of[v][h].find(t);
+            if (it == arms_of[v][h].end()) continue;
             const SlotTime at = it->second;
             if (at <= t + 1) {
               keep = true;
               ++immediate;
-            } else if (at < timer[v]) {
-              lowered += timer[v] != kNone ? 1 : 0;
-              timer[v] = at;
+            } else if (at < timer[v][h]) {
+              lowered += timer[v][h] != kNone ? 1 : 0;
+              timer[v][h] = at;
             } else {
               ++dropped_later;
             }
@@ -408,15 +452,19 @@ TEST(EngineInvariants, ActiveSetMembershipIsWakeOrTimerExactly) {
     // The engine must actually have slept somebody.
     EXPECT_LT(total_polls, static_cast<std::uint64_t>(n) * kSlots);
   }
-  // Every timer case occurred: a timer admitted a station at its slot, an
-  // earlier arm replaced a later one and a later arm lost to an earlier
-  // one (earliest wins), an arm for the next slot or earlier acted as a
-  // wake, and a timer fired on a crashed station.
+  // Every timer case occurred: each handle's timer admitted a station at
+  // its slot, an earlier arm replaced a later one and a later arm lost to
+  // an earlier one (earliest wins), an arm for the next slot or earlier
+  // acted as a wake, a timer fired on a crashed station, a cancel
+  // disarmed an armed timer and one left the other handle's armed timer.
   EXPECT_GT(fired, 0u);
+  EXPECT_GT(aux_fired, 0u);
   EXPECT_GT(lowered, 0u);
   EXPECT_GT(dropped_later, 0u);
   EXPECT_GT(immediate, 0u);
   EXPECT_GT(fired_on_crashed, 0u);
+  EXPECT_GT(cancelled, 0u);
+  EXPECT_GT(cancel_spared, 0u);
 }
 
 TEST(EngineInvariants, TransmittingBuysNoPoll) {
@@ -459,6 +507,58 @@ TEST(EngineInvariants, TransmittingBuysNoPoll) {
   EXPECT_EQ(st[2].polls, (std::vector<SlotTime>{0, 1, 2, 3, 8}));
   EXPECT_EQ(net.metrics().transmissions, 3u);
   EXPECT_EQ(net.metrics().fault_crashed_slots, 3u * 4);
+}
+
+/// A sub-station that records its polls and, at the end of the slots
+/// keyed in its script, arms its timer and then optionally cancels it.
+class TimerSub final : public SubStation {
+ public:
+  struct Step {
+    SlotTime arm;
+    bool cancel = false;
+  };
+  explicit TimerSub(std::map<SlotTime, Step> script)
+      : script_(std::move(script)) {}
+  void on_attach(Waker& w) override { waker_ = &w; }
+  std::optional<Message> poll(SlotTime t) override {
+    polls.push_back(t);
+    return std::nullopt;
+  }
+  void deliver(SlotTime, const Message&) override {}
+  void tick(SlotTime t) override {
+    const auto it = script_.find(t);
+    if (it == script_.end()) return;
+    waker_->wake_at(it->second.arm);
+    if (it->second.cancel) waker_->cancel();
+  }
+
+  std::vector<SlotTime> polls;
+
+ private:
+  std::map<SlotTime, Step> script_;
+  Waker* waker_ = nullptr;
+};
+
+TEST(EngineInvariants, SubTimersAreIndependent) {
+  // Two subs of one ChannelMuxStation, each on a handle with its own
+  // timer. Neither re-arms the other's duty, so with one shared timer
+  // (earliest wins) the later of two arms would be lost. Script:
+  //   0: A arms 5, B arms 8   -> B's later arm leaves A's 5 intact;
+  //   8: A arms 12, B arms 10 -> A's later arm survives B's earlier one;
+  //  12: A arms 15, B arms 18 and cancels -> A's 15 survives B's cancel;
+  //  15: A arms 20 and cancels, B arms 17 -> B's 17 survives A's cancel.
+  const Graph g = gen::path(1);
+  TimerSub a({{0, {5}}, {8, {12}}, {12, {15}}, {15, {20, true}}});
+  TimerSub b({{0, {8}}, {8, {10}}, {12, {18, true}}, {15, {17}}});
+  ChannelMuxStation mux({&a, &b});
+  RadioNetwork::Config cfg;
+  cfg.num_channels = 2;
+  RadioNetwork net(g, cfg);
+  net.attach({&mux});
+  net.run(30);
+  const std::vector<SlotTime> want{0, 5, 8, 10, 12, 15, 17};
+  EXPECT_EQ(a.polls, want);
+  EXPECT_EQ(b.polls, want);  // the subs share one membership bit
 }
 
 /// Records the slot hook's pulses: a hook must see every slot.

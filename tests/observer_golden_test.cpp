@@ -370,23 +370,23 @@ void PrintTo(const Cell& c, std::ostream* os) { *os << c.name; }
 const Cell kCells[] = {
     // clang-format off
     {"setup", setup_cell, false,
-     {RunStatus::kOk, 15940, 0xc53ec2e72778009dULL, 0x235a6ceb7ab0137aULL, 0xecaeeca620bdfc9fULL, 0x60024651fafd2ed6ULL, 1727, 0}},
+     {RunStatus::kOk, 15940, 0xc53ec2e72778009dULL, 0x235a6ceb7ab0137aULL, 0xecaeeca620bdfc9fULL, 0x60024651fafd2ed6ULL, 1660, 0}},
     {"setup_faulted", setup_cell, true,
-     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0x20fb6fe08d25b783ULL, 14271, 0}},
+     {RunStatus::kOk, 111308, 0x8e852288170a20ceULL, 0x4ea437d4a8b487eULL, 0x778d589704345ddaULL, 0x20fb6fe08d25b783ULL, 14079, 0}},
     {"collection", collection_cell, false,
-     {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL, 469, 0}},
+     {RunStatus::kOk, 561, 0x49517868a449785aULL, 0x692227741a642058ULL, 0x4e2f5f9fa47343f8ULL, 0x8d712a74c1e20475ULL, 363, 0}},
     {"collection_faulted", collection_cell, true,
-     {RunStatus::kDegraded, 233, 0xf93c764f91afdda3ULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0x902c413f2989328fULL, 474, 0}},
+     {RunStatus::kDegraded, 233, 0xf93c764f91afdda3ULL, 0x8f3dbf97a0a311e2ULL, 0x2e441b32cc142fe4ULL, 0x902c413f2989328fULL, 400, 0}},
     {"p2p", p2p_cell, false,
-     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL, 360, 0}},
+     {RunStatus::kOk, 283, 0x5b132efab8dbcb7dULL, 0x298f1dd12d4c13d1ULL, 0xf3ebbf8a8c3efc61ULL, 0x6243142cd11a974cULL, 276, 0}},
     {"p2p_faulted", p2p_cell, true,
-     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x2c06aafac3ea095aULL, 621, 0}},
+     {RunStatus::kDegraded, 425, 0xc9278d2897a0e370ULL, 0xf084befc0ef40d8cULL, 0xf43a7adaad823ae8ULL, 0x2c06aafac3ea095aULL, 526, 0}},
     {"broadcast", broadcast_cell, false,
-     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xefaff40dd11ab568ULL, 9338, 0}},
+     {RunStatus::kOk, 2311, 0x80d61a7a9d141acfULL, 0x57c9a6497d9f06f5ULL, 0xa2775690882dc2ddULL, 0xefaff40dd11ab568ULL, 9310, 0}},
     {"broadcast_faulted", broadcast_cell, true,
-     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xd3bfc835ccf75163ULL, 2692, 0}},
+     {RunStatus::kDegraded, 1200, 0x223d3b0f129e7271ULL, 0xf2a2f5e2395ef24fULL, 0x37188821533b29a9ULL, 0xd3bfc835ccf75163ULL, 2645, 0}},
     {"service_faulted", service_cell, true,
-     {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x16e8c1aca47c77b3ULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL, 1421, 452}},
+     {RunStatus::kOk, 10800, 0x8534be3a0f0eb65cULL, 0x16e8c1aca47c77b3ULL, 0xe24f85d3a9ff8727ULL, 0x7828257e6dc6174cULL, 1078, 452}},
     {"ranking_faulted", ranking_cell, true,
      {RunStatus::kOk, 4998, 0xbb92f50e64500283ULL, 0x0ULL, 0x0ULL, 0x0ULL, 0, 0}},
     // clang-format on

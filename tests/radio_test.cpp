@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "graph/generators.h"
 #include "radio/network.h"
 #include "radio/schedule.h"
 #include "radio/station.h"
+#include "support/rng.h"
 
 namespace radiomc {
 namespace {
@@ -350,6 +353,101 @@ TEST(PhaseClock, PhaseStartIsTheFirstSlotOfThePhase) {
   for (std::uint64_t p = 1; p < 20; ++p) {
     EXPECT_EQ(c.decode(c.phase_start(p)).phase, p);
     EXPECT_EQ(c.decode(c.phase_start(p) - 1).phase, p - 1);
+  }
+}
+
+// --- Divide-free slot arithmetic --------------------------------------------
+
+/// The plain `/` and `%` decomposition of the slot layout, as PhaseClock
+/// computed it before it went divide-free.
+PhaseClock::SlotInfo reference_decode(const SlotStructure& s, SlotTime t) {
+  PhaseClock::SlotInfo info;
+  std::uint64_t u = t;
+  if (s.ack_subslots) {
+    info.is_ack = u % 2 == 1;
+    u /= 2;
+  }
+  if (s.mod3_gating) {
+    info.residue = static_cast<std::uint32_t>(u % 3);
+    u /= 3;
+  }
+  info.decay_step = static_cast<std::uint32_t>(u % s.decay_len);
+  info.phase = u / s.decay_len;
+  return info;
+}
+
+SlotTime reference_next_data_slot(const SlotStructure& s, SlotTime t,
+                                  std::uint32_t level) {
+  const SlotTime a = s.ack_subslots ? 2 : 1;
+  const SlotTime r = s.mod3_gating ? 3 : 1;
+  const SlotTime period = a * r;
+  const SlotTime offset = a * (level % r);
+  const SlotTime from = t + 1;
+  return from + (offset + period - from % period) % period;
+}
+
+/// Random dividends over every magnitude, plus the 32- and 64-bit edges.
+std::vector<std::uint64_t> test_dividends(Rng& rng) {
+  std::vector<std::uint64_t> out{0,
+                                 (std::uint64_t{1} << 32) - 1,
+                                 std::uint64_t{1} << 32,
+                                 (std::uint64_t{1} << 32) + 1,
+                                 std::uint64_t{1} << 63,
+                                 ~std::uint64_t{0} - 1};
+  for (int i = 0; i < 400; ++i) out.push_back(rng.next() >> rng.next_below(64));
+  return out;
+}
+
+TEST(PhaseClock, DivideFreeArithmeticMatchesPlainDivision) {
+  Rng rng(0xD1F);
+  const std::vector<std::uint64_t> ts = test_dividends(rng);
+  for (const bool acks : {false, true}) {
+    for (const bool gating : {false, true}) {
+      for (const std::uint32_t len : {2u, 3u, 8u, 14u, 64u}) {
+        SlotStructure s;
+        s.decay_len = len;
+        s.ack_subslots = acks;
+        s.mod3_gating = gating;
+        const PhaseClock c(s);
+        const std::uint64_t per =
+            std::uint64_t{len} * (acks ? 2 : 1) * (gating ? 3 : 1);
+        ASSERT_EQ(c.slots_per_phase(), per);
+        for (const SlotTime t : ts) {
+          const auto got = c.decode(t);
+          const auto want = reference_decode(s, t);
+          ASSERT_EQ(got.phase, want.phase) << "len " << len << " t " << t;
+          ASSERT_EQ(got.decay_step, want.decay_step) << "t " << t;
+          ASSERT_EQ(got.residue, want.residue) << "t " << t;
+          ASSERT_EQ(got.is_ack, want.is_ack) << "t " << t;
+          ASSERT_EQ(c.phase_start(got.phase), want.phase * per) << "t " << t;
+          for (std::uint32_t level = 0; level <= 5; ++level)
+            ASSERT_EQ(c.next_data_slot(t, level),
+                      reference_next_data_slot(s, t, level))
+                << "acks " << acks << " gating " << gating << " len " << len
+                << " level " << level << " t " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(FixedDivisor, MatchesPlainDivisionForEveryDivisorUpTo1025) {
+  Rng rng(0xF1D);
+  std::vector<std::uint64_t> ns = test_dividends(rng);
+  ns.push_back(~std::uint64_t{0});
+  for (std::uint64_t d = 1; d <= 1025; ++d) {
+    const FixedDivisor f(d);
+    ASSERT_EQ(f.divisor(), d);
+    // Around the divisor and around the end of the exact range.
+    const std::uint64_t limit = ~std::uint64_t{0} / d;
+    std::vector<std::uint64_t> edges{1, d - 1, d, d + 1, 2 * d - 1,
+                                     limit - 1, limit, limit + 1};
+    for (const std::vector<std::uint64_t>* v : {&ns, &edges}) {
+      for (const std::uint64_t n : *v) {
+        ASSERT_EQ(f.div(n), n / d) << "n " << n << " d " << d;
+        ASSERT_EQ(f.mod(n), n % d) << "n " << n << " d " << d;
+      }
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -63,6 +64,10 @@ struct CollectionCase {
   bool dedup_guard = false;
   double capture_prob = 0.0;
 };
+
+/// Prints a case by name (gtest would otherwise print its raw bytes, and
+/// the ctest names would carry a heap address).
+void PrintTo(const CollectionCase& c, std::ostream* os) { *os << c.name; }
 
 class CollectionTally : public ::testing::TestWithParam<CollectionCase> {};
 

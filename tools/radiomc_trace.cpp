@@ -13,12 +13,15 @@
 // runs the theory-conformance checks (Decay reception >= 1/2, Thm 4.1
 // advance rate >= mu, Thm 3.1 ack certainty, exactly-once delivery,
 // prefix monotonicity, truncation refusal) and with --strict exits
-// non-zero when any bound is violated — which is how the benches and CI
-// turn every traced run into a correctness check.
+// non-zero when any bound is violated, or when no theorem check applies
+// to the trace at all (a pass that judged nothing certifies nothing) —
+// which is how the benches and CI turn every traced run into a
+// correctness check.
 //
-// Exit codes: 0 ok; 1 audit violation (only with --strict); 2 unreadable
-// or malformed trace / bad usage.
+// Exit codes: 0 ok; 1 audit violation or no applicable theorem check
+// (only with --strict); 2 unreadable or malformed trace / bad usage.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -50,7 +53,8 @@ int usage() {
                "records; filters select one flight\n"
                "  audit     FILE [--strict] [--json OUT]\n"
                "                                     conformance checks; "
-               "--strict exits 1 on violation\n");
+               "--strict exits 1 on violation or when no theorem\n"
+               "                                     check applies\n");
   return 2;
 }
 
@@ -124,10 +128,24 @@ int cmd_lifecycle(const Cli& cli, const Trace& trace) {
   return 0;
 }
 
+/// True iff some theorem check judged the trace; trace-complete only
+/// says the stream is whole.
+bool any_theorem_check_applied(const AuditReport& audit) {
+  return std::any_of(audit.checks.begin(), audit.checks.end(),
+                     [](const CheckResult& c) {
+                       return c.id != "trace-complete" &&
+                              c.status != CheckStatus::kSkip;
+                     });
+}
+
 int cmd_audit(const Cli& cli, const Trace& trace) {
   const auto flights = build_lifecycles(trace);
   const AuditReport audit = audit_trace(trace, flights);
   print_audit(std::cout, audit);
+  const bool applied = any_theorem_check_applied(audit);
+  if (!applied)
+    std::printf("audit: every theorem check was skipped; this trace "
+                "certifies nothing\n");
   if (!cli.json_out.empty()) {
     const AnomalyReport anomalies = scan_anomalies(trace);
     if (!write_report_file(cli.json_out, trace, flights, audit, anomalies)) {
@@ -137,7 +155,7 @@ int cmd_audit(const Cli& cli, const Trace& trace) {
     }
     std::printf("report: %s\n", cli.json_out.c_str());
   }
-  if (!audit.pass && cli.strict) return 1;
+  if ((!audit.pass || !applied) && cli.strict) return 1;
   return 0;
 }
 
