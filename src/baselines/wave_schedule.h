@@ -12,6 +12,7 @@
 // point for the randomized protocols (§1.3), and Alon et al. [1] show
 // Omega(log^2 n) rounds are necessary for D = 2, so the shape is tight.
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -23,28 +24,34 @@
 namespace radiomc::baselines {
 
 /// A node replaying a schedule: it transmits in slot t iff my_slots[t].
-/// Polled in every slot: it wakes on each poll.
+/// It sleeps between its transmit slots: each tick arms the next one.
 class ScriptedStation final : public SubStation {
  public:
-  ScriptedStation(NodeId me, const std::vector<bool>& my_slots)
-      : me_(me), my_slots_(my_slots) {}
+  ScriptedStation(NodeId me, const std::vector<bool>& my_slots) : me_(me) {
+    for (SlotTime t = 0; t < my_slots.size(); ++t)
+      if (my_slots[t]) tx_slots_.push_back(t);
+  }
 
   void on_attach(Waker& w) override { waker_ = w; }
   std::optional<Message> poll(SlotTime t) override {
-    waker_.wake();
-    if (t >= my_slots_.size() || !my_slots_[t]) return std::nullopt;
+    if (!std::binary_search(tx_slots_.begin(), tx_slots_.end(), t))
+      return std::nullopt;
     Message m;
     m.kind = MsgKind::kBcastData;
     m.origin = me_;
     return m;
   }
   void deliver(SlotTime, const Message&) override { informed_ = true; }
+  void tick(SlotTime t) override {
+    const auto next = std::upper_bound(tx_slots_.begin(), tx_slots_.end(), t);
+    if (next != tx_slots_.end()) waker_.wake_at(*next);
+  }
   bool informed() const noexcept { return informed_; }
   void force_informed() noexcept { informed_ = true; }
 
  private:
   NodeId me_;
-  std::vector<bool> my_slots_;
+  std::vector<SlotTime> tx_slots_;  ///< ascending
   bool informed_ = false;
   Waker waker_;
 };

@@ -64,12 +64,7 @@ class FlightRecorder final : public TraceSink {
 
   std::uint64_t window_collisions() const noexcept { return coll_win_; }
   std::uint64_t window_jams() const noexcept { return jam_win_; }
-  std::uint64_t window_deliveries() const noexcept { return rx_win_; }
   std::uint64_t window_transmissions() const noexcept { return tx_win_; }
-
-  /// Cumulative totals (never reset).
-  std::uint64_t total_collisions() const noexcept { return coll_total_; }
-  std::uint64_t total_jams() const noexcept { return jam_total_; }
 
   static std::uint64_t pair_key(NodeId receiver, NodeId sender) noexcept {
     return (static_cast<std::uint64_t>(receiver) << 32) | sender;
@@ -84,11 +79,8 @@ class FlightRecorder final : public TraceSink {
   std::map<std::uint64_t, std::uint64_t> pair_ever_;
   std::vector<std::uint64_t> level_coll_win_;
   std::uint64_t tx_win_ = 0;
-  std::uint64_t rx_win_ = 0;
   std::uint64_t coll_win_ = 0;
   std::uint64_t jam_win_ = 0;
-  std::uint64_t coll_total_ = 0;
-  std::uint64_t jam_total_ = 0;
 };
 
 }  // namespace radiomc::health

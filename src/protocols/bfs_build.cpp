@@ -16,7 +16,6 @@ void BfsBuildStation::make_root(NodeId root_id) {
   level_ = 0;
   parent_ = kNoNode;
   root_id_ = root_id;
-  joined_at_ = 0;
 }
 
 void BfsBuildStation::reset() {
@@ -24,7 +23,6 @@ void BfsBuildStation::reset() {
   parent_ = kNoNode;
   root_id_ = kNoNode;
   consistent_ = true;
-  joined_at_ = 0;
   decay_.reset();
 }
 
@@ -34,7 +32,7 @@ void BfsBuildStation::on_attach(Waker& w) {
 
 std::optional<Message> BfsBuildStation::poll(SlotTime t) {
   if (level_ == kNoLevel || stage_of(t) != level_ ||
-      !decay_.transmits_in(t / cfg_.decay_len))
+      !decay_.transmits_in(decay_.phase_of(t)))
     return std::nullopt;
   Message m;
   m.kind = MsgKind::kBfsAnnounce;
@@ -44,13 +42,12 @@ std::optional<Message> BfsBuildStation::poll(SlotTime t) {
   return m;
 }
 
-void BfsBuildStation::deliver(SlotTime t, const Message& m) {
+void BfsBuildStation::deliver(SlotTime, const Message& m) {
   if (m.kind != MsgKind::kBfsAnnounce) return;
   if (level_ == kNoLevel) {
     level_ = m.aux + 1;
     parent_ = m.sender;
     root_id_ = static_cast<NodeId>(m.payload);
-    joined_at_ = t;
     // Its own stage, level_, starts after the one it heard level_-1 in.
     if (waker_ != nullptr) waker_->wake_at(level_ * stage_slots());
   } else if (m.aux + 1 < level_) {

@@ -57,10 +57,7 @@ class BfsBuildStation final : public SubStation {
   bool joined() const noexcept { return level_ != kNoLevel; }
   std::uint32_t level() const noexcept { return level_; }
   NodeId parent() const noexcept { return parent_; }
-  NodeId root_id() const noexcept { return root_id_; }
   bool consistent() const noexcept { return consistent_; }
-  /// Station-local slot at which the node joined (0 for roots).
-  SlotTime joined_at() const noexcept { return joined_at_; }
 
  private:
   NodeId me_;
@@ -70,7 +67,6 @@ class BfsBuildStation final : public SubStation {
   NodeId parent_ = kNoNode;
   NodeId root_id_ = kNoNode;
   bool consistent_ = true;
-  SlotTime joined_at_ = 0;
   DecayProcess decay_;
   Waker* waker_ = nullptr;
 

@@ -10,7 +10,7 @@
 namespace radiomc {
 
 FloodStation::FloodStation(std::uint32_t decay_len, Rng rng)
-    : decay_len_(decay_len), rng_(rng), decay_(decay_len) {}
+    : rng_(rng), decay_(decay_len) {}
 
 void FloodStation::on_attach(Waker& w) {
   waker_ = &w;
@@ -34,11 +34,11 @@ void FloodStation::reset(Rng rng, std::uint64_t relay_phases) {
 
 bool FloodStation::relays_in(std::uint64_t phase) const noexcept {
   return informed_ && (relay_phases_ == 0 ||
-                       phase < informed_at_ / decay_len_ + relay_phases_);
+                       phase < decay_.phase_of(informed_at_) + relay_phases_);
 }
 
 std::optional<Message> FloodStation::poll(SlotTime t) {
-  const std::uint64_t phase = t / decay_len_;
+  const std::uint64_t phase = decay_.phase_of(t);
   if (!relays_in(phase) || !decay_.transmits_in(phase)) return std::nullopt;
   return msg_;
 }
@@ -60,7 +60,7 @@ void FloodStation::tick(SlotTime t) {
   // sleeps until the front's delivery wakes it, and one whose budget is
   // spent sleeps for good.
   const SlotTime next = decay_.next_ungated_slot(t);
-  if (relays_in(next / decay_len_)) waker_->wake_at(next);
+  if (relays_in(decay_.phase_of(next))) waker_->wake_at(next);
 }
 
 BgiOutcome run_bgi_broadcast(const Graph& g, NodeId source,

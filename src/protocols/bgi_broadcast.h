@@ -74,7 +74,6 @@ class FloodStation final : public SubStation {
   /// True iff the station is informed and its budget covers `phase`.
   bool relays_in(std::uint64_t phase) const noexcept;
 
-  std::uint32_t decay_len_;
   Rng rng_;
   std::uint64_t relay_phases_ = 0;
   bool informed_ = false;

@@ -90,13 +90,16 @@ class DecayProcess {
     return clock.next_data_slot(clock.phase_start(phase + 1) - 1, level);
   }
 
-  /// The same for a process whose phases are `length()` consecutive
-  /// slots with no gating (BGI's flood, leader election, BFS
-  /// construction): the next slot if the invocation may still fire in its
+  /// For a process whose phases are `length()` consecutive slots with no
+  /// gating (BGI's flood, leader election, BFS construction): the phase of
+  /// slot `t`, and the next slot if the invocation may still fire in its
   /// phase, else the first slot of the following phase.
+  std::uint64_t phase_of(SlotTime t) const noexcept {
+    return phase_len_.div(t);
+  }
   SlotTime next_ungated_slot(SlotTime t) const noexcept {
-    if (may_transmit_in(phase_len_.div(t + 1))) return t + 1;
-    return (phase_len_.div(t) + 1) * length_;
+    if (may_transmit_in(phase_of(t + 1))) return t + 1;
+    return (phase_of(t) + 1) * length_;
   }
 
   /// End of the slot: flips the coin iff the slot transmitted.
@@ -114,14 +117,13 @@ class DecayProcess {
   }
 
   bool live() const noexcept { return live_; }
-  std::uint32_t transmissions_used() const noexcept { return used_; }
   std::uint32_t length() const noexcept { return length_; }
 
  private:
   static constexpr std::uint64_t kNoPhase = static_cast<std::uint64_t>(-1);
 
   std::uint32_t length_;
-  FixedDivisor phase_len_;  ///< length_, for next_ungated_slot
+  FixedDivisor phase_len_;  ///< length_, for phase_of
   std::uint32_t used_ = 0;
   bool live_ = false;
   bool transmitted_ = false;

@@ -42,8 +42,8 @@ VirtualEthernet::VirtualEthernet(const Graph& g, const BfsTree& tree,
   require(tree.num_nodes() == n, "VirtualEthernet: tree/graph mismatch");
   Rng master(seed);
   node_round_.assign(n, 0);
-  next_up_seq_.assign(n, 0);
   node_outcomes_.resize(n);
+  reported_.assign(n, 0);
 
   for (NodeId v = 0; v < n; ++v) {
     coll_.push_back(std::make_unique<CollectionStation>(
@@ -52,19 +52,18 @@ VirtualEthernet::VirtualEthernet(const Graph& g, const BfsTree& tree,
         v, tree, cfg.distribution, master.split(2 * v + 1)));
   }
   coll_[tree.root]->set_root_handler([this](SlotTime, const Message& m) {
-    if (m.kind != MsgKind::kData) return;
-    reports_[m.aux].emplace_back(m.origin, m.payload);
+    if (m.kind == MsgKind::kData) take_report(m.origin, m.aux, m.payload);
   });
   // Non-root stations learn outcomes through the distribution pipeline;
   // the outcome's distribution seq IS the round number (the root publishes
   // one outcome per round, in order).
   for (NodeId v = 0; v < n; ++v) {
     if (v == tree.root) continue;
-    auto* sink = &node_outcomes_[v];
-    dist_[v]->set_delivery_handler(
-        [sink](SlotTime, const Message& m) {
-          sink->push_back(decode_outcome(m.seq, m.payload));
-        });
+    dist_[v]->set_delivery_handler([this, v](SlotTime, const Message& m) {
+      node_outcomes_[v].push_back(decode_outcome(m.seq, m.payload));
+      dirty_.push_back(v);
+      ++arrivals_;
+    });
   }
 
   std::vector<Station*> ptrs;
@@ -84,62 +83,52 @@ VirtualEthernet::VirtualEthernet(const Graph& g, const BfsTree& tree,
   net_->attach(std::move(ptrs));
 }
 
-SlotTime VirtualEthernet::now() const { return net_->now(); }
-
-const NetMetrics& VirtualEthernet::bus_metrics() const {
-  return net_->metrics();
-}
-
-std::uint64_t VirtualEthernet::engine_polls() const {
-  return net_->engine_stats().station_polls;
-}
-
 void VirtualEthernet::start_round(NodeId v, std::uint32_t round) {
   const std::optional<std::uint32_t> offer =
       policy_ ? policy_(v, round) : std::nullopt;
   const std::uint64_t payload =
       offer ? static_cast<std::uint64_t>(*offer) : kIdleBit;
   if (v == tree_.root) {
-    reports_[round].emplace_back(v, payload);
+    take_report(v, round, payload);
     return;
   }
   Message m;
   m.kind = MsgKind::kData;
   m.origin = v;
-  m.seq = next_up_seq_[v]++;
+  m.seq = round;  // a node reports each round once, in order
   m.aux = round;
   m.payload = payload;
   coll_[v]->inject(m);
 }
 
+void VirtualEthernet::take_report(NodeId v, std::uint32_t round,
+                                  std::uint64_t payload) {
+  // The round after the last one taken from v is the open one: v sent the
+  // report after the round before it closed, and it cannot close without v.
+  if (reported_[v] != round) return;
+  ++reported_[v];
+  ++arrivals_;
+  ++open_.reporters;
+  if (payload & kIdleBit) return;
+  ++open_.offers;
+  open_.last_node = v;
+  open_.last_frame = static_cast<std::uint32_t>(payload);
+}
+
 void VirtualEthernet::pump() {
-  // Root: publish the outcome of the next unpublished round once all n
-  // reports for it arrived.
-  const NodeId n = g_.num_nodes();
-  for (;;) {
-    const auto it = reports_.find(root_round_published_);
-    if (it == reports_.end() || it->second.size() < n) break;
-    std::uint32_t offered = 0;
-    NodeId winner = kNoNode;
-    std::uint32_t frame = 0;
-    for (const auto& [node, payload] : it->second) {
-      if (payload & kIdleBit) continue;
-      ++offered;
-      winner = node;
-      frame = static_cast<std::uint32_t>(payload);
-    }
-    const Feedback kind = offered == 0   ? Feedback::kSilence
-                          : offered == 1 ? Feedback::kSuccess
-                                         : Feedback::kCollision;
-    Message out;
-    out.origin = tree_.root;
-    out.payload = encode_outcome(kind, winner, frame);
-    const std::uint32_t seq = dist_[tree_.root]->root_enqueue(out);
-    // The root observes its own outcome immediately.
-    node_outcomes_[tree_.root].push_back(decode_outcome(seq, out.payload));
-    reports_.erase(it);
-    ++root_round_published_;
-  }
+  // Root: publish the open round's outcome once all n reports are in.
+  if (open_.reporters < g_.num_nodes()) return;
+  const Feedback kind = open_.offers == 0   ? Feedback::kSilence
+                        : open_.offers == 1 ? Feedback::kSuccess
+                                            : Feedback::kCollision;
+  Message out;
+  out.origin = tree_.root;
+  out.payload = encode_outcome(kind, open_.last_node, open_.last_frame);
+  const std::uint32_t seq = dist_[tree_.root]->root_enqueue(out);
+  // The root observes its own outcome immediately.
+  node_outcomes_[tree_.root].push_back(decode_outcome(seq, out.payload));
+  dirty_.push_back(tree_.root);
+  open_ = {};
 }
 
 std::vector<VirtualEthernet::RoundOutcome> VirtualEthernet::run_rounds(
@@ -147,29 +136,46 @@ std::vector<VirtualEthernet::RoundOutcome> VirtualEthernet::run_rounds(
   require(policy_ != nullptr, "VirtualEthernet: set_policy first");
   require(rounds >= 1, "VirtualEthernet: rounds >= 1");
   const NodeId n = g_.num_nodes();
+  const std::vector<RoundOutcome>& stream = node_outcomes_[tree_.root];
   std::uint32_t limit = rounds;
+  NodeId done = 0;  // nodes that observed `limit` outcomes
+  std::size_t judged = static_cast<std::size_t>(-1);  // stream size halt saw
+  StallWatchdog never(0, 0);
   for (NodeId v = 0; v < n; ++v) start_round(v, 0);
 
+  // Between two arrivals (a report the root takes, an outcome a node
+  // receives) nothing the loop reads changes, so the engine runs to the
+  // next one. `halt` reads only the root's stream, so judging it when
+  // that stream grew is the same as judging it after every slot.
   while (net_->now() < max_slots) {
     pump();
-    if (halt && limit == rounds &&
-        halt(node_outcomes_[tree_.root])) {
-      // Stop launching new rounds; drain what is already in flight.
-      limit = static_cast<std::uint32_t>(node_outcomes_[tree_.root].size());
+    if (halt && limit == rounds && stream.size() != judged) {
+      judged = stream.size();
+      if (halt(stream)) {
+        // Stop launching new rounds; drain what is already in flight.
+        limit = static_cast<std::uint32_t>(judged);
+        done = static_cast<NodeId>(
+            std::count_if(node_round_.begin(), node_round_.end(),
+                          [limit](std::uint32_t r) { return r >= limit; }));
+      }
     }
-    // A node starts round r+1 the moment it observed outcome r.
-    bool all_done = true;
-    for (NodeId v = 0; v < n; ++v) {
+    // A node starts round r+1 the moment it observed outcome r, in node
+    // order, as a walk over all nodes would.
+    std::sort(dirty_.begin(), dirty_.end());
+    for (const NodeId v : dirty_) {
       while (node_round_[v] < node_outcomes_[v].size()) {
-        ++node_round_[v];
+        if (++node_round_[v] == limit) ++done;
         if (node_round_[v] < limit) start_round(v, node_round_[v]);
       }
-      all_done = all_done && node_round_[v] >= limit;
     }
-    if (all_done) return node_outcomes_[tree_.root];
-    net_->step();
+    dirty_.clear();
+    if (done == n) break;
+    // The root files its own report between slots. On a one-node bus that
+    // report completes the round, which is published after one slot.
+    const SlotTime end = open_.reporters == n ? net_->now() + 1 : max_slots;
+    net_->run_until(arrivals_ + 1, [this] { return arrivals_; }, end, never);
   }
-  return node_outcomes_[tree_.root];
+  return stream;
 }
 
 BackoffOutcome run_ethernet_backoff(
@@ -203,7 +209,6 @@ BackoffOutcome run_ethernet_backoff(
   }
 
   BackoffOutcome out;
-  std::uint32_t done_round = 0;
   // The policy runs the MAC: it is invoked exactly once per (node, round),
   // in round order, because the bus starts a node's round r+1 only after
   // it observed outcome r. Feedback is read from the node's own outcome
@@ -243,18 +248,12 @@ BackoffOutcome run_ethernet_backoff(
           if (o.kind == VirtualEthernet::Feedback::kSuccess) ++succ;
         return succ >= total;
       });
-  for (const auto& o : outcomes) {
-    if (o.kind == VirtualEthernet::Feedback::kSuccess) {
+  // The halt ends the stream at the round that delivered the last frame.
+  for (const auto& o : outcomes)
+    if (o.kind == VirtualEthernet::Feedback::kSuccess)
       out.delivered_frames.push_back(o.frame);
-      if (out.delivered_frames.size() == total) {
-        done_round = o.round + 1;
-        break;
-      }
-    }
-  }
   out.completed = out.delivered_frames.size() == total;
-  out.rounds_used = out.completed ? done_round
-                                  : static_cast<std::uint32_t>(outcomes.size());
+  out.rounds_used = static_cast<std::uint32_t>(outcomes.size());
   out.slots = bus.now();
   out.net = bus.bus_metrics();
   if (observers.profiler != nullptr) {

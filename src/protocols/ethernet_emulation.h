@@ -11,9 +11,10 @@
 //
 //  1. every station reports to the root over the collection channel —
 //     either the frame it offers this round or an explicit "idle" report;
-//  2. when the root holds all n reports it classifies the round (silence /
-//     success / collision — i.e. 0, 1, or >= 2 offered frames) and
-//     broadcasts the outcome over the distribution channel;
+//  2. when the root holds all n reports (the first copy of each; a resent
+//     report is dropped) it classifies the round (silence / success /
+//     collision — i.e. 0, 1, or >= 2 offered frames) and broadcasts the
+//     outcome over the distribution channel;
 //  3. a station starts round r+1 when it delivers outcome r, so all
 //     stations observe the identical feedback sequence.
 //
@@ -28,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -91,28 +91,31 @@ class VirtualEthernet {
 
   /// Runs until every station has delivered `rounds` outcomes (or
   /// max_slots elapse). If `halt` is set, it is evaluated on the root's
-  /// outcome stream after every published round; once true, no further
-  /// rounds start and the run drains so every station ends with the same
-  /// stream. Returns the outcome log (identical at every station by
-  /// construction; verified by the tests).
+  /// outcome stream each time that stream grows (so it must be a pure
+  /// function of it); once true, no further rounds start and the run
+  /// drains so every station ends with the same stream. Returns the
+  /// outcome log (identical at every station; verified by the tests).
   using HaltFn = std::function<bool(const std::vector<RoundOutcome>&)>;
   std::vector<RoundOutcome> run_rounds(std::uint32_t rounds,
                                        SlotTime max_slots = 200'000'000,
                                        HaltFn halt = nullptr);
 
-  SlotTime now() const;
+  SlotTime now() const { return net_->now(); }
   /// The outcome sequence as delivered at a given node (for tests).
   const std::vector<RoundOutcome>& outcomes_at(NodeId v) const {
     return node_outcomes_[v];
   }
   /// Radio-layer counters of the virtual bus (fault_jams / fault_drops
   /// show how much noise the emulation absorbed).
-  const NetMetrics& bus_metrics() const;
+  const NetMetrics& bus_metrics() const { return net_->metrics(); }
   /// Station polls the bus's engine spent so far.
-  std::uint64_t engine_polls() const;
+  std::uint64_t engine_polls() const {
+    return net_->engine_stats().station_polls;
+  }
 
  private:
   void start_round(NodeId v, std::uint32_t round);
+  void take_report(NodeId v, std::uint32_t round, std::uint64_t payload);
   void pump();
 
   const Graph& g_;
@@ -126,13 +129,20 @@ class VirtualEthernet {
   std::unique_ptr<RadioNetwork> net_;
 
   std::vector<std::uint32_t> node_round_;       ///< rounds observed so far
-  std::vector<std::uint32_t> next_up_seq_;
   std::vector<std::vector<RoundOutcome>> node_outcomes_;
+  std::uint64_t arrivals_ = 0;  ///< reports taken + outcomes received
+  std::vector<NodeId> dirty_;   ///< nodes whose outcome stream grew
 
-  // Root bookkeeping.
-  std::map<std::uint32_t, std::vector<std::pair<NodeId, std::uint64_t>>>
-      reports_;                                  ///< round -> (node, payload)
-  std::uint32_t root_round_published_ = 0;
+  // Root bookkeeping. A node reports round r+1 only after it received
+  // outcome r, so only one round is open: the one after the last
+  // published. The root counts each node's first copy of its report.
+  std::vector<std::uint32_t> reported_;  ///< rounds taken from each node
+  struct {
+    NodeId reporters = 0;       ///< distinct reports
+    std::uint32_t offers = 0;   ///< of which offers
+    NodeId last_node = kNoNode;  ///< the last offer's node and frame
+    std::uint32_t last_frame = 0;
+  } open_;
 };
 
 /// Binary exponential backoff over the virtual bus: every station with a

@@ -57,7 +57,7 @@ std::uint64_t MaxFloodStation::next_advertising(
 }
 
 std::optional<Message> MaxFloodStation::poll(SlotTime t) {
-  const std::uint64_t phase = t / cfg_.decay_len;
+  const std::uint64_t phase = decay_.phase_of(t);
   if (!advertises(phase) || !decay_.transmits_in(phase)) return std::nullopt;
   Message m;
   m.kind = MsgKind::kLeader;
@@ -70,7 +70,7 @@ void MaxFloodStation::deliver(SlotTime t, const Message& m) {
   if (m.kind != MsgKind::kLeader) return;
   if (m.payload > best_) {
     best_ = m.payload;
-    fresh_until_ = t / cfg_.decay_len + cfg_.fresh_phases;
+    fresh_until_ = decay_.phase_of(t) + cfg_.fresh_phases;
     // If the current phase just became fresh, its Decay starts on the
     // very next poll, mid-phase.
     if (waker_ != nullptr) waker_->wake();
@@ -83,7 +83,7 @@ void MaxFloodStation::tick(SlotTime t) {
   // Its next Decay slot if that phase advertises, else the start of the
   // next phase that does.
   const SlotTime next = decay_.next_ungated_slot(t);
-  const std::uint64_t phase = next / cfg_.decay_len;
+  const std::uint64_t phase = decay_.phase_of(next);
   waker_->wake_at(advertises(phase) ? next
                                     : next_advertising(phase) * cfg_.decay_len);
 }

@@ -59,11 +59,6 @@ struct Message {
   std::uint32_t seq = 0;           ///< per-origin sequence number / message id
   std::uint32_t aux = 0;           ///< protocol-specific small field (level, ...)
   std::uint64_t payload = 0;       ///< application payload
-
-  /// Identity of a payload for dedup/ack matching.
-  friend bool same_payload(const Message& a, const Message& b) {
-    return a.origin == b.origin && a.seq == b.seq;
-  }
 };
 
 }  // namespace radiomc

@@ -29,8 +29,9 @@
 // touched cells, in (node, channel) order, with no sort. A slot
 // with nobody to poll is not run at all: `run` and `run_until` skip idle
 // spans (see their comments), and every driver advances time through one
-// of them, so a run pays for its traffic, not for its length. `step` is
-// the bare primitive, for tests and microbenchmarks. The delivery stream,
+// of them, the ethernet bus too, so a run pays for its traffic, not for
+// its length. `step` is the bare primitive, for tests and microbenchmarks;
+// no driver calls it. The delivery stream,
 // NetMetrics, traces, and capture-RNG consumption are byte-identical to
 // the pre-rewrite full-scan engine — proven over a randomized matrix by
 // tests/engine_diff_test.cpp against the frozen reference implementation
@@ -163,9 +164,6 @@ class RadioNetwork {
   /// model — stations must never consult another station's activity).
   bool station_active(NodeId v) const noexcept {
     return active_set_.contains(v);
-  }
-  std::size_t active_station_count() const noexcept {
-    return active_set_.active().size();
   }
   /// Wakes a station from driver level (between slots); run_setup does so
   /// at each epoch and attempt boundary of its schedule.

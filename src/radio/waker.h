@@ -47,8 +47,7 @@
 //     coin flips and receptions, whether it transmitted or not.
 //
 // A station that wants to be polled in every slot keeps the handle and
-// calls `wake()` on each poll (TimeDivisionStation and the scripted wave
-// baseline do).
+// calls `wake()` on each poll (TimeDivisionStation does).
 //
 // Idle spans: a slot with no member, no pending wake and no timer due at
 // it polls nobody, so `RadioNetwork::run` and `run_until` skip it instead
@@ -79,8 +78,12 @@
 // losing a sibling's arm. The subs still share the node's membership bit:
 // whenever the node is polled, every live sub is polled. A time-division
 // frame polls one sub per slot, so TimeDivisionStation keeps its subs
-// unattached and stays always-polled; a handle per sub on a strided
-// clock would let it sleep.
+// unattached and stays always-polled. A handle per sub on a strided clock
+// is not enough to let it sleep: a sub's timer that fires while its node
+// is crashed admits the node frozen, and the recovery poll serves only
+// that slot's lane, so the other sub loses its armed duty. It needs an
+// engine rule first: a strided timer that fires while its node is down is
+// re-filed for the node's next slot in that timer's lane.
 //
 // Like the slot structure, wakes are model-legal bookkeeping: a station may
 // only call `wake()`/`wake_at()` from its own callbacks (or its driver
@@ -141,9 +144,6 @@ class Waker {
  private:
   friend class ActiveSet;
 
-/// An engine timer: ids [0, n) are the nodes' own, later ones belong to
-/// sub-station handles (Waker::own_timer).
-using TimerId = std::uint32_t;
   ActiveSet* set_ = nullptr;
   NodeId node_ = kNoNode;
   TimerId timer_ = 0;

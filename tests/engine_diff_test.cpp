@@ -1448,9 +1448,9 @@ TEST(AutosleepAB, EthernetBusSleepsAndMatchesTheAlwaysPolledReference) {
 }
 
 // ---------------------------------------------------------------------------
-// The TDMA and round-robin frame stations sleep until their frame slot; the
-// scripted wave station wakes itself in every slot. All stay byte-identical
-// to the reference.
+// The TDMA and round-robin frame stations sleep until their frame slot, the
+// scripted wave station until its next transmit slot. All stay
+// byte-identical to the reference.
 // ---------------------------------------------------------------------------
 
 TEST(AutosleepAB, BaselinesMatchTheReference) {
@@ -1495,7 +1495,7 @@ TEST(AutosleepAB, BaselinesMatchTheReference) {
           n, std::vector<bool>(wave.rounds.size(), false));
       for (std::size_t t = 0; t < wave.rounds.size(); ++t)
         for (const NodeId u : wave.rounds[t]) script[u][t] = true;
-      expect_always_polled_piece_matches(
+      expect_piece_matches(
           cell + "/wave", g, plan, wave.rounds.size() + 4,
           [&](NodeId v) {
             auto s = std::make_unique<baselines::ScriptedStation>(v, script[v]);

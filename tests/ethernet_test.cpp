@@ -10,6 +10,7 @@
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "perf/profiler.h"
 #include "protocols/ethernet_emulation.h"
 #include "protocols/tree.h"
 #include "support/rng.h"
@@ -20,39 +21,53 @@ namespace {
 using Feedback = VirtualEthernet::Feedback;
 
 TEST(VirtualBus, TernaryFeedbackIsExact) {
-  Rng rng(80);
-  const Graph g = gen::grid(3, 4);
-  const BfsTree tree = oracle_bfs_tree(g, 0);
-  VirtualEthernet bus(g, tree, VirtualEthernet::Config::for_graph(g),
-                      rng.next());
-  // Scripted offers: round 0 nobody, round 1 only node 5, round 2 nodes
-  // 3 and 7, round 3 only node 11.
-  bus.set_policy([](NodeId v, std::uint32_t round)
-                     -> std::optional<std::uint32_t> {
-    switch (round) {
-      case 1:
-        if (v == 5) return 500u;
-        break;
-      case 2:
-        if (v == 3 || v == 7) return 100u + v;
-        break;
-      case 3:
-        if (v == 11) return 1100u;
-        break;
-      default:
-        break;
+  // Fault-free and under jam + drop noise: a resent report must not count
+  // twice toward a round's n reports or its offers.
+  FaultPlan noisy;
+  noisy.jam_prob = 0.05;
+  noisy.drop_prob = 0.05;
+  for (const FaultPlan& plan : {FaultPlan{}, noisy}) {
+    SCOPED_TRACE(plan.any() ? "jam+drop" : "nofault");
+    Rng rng(80);
+    const Graph g = gen::grid(3, 4);
+    const BfsTree tree = oracle_bfs_tree(g, 0);
+    VirtualEthernet::Config cfg = VirtualEthernet::Config::for_graph(g);
+    cfg.faults = plan;
+    VirtualEthernet bus(g, tree, cfg, rng.next());
+    // Scripted offers: round 0 nobody, round 1 only node 5, round 2 nodes
+    // 3 and 7, round 3 only node 11.
+    bus.set_policy([](NodeId v, std::uint32_t round)
+                       -> std::optional<std::uint32_t> {
+      switch (round) {
+        case 1:
+          if (v == 5) return 500u;
+          break;
+        case 2:
+          if (v == 3 || v == 7) return 100u + v;
+          break;
+        case 3:
+          if (v == 11) return 1100u;
+          break;
+        default:
+          break;
+      }
+      return std::nullopt;
+    });
+    const auto outcomes = bus.run_rounds(4);
+    ASSERT_EQ(outcomes.size(), 4u);
+    EXPECT_EQ(outcomes[0].kind, Feedback::kSilence);
+    EXPECT_EQ(outcomes[1].kind, Feedback::kSuccess);
+    EXPECT_EQ(outcomes[1].winner, 5u);
+    EXPECT_EQ(outcomes[1].frame, 500u);
+    EXPECT_EQ(outcomes[2].kind, Feedback::kCollision);
+    EXPECT_EQ(outcomes[3].kind, Feedback::kSuccess);
+    EXPECT_EQ(outcomes[3].winner, 11u);
+    EXPECT_EQ(outcomes[3].frame, 1100u);
+    if (plan.any()) {
+      EXPECT_GT(bus.bus_metrics().fault_jams + bus.bus_metrics().fault_drops,
+                0u);
     }
-    return std::nullopt;
-  });
-  const auto outcomes = bus.run_rounds(4);
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(outcomes[0].kind, Feedback::kSilence);
-  EXPECT_EQ(outcomes[1].kind, Feedback::kSuccess);
-  EXPECT_EQ(outcomes[1].winner, 5u);
-  EXPECT_EQ(outcomes[1].frame, 500u);
-  EXPECT_EQ(outcomes[2].kind, Feedback::kCollision);
-  EXPECT_EQ(outcomes[3].kind, Feedback::kSuccess);
-  EXPECT_EQ(outcomes[3].winner, 11u);
+  }
 }
 
 TEST(VirtualBus, AllStationsSeeTheSameStream) {
@@ -196,6 +211,81 @@ TEST(Backoff, HeavyContentionStillResolves) {
   ASSERT_TRUE(out.completed);
   EXPECT_EQ(out.delivered_frames.size(), 24u);
   EXPECT_GE(out.rounds_used, 24u);  // at least one round per frame
+}
+
+// Pinned runs: the driver may skip idle spans, but every slot, poll and
+// radio counter of these runs is fixed.
+
+TEST(PinnedBus, BackoffOnGrid4x4) {
+  const Graph g = gen::grid(4, 4);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  const std::vector<std::uint32_t> backlog(g.num_nodes(), 1);
+  perf::Profiler prof;
+  Observers obs;
+  obs.profiler = &prof;
+  const BackoffOutcome out =
+      run_ethernet_backoff(g, tree, backlog, 11, 4096, {}, obs);
+  ASSERT_TRUE(out.completed);
+  EXPECT_EQ(out.rounds_used, 72u);
+  EXPECT_EQ(out.slots, 42054u);
+  EXPECT_EQ(out.delivered_frames,
+            (std::vector<std::uint32_t>{1025, 769, 513, 2049, 257, 1537,
+                                        3585, 1281, 2305, 1, 3073, 1793,
+                                        3329, 2561, 3841, 2817}));
+  EXPECT_EQ(out.net.slots, 42054u);
+  EXPECT_EQ(out.net.transmissions, 111877u);
+  EXPECT_EQ(out.net.deliveries, 165967u);
+  EXPECT_EQ(out.net.collision_events, 84678u);
+  EXPECT_EQ(out.net.capture_deliveries, 0u);
+  EXPECT_EQ(out.net.fault_jams, 0u);
+  EXPECT_EQ(out.net.fault_drops, 0u);
+  EXPECT_EQ(out.net.fault_link_blocked, 0u);
+  EXPECT_EQ(out.net.fault_crashed_slots, 0u);
+  EXPECT_EQ(prof.counters().at("ethernet.slots"), 42054u);
+  EXPECT_EQ(prof.counters().at("ethernet.polls"), 115494u);
+}
+
+TEST(PinnedBus, OneNodeBusPublishesEachRoundAfterOneSlot) {
+  // The root's own report completes every round; it is filed between
+  // slots, and the round is published after the next one.
+  const Graph g = gen::path(1);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  perf::Profiler prof;
+  Observers obs;
+  obs.profiler = &prof;
+  const BackoffOutcome out = run_ethernet_backoff(
+      g, tree, std::vector<std::uint32_t>{2}, 5, 4096, {}, obs);
+  ASSERT_TRUE(out.completed);
+  EXPECT_EQ(out.rounds_used, 2u);
+  EXPECT_EQ(out.slots, 1u);
+  EXPECT_EQ(out.delivered_frames, (std::vector<std::uint32_t>{2, 1}));
+  EXPECT_EQ(out.net.transmissions, 1u);
+  EXPECT_EQ(out.net.deliveries, 0u);
+  EXPECT_EQ(prof.counters().at("ethernet.polls"), 1u);
+}
+
+TEST(PinnedBus, HaltDrainsAtTheSameSlot) {
+  Rng rng(83);
+  const Graph g = gen::path(8);
+  const BfsTree tree = oracle_bfs_tree(g, 0);
+  VirtualEthernet bus(g, tree, VirtualEthernet::Config::for_graph(g),
+                      rng.next());
+  bus.set_policy([](NodeId v, std::uint32_t round)
+                     -> std::optional<std::uint32_t> {
+    if (round == 2 && v == 4) return 42u;
+    return std::nullopt;
+  });
+  const auto outcomes = bus.run_rounds(
+      1000, 50'000'000,
+      [](const std::vector<VirtualEthernet::RoundOutcome>& s) {
+        return !s.empty() && s.back().kind == Feedback::kSuccess;
+      });
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(bus.now(), 829u);
+  EXPECT_EQ(bus.engine_polls(), 1442u);
+  EXPECT_EQ(bus.bus_metrics().transmissions, 1362u);
+  EXPECT_EQ(bus.bus_metrics().deliveries, 2393u);
+  EXPECT_EQ(bus.bus_metrics().collision_events, 0u);
 }
 
 }  // namespace
